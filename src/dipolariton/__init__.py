@@ -74,15 +74,14 @@ from .gpe import (
     GpeParams,
     Observables,
     ResponseResult,
+    SplitStep,
     dipolar_potential,
     effective_dipolar_coupling,
     evolve,
-    get_fft_workers,
     init_state,
     linear_response_experiment,
     observables,
     predicted_mode_frequency,
-    set_fft_workers,
     step,
 )
 from .grid import Grid1D, GridSpec

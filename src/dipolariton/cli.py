@@ -13,10 +13,10 @@ Commands
     validate       adiabaticity margins and four-wave phase mismatch
     selftest       run the built-in numerical oracles
 
-Exit codes: 0 success, 2 configuration or parameter error, 3 numerical
-failure. All SI at the boundary; evolve/respond convert to the internal
-scale system and back. Outputs are deterministic: no timestamps, fixed
-formatting, atomic writes.
+Exit codes: 0 success, 1 stdout closed by its reader before the output was
+written, 2 configuration or parameter error, 3 numerical failure. All SI at
+the boundary; evolve/respond convert to the internal scale system and back.
+Outputs are deterministic: no timestamps, fixed formatting, atomic writes.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ from .gpe import (
     evolve,
     init_state,
     linear_response_experiment,
-    set_fft_workers,
 )
 from .grid import GridSpec
 from .kernel import (
@@ -127,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (created if missing)")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="FFT worker threads (default 1)")
+                        help="FFT worker threads of the split-step propagator (default 1)")
     mass = parser.add_mutually_exclusive_group()
     mass.add_argument("--real-mass", action="store_true",
                       help="drop the imaginary part of the longitudinal mass (default)")
@@ -441,7 +440,7 @@ def _cmd_evolve(cfg: SimConfig, args) -> int:
         raise ConfigError("command 'evolve' needs run.dt and run.t_final")
     state = _scaled_initial_state(cfg, params, scales, "evolve")
     result = evolve(state, dt / scales.time, t_final / scales.time,
-                    observer_stride=cfg.get("run.observer_stride", 10))
+                    observer_stride=cfg.get("run.observer_stride", 10), workers=args.threads)
 
     tau, energy, dens, ell = scales.time, scales.energy, scales.density, scales.length
     rows = []
@@ -490,6 +489,7 @@ def _cmd_respond(cfg: SimConfig, args) -> int:
         duration=None if duration is None else duration / scales.time,
         n0=n0 / scales.density,
         dt=None if dt is None else dt / scales.time,
+        workers=args.threads,
     )
     freq = scales.frequency
     nu_fit = res.nu_fit * freq
@@ -622,14 +622,14 @@ def _check_critical_wavenumber() -> tuple[str, float, bool]:
     return "critical_wavenumber_closed_form", err, err <= 1e-8
 
 
-def _check_free_spreading() -> tuple[str, float, bool]:
+def _check_free_spreading(workers: int = 1) -> tuple[str, float, bool]:
     grid = GridSpec(dims=(32, 32, 32), spacings=(0.4, 0.4, 0.4))
     spec = KernelSpec(orientation=(0.0, 0.0, 1.0), strength=1.0)
     table = kernel_table_fourier(grid, spec)
     params = GpeParams(m_perp=1.0, m_par=1.0, sin2_theta=0.0, table=table, hbar=1.0)
     state = init_state("gaussian", params, widths=(1.0, 1.0, 1.0))
     t_final = 0.5
-    result = evolve(state, 0.01, t_final, observer_stride=50)
+    result = evolve(state, 0.01, t_final, observer_stride=50, workers=workers)
     measured = result.observables[-1].variance[0]
     expected = 1.0 + (t_final / 2.0) ** 2
     err = abs(measured - expected) / expected
@@ -668,7 +668,7 @@ def _cmd_selftest(cfg: SimConfig | None, args) -> int:
         _check_convolution,
         _check_envelope_root,
         _check_critical_wavenumber,
-        _check_free_spreading,
+        lambda: _check_free_spreading(args.threads),
         _check_linear_diffusion,
         _check_longitudinal_elimination,
     )
@@ -705,13 +705,19 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
-    set_fft_workers(args.threads)
     try:
         if args.command == "selftest":
             cfg = _load_config(args) if args.config else None
-            return _cmd_selftest(cfg, args)
-        cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg, args)
+            rc = _cmd_selftest(cfg, args)
+        else:
+            rc = _COMMANDS[args.command](_load_config(args), args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader of stdout went away (`| head`); send what is left,
+        # including the flush at interpreter exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -17,6 +17,18 @@ phase leaves the density unchanged. A complex longitudinal mass with
 Im(1/m_par) < 0 makes the kinetic propagator contractive, modeling the
 absorptive part of the medium.
 
+SplitStep is the propagator, built once per (params, dt, workers). It holds
+the kinetic phase, the kernel factor that turns the convolved density into
+the half-step potential phase, and the FFT worker count. Because the
+potential phase leaves |phi|^2 unchanged, the potential at the end of one
+step is exactly the one the next step opens with; the propagator keeps its
+phase factor, so n steps cost n + 1 density convolutions instead of 2n. The
+convolution is the real-to-complex one of kernel.convolve_density, and the
+phase factor is built from cos/sin of a real array. evolve and linear_response_experiment
+share its stepping loop (SplitStep.run), which names the step and time at
+which a guard trips or the field turns non-finite. Every entry point takes
+`workers`, the FFT worker count (default 1); the module keeps no FFT state.
+
 An accuracy guard rejects steps whose maximal potential phase per half step
 exceeds max_potential_phase (default pi/4).
 
@@ -58,6 +70,7 @@ __all__ = [
     "Observables",
     "EvolveResult",
     "ResponseResult",
+    "SplitStep",
     "init_state",
     "dipolar_potential",
     "step",
@@ -66,23 +79,7 @@ __all__ = [
     "effective_dipolar_coupling",
     "predicted_mode_frequency",
     "linear_response_experiment",
-    "set_fft_workers",
-    "get_fft_workers",
 ]
-
-_FFT_WORKERS = 1
-
-
-def set_fft_workers(n: int):
-    """Worker count handed to scipy.fft inside the solver (deterministic)."""
-    global _FFT_WORKERS
-    if int(n) < 1:
-        raise ParameterDomainError(f"worker count must be >= 1, got {n}")
-    _FFT_WORKERS = int(n)
-
-
-def get_fft_workers() -> int:
-    return _FFT_WORKERS
 
 
 @dataclass(frozen=True)
@@ -228,46 +225,119 @@ def init_state(
     raise ParameterDomainError(f"unknown state kind '{kind}'")
 
 
-def dipolar_potential(state: CondensateState) -> np.ndarray:
+def dipolar_potential(state: CondensateState, workers: int = 1) -> np.ndarray:
     """Mean-field dipolar potential hbar sin^2(theta) (eps conv |phi|^2)."""
     p = state.params
     rho = np.abs(state.phi) ** 2
-    return p.hbar * p.sin2_theta * convolve_density(p.table, rho, workers=_FFT_WORKERS)
+    return p.hbar * p.sin2_theta * convolve_density(p.table, rho, workers=workers)
 
 
-def _kinetic_phase(params: GpeParams, dt: float) -> np.ndarray:
-    qx, qy, qz = params.grid.wavenumber_mesh()
-    q_perp2 = qx**2 + qy**2
-    omega = params.hbar * (q_perp2 / (2.0 * params.m_perp) + qz**2 / (2.0 * params.m_par))
-    return np.exp(-1j * dt * omega)
+def _kinetic_factors(params: GpeParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i dt omega(q)) as a transverse (nx, ny, 1) and a longitudinal (nz,) factor.
 
-
-def _half_potential(phi: np.ndarray, params: GpeParams, dt: float) -> np.ndarray:
-    rho = np.abs(phi) ** 2
-    v = params.hbar * params.sin2_theta * convolve_density(params.table, rho, workers=_FFT_WORKERS)
-    max_phase = float(np.max(np.abs(v))) * abs(dt) / (2.0 * params.hbar)
-    if max_phase > params.max_potential_phase:
-        raise StepSizeError(
-            f"potential phase per half step {max_phase:.3f} rad exceeds the accuracy "
-            f"guard {params.max_potential_phase:.3f} rad; reduce dt"
-        )
-    return phi * np.exp(-0.5j * dt / params.hbar * v)
-
-
-def step(state: CondensateState, dt: float, _kin_phase: np.ndarray | None = None) -> CondensateState:
-    """One Strang step: half potential, exact kinetic in Fourier, half potential.
-
-    Negative dt steps backwards and exactly inverts the corresponding forward
-    step (the potential phase does not alter the density).
+    omega is a sum of one term per axis, so the kinetic phase is the product
+    of per-axis phases and never needs a full-grid array.
     """
-    if dt == 0 or not np.isfinite(dt):
-        raise ParameterDomainError(f"dt must be nonzero and finite, got {dt}")
-    params = state.params
-    kin = _kin_phase if _kin_phase is not None else _kinetic_phase(params, dt)
-    phi = _half_potential(state.phi, params, dt)
-    phi = scipy.fft.ifftn(kin * scipy.fft.fftn(phi, workers=_FFT_WORKERS), workers=_FFT_WORKERS)
-    phi = _half_potential(phi, params, dt)
-    return CondensateState(phi, state.t + dt, params)
+    qx, qy, qz = params.grid.wavenumbers()
+    rate = -1j * dt * params.hbar
+    fx = np.exp(rate * qx**2 / (2.0 * params.m_perp))
+    fy = np.exp(rate * qy**2 / (2.0 * params.m_perp))
+    fz = np.exp(rate * qz**2 / (2.0 * params.m_par))
+    return np.multiply.outer(fx, fy)[:, :, None], fz
+
+
+class SplitStep:
+    """Strang propagator for one (params, dt, workers).
+
+    Holds the kinetic phase (as per-axis factors), the kernel factor
+    -dt sin^2(theta) / 2 that turns eps conv |phi|^2 into the angle of the
+    half-step potential factor, and the FFT worker count. It keeps the
+    half-step potential factor of the field it returned last and reuses it
+    when that field is stepped next, which is why fields are never modified
+    in place. Negative dt steps backwards and exactly inverts the
+    corresponding forward step.
+    """
+
+    def __init__(self, params: GpeParams, dt: float, workers: int = 1):
+        if dt == 0 or not np.isfinite(dt):
+            raise ParameterDomainError(f"dt must be nonzero and finite, got {dt}")
+        if int(workers) < 1:
+            raise ParameterDomainError(f"worker count must be >= 1, got {workers}")
+        self.params = params
+        self.dt = float(dt)
+        self.workers = int(workers)
+        self._kinetic = _kinetic_factors(params, self.dt)
+        self._kernel_factor = -0.5 * self.dt * params.sin2_theta
+        self._field: np.ndarray | None = None
+        self._factor: np.ndarray | None = None
+
+    def _potential_factor(self, phi: np.ndarray) -> np.ndarray:
+        """exp(i angle) of the half-step potential, built from cos/sin of the real angle."""
+        p = self.params
+        angle = convolve_density(p.table, np.abs(phi) ** 2, workers=self.workers)
+        angle *= self._kernel_factor
+        max_phase = max(float(angle.max()), -float(angle.min()))
+        if max_phase > p.max_potential_phase:
+            raise StepSizeError(
+                f"potential phase per half step {max_phase:.3f} rad exceeds the accuracy "
+                f"guard {p.max_potential_phase:.3f} rad; reduce dt"
+            )
+        factor = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=factor.real)
+        np.sin(angle, out=factor.imag)
+        return factor
+
+    def step(self, state: CondensateState) -> CondensateState:
+        """One Strang step: half potential, exact kinetic in Fourier, half potential."""
+        if state.params is not self.params:
+            raise ParameterDomainError("state and propagator were built from different params")
+        if state.phi is self._field:
+            factor = self._factor
+        else:
+            factor = self._potential_factor(state.phi)
+        self._field = self._factor = None
+        phi = state.phi * factor
+        del factor  # not needed again; free it before the transforms
+        spec = scipy.fft.fftn(phi, workers=self.workers, overwrite_x=True)
+        kin_perp, kin_z = self._kinetic
+        spec *= kin_perp
+        spec *= kin_z
+        phi = scipy.fft.ifftn(spec, workers=self.workers, overwrite_x=True)
+        factor = self._potential_factor(phi)
+        phi *= factor
+        new = CondensateState(phi, state.t + self.dt, self.params)
+        self._field, self._factor = new.phi, factor
+        return new
+
+    def run(self, state: CondensateState, n_steps: int, visit=None) -> CondensateState:
+        """Take n_steps from state, calling visit(i, state) after step i.
+
+        The stepping loop of the module. A tripped potential-phase guard
+        (StepSizeError) or a non-finite field (NonFiniteStateError) is
+        reported with the step index and time.
+        """
+        for i in range(1, n_steps + 1):
+            try:
+                new = self.step(state)
+            except StepSizeError as exc:
+                raise StepSizeError(
+                    f"step {i} (t = {state.t:.6e} -> {state.t + self.dt:.6e}): {exc}"
+                ) from None
+            if not np.isfinite(new.phi).all():
+                bad = int(np.count_nonzero(~np.isfinite(new.phi)))
+                raise NonFiniteStateError(
+                    f"non-finite field after step {i} (t = {new.t:.6e}); "
+                    f"{bad} bad samples of {new.phi.size}"
+                )
+            state = new
+            if visit is not None:
+                visit(i, state)
+        return state
+
+
+def step(state: CondensateState, dt: float, workers: int = 1) -> CondensateState:
+    """One Strang step of a fresh SplitStep; see SplitStep for the details."""
+    return SplitStep(state.params, dt, workers).step(state)
 
 
 @dataclass(frozen=True)
@@ -285,14 +355,14 @@ class Observables:
     variance: tuple[float, float, float]
 
 
-def observables(state: CondensateState) -> Observables:
+def observables(state: CondensateState, workers: int = 1) -> Observables:
     p = state.params
     grid = p.grid
     dv = grid.cell_volume
     phi = state.phi
     rho = np.abs(phi) ** 2
     norm = float(np.sum(rho)) * dv
-    spec = scipy.fft.fftn(phi, workers=_FFT_WORKERS)
+    spec = scipy.fft.fftn(phi, workers=workers)
     weight = np.abs(spec) ** 2 * (dv / phi.size)
     qx, qy, qz = grid.wavenumber_mesh()
     hbar = p.hbar
@@ -301,7 +371,7 @@ def observables(state: CondensateState) -> Observables:
     # usual positive expression for real masses
     inv_mz = (1.0 / p.m_par).real
     kin_z = float(np.sum(hbar**2 * qz**2 * 0.5 * inv_mz * weight))
-    v = dipolar_potential(state)
+    v = dipolar_potential(state, workers)
     e_dip = 0.5 * float(np.sum(v * rho)) * dv
     xm, ym, zm = grid.meshgrid()
     if norm > 0:
@@ -341,39 +411,38 @@ def evolve(
     t_final: float,
     observer_stride: int = 10,
     keep_snapshots: bool = False,
+    *,
+    workers: int = 1,
 ) -> EvolveResult:
     """Step until t_final, recording observables every observer_stride steps.
 
-    Aborts with NonFiniteStateError (carrying the step index and time) if the
-    field develops NaN or Inf.
+    t_final must lie a whole number of steps from state.t (to 1e-9 relative);
+    otherwise ParameterDomainError. Aborts with StepSizeError or
+    NonFiniteStateError, each carrying the step index and time, when the
+    potential-phase guard trips or the field develops NaN or Inf. workers is
+    the FFT worker count of the stepping and of the observables.
     """
-    if dt == 0 or not np.isfinite(dt):
-        raise ParameterDomainError(f"dt must be nonzero and finite, got {dt}")
-    span = t_final - state.t
-    n_steps = int(round(span / dt))
-    if n_steps < 1 or span * dt < 0:
+    prop = SplitStep(state.params, dt, workers)
+    steps = (t_final - state.t) / dt
+    n_steps = round(steps) if np.isfinite(steps) else 0
+    if n_steps < 1 or abs(steps - n_steps) > 1e-9 * n_steps:
         raise ParameterDomainError(
-            f"t_final = {t_final} is not reachable from t = {state.t} with dt = {dt}"
+            f"t_final = {t_final} is not a whole positive number of steps dt = {dt} "
+            f"from t = {state.t} ({steps:.12g} steps)"
         )
     if observer_stride < 1:
         raise ParameterDomainError(f"observer_stride must be >= 1, got {observer_stride}")
-    kin = _kinetic_phase(state.params, dt)
-    obs = [observables(state)]
+    obs = [observables(state, workers)]
     snaps = [state] if keep_snapshots else []
-    current = state
-    for i in range(1, n_steps + 1):
-        current = step(current, dt, _kin_phase=kin)
-        if not np.all(np.isfinite(current.phi)):
-            bad = int(np.count_nonzero(~np.isfinite(current.phi)))
-            raise NonFiniteStateError(
-                f"non-finite field after step {i} (t = {current.t:.6e}); "
-                f"{bad} bad samples of {current.phi.size}"
-            )
+
+    def record(i: int, current: CondensateState):
         if i % observer_stride == 0 or i == n_steps:
-            obs.append(observables(current))
+            obs.append(observables(current, workers))
             if keep_snapshots:
                 snaps.append(current)
-    return EvolveResult(final=current, observables=tuple(obs), snapshots=tuple(snaps))
+
+    final = prop.run(state, n_steps, record)
+    return EvolveResult(final=final, observables=tuple(obs), snapshots=tuple(snaps))
 
 
 def effective_dipolar_coupling(params: GpeParams, q, n0: float) -> float:
@@ -428,9 +497,18 @@ class ResponseResult:
     amplitudes: np.ndarray
 
 
-def _density_mode_amplitude(phi: np.ndarray, idx: tuple[int, int, int], dv: float) -> complex:
+def _plane_waves(idx: tuple[int, int, int], grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Per-axis factors exp(-2 pi i k j / n) of the DFT coefficient at index idx."""
+    return tuple(
+        np.exp(-2j * math.pi * ((k * np.arange(n)) % n) / n) for k, n in zip(idx, grid.dims)
+    )
+
+
+def _density_mode_amplitude(phi: np.ndarray, waves: tuple[np.ndarray, ...], dv: float) -> complex:
+    """fftn(|phi|^2)[idx] * dv as an O(N) projection on the separable plane wave."""
+    ex, ey, ez = waves
     rho = np.abs(phi) ** 2
-    return complex(scipy.fft.fftn(rho)[idx] * dv)
+    return complex((rho @ ez) @ ey @ ex * dv)
 
 
 def linear_response_experiment(
@@ -442,6 +520,7 @@ def linear_response_experiment(
     n0: float = 1.0,
     dt: float | None = None,
     points_per_cycle: int = 48,
+    workers: int = 1,
 ) -> ResponseResult:
     """Measure a Bogoliubov mode by evolving a weakly perturbed uniform state.
 
@@ -450,7 +529,9 @@ def linear_response_experiment(
     for a growing one (the seeded perturbation has zero initial current, so
     both laws are exact in the linear regime). Raises FitFailureError when
     the fit residual exceeds 10% of the signal. The returned prediction uses
-    the table-calibrated coupling at the same q.
+    the table-calibrated coupling at the same q. The mode amplitude is read
+    by an O(N) projection on the plane wave at q; workers is the FFT worker
+    count of the stepping.
     """
     grid = params.grid
     idx = _lattice_index(q, grid)
@@ -474,18 +555,17 @@ def linear_response_experiment(
         dt = min(dt, 0.5 * math.pi / rate_max)
     n_steps = max(int(round(duration / dt)), 8)
     state = init_state("perturbed_plane_wave", params, n0=n0, delta=delta, q=q)
-    kin = _kinetic_phase(params, dt)
+    prop = SplitStep(params, dt, workers)
+    waves = _plane_waves(idx, grid)
     dv = grid.cell_volume
-    times = np.empty(n_steps + 1)
+    times = np.arange(n_steps + 1) * dt
     amps = np.empty(n_steps + 1, dtype=complex)
-    times[0] = 0.0
-    amps[0] = _density_mode_amplitude(state.phi, idx, dv)
-    for i in range(1, n_steps + 1):
-        state = step(state, dt, _kin_phase=kin)
-        if not np.all(np.isfinite(state.phi)):
-            raise NonFiniteStateError(f"non-finite field during response run at step {i}")
-        times[i] = i * dt
-        amps[i] = _density_mode_amplitude(state.phi, idx, dv)
+    amps[0] = _density_mode_amplitude(state.phi, waves, dv)
+
+    def record(i: int, current: CondensateState):
+        amps[i] = _density_mode_amplitude(current.phi, waves, dv)
+
+    prop.run(state, n_steps, record)
     a0 = abs(amps[0])
     if a0 == 0.0:
         raise FitFailureError("seeded mode has zero initial amplitude")

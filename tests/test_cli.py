@@ -1,6 +1,10 @@
 """End-to-end checks of the command-line front end (in process)."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +357,21 @@ def test_bad_thread_count(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MEDIUM_BLOCK)
     assert main(["derive", "--config", cfg, "--threads", "0"]) == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_without_traceback(tmp_path):
+    # the reader closes the pipe before anything is written, as `| head` may
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dipolariton.cli", "selftest", "--out", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "BrokenPipeError" not in err and "Traceback" not in err
 
 
 def test_argparse_rejections():

@@ -1,10 +1,15 @@
 """Split-step solver: state preparation, conservation laws, linear response."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dipolariton import gpe
 from dipolariton import (
     CondensateState,
     GpeParams,
@@ -17,15 +22,13 @@ from dipolariton import (
     dipolar_potential,
     effective_dipolar_coupling,
     evolve,
-    get_fft_workers,
     init_state,
     linear_response_experiment,
     observables,
     predicted_mode_frequency,
-    set_fft_workers,
     step,
 )
-from conftest import lattice_q, make_params
+from conftest import lattice_q, make_params, random_complex
 
 
 def grid16():
@@ -207,6 +210,9 @@ def test_potential_phase_guard():
     st = CondensateState(g0.phi * 20.0, 0.0, guarded)
     with pytest.raises(StepSizeError):
         step(st, 0.3)
+    # the stepping loop names where the guard tripped
+    with pytest.raises(StepSizeError, match="step 1"):
+        evolve(st, 0.3, 0.6)
     step(CondensateState(st.phi, 0.0, p), 0.3)  # default guard admits this step
 
 
@@ -232,6 +238,57 @@ def test_evolve_schedule_and_validation():
         evolve(st, 0.0, 1.0)
     with pytest.raises(ParameterDomainError):
         evolve(st, 0.01, 1.0, observer_stride=0)
+
+
+def test_evolve_refuses_partial_last_step():
+    # 1.0 / 0.3 = 3.33 steps: refused instead of stopping at t = 0.9
+    st = init_state("uniform", make_params(grid16(), 0.2), n0=1.0)
+    with pytest.raises(ParameterDomainError, match="whole"):
+        evolve(st, 0.3, 1.0)
+    # spans that are whole up to floating-point division still run
+    assert evolve(st, 0.1, 0.3).final.t == pytest.approx(0.3)
+
+
+def test_potential_is_reused_across_steps(monkeypatch):
+    # n steps make n + 1 stepping convolutions; observables convolve on their own
+    p = make_params(grid16(), 0.5)
+    st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
+    calls = {"step": 0, "observables": 0}
+    in_observables = []
+    convolve, observe = gpe.convolve_density, gpe.observables
+
+    def counting_convolve(*args, **kwargs):
+        calls["observables" if in_observables else "step"] += 1
+        return convolve(*args, **kwargs)
+
+    def marked_observables(*args, **kwargs):
+        in_observables.append(True)
+        try:
+            return observe(*args, **kwargs)
+        finally:
+            in_observables.pop()
+
+    monkeypatch.setattr(gpe, "convolve_density", counting_convolve)
+    monkeypatch.setattr(gpe, "observables", marked_observables)
+    n = 7
+    res = evolve(st, 0.01, n * 0.01, observer_stride=3)
+    assert calls["step"] == n + 1
+    assert calls["observables"] == len(res.observables) == 4
+
+
+def test_reused_potential_matches_fresh_steps():
+    # stepping the propagator's own output reuses its end-of-step potential;
+    # fresh single steps recompute it; both give the same field
+    p = make_params(grid16(), 0.5)
+    g0 = init_state("gaussian", p, widths=(1.0, 1.1, 0.9))
+    st = CondensateState(g0.phi * 3.0, 0.0, p)
+    fused = gpe.SplitStep(p, 0.02).run(st, 5)
+    fresh = st
+    for _ in range(5):
+        fresh = step(fresh, 0.02)
+    err = np.max(np.abs(fused.phi - fresh.phi)) / np.max(np.abs(fresh.phi))
+    assert err <= 1e-14
+    assert fused.t == pytest.approx(fresh.t, rel=1e-15)
 
 
 # ------------------------------------------------- kernel-calibrated coupling
@@ -327,6 +384,17 @@ def test_linear_response_unstable_mode():
     assert dev <= 0.05
 
 
+def test_mode_amplitude_projection_matches_fft():
+    grid = GridSpec(dims=(16, 12, 10), spacings=(0.3, 0.5, 0.7))
+    phi = random_complex(grid.shape, 3)
+    spectrum = np.fft.fftn(np.abs(phi) ** 2)
+    dv = grid.cell_volume
+    for idx in [(0, 0, 1), (3, 0, 0), (5, 7, 9), (15, 11, 5), (8, 6, 0)]:
+        got = gpe._density_mode_amplitude(phi, gpe._plane_waves(idx, grid), dv)
+        expected = spectrum[idx] * dv
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
 def test_linear_response_rejects_zero_mode():
     p = make_params(grid16(), 0.5)
     with pytest.raises(ParameterDomainError):
@@ -355,12 +423,20 @@ def test_real_mass_projection():
     assert pr.sin2_theta == p.sin2_theta
 
 
-def test_fft_worker_setting():
-    try:
-        set_fft_workers(3)
-        assert get_fft_workers() == 3
-        with pytest.raises(ParameterDomainError):
-            set_fft_workers(0)
-        assert get_fft_workers() == 3
-    finally:
-        set_fft_workers(1)
+def test_fft_worker_argument(tmp_path):
+    p = make_params(grid16(), 0.5)
+    g0 = init_state("gaussian", p, widths=(1.0, 1.1, 0.9))
+    st = CondensateState(g0.phi * 3.0, 0.0, p)
+    with pytest.raises(ParameterDomainError):
+        evolve(st, 0.01, 0.05, workers=0)
+    one = evolve(st, 0.01, 0.05, workers=1).final.phi
+    two = evolve(st, 0.01, 0.05, workers=2).final.phi
+    assert np.max(np.abs(two - one)) <= 1e-14 * np.max(np.abs(one))
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "dipolariton.cli", "selftest", "--threads", "0",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert run.returncode == 2
+    assert "--threads" in run.stderr

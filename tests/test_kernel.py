@@ -222,6 +222,23 @@ def test_table_coefficients_real_and_even():
         assert abs(coeffs[i, j, k] - mirrored) <= 1e-12 * scale
 
 
+def test_analytic_table_is_even_on_nyquist_planes():
+    # fftfreq samples -q_N on both sides of a Nyquist plane; an off-axis
+    # dipole makes the two mirrored samples differ unless the table averages them
+    grid = GridSpec(dims=(16, 8, 12), spacings=(0.3, 0.5, 0.7))
+    spec = KernelSpec(orientation=(1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0), strength=0.6)
+    table = kernel_table_fourier(grid, spec, method="analytic")
+    coeffs = table.coeffs
+    mirrored = np.roll(np.flip(coeffs), 1, axis=(0, 1, 2))
+    assert np.max(np.abs(coeffs - mirrored)) <= 1e-14 * np.max(np.abs(coeffs))
+    # off the Nyquist planes the samples are the continuum transform itself
+    qx, qy, qz = grid.wavenumber_mesh()
+    q = np.stack(np.broadcast_arrays(qx, qy, qz), axis=-1)[1:8, 1:4, 1:6]
+    envelope = _truncated_radial_factor(np.linalg.norm(q, axis=-1) * table.sphere_radius)
+    expected = kernel_fourier_analytic(q, spec) * envelope
+    assert coeffs[1:8, 1:4, 1:6] == pytest.approx(expected, rel=1e-12)
+
+
 def test_analytic_table_converges_with_truncation_radius():
     """At fixed q the truncated transform approaches the full-space value.
 
@@ -245,6 +262,19 @@ def test_analytic_table_converges_with_truncation_radius():
     assert deviations[0] <= 0.02
     assert deviations[1] <= 0.005
     assert deviations[1] < deviations[0]
+
+
+@pytest.mark.parametrize("method", ["lattice", "analytic"])
+def test_real_transform_convolution_matches_complex_route(method):
+    # the r2c route over the half spectrum equals the full c2c product
+    grid = GridSpec(dims=(16, 12, 10), spacings=(0.3, 0.5, 0.7))
+    spec = KernelSpec(orientation=(1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0), strength=0.6)
+    table = kernel_table_fourier(grid, spec, method=method)
+    rho = np.random.default_rng(7).random(grid.shape)
+    reference = np.real(np.fft.ifftn(np.fft.fftn(rho) * table.coeffs))
+    got = convolve_density(table, rho)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_table_shape_mismatch_raises():
