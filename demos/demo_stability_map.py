@@ -24,21 +24,20 @@ from dipolariton import (
 
 MEDIUM = MediumParams(g=2.5e5, n_atoms=1e10, v_t=1e-9, gamma=1e7,
                       delta=2e8, omega=1e6, k=1e7)
-N_DSP = 1e21      # condensate density, 1/m^3
 C_DD = 1e-31      # dipolar coupling magnitude, J
 
 
 def build_params(c_dd):
     d = derive_eit(MEDIUM)
     return CondensateParams(m_perp=d.m_perp, m_par=d.m_par, c_dd=c_dd,
-                            orientation=(0.0, 0.0, 1.0), n_dsp=N_DSP)
+                            orientation=(0.0, 0.0, 1.0))
 
 
 def main():
     p = build_params(C_DD)
     print(f"masses: m_perp = {p.m_perp:.4g} kg, "
           f"m_par = {p.m_par.real:.4g}{p.m_par.imag:+.2g}j kg")
-    print(f"density {p.n_dsp:g} 1/m^3, |c_dd| = {C_DD:g} J, dipoles along z")
+    print(f"|c_dd| = {C_DD:g} J, dipoles along z")
 
     print()
     print("=== 1. three rays, both coupling signs ===")
@@ -52,10 +51,10 @@ def main():
     for sign in (+1.0, -1.0):
         params = build_params(sign * C_DD)
         print(f" c_dd = {sign * C_DD:+.1e} J")
-        for name, direction in rays:
-            r = dispersion(qmag * direction, params)
-            tag = "stable" if r.stable else f"UNSTABLE, growth {r.growth_rate:.3g} 1/s"
-            print(f"   {name:<22} nu = {r.nu.real:10.3e} {r.nu.imag:+.3e}j 1/s  {tag}")
+        nus = dispersion(qmag * np.array([direction for _, direction in rays]), params)
+        for (name, _), nu in zip(rays, nus):
+            tag = "stable" if nu.imag <= 0.0 else f"UNSTABLE, growth {nu.imag:.3g} 1/s"
+            print(f"   {name:<22} nu = {nu.real:10.3e} {nu.imag:+.3e}j 1/s  {tag}")
     print(" flipping the sign of the coupling swaps which rays soften, and")
     print(" the magic-angle ray stays at the free-particle frequency for both")
 
@@ -66,10 +65,9 @@ def main():
     for sign in (+1.0, -1.0):
         params = build_params(sign * C_DD)
         smap = stability_map(params, directions, magnitudes)
-        n_unstable = sum(1 for r in smap.results if not r.stable)
-        print(f" c_dd = {sign * C_DD:+.1e} J: {n_unstable}/{len(smap.results)} "
+        print(f" c_dd = {sign * C_DD:+.1e} J: {smap.n_unstable}/{smap.nu.size} "
               f"modes unstable, max growth {smap.max_growth_rate:.4g} 1/s")
-        if smap.argmax_direction is not None:
+        if smap.n_unstable:
             d = smap.argmax_direction
             qmax = float(np.linalg.norm(smap.argmax_q))
             print(f"   fastest growth along ({d[0]:+.3f} {d[1]:+.3f} {d[2]:+.3f})"
@@ -83,10 +81,9 @@ def main():
         params = build_params(sign * C_DD)
         qc = critical_wavenumber(direction, params)
         print(f" {label:<16} q_c = {qc:.6g} 1/m")
-        just_below = dispersion(0.99 * qc * direction, params)
-        just_above = dispersion(1.01 * qc * direction, params)
-        print(f"   0.99 q_c: stable = {just_below.stable},  "
-              f"1.01 q_c: stable = {just_above.stable}")
+        below, above = dispersion(np.outer([0.99 * qc, 1.01 * qc], direction), params)
+        print(f"   0.99 q_c: stable = {below.imag <= 0.0},  "
+              f"1.01 q_c: stable = {above.imag <= 0.0}")
 
 
 if __name__ == "__main__":

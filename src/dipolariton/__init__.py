@@ -14,7 +14,6 @@ Library layout:
 
 from .bogoliubov import (
     CondensateParams,
-    DispersionResult,
     StabilityMap,
     critical_wavenumber,
     dispersion,
@@ -52,7 +51,6 @@ from .errors import (
     UnitError,
 )
 from .fields import (
-    CoherenceSet,
     FieldPair,
     LinearRunConfig,
     LinearRunResult,

@@ -11,10 +11,13 @@ with beta the angle between q and the dipole axis. C_dd is an independently
 configurable coupling with energy units; the grid solver calibrates it from
 the kernel table it actually uses (see gpe.effective_dipolar_coupling).
 
-A negative radicand means the mode grows exponentially; the principal branch
-Im(nu) >= 0 is returned, so growth_rate = Im(nu). By default the longitudinal
-mass enters through its real part; complex-mass evaluation is available behind
-an explicit flag.
+Of the two roots, the one with Re(nu) >= 0 is returned, which continues the
+free-particle branch nu = E_free / hbar; a purely imaginary root is taken with
+Im(nu) >= 0. Im(nu) is signed: negative is damping (the absorption carried by
+a complex longitudinal mass), positive is exponential growth, and a mode is
+unstable exactly when Im(nu) > 0. By default the longitudinal mass enters
+through its real part, so nu is real or purely imaginary; complex-mass
+evaluation is available behind an explicit flag.
 """
 
 from __future__ import annotations
@@ -24,13 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar as HBAR
 
+from .eit import HBAR
 from .errors import CaseMismatchError, EmptyInputError, ParameterDomainError
 
 __all__ = [
     "CondensateParams",
-    "DispersionResult",
     "StabilityMap",
     "dispersion",
     "dispersion_rescaled",
@@ -48,14 +50,12 @@ class CondensateParams:
     m_par        longitudinal mass [kg], complex; Re used unless complex mode
     c_dd         dipolar coupling [J], signed
     orientation  unit 3-vector of the dipole axis
-    n_dsp        condensate density [1/m^3], bookkeeping only
     """
 
     m_perp: float
     m_par: complex
     c_dd: float
     orientation: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    n_dsp: float = 0.0
     hbar: float = HBAR
 
     def __post_init__(self):
@@ -84,60 +84,36 @@ class CondensateParams:
         return self.m_par / self.m_perp
 
 
-@dataclass(frozen=True)
-class DispersionResult:
-    """Excitation frequency at one wavevector.
-
-    nu is on the principal branch Im(nu) >= 0; growth_rate = Im(nu) and
-    stable is True exactly when the growth rate vanishes.
-    """
-
-    q: tuple[float, float, float]
-    nu: complex
-    stable: bool
-    growth_rate: float
-
-
 def _check_q(q) -> np.ndarray:
     arr = np.asarray(q, dtype=float)
-    if arr.shape != (3,) or not np.all(np.isfinite(arr)):
-        raise ParameterDomainError(f"q must be a finite 3-vector, got {q}")
+    if arr.ndim == 0 or arr.shape[-1] != 3 or not np.all(np.isfinite(arr)):
+        raise ParameterDomainError(f"q must hold finite 3-vectors, got shape {arr.shape}")
     return arr
 
 
-def _angular_factor(q: np.ndarray, axis: np.ndarray) -> float:
-    q2 = float(q @ q)
-    if q2 == 0.0:
-        return 0.0
-    cos2 = float(q @ axis) ** 2 / q2
-    return 3.0 * cos2 - 1.0
+def _energies(q: np.ndarray, p: CondensateParams, m_par: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Free-particle energy E_free and dipolar energy C_dd (3 cos^2 beta - 1) at q."""
+    q_perp2 = q[..., 0] ** 2 + q[..., 1] ** 2
+    q2 = q_perp2 + q[..., 2] ** 2
+    cos2 = (q @ p.axis) ** 2 / np.where(q2 > 0.0, q2, 1.0)
+    e_free = p.hbar**2 * (q_perp2 / (2.0 * p.m_perp) + q[..., 2] ** 2 / (2.0 * m_par))
+    return e_free, p.c_dd * (3.0 * cos2 - 1.0)
 
 
-def dispersion(q, p: CondensateParams, complex_mass: bool = False) -> DispersionResult:
-    """Excitation frequency of the uniform condensate at wavevector q."""
-    qv = _check_q(q)
-    q_perp2 = qv[0] ** 2 + qv[1] ** 2
-    q_z2 = qv[2] ** 2
-    hbar = p.hbar
-    e_int = p.c_dd * _angular_factor(qv, p.axis)
-    if not complex_mass:
-        m_par = p.m_par.real
-        if m_par == 0:
-            raise ParameterDomainError("Re(m_par) is zero; use complex_mass=True")
-        e_free = hbar**2 * (q_perp2 / (2.0 * p.m_perp) + q_z2 / (2.0 * m_par))
-        radicand = e_free * (e_free + e_int)
-        if radicand >= 0.0:
-            nu = complex(math.sqrt(radicand) / hbar, 0.0)
-            return DispersionResult(tuple(qv), nu, True, 0.0)
-        nu = complex(0.0, math.sqrt(-radicand) / hbar)
-        return DispersionResult(tuple(qv), nu, False, nu.imag)
-    e_free = hbar**2 * (q_perp2 / (2.0 * p.m_perp) + q_z2 / (2.0 * p.m_par))
-    root = cmath.sqrt(e_free * (e_free + e_int))
-    if root.imag < 0.0:
-        root = -root
-    nu = root / hbar
-    growth = nu.imag
-    return DispersionResult(tuple(qv), nu, growth == 0.0, growth)
+def dispersion(q, p: CondensateParams, complex_mass: bool = False) -> np.ndarray:
+    """Excitation frequency nu(q) for wavevectors q of shape (..., 3).
+
+    nu has shape q.shape[:-1], so a single 3-vector gives a complex scalar.
+    """
+    if not complex_mass and p.m_par.real == 0:
+        raise ParameterDomainError("Re(m_par) is zero; use complex_mass=True")
+    e_free, e_int = _energies(_check_q(q), p, p.m_par if complex_mass else p.m_par.real)
+    root = np.sqrt(np.asarray(e_free * (e_free + e_int), dtype=complex))
+    # the principal root has Re >= 0; a purely imaginary one is taken with Im >= 0.
+    # Each part is divided by hbar on its own: numpy divides a complex array by
+    # multiplying with 1/hbar, which rounds twice.
+    im = np.where(root.real == 0.0, np.abs(root.imag), root.imag)
+    return root.real / p.hbar + 1j * (im / p.hbar)
 
 
 _CASE_AXES = {"longitudinal": np.array([0.0, 0.0, 1.0]), "transversal": np.array([0.0, 1.0, 0.0])}
@@ -157,6 +133,8 @@ def dispersion_rescaled(q, p: CondensateParams, case: str) -> complex:
     orientation is not the case's axis.
     """
     qv = _check_q(q)
+    if qv.shape != (3,):
+        raise ParameterDomainError(f"q must be one 3-vector, got shape {qv.shape}")
     if case not in _CASE_AXES:
         raise CaseMismatchError(f"unknown case '{case}' (use 'longitudinal' or 'transversal')")
     if np.linalg.norm(p.axis - _CASE_AXES[case]) > 1e-9:
@@ -182,46 +160,62 @@ def dispersion_rescaled(q, p: CondensateParams, case: str) -> complex:
 
 
 def spherical_directions(n_polar: int, n_azimuth: int) -> np.ndarray:
-    """Deterministic unit-vector grid: midpoints in polar angle, uniform azimuth."""
+    """Deterministic unit-vector grid: midpoints in polar angle, uniform azimuth.
+
+    Polar-major: row i * n_azimuth + j has polar index i and azimuth index j.
+    """
     if n_polar < 1 or n_azimuth < 1:
         raise ParameterDomainError("need at least one polar and one azimuthal sample")
     thetas = (np.arange(n_polar) + 0.5) / n_polar * np.pi
     phis = np.arange(n_azimuth) / n_azimuth * 2.0 * np.pi
-    out = np.empty((n_polar * n_azimuth, 3))
-    idx = 0
-    for th in thetas:
-        st, ct = np.sin(th), np.cos(th)
-        for ph in phis:
-            out[idx] = (st * np.cos(ph), st * np.sin(ph), ct)
-            idx += 1
-    return out
+    th, ph = np.meshgrid(thetas, phis, indexing="ij")
+    st = np.sin(th)
+    return np.stack((st * np.cos(ph), st * np.sin(ph), np.cos(th)), axis=-1).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
 class StabilityMap:
-    """Dispersion results over a direction x magnitude scan, direction-major."""
+    """Excitation frequencies over a direction x magnitude scan.
 
-    results: tuple[DispersionResult, ...]
+    q[i, j] = directions[i] * magnitudes[j] has shape (n_dir, n_mag, 3) and
+    nu[i, j] = dispersion(q[i, j]) shape (n_dir, n_mag). The argmax is the
+    first mode in scan order (direction-major) with the largest Im(nu).
+    """
+
     directions: np.ndarray
     magnitudes: np.ndarray
-    max_growth_rate: float
-    argmax_direction: tuple[float, float, float]
-    argmax_q: tuple[float, float, float]
+    q: np.ndarray
+    nu: np.ndarray
+
+    @property
+    def stable(self) -> np.ndarray:
+        return self.nu.imag <= 0.0
 
     @property
     def n_unstable(self) -> int:
-        return sum(1 for r in self.results if not r.stable)
+        return int(np.count_nonzero(self.nu.imag > 0.0))
+
+    @property
+    def max_growth_rate(self) -> float:
+        return max(float(self.nu.imag.max()), 0.0)
+
+    @property
+    def _argmax(self) -> tuple[int, int]:
+        return np.unravel_index(np.argmax(self.nu.imag), self.nu.shape)
+
+    @property
+    def argmax_direction(self) -> tuple[float, float, float]:
+        return tuple(self.directions[self._argmax[0]])
+
+    @property
+    def argmax_q(self) -> tuple[float, float, float]:
+        return tuple(self.q[self._argmax])
 
 
 def stability_map(
     p: CondensateParams, directions, magnitudes, complex_mass: bool = False
 ) -> StabilityMap:
-    """Scan the dispersion over directions (outer) and magnitudes (inner).
-
-    Result list is direction-major: results[i * n_mag + j] belongs to
-    directions[i], magnitudes[j]. Ties in the maximal growth rate resolve to
-    the first entry in scan order.
-    """
+    """Evaluate the dispersion over directions (outer) and magnitudes (inner)."""
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     mags = np.asarray(magnitudes, dtype=float).ravel()
     if dirs.size == 0 or mags.size == 0:
@@ -233,58 +227,24 @@ def stability_map(
         raise ParameterDomainError("directions must be unit vectors")
     if np.any(~np.isfinite(mags)) or np.any(mags < 0):
         raise ParameterDomainError("magnitudes must be finite and non-negative")
-    results = []
-    best = (-1.0, 0)
-    for i, d in enumerate(dirs):
-        for j, m in enumerate(mags):
-            r = dispersion(d * m, p, complex_mass=complex_mass)
-            if r.growth_rate > best[0]:
-                best = (r.growth_rate, len(results))
-            results.append(r)
-    top = results[best[1]]
-    i_dir = best[1] // len(mags)
-    return StabilityMap(
-        results=tuple(results),
-        directions=dirs,
-        magnitudes=mags,
-        max_growth_rate=max(top.growth_rate, 0.0),
-        argmax_direction=tuple(dirs[i_dir]),
-        argmax_q=top.q,
-    )
+    q = dirs[:, None, :] * mags[None, :, None]
+    nu = dispersion(q, p, complex_mass=complex_mass)
+    return StabilityMap(directions=dirs, magnitudes=mags, q=q, nu=nu)
 
 
-def critical_wavenumber(direction, p: CondensateParams, rel_tol: float = 1e-10) -> float | None:
+def critical_wavenumber(direction, p: CondensateParams) -> float | None:
     """Wavenumber where the dispersion radicand changes sign along a ray.
 
     Returns None when the ray is stable at every magnitude. Uses the real part
-    of the longitudinal mass. Found by bracket expansion and bisection to the
-    requested relative tolerance.
+    of the longitudinal mass.
     """
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,) or abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
         raise ParameterDomainError(f"direction must be a unit 3-vector, got {direction}")
-    m_par = p.m_par.real
-    if m_par == 0:
+    if p.m_par.real == 0:
         raise ParameterDomainError("Re(m_par) is zero")
-    hbar = p.hbar
-    c2 = hbar**2 * 0.5 * ((d[0] ** 2 + d[1] ** 2) / p.m_perp + d[2] ** 2 / m_par)
-    a_int = p.c_dd * _angular_factor(d, p.axis)
-    # radicand = c2 q^2 (c2 q^2 + a_int); a sign change needs c2 and a_int opposed
-    if a_int == 0.0 or c2 == 0.0 or (a_int > 0.0) == (c2 > 0.0):
-        return None
-    sign = 1.0 if c2 > 0 else -1.0
-    f = lambda q: sign * (c2 * q * q + a_int)  # f(0) < 0, monotone increasing in q
-    lo, hi = 0.0, 1.0
-    for _ in range(600):
-        if f(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        return None
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    c2, a_int = (float(v) for v in _energies(d, p, p.m_par.real))
+    # E_free(q d) = c2 q^2, so the radicand c2 q^2 (c2 q^2 + a_int) changes
+    # sign at q^2 = -a_int / c2, which is positive when c2 and a_int are opposed
+    q_c2 = -a_int / c2 if c2 != 0.0 else 0.0
+    return math.sqrt(q_c2) if q_c2 > 0.0 else None

@@ -243,25 +243,18 @@ def _cmd_kernel(cfg: SimConfig, args) -> int:
     vals = np.zeros(grid.shape)
     mask = rn > 0
     vals[mask] = kernel_value(rvec[mask], spec)
-    real_rows = []
-    for idx in np.ndindex(grid.shape):
-        real_rows.append((xm[idx], ym[idx], zm[idx], vals[idx]))
     write_table(
         _out_path(args, "kernel_real.csv"),
         ("x", "y", "z", "epsilon"),
-        real_rows,
+        np.column_stack((rvec.reshape(-1, 3), vals.ravel())),
         comments=_comments(cfg, ["# origin sample set to 0 (self-interaction excluded)"]),
     )
 
-    qx, qy, qz = grid.wavenumber_mesh()
-    fourier_rows = []
-    for idx in np.ndindex(grid.shape):
-        fourier_rows.append((qx[idx[0], 0, 0], qy[0, idx[1], 0], qz[0, 0, idx[2]],
-                             table.coeffs[idx]))
+    qmesh = np.stack(np.broadcast_arrays(*grid.wavenumber_mesh()), axis=-1)
     write_table(
         _out_path(args, "kernel_fourier.csv"),
         ("qx", "qy", "qz", "coefficient"),
-        fourier_rows,
+        np.column_stack((qmesh.reshape(-1, 3), table.coeffs.ravel())),
         comments=_comments(cfg, [f"# method {table.method}",
                                  f"# sphere_radius {_g(table.sphere_radius)}"]),
     )
@@ -304,9 +297,16 @@ def _condensate_params(cfg: SimConfig, args, command: str) -> tuple[CondensatePa
         m_par=m_par,
         c_dd=c_dd,
         orientation=cfg.get("kernel.orientation"),
-        n_dsp=cfg.get("run.n_dsp", 0.0),
     )
     return params, complex_mass
+
+
+def _write_modes(args, name: str, q: np.ndarray, nu: np.ndarray, comments: list[str]) -> None:
+    """One CSV row per mode: wavevector, Re and signed Im of nu, stable flag."""
+    rows = np.column_stack((q.reshape(-1, 3), nu.real.ravel(), nu.imag.ravel(),
+                            (nu.imag <= 0.0).ravel()))
+    write_table(_out_path(args, name), ("qx", "qy", "qz", "re_nu", "im_nu", "stable"),
+                rows, comments=comments)
 
 
 def _cmd_dispersion(cfg: SimConfig, args) -> int:
@@ -315,17 +315,11 @@ def _cmd_dispersion(cfg: SimConfig, args) -> int:
     mags = cfg.get("run.q_magnitudes")
     if mags is None:
         raise ConfigError("command 'dispersion' needs run.q_magnitudes")
-    rows = []
-    for d in dirs:
-        for m in mags:
-            r = dispersion(d * m, params, complex_mass=complex_mass)
-            rows.append((r.q[0], r.q[1], r.q[2], r.nu.real, r.nu.imag,
-                         1.0 if r.stable else 0.0))
-    write_table(_out_path(args, "dispersion.csv"),
-                ("qx", "qy", "qz", "re_nu", "im_nu", "stable"),
-                rows, comments=_comments(cfg))
-    n_unstable = sum(1 for r in rows if r[5] == 0.0)
-    print(f"evaluated {len(rows)} modes on {len(dirs)} rays; {n_unstable} unstable")
+    q = dirs[:, None, :] * np.asarray(mags, dtype=float)[None, :, None]
+    nu = dispersion(q, params, complex_mass=complex_mass)
+    _write_modes(args, "dispersion.csv", q, nu, _comments(cfg))
+    n_unstable = int(np.count_nonzero(nu.imag > 0.0))
+    print(f"evaluated {nu.size} modes on {len(dirs)} rays; {n_unstable} unstable")
     for d in dirs:
         qc = critical_wavenumber(d, params)
         if qc is not None:
@@ -345,20 +339,14 @@ def _cmd_stability_map(cfg: SimConfig, args) -> int:
     if mags is None:
         raise ConfigError("command 'stability-map' needs run.q_magnitudes")
     smap = stability_map(params, dirs, mags, complex_mass=complex_mass)
-    rows = [
-        (r.q[0], r.q[1], r.q[2], r.nu.real, r.nu.imag, 1.0 if r.stable else 0.0)
-        for r in smap.results
-    ]
     extra = [
         f"# max_growth_rate {_g(smap.max_growth_rate)}",
         f"# argmax_direction {' '.join(_g(v) for v in smap.argmax_direction)}",
         f"# argmax_q {' '.join(_g(v) for v in smap.argmax_q)}",
         f"# n_unstable {smap.n_unstable}",
     ]
-    write_table(_out_path(args, "stability_map.csv"),
-                ("qx", "qy", "qz", "re_nu", "im_nu", "stable"),
-                rows, comments=_comments(cfg, extra))
-    print(f"{len(rows)} modes scanned ({len(dirs)} directions x {len(mags)} magnitudes)")
+    _write_modes(args, "stability_map.csv", smap.q, smap.nu, _comments(cfg, extra))
+    print(f"{smap.nu.size} modes scanned ({len(dirs)} directions x {len(mags)} magnitudes)")
     print(f"unstable modes: {smap.n_unstable}; max growth rate {smap.max_growth_rate:.6g} 1/s")
     if smap.n_unstable:
         d = smap.argmax_direction

@@ -90,7 +90,6 @@ KEY_TABLE: dict[str, _Key] = {
     "run.pulse_length": _k("float", "length"),
     "run.delta_rr_avg": _k("float", "frequency", 0.0, True),
     "run.c_dd": _k("float", "energy"),
-    "run.n_dsp": _k("float", "density"),
     "run.directions": _k("floats"),
     "run.q_magnitudes": _k("floats", "inv_length"),
     "run.n_polar": _k("int", "none", 12, True),

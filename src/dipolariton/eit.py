@@ -18,12 +18,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.constants import hbar as HBAR
 
 from .errors import ParameterDomainError
 
 __all__ = [
+    "HBAR",
+    "C_LIGHT",
     "MediumParams",
     "DerivedQuantities",
     "PulseSpec",
@@ -34,6 +34,10 @@ __all__ = [
     "phase_mismatch",
     "adiabaticity_margins",
 ]
+
+# CODATA 2018 values, equal to scipy.constants.hbar and scipy.constants.c
+HBAR = 1.0545718176461565e-34  # J s
+C_LIGHT = 299792458.0  # m/s
 
 # detuning-to-linewidth ratio above which dropping Im(m_par) is a good approximation
 REAL_MASS_RATIO = 10.0

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.constants import c as C_LIGHT
 
-from .eit import DerivedQuantities, MediumParams
+from .eit import C_LIGHT, DerivedQuantities, MediumParams
 from .errors import (
     GridCoarseWarning,
     GridMismatchError,
@@ -44,7 +43,6 @@ from .grid import Grid1D, GridSpec
 __all__ = [
     "FieldPair",
     "ModePair",
-    "CoherenceSet",
     "to_sum_difference",
     "from_sum_difference",
     "eliminate_difference",
@@ -101,16 +99,6 @@ class ModePair:
     def __post_init__(self):
         _check_same_shape(self.e_sum, self.e_diff, "ModePair")
         _check_field_on_grid(self.e_sum, self.grid)
-
-
-@dataclass(frozen=True)
-class CoherenceSet:
-    """Eliminated matter fields: optical polarization, spin-wave drive, Rydberg coherence."""
-
-    polarization: np.ndarray
-    difference: np.ndarray
-    sigma_gr: np.ndarray
-    grid: Grid1D | GridSpec
 
 
 def to_sum_difference(pair: FieldPair) -> ModePair:

@@ -50,9 +50,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft
 import scipy.optimize
-from scipy.constants import hbar as SI_HBAR
 
 from . import bogoliubov
+from .eit import HBAR
 from .errors import (
     FitFailureError,
     GridMismatchError,
@@ -98,7 +98,7 @@ class GpeParams:
     m_par: complex
     sin2_theta: float
     table: FourierTable
-    hbar: float = SI_HBAR
+    hbar: float = HBAR
     max_potential_phase: float = math.pi / 4.0
 
     def __post_init__(self):
@@ -478,10 +478,9 @@ def predicted_mode_frequency(params: GpeParams, q, n0: float, complex_mass: bool
         m_par=params.m_par,
         c_dd=c_dd,
         orientation=params.table.spec.orientation,
-        n_dsp=n0,
         hbar=params.hbar,
     )
-    return bogoliubov.dispersion(q, cp, complex_mass=complex_mass).nu
+    return bogoliubov.dispersion(q, cp, complex_mass=complex_mass)
 
 
 @dataclass(frozen=True)

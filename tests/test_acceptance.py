@@ -48,7 +48,7 @@ def test_criterion_1_magic_angle_decoupling():
     for mag in np.logspace(-3.0, 3.0, 13):
         for sign in (1.0, -1.0):
             p = CondensateParams(m_perp=1.0, m_par=1.0, c_dd=sign * mag, hbar=1.0)
-            nu = dispersion(q, p).nu
+            nu = dispersion(q, p)
             assert nu.imag == 0.0
             worst = max(worst, abs(nu.real - nu_free) / nu_free)
             count += 1
@@ -66,11 +66,8 @@ def test_criterion_2_stability_quadrants():
         p = CondensateParams(m_perp=1.0, m_par=1e-4, c_dd=c_dd,
                              orientation=orientation, hbar=1.0)
         smap = stability_map(p, dirs, mags)
-        out = set()
-        for i, r in enumerate(smap.results):
-            if not r.stable:
-                out.add((i // len(mags), i % len(mags)))  # (direction, magnitude)
-        return out
+        # (direction, magnitude) index pairs of the unstable modes
+        return {(int(i), int(j)) for i, j in np.argwhere(~smap.stable)}
 
     # soft longitudinal mass: along the axis the interaction wins only at
     # long wavelength; against it the transverse plane destabilizes first

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dipolariton import (
     CaseMismatchError,
@@ -30,35 +31,59 @@ def params(m_perp=1.0, m_par=1.0, c_dd=0.5, orientation=Z, hbar=1.0):
 
 
 def nu_oracle(q, p, complex_mass=False):
-    # independent evaluation with scalar cmath, principal branch Im >= 0
-    qx, qy, qz = q
+    # independent evaluation with scalar cmath: the root with Re >= 0 (cmath's
+    # principal root), and Im >= 0 when the root is purely imaginary
+    qx, qy, qz = (float(v) for v in q)
     m_par = complex(p.m_par) if complex_mass else complex(p.m_par.real)
     e_free = p.hbar**2 * ((qx**2 + qy**2) / (2.0 * p.m_perp) + qz**2 / (2.0 * m_par))
     q2 = qx**2 + qy**2 + qz**2
     ang = 0.0 if q2 == 0 else 3.0 * (qx * p.orientation[0] + qy * p.orientation[1]
                                      + qz * p.orientation[2]) ** 2 / q2 - 1.0
     root = cmath.sqrt(e_free * (e_free + p.c_dd * ang))
-    if root.imag < 0:
-        root = -root
+    if root.real == 0.0:
+        root = complex(0.0, abs(root.imag))
     return root / p.hbar
+
+
+def bisection_oracle(direction, p, rel_tol=1e-15):
+    # sign change of c2 q^2 + a_int along the ray, by bracket expansion and bisection
+    d = np.asarray(direction, dtype=float)
+    c2 = p.hbar**2 * 0.5 * ((d[0] ** 2 + d[1] ** 2) / p.m_perp + d[2] ** 2 / p.m_par.real)
+    a_int = p.c_dd * (3.0 * float(d @ p.axis) ** 2 - 1.0)
+    if a_int == 0.0 or c2 == 0.0 or (a_int > 0.0) == (c2 > 0.0):
+        return None
+    sign = 1.0 if c2 > 0 else -1.0
+    f = lambda q: sign * (c2 * q * q + a_int)  # f(0) < 0, monotone increasing in q
+    lo, hi = 0.0, 1.0
+    while f(hi) <= 0:
+        hi *= 2.0
+    while (hi - lo) > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if f(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def test_free_branch_without_coupling():
     p = params(m_perp=2.0, m_par=0.5, c_dd=0.0)
-    r = dispersion((0.3, -0.4, 0.25), p)
+    nu = dispersion((0.3, -0.4, 0.25), p)
     # nu = e_free / hbar = (0.09 + 0.16)/4 + 0.0625/1
-    assert r.nu == pytest.approx(0.125, rel=1e-14)
-    assert r.stable and r.growth_rate == 0.0
+    assert nu == pytest.approx(0.125, rel=1e-14)
+    assert nu.imag <= 0.0 and nu.imag == 0.0
 
 
 def test_magic_direction_reduces_to_free_branch():
     d = np.array([math.sqrt(2.0), 0.0, 1.0]) / math.sqrt(3.0)
     q = tuple(d * 0.4)
-    free = dispersion(q, params(m_perp=1.0, m_par=0.3, c_dd=0.0)).nu
+    free = dispersion(q, params(m_perp=1.0, m_par=0.3, c_dd=0.0))
     for c in np.logspace(-3, 3, 13):  # couplings across six decades
         for sign in (1.0, -1.0):
             p = params(m_perp=1.0, m_par=0.3, c_dd=sign * c)
-            assert dispersion(q, p).nu == pytest.approx(free, rel=1e-12)
+            assert dispersion(q, p) == pytest.approx(free, rel=1e-12)
 
 
 def test_dispersion_matches_scalar_recomputation():
@@ -72,15 +97,16 @@ def test_dispersion_matches_scalar_recomputation():
         ((0.0, 0.5, 0.5), params(orientation=Y, c_dd=-1.0), False),
     ]
     for q, p, cm in cases:
-        r = dispersion(q, p, complex_mass=cm)
-        assert r.nu == pytest.approx(nu_oracle(q, p, cm), rel=1e-13)
-        assert r.nu.imag >= 0.0
+        nu = dispersion(q, p, complex_mass=cm)
+        assert nu == pytest.approx(nu_oracle(q, p, cm), rel=1e-13)
+        # the root continuing the free branch; Im >= 0 only for an imaginary root
+        assert nu.real > 0.0 or (nu.real == 0.0 and nu.imag >= 0.0)
 
 
 def test_zero_wavevector_mode():
-    r = dispersion((0.0, 0.0, 0.0), params(c_dd=3.0))
-    assert r.nu == 0.0
-    assert r.stable
+    nu = dispersion((0.0, 0.0, 0.0), params(c_dd=3.0))
+    assert nu == 0.0
+    assert nu.imag <= 0.0
 
 
 @settings(max_examples=80, deadline=None)
@@ -90,13 +116,13 @@ def test_zero_wavevector_mode():
 )
 def test_parity_and_axial_symmetry(q, phi):
     p = params(m_perp=1.0, m_par=0.3, c_dd=-0.8)
-    r = dispersion(q, p)
+    nu = dispersion(q, p)
     mirrored = dispersion(tuple(-v for v in q), p)
-    assert mirrored.nu == r.nu
+    assert mirrored == nu
     # the dipole axis z is a symmetry axis even with anisotropic masses
     cs, sn = math.cos(phi), math.sin(phi)
     rotated = (cs * q[0] - sn * q[1], sn * q[0] + cs * q[1], q[2])
-    assert dispersion(rotated, p).nu == pytest.approx(r.nu, rel=1e-12, abs=1e-12)
+    assert dispersion(rotated, p) == pytest.approx(nu, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,10 +131,101 @@ def test_parity_and_axial_symmetry(q, phi):
     c=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
 )
 def test_real_mass_branch_is_real_or_imaginary(q, c):
-    r = dispersion(q, params(m_par=0.7, c_dd=c))
-    assert r.nu.real * r.nu.imag == 0.0
-    assert r.growth_rate == r.nu.imag
-    assert r.stable == (r.growth_rate == 0.0)
+    nu = dispersion(q, params(m_par=0.7, c_dd=c))
+    assert nu.real * nu.imag == 0.0
+    # a real mass has no damping: stable (Im <= 0) means Im == 0
+    assert (nu.imag <= 0.0) == (nu.imag == 0.0)
+
+
+# -------------------------------------------------------------- array input
+
+def energy_scale(q, p, complex_mass):
+    # bound on |e_free (e_free + e_int)|^(1/2) / hbar for one wavevector
+    m_par = abs(p.m_par) if complex_mass else abs(p.m_par.real)
+    e = p.hbar**2 * ((q[0] ** 2 + q[1] ** 2) / (2.0 * p.m_perp) + q[2] ** 2 / (2.0 * m_par))
+    return math.sqrt(e * (e + 2.0 * abs(p.c_dd))) / p.hbar
+
+
+def assert_matches_oracle(nu, q, p, complex_mass):
+    assert nu.shape == q.shape[:-1]
+    for qv, got in zip(q.reshape(-1, 3), nu.ravel()):
+        ref = nu_oracle(qv, p, complex_mass)
+        scale = energy_scale(qv, p, complex_mass)
+        if scale == 0.0:
+            assert got == 0.0
+            continue
+        # a rounding-level change of the radicand moves nu = sqrt(radicand)
+        # by about eps scale^2 / |nu|, which grows as nu -> 0
+        tol = 1e-13 * scale**2 / max(abs(ref), 1e-6 * scale)
+        assert abs(got - ref) <= tol, (qv, got, ref)
+
+
+finite_q = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_subnormal=False)
+condensates = st.builds(
+    params,
+    m_perp=st.sampled_from([1.0, 0.4]),
+    m_par=st.sampled_from([1.0, 0.3, -0.5, 1e-4 + 5e-5j, 0.3 + 0.1j, -0.5 - 0.2j, 2.0 - 0.5j]),
+    c_dd=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    orientation=st.sampled_from([Z, Y, (0.6, 0.0, 0.8)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3)), elements=finite_q),
+       p=condensates, complex_mass=st.booleans())
+def test_dispersion_of_row_array_matches_oracle(q, p, complex_mass):
+    assert_matches_oracle(dispersion(q, p, complex_mass=complex_mass), q, p, complex_mass)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(3)),
+                    elements=finite_q),
+       p=condensates, complex_mass=st.booleans())
+def test_dispersion_of_stacked_array_matches_oracle(q, p, complex_mass):
+    assert_matches_oracle(dispersion(q, p, complex_mass=complex_mass), q, p, complex_mass)
+
+
+def test_single_wavevector_gives_a_complex_scalar():
+    nu = dispersion([0.3, 0.1, 0.7], params())
+    assert np.ndim(nu) == 0 and isinstance(nu, complex)
+    assert nu == dispersion(np.array([[0.3, 0.1, 0.7]]), params())[0]
+
+
+def test_dispersion_rejects_bad_wavevectors():
+    for bad in (0.5, [0.1, 0.2], np.zeros((4, 2)), [0.1, math.nan, 0.0], [math.inf, 0.0, 0.0]):
+        with pytest.raises(ParameterDomainError):
+            dispersion(bad, params())
+
+
+# ----------------------------------------------------------- complex mass
+
+def test_complex_mass_absorption_is_damping():
+    # Im(m_par) > 0 as derive_eit gives it: Im(1/m_par) < 0, so without
+    # coupling nu = e_free / hbar and every nonzero mode decays
+    p = params(m_perp=1.0, m_par=0.3 + 0.1j, c_dd=0.0)
+    q = np.array([[0.0, 0.0, 0.5], [0.4, -0.2, 0.3], [1.0, 0.0, 0.0]])
+    nu = dispersion(q, p, complex_mass=True)
+    e_free = (q[:, 0] ** 2 + q[:, 1] ** 2) / 2.0 + q[:, 2] ** 2 / (2.0 * p.m_par)
+    assert np.allclose(nu, e_free, rtol=1e-14, atol=0.0)
+    assert np.all(nu.imag[:2] < 0.0) and nu.imag[2] == 0.0
+
+
+def test_complex_mass_map_without_coupling_is_stable():
+    p = params(m_perp=1.0, m_par=0.3 + 0.1j, c_dd=0.0)
+    smap = stability_map(p, spherical_directions(9, 18), np.logspace(-2, 1, 10),
+                         complex_mass=True)
+    assert smap.n_unstable == 0
+    assert np.all(smap.stable)
+    assert smap.max_growth_rate == 0.0
+    assert np.all(smap.nu.real >= 0.0)
+
+
+def test_complex_mass_growth_keeps_its_sign():
+    # a soft transverse ray stays unstable with a small absorptive mass part
+    p = params(m_perp=1.0, m_par=1.0 + 1e-3j, c_dd=0.5)
+    nu = dispersion((0.3, 0.0, 0.0), p, complex_mass=True)
+    assert nu.imag > 0.0
+    assert nu == pytest.approx(nu_oracle((0.3, 0.0, 0.0), p, True), rel=1e-13)
 
 
 # -------------------------------------------------------- critical wavenumber
@@ -145,8 +262,25 @@ def test_modes_flip_stability_at_the_critical_wavenumber():
     p = params(c_dd=0.5)
     d = np.array([1.0, 0.0, 0.0])
     qc = critical_wavenumber(d, p)
-    assert not dispersion(tuple(d * (0.99 * qc)), p).stable
-    assert dispersion(tuple(d * (1.01 * qc)), p).stable
+    assert dispersion(tuple(d * (0.99 * qc)), p).imag > 0.0
+    assert dispersion(tuple(d * (1.01 * qc)), p).imag <= 0.0
+
+
+@pytest.mark.parametrize("p", [
+    params(c_dd=0.5),
+    params(m_perp=1.0, m_par=1e-4, c_dd=-0.5),
+    params(m_perp=0.4, m_par=-0.5, c_dd=0.3, orientation=(0.6, 0.0, 0.8)),
+    params(m_perp=3.0, m_par=2.0 - 0.5j, c_dd=-2.5, orientation=Y, hbar=0.7),
+])
+def test_critical_wavenumber_matches_bisection(p):
+    checked = 0
+    for d in spherical_directions(7, 9):
+        qc, ref = critical_wavenumber(d, p), bisection_oracle(d, p)
+        assert (qc is None) == (ref is None)
+        if qc is not None:
+            assert qc == pytest.approx(ref, rel=1e-12)
+            checked += 1
+    assert checked > 0
 
 
 def test_critical_wavenumber_rejects_non_unit_direction():
@@ -158,9 +292,9 @@ def test_unstable_growth_small_q_asymptote():
     # growth ~ q sqrt(c2 |c_dd ang|) with c2 = hbar^2/(2 m_perp) as q -> 0
     p = params(m_perp=1.0, m_par=1.0, c_dd=2.0)
     lam = 1e-3
-    r = dispersion((lam, 0.0, 0.0), p)
+    nu = dispersion((lam, 0.0, 0.0), p)
     expected = lam * math.sqrt(0.5 * 2.0)
-    assert r.growth_rate == pytest.approx(expected, rel=1e-2)
+    assert nu.imag == pytest.approx(expected, rel=1e-2)
 
 
 def test_real_branch_requires_nonzero_real_mass():
@@ -176,7 +310,7 @@ def test_rescaled_longitudinal_equals_dispersion_at_unit_alpha():
     p = params(m_perp=1.0, m_par=1.0, c_dd=-0.7)
     for q in [(0.3, 0.1, 0.7), (0.0, 0.0, 0.4), (1.2, -0.5, 0.0)]:
         assert dispersion_rescaled(q, p, "longitudinal") == pytest.approx(
-            dispersion(q, p).nu, rel=1e-12
+            dispersion(q, p), rel=1e-12
         )
 
 
@@ -213,7 +347,8 @@ def test_rescaled_zero_mode_and_case_checks():
 def test_stability_map_ordering_and_argmax():
     p = params(c_dd=0.5)
     smap = stability_map(p, [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)], [0.5, 2.0])
-    flags = [r.stable for r in smap.results]
+    assert smap.q.shape == (2, 2, 3) and smap.nu.shape == (2, 2)
+    flags = smap.stable.ravel().tolist()
     assert flags == [True, True, False, True]  # direction-major layout
     assert smap.n_unstable == 1
     assert smap.argmax_direction == (1.0, 0.0, 0.0)
@@ -251,7 +386,7 @@ def test_stability_map_azimuthal_symmetry():
     p = params(m_par=0.3, c_dd=0.8)
     dirs = spherical_directions(6, 8)
     smap = stability_map(p, dirs, [0.7])
-    rates = np.array([r.growth_rate for r in smap.results]).reshape(6, 8)
+    rates = smap.nu.imag.reshape(6, 8)
     for ring in rates:
         assert np.allclose(ring, ring[0], rtol=1e-12, atol=1e-15)
 

@@ -15,6 +15,7 @@ from dipolariton import (
     adiabaticity_margins,
     derive_eit,
     kernel_table_fourier,
+    kernel_value,
     KernelSpec,
     GridSpec,
     PulseSpec,
@@ -22,6 +23,8 @@ from dipolariton import (
 from dipolariton.bogoliubov import CondensateParams, dispersion
 from dipolariton.cli import main
 from dipolariton.fileio import read_field, read_kernel_table
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MEDIUM_BLOCK = """\
 medium.g = 2.5e5
@@ -131,6 +134,34 @@ def test_kernel_outputs(tmp_path):
     assert stored.method == "lattice"
 
 
+def test_kernel_csv_rows_in_index_order(tmp_path):
+    # one %.17g row per grid index in C order, exactly as a per-index loop writes it
+    cfg = write_cfg(tmp_path, (
+        "grid.dims = 12 10 8\n"
+        "grid.spacings = 0.5 0.7 0.9\n"
+        "kernel.orientation = 0.6 0 0.8\n"
+        "kernel.strength = 1.25\n"
+    ))
+    out = str(tmp_path / "o")
+    assert main(["kernel", "--config", cfg, "--out", out]) == 0
+    grid = GridSpec(dims=(12, 10, 8), spacings=(0.5, 0.7, 0.9))
+    spec = KernelSpec(orientation=(0.6, 0.0, 0.8), strength=1.25)
+    xs, ys, zs = grid.displacements()
+    qx, qy, qz = grid.wavenumber_mesh()
+    coeffs = kernel_table_fourier(grid, spec).coeffs
+    real_rows, fourier_rows = [], []
+    for i, j, k in np.ndindex(grid.shape):
+        r = np.array([xs[i], ys[j], zs[k]])
+        eps = kernel_value(r[None, :], spec)[0] if (i, j, k) != (0, 0, 0) else 0.0
+        real_rows.append(",".join(fmt(v) for v in (*r, eps)))
+        fourier_rows.append(",".join(fmt(v) for v in (qx[i, 0, 0], qy[0, j, 0], qz[0, 0, k],
+                                                      coeffs[i, j, k])))
+    for name, expected in (("kernel_real.csv", real_rows), ("kernel_fourier.csv", fourier_rows)):
+        body = [ln for ln in open(os.path.join(out, name)).read().splitlines()
+                if not ln.startswith("#")][1:]
+        assert body == expected, name
+
+
 # --------------------------------------------------------------- dispersion
 
 def disp_cfg(c_dd):
@@ -155,15 +186,27 @@ def test_dispersion_rows_match_library(tmp_path, capsys):
     for row in rows:
         q = tuple(float(c) for c in row[:3])
         ref = dispersion(q, params)
-        assert float(row[3]) == pytest.approx(ref.nu.real, rel=1e-12, abs=1e-300)
-        assert float(row[4]) == pytest.approx(ref.nu.imag, rel=1e-12, abs=1e-300)
-        assert float(row[5]) == (1.0 if ref.stable else 0.0)
+        assert float(row[3]) == pytest.approx(ref.real, rel=1e-12, abs=1e-300)
+        assert float(row[4]) == pytest.approx(ref.imag, rel=1e-12, abs=1e-300)
+        assert float(row[5]) == (1.0 if ref.imag <= 0.0 else 0.0)
 
     printed = capsys.readouterr().out
     # positive coupling destabilizes the transverse ray, so a finite critical
     # wavenumber is reported for it
     assert "critical |q| along" in printed
     assert "unstable" in printed
+
+
+@pytest.mark.parametrize("mass_flag", ["--real-mass", "--complex-mass"])
+def test_shipped_dispersion_has_three_unstable_modes(tmp_path, capsys, mass_flag):
+    # absorption through the complex mass damps modes; it does not make them grow
+    out = str(tmp_path / "o")
+    assert main(["dispersion", "--config", str(CONFIGS / "dispersion.cfg"), "--out", out,
+                 mass_flag]) == 0
+    assert "evaluated 10 modes on 2 rays; 3 unstable" in capsys.readouterr().out
+    _, _, rows = read_rows(out + "/dispersion.csv")
+    assert sum(1 for r in rows if float(r[5]) == 0.0) == 3
+    assert all((float(r[4]) > 0.0) == (float(r[5]) == 0.0) for r in rows)
 
 
 def test_dispersion_needs_ray_keys(tmp_path, capsys):
@@ -195,6 +238,23 @@ def test_stability_map_scan(tmp_path, capsys):
     assert n_unstable == unstable_rows
     assert growth >= 0.0
     assert "modes scanned" in capsys.readouterr().out
+
+
+def test_complex_mass_map_without_coupling_has_no_unstable_mode(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, (
+        MEDIUM_BLOCK
+        + "run.c_dd = 0\n"
+        + "run.n_polar = 6\n"
+        + "run.n_azimuth = 12\n"
+        + "run.q_magnitudes = 3e3 1e4 1e5\n"
+    ))
+    out = str(tmp_path / "o")
+    assert main(["stability-map", "--config", cfg, "--out", out, "--complex-mass"]) == 0
+    comments, _, rows = read_rows(out + "/stability_map.csv")
+    assert "# n_unstable 0" in comments
+    assert "# max_growth_rate 0" in comments
+    assert all(float(r[5]) == 1.0 and float(r[4]) < 0.0 for r in rows)  # damped
+    assert "unstable modes: 0;" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------- evolve

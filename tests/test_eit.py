@@ -21,6 +21,13 @@ from dipolariton import (
 )
 
 
+def test_constants_equal_scipy_values():
+    import scipy.constants
+
+    assert HBAR == scipy.constants.hbar
+    assert C_LIGHT == scipy.constants.c
+
+
 def medium_kl50_ratio100() -> MediumParams:
     # k l_abs = 50 and delta/gamma = 100, the regime where |alpha| ~ 1e-4
     gamma = 1.0e7

@@ -11,6 +11,7 @@ import pytest
 
 from dipolariton import gpe
 from dipolariton import (
+    CondensateParams,
     CondensateState,
     GpeParams,
     GridMismatchError,
@@ -25,6 +26,7 @@ from dipolariton import (
     init_state,
     linear_response_experiment,
     observables,
+    dispersion,
     predicted_mode_frequency,
     step,
 )
@@ -82,6 +84,29 @@ def test_perturbed_plane_wave_spectrum():
     others = np.abs(spec).copy()
     others[0, 0, 0] = others[0, 0, 2] = others[0, 0, -2] = 0.0
     assert np.max(others) <= 1e-9 * side
+
+
+def test_complex_mass_decay_matches_dispersion():
+    # closure of the complex-mass branch: without interaction each plane-wave
+    # component evolves as exp(-i nu t) exactly, so an absorptive mass
+    # (Im(1/m_par) < 0) must decay at the rate Im(nu) < 0 that dispersion reports
+    grid = GridSpec(dims=(16, 16, 16), spacings=(0.5, 0.5, 0.5))
+    m_par = 0.8 + 0.3j
+    assert (1.0 / m_par).imag < 0.0
+    p = GpeParams(m_perp=1.0, m_par=m_par, sin2_theta=0.0,
+                  table=make_params(grid, 0.5).table, hbar=1.0)
+    q = lattice_q(grid, 1, 0, 2)
+    st = init_state("perturbed_plane_wave", p, n0=1.0, delta=1e-3, q=q)
+    t_final = 2.0
+    final = evolve(st, 0.05, t_final, observer_stride=40).final
+    idx = (1, 0, 2)
+    ratio = abs(np.fft.fftn(final.phi)[idx]) / abs(np.fft.fftn(st.phi)[idx])
+    cp = CondensateParams(m_perp=p.m_perp, m_par=p.m_par, c_dd=0.0, hbar=p.hbar)
+    nu = dispersion(q, cp, complex_mass=True)
+    assert nu.imag < 0.0
+    expected = math.exp(nu.imag * t_final)
+    assert ratio == pytest.approx(expected, rel=1e-9)
+    assert expected < 0.9  # a decay the test can resolve
 
 
 def test_init_state_validation():
