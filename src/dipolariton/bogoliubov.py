@@ -11,13 +11,19 @@ with beta the angle between q and the dipole axis. C_dd is an independently
 configurable coupling with energy units; the grid solver calibrates it from
 the kernel table it actually uses (see gpe.effective_dipolar_coupling).
 
-Of the two roots, the one with Re(nu) >= 0 is returned, which continues the
-free-particle branch nu = E_free / hbar; a purely imaginary root is taken with
-Im(nu) >= 0. Im(nu) is signed: negative is damping (the absorption carried by
-a complex longitudinal mass), positive is exponential growth, and a mode is
-unstable exactly when Im(nu) > 0. By default the longitudinal mass enters
-through its real part, so nu is real or purely imaginary; complex-mass
-evaluation is available behind an explicit flag.
+With a complex longitudinal mass E_free is complex, and linearising the
+mean-field equation about the uniform state gives
+
+    hbar nu(q) = i Im(E_free) + sqrt( Re(E_free) (Re(E_free) + C_dd (3 cos^2 beta - 1)) )
+
+which is the law above for a real mass. Of the two roots, the one with
+Re(nu) >= 0 is returned, which continues the free-particle branch
+nu = E_free / hbar; where the radicand is negative the root is taken with
+Im >= 0, the growing branch. Im(nu) is signed: negative is damping (the
+absorption carried by a complex longitudinal mass), positive is exponential
+growth, and a mode is unstable exactly when Im(nu) > 0. By default the
+longitudinal mass enters through its real part, so nu is real or purely
+imaginary; complex-mass evaluation is available behind an explicit flag.
 """
 
 from __future__ import annotations
@@ -108,12 +114,13 @@ def dispersion(q, p: CondensateParams, complex_mass: bool = False) -> np.ndarray
     if not complex_mass and p.m_par.real == 0:
         raise ParameterDomainError("Re(m_par) is zero; use complex_mass=True")
     e_free, e_int = _energies(_check_q(q), p, p.m_par if complex_mass else p.m_par.real)
-    root = np.sqrt(np.asarray(e_free * (e_free + e_int), dtype=complex))
-    # the principal root has Re >= 0; a purely imaginary one is taken with Im >= 0.
-    # Each part is divided by hbar on its own: numpy divides a complex array by
-    # multiplying with 1/hbar, which rounds twice.
-    im = np.where(root.real == 0.0, np.abs(root.imag), root.imag)
-    return root.real / p.hbar + 1j * (im / p.hbar)
+    e_re = np.real(e_free)
+    radicand = e_re * (e_re + e_int)
+    re = np.sqrt(np.maximum(radicand, 0.0))
+    im = np.imag(e_free) + np.sqrt(np.maximum(-radicand, 0.0))
+    # each part is divided by hbar on its own: numpy divides a complex array
+    # by multiplying with 1/hbar, which rounds twice
+    return re / p.hbar + 1j * (im / p.hbar)
 
 
 _CASE_AXES = {"longitudinal": np.array([0.0, 0.0, 1.0]), "transversal": np.array([0.0, 1.0, 0.0])}

@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .bogoliubov import (
     CondensateParams,
+    StabilityMap,
     critical_wavenumber,
-    dispersion,
     spherical_directions,
     stability_map,
 )
@@ -301,10 +301,10 @@ def _condensate_params(cfg: SimConfig, args, command: str) -> tuple[CondensatePa
     return params, complex_mass
 
 
-def _write_modes(args, name: str, q: np.ndarray, nu: np.ndarray, comments: list[str]) -> None:
+def _write_modes(args, name: str, smap: StabilityMap, comments: list[str]) -> None:
     """One CSV row per mode: wavevector, Re and signed Im of nu, stable flag."""
-    rows = np.column_stack((q.reshape(-1, 3), nu.real.ravel(), nu.imag.ravel(),
-                            (nu.imag <= 0.0).ravel()))
+    rows = np.column_stack((smap.q.reshape(-1, 3), smap.nu.real.ravel(), smap.nu.imag.ravel(),
+                            smap.stable.ravel()))
     write_table(_out_path(args, name), ("qx", "qy", "qz", "re_nu", "im_nu", "stable"),
                 rows, comments=comments)
 
@@ -315,11 +315,9 @@ def _cmd_dispersion(cfg: SimConfig, args) -> int:
     mags = cfg.get("run.q_magnitudes")
     if mags is None:
         raise ConfigError("command 'dispersion' needs run.q_magnitudes")
-    q = dirs[:, None, :] * np.asarray(mags, dtype=float)[None, :, None]
-    nu = dispersion(q, params, complex_mass=complex_mass)
-    _write_modes(args, "dispersion.csv", q, nu, _comments(cfg))
-    n_unstable = int(np.count_nonzero(nu.imag > 0.0))
-    print(f"evaluated {nu.size} modes on {len(dirs)} rays; {n_unstable} unstable")
+    smap = stability_map(params, dirs, mags, complex_mass=complex_mass)
+    _write_modes(args, "dispersion.csv", smap, _comments(cfg))
+    print(f"evaluated {smap.nu.size} modes on {len(dirs)} rays; {smap.n_unstable} unstable")
     for d in dirs:
         qc = critical_wavenumber(d, params)
         if qc is not None:
@@ -345,7 +343,7 @@ def _cmd_stability_map(cfg: SimConfig, args) -> int:
         f"# argmax_q {' '.join(_g(v) for v in smap.argmax_q)}",
         f"# n_unstable {smap.n_unstable}",
     ]
-    _write_modes(args, "stability_map.csv", smap.q, smap.nu, _comments(cfg, extra))
+    _write_modes(args, "stability_map.csv", smap, _comments(cfg, extra))
     print(f"{smap.nu.size} modes scanned ({len(dirs)} directions x {len(mags)} magnitudes)")
     print(f"unstable modes: {smap.n_unstable}; max growth rate {smap.max_growth_rate:.6g} 1/s")
     if smap.n_unstable:

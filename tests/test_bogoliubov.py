@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,19 +31,44 @@ def params(m_perp=1.0, m_par=1.0, c_dd=0.5, orientation=Z, hbar=1.0):
                             orientation=orientation, hbar=hbar)
 
 
-def nu_oracle(q, p, complex_mass=False):
-    # independent evaluation with scalar cmath: the root with Re >= 0 (cmath's
-    # principal root), and Im >= 0 when the root is purely imaginary
-    qx, qy, qz = (float(v) for v in q)
+def bogoliubov_roots(q, p, complex_mass=False):
+    # eigenvalues nu of the linearised mean-field equation
+    #   i hbar d/dt (u, v) = [[e + g, g], [-g, -(conj(e) + g)]] (u, v)
+    # with e the complex free energy at q and 2 g the dipolar energy. Trace
+    # and determinant are formed in exact rational arithmetic from the float
+    # inputs, complex numbers as (re, im) pairs, and rounded once before
+    # cmath's square root, so the roots are accurate to a few ulp
+    qx, qy, qz = (Fraction(float(v)) for v in q)
     m_par = complex(p.m_par) if complex_mass else complex(p.m_par.real)
-    e_free = p.hbar**2 * ((qx**2 + qy**2) / (2.0 * p.m_perp) + qz**2 / (2.0 * m_par))
-    q2 = qx**2 + qy**2 + qz**2
-    ang = 0.0 if q2 == 0 else 3.0 * (qx * p.orientation[0] + qy * p.orientation[1]
-                                     + qz * p.orientation[2]) ** 2 / q2 - 1.0
-    root = cmath.sqrt(e_free * (e_free + p.c_dd * ang))
-    if root.real == 0.0:
-        root = complex(0.0, abs(root.imag))
-    return root / p.hbar
+    mr, mi = Fraction(m_par.real), Fraction(m_par.imag)
+    h2 = Fraction(p.hbar) ** 2
+    kin_par = h2 * qz * qz / (2 * (mr * mr + mi * mi))  # times conj(m_par)
+    e_re = h2 * (qx * qx + qy * qy) / (2 * Fraction(p.m_perp)) + kin_par * mr
+    e_im = -kin_par * mi
+    q2 = qx * qx + qy * qy + qz * qz
+    ax, ay, az = (Fraction(v) for v in p.orientation)
+    ang = 0 if q2 == 0 else 3 * (qx * ax + qy * ay + qz * az) ** 2 / q2 - 1
+    g = Fraction(p.c_dd) * ang / 2
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    m00, m11 = (e_re + g, e_im), (-(e_re + g), e_im)
+    half_trace = ((m00[0] + m11[0]) / 2, (m00[1] + m11[1]) / 2)
+    det = mul(m00, m11)
+    det = (det[0] + g * g, det[1])  # minus m01 m10 = -g (-g)
+    ht2 = mul(half_trace, half_trace)
+    root = cmath.sqrt(complex(float(ht2[0] - det[0]), float(ht2[1] - det[1])))
+    ht = complex(float(half_trace[0]), float(half_trace[1]))
+    return (ht + root) / p.hbar, (ht - root) / p.hbar
+
+
+def nu_oracle(q, p, complex_mass=False):
+    # the two roots are i Im(e) +- s with s real or imaginary: the branch with
+    # Re >= 0 continues the free particle, and of an imaginary pair the one
+    # with the larger Im grows; both are the largest parts over the pair
+    roots = bogoliubov_roots(q, p, complex_mass)
+    return complex(max(r.real for r in roots), max(r.imag for r in roots))
 
 
 def bisection_oracle(direction, p, rel_tol=1e-15):
@@ -99,8 +125,9 @@ def test_dispersion_matches_scalar_recomputation():
     for q, p, cm in cases:
         nu = dispersion(q, p, complex_mass=cm)
         assert nu == pytest.approx(nu_oracle(q, p, cm), rel=1e-13)
-        # the root continuing the free branch; Im >= 0 only for an imaginary root
-        assert nu.real > 0.0 or (nu.real == 0.0 and nu.imag >= 0.0)
+        # the root continuing the free branch, and of two growth rates the larger
+        assert nu.real >= 0.0
+        assert nu.imag >= max(r.imag for r in bogoliubov_roots(q, p, cm)) - 1e-13 * abs(nu)
 
 
 def test_zero_wavevector_mode():
@@ -140,10 +167,10 @@ def test_real_mass_branch_is_real_or_imaginary(q, c):
 # -------------------------------------------------------------- array input
 
 def energy_scale(q, p, complex_mass):
-    # bound on |e_free (e_free + e_int)|^(1/2) / hbar for one wavevector
+    # bound on |e_free| and |e_free (e_free + e_int)|^(1/2), over hbar, at q
     m_par = abs(p.m_par) if complex_mass else abs(p.m_par.real)
     e = p.hbar**2 * ((q[0] ** 2 + q[1] ** 2) / (2.0 * p.m_perp) + q[2] ** 2 / (2.0 * m_par))
-    return math.sqrt(e * (e + 2.0 * abs(p.c_dd))) / p.hbar
+    return max(e, math.sqrt(e * (e + 2.0 * abs(p.c_dd)))) / p.hbar
 
 
 def assert_matches_oracle(nu, q, p, complex_mass):
@@ -154,13 +181,18 @@ def assert_matches_oracle(nu, q, p, complex_mass):
         if scale == 0.0:
             assert got == 0.0
             continue
-        # a rounding-level change of the radicand moves nu = sqrt(radicand)
-        # by about eps scale^2 / |nu|, which grows as nu -> 0
-        tol = 1e-13 * scale**2 / max(abs(ref), 1e-6 * scale)
+        # a rounding-level change of the radicand moves its root by about
+        # eps scale^2 / |root|, which grows as the two roots meet (the ratio
+        # is formed first so that tiny scales do not underflow)
+        plus, minus = bogoliubov_roots(qv, p, complex_mass)
+        tol = 1e-13 * scale * (scale / max(0.5 * abs(plus - minus), 1e-6 * scale))
         assert abs(got - ref) <= tol, (qv, got, ref)
 
 
-finite_q = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_subnormal=False)
+# components below 1e-100 are flushed to zero: their squares are subnormal,
+# where no floating-point evaluation keeps the relative accuracy checked here
+finite_q = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False).map(
+    lambda v: 0.0 if abs(v) < 1e-100 else v)
 condensates = st.builds(
     params,
     m_perp=st.sampled_from([1.0, 0.4]),
@@ -226,6 +258,38 @@ def test_complex_mass_growth_keeps_its_sign():
     nu = dispersion((0.3, 0.0, 0.0), p, complex_mass=True)
     assert nu.imag > 0.0
     assert nu == pytest.approx(nu_oracle((0.3, 0.0, 0.0), p, True), rel=1e-13)
+
+
+def test_complex_mass_axis_mode_in_the_upper_unstable_band_grows():
+    # along the axis with c_dd < 0, e = a - i b and e_int = 2 c_dd: the real
+    # mass is unstable for 0 < a < -e_int. Absorption shifts the growth rate
+    # by -b; it must not flip modes with -e_int / 2 < a < -e_int to damped
+    p = params(m_perp=1.0, m_par=1.0 + 0.1j, c_dd=-0.5)
+    e = 1.189**2 / (2.0 * p.m_par)
+    assert 0.5 < e.real < 1.0
+    nu = dispersion((0.0, 0.0, 1.189), p, complex_mass=True)
+    assert nu.real == 0.0
+    assert nu.imag == pytest.approx(e.imag + math.sqrt(e.real * (1.0 - e.real)), rel=1e-14)
+    assert nu.imag == pytest.approx(0.3883, abs=1e-4)
+
+
+def test_complex_mass_growth_is_continuous_across_the_band():
+    # Im(nu) along the axis is continuous in |q| through the whole unstable
+    # band and its edges; a branch rule that switches roots makes it jump
+    p = params(m_perp=1.0, m_par=1.0 + 0.1j, c_dd=-0.5)
+    mags = np.linspace(0.01, 2.0, 4001)
+    q = np.zeros((mags.size, 3))
+    q[:, 2] = mags
+    nu = dispersion(q, p, complex_mass=True)
+    assert np.all(nu.real >= 0.0)
+    # the square root's slope at the band edges allows steps of about 0.03;
+    # switching roots mid-band jumps by twice the growth rate, about 0.9
+    assert np.max(np.abs(np.diff(nu.imag))) < 0.1
+    unstable = nu.imag > 0.0
+    assert unstable.any() and not unstable.all()
+    # absorption never destabilises: growth only inside 0 < Re(e) < -e_int = 1
+    e_re = mags**2 * (1.0 / (2.0 * p.m_par)).real
+    assert np.all(e_re[unstable] < 1.0)
 
 
 # -------------------------------------------------------- critical wavenumber

@@ -215,6 +215,13 @@ def test_dispersion_needs_ray_keys(tmp_path, capsys):
     assert "run.directions" in capsys.readouterr().err
 
 
+def test_dispersion_rejects_negative_magnitudes_like_the_map(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, disp_cfg(1e-15).replace("1e4 1e5 1e6", "1e4 -1e5 1e6"))
+    for command in ("dispersion", "stability-map"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+        assert "magnitudes must be finite and non-negative" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ stability-map
 
 def test_stability_map_scan(tmp_path, capsys):

@@ -109,6 +109,30 @@ def test_complex_mass_decay_matches_dispersion():
     assert expected < 0.9  # a decay the test can resolve
 
 
+@pytest.mark.parametrize("m_par", [1.0 + 0.1j, 1.0 + 0.3j])
+def test_complex_mass_growth_matches_dispersion_with_coupling(m_par):
+    # closure with the interaction on: an axis mode in the upper half of the
+    # unstable band (Re(e_free) > -e_int / 2) of an absorptive condensate.
+    # The solver's late growth rate must be Im(nu) from dispersion, which
+    # is Im(e_free) plus the growth of the real-mass law at Re(e_free)
+    grid = GridSpec(dims=(8, 8, 10), spacings=(0.5, 0.5, 0.5))
+    p = make_params(grid, -1.2, m_par=m_par)
+    q = lattice_q(grid, 0, 0, 1)
+    nu = predicted_mode_frequency(p, q, 1.0, complex_mass=True)
+    e_free = q[2] ** 2 / (2.0 * m_par)
+    assert 2.0 * e_free.real + 2.0 * effective_dipolar_coupling(p, q, 1.0) > 0.0
+    assert nu.real == 0.0 and nu.imag > 0.0
+    st = init_state("perturbed_plane_wave", p, n0=1.0, delta=1e-6, q=q)
+    mid = evolve(st, 0.02, 10.0, observer_stride=1000).final
+    end = evolve(mid, 0.02, 20.0, observer_stride=1000).final
+    amp = lambda s: abs(np.fft.fftn(s.phi)[0, 0, 1])
+    rate = math.log(amp(end) / amp(mid)) / 10.0
+    # Strang splitting error at dt = 0.02 and the decayed branch give about 6e-5
+    assert rate == pytest.approx(nu.imag, rel=5e-4)
+    # absorption slows the growth the real mass predicts
+    assert rate < predicted_mode_frequency(p, q, 1.0).imag
+
+
 def test_init_state_validation():
     grid = grid16()
     p = make_params(grid, 0.5)
