@@ -14,7 +14,9 @@ Commands
     selftest       run the built-in numerical oracles
 
 Exit codes: 0 success, 1 stdout closed by its reader before the output was
-written, 2 configuration or parameter error, 3 numerical failure. All SI at
+written, 2 validation error (a package error that is a ValueError, or a
+missing config file), 3 numerical failure (a package error that is a
+RuntimeError). All SI at
 the boundary; evolve/respond convert to the internal scale system and back.
 Outputs are deterministic: no timestamps, fixed formatting, atomic writes.
 """
@@ -46,20 +48,7 @@ from .eit import (
     derive_eit,
     phase_mismatch,
 )
-from .errors import (
-    CaseMismatchError,
-    ConfigError,
-    EmptyInputError,
-    FitFailureError,
-    GridMismatchError,
-    GridTooSmallError,
-    InsufficientHistoryError,
-    NonFiniteStateError,
-    OffLatticeError,
-    ParameterDomainError,
-    StepSizeError,
-    UnitError,
-)
+from .errors import ConfigError, DipolaritonError
 from .fields import (
     Grid1D,
     LinearRunConfig,
@@ -92,26 +81,6 @@ from .kernel import (
 
 __all__ = ["main"]
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    UnitError,
-    ParameterDomainError,
-    GridTooSmallError,
-    GridMismatchError,
-    OffLatticeError,
-    EmptyInputError,
-    CaseMismatchError,
-    InsufficientHistoryError,
-    FileNotFoundError,
-    IsADirectoryError,
-)
-_NUMERIC_ERRORS = (
-    StepSizeError,
-    NonFiniteStateError,
-    FitFailureError,
-    FloatingPointError,
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -142,34 +111,16 @@ def _load_config(args) -> SimConfig:
         return parse_config(fh.read())
 
 
-def _need_medium(cfg: SimConfig, command: str) -> MediumParams:
-    if cfg.medium is None:
-        raise ConfigError(
-            f"command '{command}' needs the full [medium] section "
-            "(g, n_atoms, v_t, gamma, delta, omega, k)"
-        )
-    return cfg.medium
-
-
-def _need_grid(cfg: SimConfig, command: str) -> GridSpec:
-    if cfg.grid is None:
-        raise ConfigError(f"command '{command}' needs grid.dims and grid.spacings")
-    return cfg.grid
-
-
 def _kernel_spec(cfg: SimConfig, command: str) -> KernelSpec:
     strength = cfg.get("kernel.strength")
     if strength is None and cfg.medium is not None and cfg.medium.kernel_strength != 0.0:
         strength = cfg.medium.kernel_strength
     if strength is None:
-        raise ConfigError(
-            f"command '{command}' needs kernel.strength "
-            "(or medium.u_strength with medium.dip_moment_r)"
-        )
+        strength = cfg.require("kernel.strength", command)
     return KernelSpec(
         orientation=cfg.get("kernel.orientation"),
         strength=strength,
-        cutoff_radius=cfg.get("kernel.cutoff_radius", 0.0),
+        cutoff_radius=cfg.get("kernel.cutoff_radius"),
         sphere_radius=cfg.get("kernel.sphere_radius"),
     )
 
@@ -200,7 +151,7 @@ def _out_path(args, name: str) -> str:
 # ---------------------------------------------------------------- commands
 
 def _cmd_derive(cfg: SimConfig, args) -> int:
-    medium = _need_medium(cfg, "derive")
+    medium = cfg.require_medium("derive")
     derived = derive_eit(medium)
     scales = UnitScales.from_derived(derived)
     rows = [
@@ -231,10 +182,9 @@ def _cmd_derive(cfg: SimConfig, args) -> int:
 
 
 def _cmd_kernel(cfg: SimConfig, args) -> int:
-    grid = _need_grid(cfg, "kernel")
+    grid = cfg.require_grid("kernel")
     spec = _kernel_spec(cfg, "kernel")
-    method = cfg.get("kernel.method", "lattice")
-    table = kernel_table_fourier(grid, spec, method=method)
+    table = kernel_table_fourier(grid, spec, method=cfg.get("kernel.method"))
 
     dxs, dys, dzs = grid.displacements()
     xm, ym, zm = np.meshgrid(dxs, dys, dzs, indexing="ij")
@@ -269,11 +219,7 @@ def _cmd_kernel(cfg: SimConfig, args) -> int:
 
 
 def _ray_directions(cfg: SimConfig, command: str) -> np.ndarray:
-    flat = cfg.get("run.directions")
-    if flat is None:
-        raise ConfigError(f"command '{command}' needs run.directions "
-                          "(flat list, 3 components per direction)")
-    arr = np.asarray(flat, dtype=float)
+    arr = np.asarray(cfg.require("run.directions", command), dtype=float)
     if arr.size == 0 or arr.size % 3 != 0:
         raise ConfigError(
             f"run.directions must hold 3 components per direction, got {arr.size} numbers"
@@ -286,16 +232,12 @@ def _ray_directions(cfg: SimConfig, command: str) -> np.ndarray:
 
 
 def _condensate_params(cfg: SimConfig, args, command: str) -> tuple[CondensateParams, bool]:
-    medium = _need_medium(cfg, command)
-    derived = derive_eit(medium)
+    derived = derive_eit(cfg.require_medium(command))
     m_par, complex_mass = _mass_choice(args, derived)
-    c_dd = cfg.get("run.c_dd")
-    if c_dd is None:
-        raise ConfigError(f"command '{command}' needs run.c_dd (energy units)")
     params = CondensateParams(
         m_perp=derived.m_perp,
         m_par=m_par,
-        c_dd=c_dd,
+        c_dd=cfg.require("run.c_dd", command),
         orientation=cfg.get("kernel.orientation"),
     )
     return params, complex_mass
@@ -312,9 +254,7 @@ def _write_modes(args, name: str, smap: StabilityMap, comments: list[str]) -> No
 def _cmd_dispersion(cfg: SimConfig, args) -> int:
     params, complex_mass = _condensate_params(cfg, args, "dispersion")
     dirs = _ray_directions(cfg, "dispersion")
-    mags = cfg.get("run.q_magnitudes")
-    if mags is None:
-        raise ConfigError("command 'dispersion' needs run.q_magnitudes")
+    mags = cfg.require("run.q_magnitudes", "dispersion")
     smap = stability_map(params, dirs, mags, complex_mass=complex_mass)
     _write_modes(args, "dispersion.csv", smap, _comments(cfg))
     print(f"evaluated {smap.nu.size} modes on {len(dirs)} rays; {smap.n_unstable} unstable")
@@ -331,11 +271,8 @@ def _cmd_stability_map(cfg: SimConfig, args) -> int:
     if cfg.get("run.directions") is not None:
         dirs = _ray_directions(cfg, "stability-map")
     else:
-        dirs = spherical_directions(cfg.get("run.n_polar", 12),
-                                    cfg.get("run.n_azimuth", 24))
-    mags = cfg.get("run.q_magnitudes")
-    if mags is None:
-        raise ConfigError("command 'stability-map' needs run.q_magnitudes")
+        dirs = spherical_directions(cfg.get("run.n_polar"), cfg.get("run.n_azimuth"))
+    mags = cfg.require("run.q_magnitudes", "stability-map")
     smap = stability_map(params, dirs, mags, complex_mass=complex_mass)
     extra = [
         f"# max_growth_rate {_g(smap.max_growth_rate)}",
@@ -355,8 +292,8 @@ def _cmd_stability_map(cfg: SimConfig, args) -> int:
 
 def _scaled_problem(cfg: SimConfig, args, command: str):
     """Nondimensionalize medium + grid + kernel for the split-step solver."""
-    medium = _need_medium(cfg, command)
-    grid = _need_grid(cfg, command)
+    medium = cfg.require_medium(command)
+    grid = cfg.require_grid(command)
     spec = _kernel_spec(cfg, command)
     derived = derive_eit(medium)
     scales = UnitScales.from_derived(derived)
@@ -370,7 +307,7 @@ def _scaled_problem(cfg: SimConfig, args, command: str):
         cutoff_radius=spec.cutoff_radius / ell,
         sphere_radius=None if spec.sphere_radius is None else spec.sphere_radius / ell,
     )
-    table = kernel_table_fourier(sgrid, sspec, method=cfg.get("kernel.method", "lattice"))
+    table = kernel_table_fourier(sgrid, sspec, method=cfg.get("kernel.method"))
     params = GpeParams(
         m_perp=1.0,
         m_par=m_par / derived.m_perp,
@@ -383,50 +320,33 @@ def _scaled_problem(cfg: SimConfig, args, command: str):
 
 def _scaled_initial_state(cfg: SimConfig, params: GpeParams, scales: UnitScales,
                           command: str) -> CondensateState:
-    kind = cfg.get("run.init", "gaussian")
+    kind = cfg.get("run.init")
     ell = scales.length
-    n0 = cfg.get("run.n0")
-    n0_scaled = None if n0 is None else n0 / scales.density
-    if kind == "uniform":
-        if n0_scaled is None:
-            raise ConfigError(f"command '{command}' with run.init = uniform needs run.n0")
-        return init_state("uniform", params, n0=n0_scaled)
     if kind == "gaussian":
-        widths = cfg.get("run.gaussian_widths")
-        if widths is None:
-            raise ConfigError(f"command '{command}' with run.init = gaussian "
-                              "needs run.gaussian_widths")
-        w = tuple(v / ell for v in widths)
+        w = tuple(v / ell for v in cfg.require("run.gaussian_widths", command))
         state = init_state("gaussian", params, widths=w)
-        if n0_scaled is not None:
+        n0 = cfg.get("run.n0")
+        if n0 is not None:
             # unit-norm Gaussian peaks at 1/((2 pi)^(3/2) wx wy wz); lift to n0
             peak = 1.0 / ((2.0 * math.pi) ** 1.5 * w[0] * w[1] * w[2])
-            factor = math.sqrt(n0_scaled / peak)
+            factor = math.sqrt(n0 / scales.density / peak)
             state = CondensateState(state.phi * factor, state.t, params)
         return state
-    if kind == "perturbed_plane_wave":
-        if n0_scaled is None:
-            raise ConfigError(f"command '{command}' with run.init = perturbed_plane_wave "
-                              "needs run.n0")
-        q = cfg.get("run.q_perturb")
-        delta = cfg.get("run.delta_amp")
-        if q is None or delta is None:
-            raise ConfigError("perturbed_plane_wave needs run.q_perturb and run.delta_amp")
-        q_scaled = tuple(v * ell for v in q)
-        return init_state("perturbed_plane_wave", params, n0=n0_scaled,
-                          delta=delta, q=q_scaled)
-    raise ConfigError(f"unknown run.init '{kind}'")
+    n0_scaled = cfg.require("run.n0", command) / scales.density
+    if kind == "uniform":
+        return init_state("uniform", params, n0=n0_scaled)
+    q_scaled = tuple(v * ell for v in cfg.require("run.q_perturb", command))
+    return init_state("perturbed_plane_wave", params, n0=n0_scaled,
+                      delta=cfg.require("run.delta_amp", command), q=q_scaled)
 
 
 def _cmd_evolve(cfg: SimConfig, args) -> int:
     params, scales, si_grid = _scaled_problem(cfg, args, "evolve")
-    dt = cfg.get("run.dt")
-    t_final = cfg.get("run.t_final")
-    if dt is None or t_final is None:
-        raise ConfigError("command 'evolve' needs run.dt and run.t_final")
+    dt = cfg.require("run.dt", "evolve")
+    t_final = cfg.require("run.t_final", "evolve")
     state = _scaled_initial_state(cfg, params, scales, "evolve")
     result = evolve(state, dt / scales.time, t_final / scales.time,
-                    observer_stride=cfg.get("run.observer_stride", 10), workers=args.threads)
+                    observer_stride=cfg.get("run.observer_stride"), workers=args.threads)
 
     tau, energy, dens, ell = scales.time, scales.energy, scales.density, scales.length
     rows = []
@@ -461,11 +381,9 @@ def _cmd_evolve(cfg: SimConfig, args) -> int:
 
 def _cmd_respond(cfg: SimConfig, args) -> int:
     params, scales, _si_grid = _scaled_problem(cfg, args, "respond")
-    n0 = cfg.get("run.n0")
-    delta = cfg.get("run.delta_amp")
-    q = cfg.get("run.q_perturb")
-    if n0 is None or delta is None or q is None:
-        raise ConfigError("command 'respond' needs run.n0, run.delta_amp and run.q_perturb")
+    n0 = cfg.require("run.n0", "respond")
+    delta = cfg.require("run.delta_amp", "respond")
+    q = cfg.require("run.q_perturb", "respond")
     duration = cfg.get("run.duration")
     dt = cfg.get("run.dt")
     res = linear_response_experiment(
@@ -507,16 +425,12 @@ def _cmd_respond(cfg: SimConfig, args) -> int:
 
 
 def _cmd_validate(cfg: SimConfig, args) -> int:
-    medium = _need_medium(cfg, "validate")
+    medium = cfg.require_medium("validate")
     derived = derive_eit(medium)
-    pulse_t = cfg.get("run.pulse_t")
-    pulse_length = cfg.get("run.pulse_length")
-    if pulse_t is None or pulse_length is None:
-        raise ConfigError("command 'validate' needs run.pulse_t and run.pulse_length")
-    pulse = PulseSpec(T=pulse_t, l_pulse=pulse_length,
-                      delta_rr_avg=cfg.get("run.delta_rr_avg", 0.0))
-    report = adiabaticity_margins(medium, derived, pulse,
-                                  margin=cfg.get("run.margin", 10.0))
+    pulse = PulseSpec(T=cfg.require("run.pulse_t", "validate"),
+                      l_pulse=cfg.require("run.pulse_length", "validate"),
+                      delta_rr_avg=cfg.get("run.delta_rr_avg"))
+    report = adiabaticity_margins(medium, derived, pulse, margin=cfg.get("run.margin"))
 
     k = medium.k
     k_plus = cfg.get("run.k_plus", (0.0, 0.0, k))
@@ -704,10 +618,10 @@ def main(argv=None) -> int:
         # including the flush at interpreter exit, to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except _CONFIG_ERRORS as exc:
+    except (DipolaritonError, FileNotFoundError, IsADirectoryError) as exc:
+        if isinstance(exc, RuntimeError):
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ from .eit import MediumParams
 from .errors import ConfigError, GridTooSmallError, ParameterDomainError, UnitError
 from .grid import GridSpec
 
-__all__ = ["SimConfig", "parse_config", "KEY_TABLE", "UNIT_TABLE"]
+__all__ = ["SimConfig", "parse_config", "KEY_TABLE", "UNIT_TABLE", "MEDIUM_KEYS", "GRID_KEYS"]
 
 # accepted units per dimension; value = factor to the canonical SI unit (first entry)
 UNIT_TABLE: dict[str, dict[str, float]] = {
@@ -77,14 +77,12 @@ KEY_TABLE: dict[str, _Key] = {
     "run.t_final": _k("float", "time"),
     "run.duration": _k("float", "time"),
     "run.observer_stride": _k("int", "none", 10, True),
-    "run.snapshot_stride": _k("int", "none", 0, True),
     "run.init": _k("word", "none", "gaussian", True,
                    ("uniform", "gaussian", "perturbed_plane_wave")),
     "run.n0": _k("float", "density"),
     "run.gaussian_widths": _k("vec3", "length"),
     "run.delta_amp": _k("float"),
     "run.q_perturb": _k("vec3", "inv_length"),
-    "run.seed": _k("int", "none", 0, True),
     "run.margin": _k("float", "none", 10.0, True),
     "run.pulse_t": _k("float", "time"),
     "run.pulse_length": _k("float", "length"),
@@ -99,6 +97,13 @@ KEY_TABLE: dict[str, _Key] = {
     "run.k_c_plus": _k("vec3", "inv_length"),
     "run.k_c_minus": _k("vec3", "inv_length"),
 }
+
+# keys without a default that SimConfig.medium and SimConfig.grid are built from
+MEDIUM_KEYS = tuple(f"medium.{f}" for f in ("g", "n_atoms", "v_t", "gamma", "delta", "omega", "k"))
+GRID_KEYS = ("grid.dims", "grid.spacings")
+
+# what a missing-key error adds for a key that another setting can stand in for
+_STAND_INS = {"kernel.strength": "or medium.u_strength with medium.dip_moment_r"}
 
 
 def _is_number(token: str) -> bool:
@@ -181,9 +186,23 @@ class SimConfig:
         return self.values.get(key, default)
 
     def require(self, key: str, command: str) -> Any:
+        """Value of key; ConfigError naming command and key when it is unset."""
         if key not in self.values:
-            raise ConfigError(f"command '{command}' needs config key '{key}'")
+            stand_in = f" ({_STAND_INS[key]})" if key in _STAND_INS else ""
+            raise ConfigError(f"command '{command}' needs config key '{key}'{stand_in}")
         return self.values[key]
+
+    def require_medium(self, command: str) -> MediumParams:
+        """The medium; ConfigError naming the first of MEDIUM_KEYS that is unset."""
+        for key in MEDIUM_KEYS:
+            self.require(key, command)
+        return self.medium
+
+    def require_grid(self, command: str) -> GridSpec:
+        """The grid; ConfigError naming the first of GRID_KEYS that is unset."""
+        for key in GRID_KEYS:
+            self.require(key, command)
+        return self.grid
 
 
 def _render(value: Any) -> str:
@@ -219,8 +238,7 @@ def parse_config(text: str) -> SimConfig:
             values[key] = info.default
 
     medium = None
-    medium_fields = ("g", "n_atoms", "v_t", "gamma", "delta", "omega", "k")
-    if all(f"medium.{f}" in values for f in medium_fields):
+    if all(key in values for key in MEDIUM_KEYS):
         try:
             medium = MediumParams(
                 g=values["medium.g"],
@@ -239,7 +257,7 @@ def parse_config(text: str) -> SimConfig:
             raise ConfigError(f"medium.{bad}: {exc}") from exc
 
     grid = None
-    if "grid.dims" in values and "grid.spacings" in values:
+    if all(key in values for key in GRID_KEYS):
         try:
             grid = GridSpec(dims=values["grid.dims"], spacings=values["grid.spacings"])
         except (ParameterDomainError, GridTooSmallError) as exc:

@@ -39,6 +39,10 @@ def _atomic_write(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)

@@ -49,7 +49,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
-import scipy.optimize
 
 from . import bogoliubov
 from .eit import HBAR
@@ -402,7 +401,6 @@ def observables(state: CondensateState, workers: int = 1) -> Observables:
 class EvolveResult:
     final: CondensateState
     observables: tuple[Observables, ...]
-    snapshots: tuple[CondensateState, ...]
 
 
 def evolve(
@@ -410,7 +408,6 @@ def evolve(
     dt: float,
     t_final: float,
     observer_stride: int = 10,
-    keep_snapshots: bool = False,
     *,
     workers: int = 1,
 ) -> EvolveResult:
@@ -433,16 +430,13 @@ def evolve(
     if observer_stride < 1:
         raise ParameterDomainError(f"observer_stride must be >= 1, got {observer_stride}")
     obs = [observables(state, workers)]
-    snaps = [state] if keep_snapshots else []
 
     def record(i: int, current: CondensateState):
         if i % observer_stride == 0 or i == n_steps:
             obs.append(observables(current, workers))
-            if keep_snapshots:
-                snaps.append(current)
 
     final = prop.run(state, n_steps, record)
-    return EvolveResult(final=final, observables=tuple(obs), snapshots=tuple(snaps))
+    return EvolveResult(final=final, observables=tuple(obs))
 
 
 def effective_dipolar_coupling(params: GpeParams, q, n0: float) -> float:
@@ -568,6 +562,10 @@ def linear_response_experiment(
     a0 = abs(amps[0])
     if a0 == 0.0:
         raise FitFailureError("seeded mode has zero initial amplitude")
+    # imported here, not at module level: only this fit needs it, and it
+    # costs about a third of the package's import time
+    import scipy.optimize
+
     signal = np.real(amps)
     growth_factor = float(np.max(np.abs(amps))) / a0
     if growth_factor > 3.0:

@@ -20,8 +20,10 @@ from dipolariton import (
     GridSpec,
     PulseSpec,
 )
+from dipolariton import cli, errors
 from dipolariton.bogoliubov import CondensateParams, dispersion
 from dipolariton.cli import main
+from dipolariton.config import GRID_KEYS, MEDIUM_KEYS
 from dipolariton.fileio import read_field, read_kernel_table
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -412,6 +414,9 @@ def test_nonexistent_config_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["derive", "--config", missing, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # a directory (IsADirectoryError) is a usage error too
+    assert main(["derive", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_invalid_config_content(tmp_path, capsys):
@@ -439,6 +444,97 @@ def test_closed_stdout_ends_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert "BrokenPipeError" not in err and "Traceback" not in err
+
+
+def _shipped(name):
+    return (CONFIGS / f"{name}.cfg").read_text()
+
+
+def _evolve_with_init(init, extra):
+    return _shipped("evolve").replace("run.init = gaussian", f"run.init = {init}") + extra
+
+
+_PLANE_WAVE = "run.n0 = 1e21\nrun.delta_amp = 1e-4\nrun.q_perturb = 0 0 10471975.511965977\n"
+
+# (command, working config, the keys it cannot run without)
+_REQUIRED = {
+    "derive": ("derive", _shipped("derive"), MEDIUM_KEYS),
+    "kernel": ("kernel", _shipped("kernel"), GRID_KEYS + ("kernel.strength",)),
+    "dispersion": ("dispersion", _shipped("dispersion"),
+                   MEDIUM_KEYS + ("run.c_dd", "run.directions", "run.q_magnitudes")),
+    "stability-map": ("stability-map", _shipped("stability"),
+                      MEDIUM_KEYS + ("run.c_dd", "run.q_magnitudes")),
+    "evolve": ("evolve", _shipped("evolve"),
+               MEDIUM_KEYS + GRID_KEYS
+               + ("kernel.strength", "run.dt", "run.t_final", "run.gaussian_widths")),
+    "evolve-uniform": ("evolve", _evolve_with_init("uniform", "run.n0 = 1e21\n"), ("run.n0",)),
+    "evolve-plane-wave": ("evolve", _evolve_with_init("perturbed_plane_wave", _PLANE_WAVE),
+                          ("run.n0", "run.delta_amp", "run.q_perturb")),
+    "respond": ("respond", _shipped("respond"),
+                MEDIUM_KEYS + GRID_KEYS
+                + ("kernel.strength", "run.n0", "run.delta_amp", "run.q_perturb")),
+    "validate": ("validate", _shipped("validate"),
+                 MEDIUM_KEYS + ("run.pulse_t", "run.pulse_length")),
+}
+
+
+@pytest.mark.parametrize("case", list(_REQUIRED))
+def test_required_key_matrix_base_configs_run(tmp_path, case):
+    command, text, _ = _REQUIRED[case]
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("case,key", [(case, key) for case, (_, _, keys) in _REQUIRED.items()
+                                      for key in keys])
+def test_missing_required_key_is_named(tmp_path, capsys, case, key):
+    command, text, _ = _REQUIRED[case]
+    kept = [ln for ln in text.splitlines() if ln.split("=")[0].strip() != key]
+    assert len(kept) == len(text.splitlines()) - 1
+    cfg = write_cfg(tmp_path, "\n".join(kept) + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"command '{command}' needs config key '{key}'" in err
+    if key == "kernel.strength":
+        assert "medium.u_strength" in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+_PACKAGE_ERRORS = [cls for cls in (getattr(errors, name) for name in errors.__all__)
+                   if isinstance(cls, type) and issubclass(cls, errors.DipolaritonError)
+                   and cls is not errors.DipolaritonError]
+
+
+def test_every_package_error_is_either_validation_or_numerical():
+    # the CLI's exit code is chosen by this split
+    assert len(_PACKAGE_ERRORS) == 12
+    for cls in _PACKAGE_ERRORS:
+        assert issubclass(cls, ValueError) != issubclass(cls, RuntimeError), cls.__name__
+
+
+@pytest.mark.parametrize("cls", _PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_hierarchy(tmp_path, capsys, monkeypatch, cls):
+    def fail(cfg, args):
+        raise cls("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "derive", fail)
+    cfg = write_cfg(tmp_path, MEDIUM_BLOCK)
+    numerical = issubclass(cls, RuntimeError)
+    assert main(["derive", "--config", cfg, "--out", str(tmp_path)]) == (3 if numerical else 2)
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: boom\n" if numerical else "error: boom\n")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the response fit needs scipy.optimize; every other command skips its import cost
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dipolariton.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_argparse_rejections():

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ kernel.sphere_radius = 1.5 um
 run.init = uniform
 run.n0 = 2 1/um^3
 run.dt = 10 ns
-run.seed = 7
+run.n_polar = 7
 """
 
 
@@ -64,7 +65,7 @@ def test_parse_full_config():
     assert v["run.n0"] == pytest.approx(2e18, rel=1e-15)
     assert v["run.dt"] == pytest.approx(1e-8, rel=1e-15)
     assert v["run.init"] == "uniform"
-    assert v["run.seed"] == 7
+    assert v["run.n_polar"] == 7
     # defaults fill in for keys the file does not set
     assert v["run.observer_stride"] == 10
     assert v["run.margin"] == 10.0
@@ -103,6 +104,8 @@ def test_require_names_command_and_key():
     assert cfg.require("run.dt", "evolve") == 0.5
     with pytest.raises(ConfigError, match="command 'evolve' needs config key 'run.t_final'"):
         cfg.require("run.t_final", "evolve")
+    with pytest.raises(ConfigError, match=r"'kernel.strength' \(or medium.u_strength"):
+        cfg.require("kernel.strength", "kernel")
 
 
 def test_wrong_unit_names_key_and_line():
@@ -253,3 +256,15 @@ def test_writes_leave_no_temp_files(tmp_path):
     write_table(str(tmp_path / "t.csv"), ["a"], [[1.0]])
     leftovers = [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_files_respect_the_umask(tmp_path, umask):
+    # the atomic temp file starts 0600; the output gets the mode open() would give it
+    path = tmp_path / "t.txt"
+    old = os.umask(umask)
+    try:
+        write_text(str(path), ["x"])
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
