@@ -95,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (created if missing)")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="FFT worker threads of the split-step propagator (default 1)")
+                        help="FFT worker threads of the kernel table and the split-step "
+                             "propagator (default 1)")
     mass = parser.add_mutually_exclusive_group()
     mass.add_argument("--real-mass", action="store_true",
                       help="drop the imaginary part of the longitudinal mass (default)")
@@ -184,7 +185,8 @@ def _cmd_derive(cfg: SimConfig, args) -> int:
 def _cmd_kernel(cfg: SimConfig, args) -> int:
     grid = cfg.require_grid("kernel")
     spec = _kernel_spec(cfg, "kernel")
-    table = kernel_table_fourier(grid, spec, method=cfg.get("kernel.method"))
+    table = kernel_table_fourier(grid, spec, method=cfg.get("kernel.method"),
+                                 workers=args.threads)
 
     dxs, dys, dzs = grid.displacements()
     xm, ym, zm = np.meshgrid(dxs, dys, dzs, indexing="ij")
@@ -307,7 +309,8 @@ def _scaled_problem(cfg: SimConfig, args, command: str):
         cutoff_radius=spec.cutoff_radius / ell,
         sphere_radius=None if spec.sphere_radius is None else spec.sphere_radius / ell,
     )
-    table = kernel_table_fourier(sgrid, sspec, method=cfg.get("kernel.method"))
+    table = kernel_table_fourier(sgrid, sspec, method=cfg.get("kernel.method"),
+                                 workers=args.threads)
     params = GpeParams(
         m_perp=1.0,
         m_par=m_par / derived.m_perp,
@@ -495,13 +498,13 @@ def _check_alpha() -> tuple[str, float, bool]:
     return "alpha_magnitude", mag, 0.5e-4 <= mag <= 2.0e-4
 
 
-def _check_convolution() -> tuple[str, float, bool]:
+def _check_convolution(workers: int = 1) -> tuple[str, float, bool]:
     grid = GridSpec(dims=(16, 16, 16), spacings=(1.0, 1.0, 1.0))
     spec = KernelSpec(orientation=(0.0, 0.0, 1.0), strength=1.0)
-    table = kernel_table_fourier(grid, spec)
+    table = kernel_table_fourier(grid, spec, workers=workers)
     rng = np.random.default_rng(0)
     rho = rng.random(grid.shape)
-    fast = convolve_density(table, rho)
+    fast = convolve_density(table, rho, workers=workers)
     slow = direct_convolution_reference(grid, spec, rho)
     err = float(np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
     return "convolution_vs_direct_sum", err, err <= 1e-6
@@ -525,7 +528,7 @@ def _check_critical_wavenumber() -> tuple[str, float, bool]:
 def _check_free_spreading(workers: int = 1) -> tuple[str, float, bool]:
     grid = GridSpec(dims=(32, 32, 32), spacings=(0.4, 0.4, 0.4))
     spec = KernelSpec(orientation=(0.0, 0.0, 1.0), strength=1.0)
-    table = kernel_table_fourier(grid, spec)
+    table = kernel_table_fourier(grid, spec, workers=workers)
     params = GpeParams(m_perp=1.0, m_par=1.0, sin2_theta=0.0, table=table, hbar=1.0)
     state = init_state("gaussian", params, widths=(1.0, 1.0, 1.0))
     t_final = 0.5
@@ -565,7 +568,7 @@ def _check_longitudinal_elimination() -> tuple[str, float, bool]:
 def _cmd_selftest(cfg: SimConfig | None, args) -> int:
     checks = (
         _check_alpha,
-        _check_convolution,
+        lambda: _check_convolution(args.threads),
         _check_envelope_root,
         _check_critical_wavenumber,
         lambda: _check_free_spreading(args.threads),

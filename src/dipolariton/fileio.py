@@ -35,7 +35,8 @@ _FIELD_MAGIC = "dipolariton-field-v1"
 _KERNEL_MAGIC = "dipolariton-kernel-v1"
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, *chunks) -> None:
+    """Write the bytes-like chunks in order to a temp file, then move it to path."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -44,7 +45,8 @@ def _atomic_write(path: str, data: bytes) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -97,15 +99,19 @@ def _header_floats(parts: list[str], start: int, count: int) -> tuple[float, ...
 
 
 def write_field(path: str, field: np.ndarray, grid: GridSpec, t: float = 0.0) -> None:
-    """Binary complex field: text header line, then '<c16' in C order."""
-    arr = np.ascontiguousarray(field, dtype=np.complex128)
+    """Binary complex field: text header line, then '<c16' in C order.
+
+    A C-ordered little-endian complex128 field is written from its own
+    buffer, without a copy.
+    """
+    arr = np.ascontiguousarray(field, dtype="<c16")
     if arr.shape != grid.shape:
         raise ConfigError(f"field shape {arr.shape} does not match grid {grid.shape}")
     nx, ny, nz = grid.dims
     dx, dy, dz = grid.spacings
     header = (f"{_FIELD_MAGIC} {nx} {ny} {nz} "
               f"{_g(dx)} {_g(dy)} {_g(dz)} {_g(t)}\n")
-    _atomic_write(path, header.encode() + arr.astype("<c16").tobytes())
+    _atomic_write(path, header.encode(), arr)
 
 
 def read_field(path: str) -> tuple[np.ndarray, GridSpec, float]:
@@ -136,8 +142,7 @@ def write_kernel_table(path: str, table: FourierTable) -> None:
               f"{_g(ox)} {_g(oy)} {_g(oz)} "
               f"{_g(spec.strength)} {_g(spec.cutoff_radius)} "
               f"{_g(table.sphere_radius)} {table.method}\n")
-    arr = np.ascontiguousarray(table.coeffs, dtype=np.float64)
-    _atomic_write(path, header.encode() + arr.astype("<f8").tobytes())
+    _atomic_write(path, header.encode(), np.ascontiguousarray(table.coeffs, dtype="<f8"))
 
 
 def read_kernel_table(path: str) -> FourierTable:

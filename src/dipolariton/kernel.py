@@ -172,29 +172,40 @@ def _resolve_sphere_radius(grid: GridSpec, spec: KernelSpec) -> float:
     return 0.5 * min(grid.box_lengths)
 
 
-def kernel_table_fourier(grid: GridSpec, spec: KernelSpec, method: str = "lattice") -> FourierTable:
+def kernel_table_fourier(
+    grid: GridSpec, spec: KernelSpec, method: str = "lattice", workers: int = 1
+) -> FourierTable:
     """Tabulate the truncated kernel's Fourier coefficients on the grid.
 
     method="lattice" (default) takes the DFT of the minimum-image real-space
     samples inside the truncation sphere, so FFT convolution matches the
     direct lattice sum to roundoff. method="analytic" samples the truncated
     continuum transform instead. See the module docstring for the trade-off.
+    workers is the FFT worker count of the lattice transform.
     """
     r_c = _resolve_sphere_radius(grid, spec)
     if method == "lattice":
-        dx, dy, dz = grid.displacements()
-        dmesh = np.stack(np.meshgrid(dx, dy, dz, indexing="ij"), axis=-1)
-        rn = np.linalg.norm(dmesh, axis=-1)
+        # |r| and r . axis from open per-axis meshes: one full-grid array each
+        x, y, z = np.meshgrid(*grid.displacements(), indexing="ij", sparse=True)
+        rn = np.sqrt(x**2 + y**2 + z**2)
         # evaluate on the punctured lattice; the origin cell never contributes
-        vals = np.zeros(grid.shape)
-        mask = (rn > 0) & (rn <= r_c)
+        outside = (rn == 0) | (rn > r_c)
         if spec.cutoff_radius > 0:
-            mask &= rn >= spec.cutoff_radius
-        vals[mask] = kernel_value(
-            dmesh[mask],
-            KernelSpec(spec.orientation, spec.strength, cutoff_radius=0.0),
-        )
-        coeffs = np.real(scipy.fft.fftn(vals)) * grid.cell_volume
+            outside |= rn < spec.cutoff_radius
+        ax, ay, az = spec.orientation
+        cos_phi = x * ax + y * ay + z * az
+        rn[outside] = 1.0
+        cos_phi /= rn
+        # kernel_value's strength * (1 - 3 cos^2 phi) / |r|^3, in place
+        vals = np.square(cos_phi, out=cos_phi)
+        vals *= 3.0
+        np.subtract(1.0, vals, out=vals)
+        vals *= spec.strength
+        rn **= 3
+        vals /= rn
+        del rn
+        vals[outside] = 0.0
+        coeffs = scipy.fft.fftn(vals, workers=workers).real * grid.cell_volume
     elif method == "analytic":
         qx, qy, qz = grid.wavenumber_mesh()
         qn = np.sqrt(qx**2 + qy**2 + qz**2)

@@ -136,6 +136,46 @@ def test_kernel_outputs(tmp_path):
     assert stored.method == "lattice"
 
 
+def test_kernel_outputs_do_not_depend_on_threads(tmp_path):
+    # --threads reaches the table's transform; the files stay byte-identical
+    src = Path(__file__).resolve().parents[1] / "src"
+    text = _shipped("kernel").replace("kernel.orientation = 0 0 1",
+                                      "kernel.orientation = 0 0.6 0.8")
+    assert "0 0.6 0.8" in text
+    cfg = write_cfg(tmp_path, text)
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        run = subprocess.run(
+            [sys.executable, "-m", "dipolariton.cli", "kernel", "--config", cfg,
+             "--out", str(out), "--threads", threads],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs[threads] = {name: (out / name).read_bytes() for name in
+                            ("kernel_real.csv", "kernel_fourier.csv", "kernel_table.bin")}
+    assert outputs["2"] == outputs["1"]
+
+
+def test_threads_reach_every_kernel_table_build(tmp_path, monkeypatch):
+    seen = []
+    build = cli.kernel_table_fourier
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("workers", 1))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "kernel_table_fourier", recording)
+    for command, cfg in (("kernel", "kernel"), ("evolve", "evolve"), ("selftest", None)):
+        argv = [command, "--out", str(tmp_path / command), "--threads", "2"]
+        if cfg:
+            argv += ["--config", str(CONFIGS / f"{cfg}.cfg")]
+        assert main(argv) == 0
+    # kernel and evolve build one table each, the selftest two
+    assert seen == [2, 2, 2, 2]
+
+
 def test_kernel_csv_rows_in_index_order(tmp_path):
     # one %.17g row per grid index in C order, exactly as a per-index loop writes it
     cfg = write_cfg(tmp_path, (
@@ -354,6 +394,17 @@ def test_respond_measures_predicted_mode(tmp_path, capsys):
     assert meta["fit_residual"][0] <= 0.01
     assert meta["effective_c_dd"][0] > 0.0
     assert "measured frequency" in capsys.readouterr().out
+
+
+def test_respond_refuses_complex_mass_before_stepping(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["respond", "--config", str(CONFIGS / "respond.cfg"), "--out", str(out),
+               "--complex-mass"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "response fit models an undamped mode and needs a real mass" in err
+    assert not (out / "response.csv").exists()
 
 
 # ----------------------------------------------------------------- validate

@@ -196,6 +196,40 @@ def test_field_round_trip_is_bit_exact(tmp_path):
     assert t == 0.625
 
 
+@pytest.mark.parametrize("layout", ["c_order", "strided", "complex64", "big_endian"])
+def test_field_bytes_equal_the_copying_writer(tmp_path, layout):
+    # header, then the '<c16' bytes a copy through astype(...).tobytes() gives
+    grid = GridSpec(dims=(8, 10, 12), spacings=(0.5, 0.25, 0.125))
+    base = random_complex((8, 10, 24), 5)
+    field = {
+        "c_order": np.ascontiguousarray(base[:, :, :12]),
+        "strided": base[:, :, ::2],
+        "complex64": base[:, :, :12].astype(np.complex64),
+        "big_endian": base[:, :, :12].astype(">c16"),
+    }[layout]
+    path = str(tmp_path / "f.bin")
+    write_field(path, field, grid, t=0.625)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    header = b"dipolariton-field-v1 8 10 12 0.5 0.25 0.125 0.625\n"
+    assert raw == header + np.asarray(field).astype("<c16").tobytes()
+    back, _, t = read_field(path)
+    assert np.array_equal(back, field.astype(complex))
+    assert t == 0.625
+
+
+def test_kernel_table_bytes_equal_the_copying_writer(tmp_path):
+    grid = GridSpec(dims=(8, 8, 10), spacings=(0.4, 0.4, 0.3))
+    table = kernel_table_fourier(grid, KernelSpec(orientation=(0.0, 0.6, 0.8), strength=1.7))
+    path = str(tmp_path / "k.bin")
+    write_kernel_table(path, table)
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        payload = fh.read()
+    assert header.startswith(b"dipolariton-kernel-v1 8 8 10 ")
+    assert payload == table.coeffs.astype("<f8").tobytes()
+
+
 def test_field_header_time_defaults_to_zero(tmp_path):
     grid = GridSpec(dims=(8, 8, 8), spacings=(1.0, 1.0, 1.0))
     field = np.zeros(grid.shape, complex)

@@ -13,9 +13,11 @@ from dipolariton import gpe
 from dipolariton import (
     CondensateParams,
     CondensateState,
+    FitFailureError,
     GpeParams,
     GridMismatchError,
     GridSpec,
+    KernelSpec,
     NonFiniteStateError,
     OffLatticeError,
     ParameterDomainError,
@@ -24,6 +26,7 @@ from dipolariton import (
     effective_dipolar_coupling,
     evolve,
     init_state,
+    kernel_table_fourier,
     linear_response_experiment,
     observables,
     dispersion,
@@ -265,12 +268,17 @@ def test_potential_phase_guard():
     step(CondensateState(st.phi, 0.0, p), 0.3)  # default guard admits this step
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_field_is_reported():
+    # one bad sample spreads through the transforms to the whole field; the
+    # error names the step, its time and the bad samples of the field after it
     p = make_params(grid16(), 0.5)
-    st = init_state("uniform", p, n0=1.0)
-    st.phi[0, 0, 0] = np.nan
-    with pytest.raises(NonFiniteStateError, match="step 1"):
-        evolve(st, 0.01, 0.1)
+    for bad in (np.nan, np.inf):
+        st = init_state("uniform", p, n0=1.0)
+        st.phi[3, 4, 5] = bad
+        with pytest.raises(NonFiniteStateError,
+                           match=r"after step 1 \(t = 1\.000000e-02\); 4096 bad samples of 4096"):
+            evolve(st, 0.01, 0.1)
 
 
 def test_evolve_schedule_and_validation():
@@ -297,7 +305,9 @@ def test_evolve_refuses_partial_last_step():
 
 
 def test_potential_is_reused_across_steps(monkeypatch):
-    # n steps make n + 1 stepping convolutions; observables convolve on their own
+    # n steps with k observations make n + 1 convolutions in total: the t = 0
+    # observation makes the one step 1 opens with, each step one more, and
+    # the later observations reuse the convolution of the step before them
     p = make_params(grid16(), 0.5)
     st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
     calls = {"step": 0, "observables": 0}
@@ -319,8 +329,95 @@ def test_potential_is_reused_across_steps(monkeypatch):
     monkeypatch.setattr(gpe, "observables", marked_observables)
     n = 7
     res = evolve(st, 0.01, n * 0.01, observer_stride=3)
-    assert calls["step"] == n + 1
-    assert calls["observables"] == len(res.observables) == 4
+    assert len(res.observables) == 4
+    assert calls["observables"] == 1
+    assert calls["step"] == n
+    assert calls["observables"] + calls["step"] == n + 1
+
+
+OBSERVABLE_FIELDS = ("norm", "energy_total", "kinetic_perp", "kinetic_z", "dipolar",
+                     "peak_density", "center_of_mass", "variance")
+
+
+def observables_oracle(state):
+    """The sums over broadcast coordinate and wavenumber meshes observables once made."""
+    p = state.params
+    grid = p.grid
+    dv = grid.cell_volume
+    phi = state.phi
+    rho = np.abs(phi) ** 2
+    norm = float(np.sum(rho)) * dv
+    weight = np.abs(np.fft.fftn(phi)) ** 2 * (dv / phi.size)
+    qx, qy, qz = grid.wavenumber_mesh()
+    kin_perp = float(np.sum(p.hbar**2 * (qx**2 + qy**2) / (2.0 * p.m_perp) * weight))
+    kin_z = float(np.sum(p.hbar**2 * qz**2 * 0.5 * (1.0 / p.m_par).real * weight))
+    dip = 0.5 * float(np.sum(dipolar_potential(state) * rho)) * dv
+    mesh = grid.meshgrid()
+    com = tuple(float(np.sum(c * rho)) * dv / norm for c in mesh)
+    var = tuple(float(np.sum((c - m) ** 2 * rho)) * dv / norm for c, m in zip(mesh, com))
+    return dict(norm=norm, energy_total=kin_perp + kin_z + dip, kinetic_perp=kin_perp,
+                kinetic_z=kin_z, dipolar=dip, peak_density=float(np.max(rho)),
+                center_of_mass=com, variance=var)
+
+
+def assert_observables_close(got, expected, rel):
+    # energies against the largest energy term, positions against the box
+    grid_scale = max(got.variance) + max(abs(c) for c in got.center_of_mass)
+    energy_scale = abs(got.kinetic_perp) + abs(got.kinetic_z) + abs(got.dipolar)
+    for name in OBSERVABLE_FIELDS:
+        a = np.atleast_1d(getattr(got, name))
+        b = np.atleast_1d(expected[name] if isinstance(expected, dict) else getattr(expected, name))
+        scale = {"center_of_mass": grid_scale, "variance": grid_scale,
+                 "energy_total": energy_scale}.get(name, np.max(np.abs(b)))
+        assert np.max(np.abs(a - b)) <= rel * scale, name
+
+
+def _offaxis_cutoff_params():
+    grid = grid16()
+    spec = KernelSpec(orientation=(1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0), strength=0.05,
+                      cutoff_radius=0.6)
+    return GpeParams(m_perp=1.0, m_par=1.0, sin2_theta=0.8,
+                     table=kernel_table_fourier(grid, spec), hbar=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_params(grid16(), 0.5),
+    lambda: make_params(grid16(), 0.5, m_par=1.0 + 0.2j),
+    _offaxis_cutoff_params,
+    lambda: make_params(GridSpec(dims=(16, 12, 10), spacings=(0.3, 0.5, 0.7)), -0.4,
+                        m_par=1.7),
+], ids=["gaussian", "complex-m_par", "off-axis-cutoff", "non-cubic"])
+def test_propagator_fed_observables_equal_standalone(make):
+    p = make()
+    g0 = init_state("gaussian", p, widths=(1.0, 1.2, 0.9), center=(3.0, 2.5, 3.5))
+    st = CondensateState(g0.phi * 3.0, 0.0, p)
+    prop = gpe.SplitStep(p, 0.01)
+    fed = [observables(st, 1, prop)]
+    fields = [st]
+
+    def visit(i, current):
+        fed.append(observables(current, 1, prop))
+        fields.append(current)
+
+    prop.run(st, 4, visit)
+    assert len(fed) == 5
+    for got, state in zip(fed, fields):
+        alone = observables(state)
+        assert got.t == alone.t
+        assert_observables_close(got, alone, 1e-12)
+        # the per-axis marginals reproduce the broadcast-mesh sums
+        assert_observables_close(alone, observables_oracle(state), 1e-12)
+    # a field the propagator has not convolved is convolved afresh
+    other = CondensateState(fields[2].phi * 0.5, 0.0, p)
+    assert_observables_close(observables(other, 1, prop), observables(other), 1e-12)
+
+
+def test_observables_refuse_a_propagator_of_other_params():
+    p = make_params(grid16(), 0.5)
+    st = init_state("uniform", p, n0=1.0)
+    prop = gpe.SplitStep(make_params(grid16(), 0.5), 0.01)
+    with pytest.raises(ParameterDomainError, match="different params"):
+        observables(st, 1, prop)
 
 
 def test_reused_potential_matches_fresh_steps():
@@ -440,6 +537,33 @@ def test_mode_amplitude_projection_matches_fft():
         got = gpe._density_mode_amplitude(phi, gpe._plane_waves(idx, grid), dv)
         expected = spectrum[idx] * dv
         assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+def test_linear_response_refuses_a_complex_mass(monkeypatch):
+    # the fit models an undamped mode; a complex mass is refused before stepping
+    p = make_params(grid16(), 0.5, m_par=1.0 + 0.01j)
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("stepped before refusing")
+
+    monkeypatch.setattr(gpe.SplitStep, "run", no_stepping)
+    with pytest.raises(ParameterDomainError, match="needs a real mass"):
+        linear_response_experiment(p, lattice_q(grid16(), 0, 0, 1), 1e-4)
+
+
+def test_fit_failure_names_q_in_plain_floats(monkeypatch):
+    import scipy.optimize
+
+    p = make_params(grid16(), 0.5)
+    q = lattice_q(grid16(), 0, 0, 1)
+    # a fit that returns a zero amplitude leaves the whole signal as residual
+    monkeypatch.setattr(scipy.optimize, "curve_fit",
+                        lambda model, t, y, p0, **kw: ((0.0, p0[1], 0.0), None))
+    with pytest.raises(FitFailureError) as info:
+        linear_response_experiment(p, q, 1e-4)
+    assert str(info.value) == (
+        "fit residual 100.0% exceeds 10% of the signal at q = (0, 0, 0.785398)"
+    )
 
 
 def test_linear_response_rejects_zero_mode():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
@@ -275,6 +276,41 @@ def test_real_transform_convolution_matches_complex_route(method):
     got = convolve_density(table, rho)
     assert got.dtype == np.float64
     assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def stacked_mesh_lattice_coeffs(grid, spec):
+    """The lattice table as once built: a stacked (N, 3) mesh, norms and kernel_value."""
+    r_c = spec.sphere_radius if spec.sphere_radius is not None else 0.5 * min(grid.box_lengths)
+    dmesh = np.stack(np.meshgrid(*grid.displacements(), indexing="ij"), axis=-1)
+    rn = np.linalg.norm(dmesh, axis=-1)
+    vals = np.zeros(grid.shape)
+    mask = (rn > 0) & (rn <= r_c)
+    if spec.cutoff_radius > 0:
+        mask &= rn >= spec.cutoff_radius
+    vals[mask] = kernel_value(dmesh[mask], KernelSpec(spec.orientation, spec.strength, 0.0))
+    coeffs = np.real(scipy.fft.fftn(vals)) * grid.cell_volume
+    coeffs[0, 0, 0] = 0.0
+    return coeffs
+
+
+@pytest.mark.parametrize("grid, spec", [
+    (GridSpec(dims=(16, 12, 10), spacings=(0.3, 0.5, 0.7)),
+     KernelSpec(orientation=(1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0), strength=0.6, cutoff_radius=0.8)),
+    (GridSpec(dims=(32, 32, 32), spacings=(0.25, 0.25, 0.25)),
+     KernelSpec(orientation=Z_AXIS, strength=-1.3)),
+], ids=["16x12x10-off-axis-cutoff", "32^3"])
+def test_lattice_table_matches_stacked_mesh_construction(grid, spec):
+    reference = stacked_mesh_lattice_coeffs(grid, spec)
+    got = kernel_table_fourier(grid, spec).coeffs
+    assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+def test_lattice_table_does_not_depend_on_worker_count():
+    grid = GridSpec(dims=(32, 24, 16), spacings=(0.3, 0.5, 0.7))
+    spec = KernelSpec(orientation=(0.0, 0.6, 0.8), strength=0.9, cutoff_radius=0.4)
+    one = kernel_table_fourier(grid, spec, workers=1).coeffs
+    two = kernel_table_fourier(grid, spec, workers=2).coeffs
+    assert np.max(np.abs(two - one)) <= 1e-15 * np.max(np.abs(one))
 
 
 def test_table_shape_mismatch_raises():
