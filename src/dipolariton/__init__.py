@@ -73,14 +73,12 @@ from .gpe import (
     Observables,
     ResponseResult,
     SplitStep,
-    dipolar_potential,
     effective_dipolar_coupling,
     evolve,
     init_state,
     linear_response_experiment,
     observables,
     predicted_mode_frequency,
-    step,
 )
 from .grid import Grid1D, GridSpec
 from .kernel import (

@@ -126,13 +126,6 @@ def _kernel_spec(cfg: SimConfig, command: str) -> KernelSpec:
     )
 
 
-def _mass_choice(args, derived) -> tuple[complex, bool]:
-    """Longitudinal mass to use and whether the complex branch is active."""
-    if args.complex_mass:
-        return derived.m_par, True
-    return complex(derived.m_par.real, 0.0), False
-
-
 def _comments(cfg: SimConfig | None, extra: list[str] = ()) -> list[str]:
     lines = provenance_lines(__version__, cfg.sha256 if cfg else None,
                              cfg.effective if cfg else None)
@@ -233,16 +226,16 @@ def _ray_directions(cfg: SimConfig, command: str) -> np.ndarray:
     return dirs / norms[:, None]
 
 
-def _condensate_params(cfg: SimConfig, args, command: str) -> tuple[CondensateParams, bool]:
+def _condensate_params(cfg: SimConfig, args, command: str) -> CondensateParams:
     derived = derive_eit(cfg.require_medium(command))
-    m_par, complex_mass = _mass_choice(args, derived)
-    params = CondensateParams(
+    if not args.complex_mass:
+        derived = derived.real_mass()
+    return CondensateParams(
         m_perp=derived.m_perp,
-        m_par=m_par,
+        m_par=derived.m_par,
         c_dd=cfg.require("run.c_dd", command),
         orientation=cfg.get("kernel.orientation"),
     )
-    return params, complex_mass
 
 
 def _write_modes(args, name: str, smap: StabilityMap, comments: list[str]) -> None:
@@ -254,10 +247,10 @@ def _write_modes(args, name: str, smap: StabilityMap, comments: list[str]) -> No
 
 
 def _cmd_dispersion(cfg: SimConfig, args) -> int:
-    params, complex_mass = _condensate_params(cfg, args, "dispersion")
+    params = _condensate_params(cfg, args, "dispersion")
     dirs = _ray_directions(cfg, "dispersion")
     mags = cfg.require("run.q_magnitudes", "dispersion")
-    smap = stability_map(params, dirs, mags, complex_mass=complex_mass)
+    smap = stability_map(params, dirs, mags, complex_mass=args.complex_mass)
     _write_modes(args, "dispersion.csv", smap, _comments(cfg))
     print(f"evaluated {smap.nu.size} modes on {len(dirs)} rays; {smap.n_unstable} unstable")
     for d in dirs:
@@ -269,13 +262,13 @@ def _cmd_dispersion(cfg: SimConfig, args) -> int:
 
 
 def _cmd_stability_map(cfg: SimConfig, args) -> int:
-    params, complex_mass = _condensate_params(cfg, args, "stability-map")
+    params = _condensate_params(cfg, args, "stability-map")
     if cfg.get("run.directions") is not None:
         dirs = _ray_directions(cfg, "stability-map")
     else:
         dirs = spherical_directions(cfg.get("run.n_polar"), cfg.get("run.n_azimuth"))
     mags = cfg.require("run.q_magnitudes", "stability-map")
-    smap = stability_map(params, dirs, mags, complex_mass=complex_mass)
+    smap = stability_map(params, dirs, mags, complex_mass=args.complex_mass)
     extra = [
         f"# max_growth_rate {_g(smap.max_growth_rate)}",
         f"# argmax_direction {' '.join(_g(v) for v in smap.argmax_direction)}",
@@ -298,8 +291,9 @@ def _scaled_problem(cfg: SimConfig, args, command: str):
     grid = cfg.require_grid(command)
     spec = _kernel_spec(cfg, command)
     derived = derive_eit(medium)
+    if not args.complex_mass:
+        derived = derived.real_mass()
     scales = UnitScales.from_derived(derived)
-    m_par, _complex = _mass_choice(args, derived)
     ell, tau = scales.length, scales.time
 
     sgrid = GridSpec(dims=grid.dims, spacings=tuple(s / ell for s in grid.spacings))
@@ -313,7 +307,7 @@ def _scaled_problem(cfg: SimConfig, args, command: str):
                                  workers=args.threads)
     params = GpeParams(
         m_perp=1.0,
-        m_par=m_par / derived.m_perp,
+        m_par=derived.m_par / derived.m_perp,
         sin2_theta=math.sin(derived.theta) ** 2,
         table=table,
         hbar=1.0,

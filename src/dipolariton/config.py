@@ -46,56 +46,51 @@ UNIT_TABLE: dict[str, dict[str, float]] = {
 class _Key:
     kind: str  # float | int | word | vec2 | vec3 | ivec3 | floats
     dimension: str = "none"
-    default: Any = None
-    has_default: bool = False
+    default: Any = None  # None: the key has no default
     choices: tuple[str, ...] | None = None
 
 
-def _k(kind, dimension="none", default=None, has_default=False, choices=None):
-    return _Key(kind, dimension, default, has_default, choices)
-
-
 KEY_TABLE: dict[str, _Key] = {
-    "medium.g": _k("float", "frequency"),
-    "medium.n_atoms": _k("float"),
-    "medium.v_t": _k("float", "volume"),
-    "medium.gamma": _k("float", "frequency"),
-    "medium.delta": _k("float", "frequency"),
-    "medium.omega": _k("float", "frequency"),
-    "medium.k": _k("float", "inv_length"),
-    "medium.k_c_perp": _k("vec2", "inv_length", (0.0, 0.0), True),
-    "medium.u_strength": _k("float", "coupling", 0.0, True),
-    "medium.dip_moment_r": _k("float", "none", 1.0, True),
-    "kernel.orientation": _k("vec3", "none", (0.0, 0.0, 1.0), True),
-    "kernel.strength": _k("float", "coupling"),
-    "kernel.cutoff_radius": _k("float", "length", 0.0, True),
-    "kernel.sphere_radius": _k("float", "length"),
-    "kernel.method": _k("word", "none", "lattice", True, ("lattice", "analytic")),
-    "grid.dims": _k("ivec3"),
-    "grid.spacings": _k("vec3", "length"),
-    "run.dt": _k("float", "time"),
-    "run.t_final": _k("float", "time"),
-    "run.duration": _k("float", "time"),
-    "run.observer_stride": _k("int", "none", 10, True),
-    "run.init": _k("word", "none", "gaussian", True,
-                   ("uniform", "gaussian", "perturbed_plane_wave")),
-    "run.n0": _k("float", "density"),
-    "run.gaussian_widths": _k("vec3", "length"),
-    "run.delta_amp": _k("float"),
-    "run.q_perturb": _k("vec3", "inv_length"),
-    "run.margin": _k("float", "none", 10.0, True),
-    "run.pulse_t": _k("float", "time"),
-    "run.pulse_length": _k("float", "length"),
-    "run.delta_rr_avg": _k("float", "frequency", 0.0, True),
-    "run.c_dd": _k("float", "energy"),
-    "run.directions": _k("floats"),
-    "run.q_magnitudes": _k("floats", "inv_length"),
-    "run.n_polar": _k("int", "none", 12, True),
-    "run.n_azimuth": _k("int", "none", 24, True),
-    "run.k_plus": _k("vec3", "inv_length"),
-    "run.k_minus": _k("vec3", "inv_length"),
-    "run.k_c_plus": _k("vec3", "inv_length"),
-    "run.k_c_minus": _k("vec3", "inv_length"),
+    "medium.g": _Key("float", "frequency"),
+    "medium.n_atoms": _Key("float"),
+    "medium.v_t": _Key("float", "volume"),
+    "medium.gamma": _Key("float", "frequency"),
+    "medium.delta": _Key("float", "frequency"),
+    "medium.omega": _Key("float", "frequency"),
+    "medium.k": _Key("float", "inv_length"),
+    "medium.k_c_perp": _Key("vec2", "inv_length", (0.0, 0.0)),
+    "medium.u_strength": _Key("float", "coupling", 0.0),
+    "medium.dip_moment_r": _Key("float", "none", 1.0),
+    "kernel.orientation": _Key("vec3", "none", (0.0, 0.0, 1.0)),
+    "kernel.strength": _Key("float", "coupling"),
+    "kernel.cutoff_radius": _Key("float", "length", 0.0),
+    "kernel.sphere_radius": _Key("float", "length"),
+    "kernel.method": _Key("word", "none", "lattice", ("lattice", "analytic")),
+    "grid.dims": _Key("ivec3"),
+    "grid.spacings": _Key("vec3", "length"),
+    "run.dt": _Key("float", "time"),
+    "run.t_final": _Key("float", "time"),
+    "run.duration": _Key("float", "time"),
+    "run.observer_stride": _Key("int", "none", 10),
+    "run.init": _Key("word", "none", "gaussian",
+                     ("uniform", "gaussian", "perturbed_plane_wave")),
+    "run.n0": _Key("float", "density"),
+    "run.gaussian_widths": _Key("vec3", "length"),
+    "run.delta_amp": _Key("float"),
+    "run.q_perturb": _Key("vec3", "inv_length"),
+    "run.margin": _Key("float", "none", 10.0),
+    "run.pulse_t": _Key("float", "time"),
+    "run.pulse_length": _Key("float", "length"),
+    "run.delta_rr_avg": _Key("float", "frequency", 0.0),
+    "run.c_dd": _Key("float", "energy"),
+    "run.directions": _Key("floats"),
+    "run.q_magnitudes": _Key("floats", "inv_length"),
+    "run.n_polar": _Key("int", "none", 12),
+    "run.n_azimuth": _Key("int", "none", 24),
+    "run.k_plus": _Key("vec3", "inv_length"),
+    "run.k_minus": _Key("vec3", "inv_length"),
+    "run.k_c_plus": _Key("vec3", "inv_length"),
+    "run.k_c_minus": _Key("vec3", "inv_length"),
 }
 
 # keys without a default that SimConfig.medium and SimConfig.grid are built from
@@ -234,7 +229,7 @@ def parse_config(text: str) -> SimConfig:
         values[key] = _convert(key, KEY_TABLE[key], tokens, line_no)
 
     for key, info in KEY_TABLE.items():
-        if info.has_default and key not in values:
+        if info.default is not None and key not in values:
             values[key] = info.default
 
     medium = None

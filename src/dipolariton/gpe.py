@@ -26,15 +26,16 @@ phase factor, so n steps cost n + 1 density convolutions instead of 2n. The
 convolution is the real-to-complex one of kernel.convolve_density, and the
 phase factor is built from cos/sin of a real array. evolve and linear_response_experiment
 share its stepping loop (SplitStep.run), which names the step and time at
-which a guard trips or the field turns non-finite. Every entry point takes
-`workers`, the FFT worker count (default 1); the module keeps no FFT state.
+which a guard trips or the field turns non-finite. The module keeps no FFT
+state.
 
-The propagator is also the one owner of the density convolution during a
-run: with each convolution it keeps sum(rho (eps conv rho)), and
+SplitStep is the only code here that convolves the density: with each
+convolution it keeps sum(rho (eps conv rho)), and
 observables(state, workers, propagator) takes the dipolar energy from
-there instead of convolving again. evolve hands it the propagator, so the
-observation at t = 0 makes the convolution step 1 opens with, and n steps
-with any number of observations cost n + 1 convolutions. observables reduces
+there. evolve hands it its propagator, so the observation at t = 0 makes
+the convolution step 1 opens with, and n steps with any number of
+observations cost n + 1 convolutions. Called without a propagator,
+observables builds a throwaway SplitStep of the state's params. It reduces
 |phi|^2 and the spectral weight to per-axis marginals, from which the
 kinetic energies, centre of mass and variances follow without full-grid
 coordinate or wavenumber meshes.
@@ -55,7 +56,7 @@ converged at the probe wavevector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -81,8 +82,6 @@ __all__ = [
     "ResponseResult",
     "SplitStep",
     "init_state",
-    "dipolar_potential",
-    "step",
     "evolve",
     "observables",
     "effective_dipolar_coupling",
@@ -129,9 +128,6 @@ class GpeParams:
     @property
     def grid(self) -> GridSpec:
         return self.table.grid
-
-    def real_mass(self) -> "GpeParams":
-        return replace(self, m_par=complex(self.m_par.real, 0.0))
 
 
 @dataclass(frozen=True)
@@ -232,13 +228,6 @@ def init_state(
         phi = math.sqrt(n0) * (1.0 + delta * np.cos(phase)).astype(complex)
         return CondensateState(phi, t, params)
     raise ParameterDomainError(f"unknown state kind '{kind}'")
-
-
-def dipolar_potential(state: CondensateState, workers: int = 1) -> np.ndarray:
-    """Mean-field dipolar potential hbar sin^2(theta) (eps conv |phi|^2)."""
-    p = state.params
-    rho = np.abs(state.phi) ** 2
-    return p.hbar * p.sin2_theta * convolve_density(p.table, rho, workers=workers)
 
 
 def _kinetic_factors(params: GpeParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -385,11 +374,6 @@ class SplitStep:
         return state
 
 
-def step(state: CondensateState, dt: float, workers: int = 1) -> CondensateState:
-    """One Strang step of a fresh SplitStep; see SplitStep for the details."""
-    return SplitStep(state.params, dt, workers).step(state)
-
-
 @dataclass(frozen=True)
 class Observables:
     """Diagnostics of one state; energies split by origin."""
@@ -413,20 +397,23 @@ def observables(
     The dipolar energy is hbar sin^2(theta) / 2 * sum(rho (eps conv rho)) dV.
     Given a propagator built from state.params, the sum comes from it (the
     convolution of the field it stepped or observed last is kept, else it
-    makes the one its next step of this field opens with); without one, rho
-    is convolved here. The kinetic energies reduce the spectral weight
-    |fftn(phi)|^2, and the centre of mass and variances reduce |phi|^2, to
-    per-axis marginals. workers is the FFT worker count.
+    makes the one its next step of this field opens with); without one, a
+    throwaway SplitStep of state.params makes it. The kinetic energies
+    reduce the spectral weight |fftn(phi)|^2, and the centre of mass and
+    variances reduce |phi|^2, to per-axis marginals. workers is the FFT
+    worker count.
     """
     p = state.params
     grid = p.grid
     dv = grid.cell_volume
     phi = state.phi
-    rho = np.abs(phi) ** 2
     if propagator is None:
-        conv_sum = float(np.einsum("ijk,ijk->", rho, convolve_density(p.table, rho, workers)))
+        # the sum does not depend on dt, so any step size serves; the
+        # throwaway is bound to no name, so its convolution is freed here
+        conv_sum = SplitStep(p, 1.0, workers).convolution_sum(state)
     else:
         conv_sum = propagator.convolution_sum(state)
+    rho = np.abs(phi) ** 2
     e_dip = 0.5 * p.hbar * p.sin2_theta * conv_sum * dv
     peak = float(rho.max())
     rho_xy = rho.sum(axis=2)

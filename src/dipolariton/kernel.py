@@ -242,7 +242,10 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1) -> 
             f"density shape {rho.shape} does not match table grid {table.grid.shape}"
         )
     spectrum = scipy.fft.rfftn(rho, workers=workers)
-    spectrum *= table.coeffs[..., : rho.shape[-1] // 2 + 1]
+    # a non-finite density gives inf * 0 at the table's zeros; the NaNs that
+    # follow are the caller's to report, not numpy's to warn about
+    with np.errstate(invalid="ignore"):
+        spectrum *= table.coeffs[..., : rho.shape[-1] // 2 + 1]
     return scipy.fft.irfftn(spectrum, s=rho.shape, workers=workers)
 
 

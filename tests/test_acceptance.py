@@ -20,6 +20,7 @@ from dipolariton import (
     KernelSpec,
     LinearRunConfig,
     MediumParams,
+    SplitStep,
     convolve_density,
     derive_eit,
     diffusion_coefficient,
@@ -30,7 +31,6 @@ from dipolariton import (
     kernel_table_fourier,
     linear_response_experiment,
     simulate_linear_1d,
-    step,
 )
 from dipolariton.bogoliubov import CondensateParams, dispersion, stability_map
 from conftest import lattice_q, make_params
@@ -207,10 +207,8 @@ def test_criterion_8_strang_local_error_order():
     dts = [0.3, 0.15, 0.075, 0.0375, 0.01875]
     errs = []
     for dt in dts:
-        one = step(st, dt)
-        ref = st
-        for _ in range(64):
-            ref = step(ref, dt / 64.0)
+        one = SplitStep(p, dt).step(st)
+        ref = SplitStep(p, dt / 64.0).run(st, 64)
         errs.append(float(np.sqrt(np.sum(np.abs(one.phi - ref.phi) ** 2)
                                   / np.sum(np.abs(ref.phi) ** 2))))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])

@@ -81,6 +81,30 @@ def test_parse_full_config():
     assert cfg.sha256 == hashlib.sha256(FULL.encode()).hexdigest()
 
 
+def test_empty_config_holds_exactly_the_defaults():
+    cfg = parse_config("")
+    assert cfg.values == {
+        "medium.k_c_perp": (0.0, 0.0),
+        "medium.u_strength": 0.0,
+        "medium.dip_moment_r": 1.0,
+        "kernel.orientation": (0.0, 0.0, 1.0),
+        "kernel.cutoff_radius": 0.0,
+        "kernel.method": "lattice",
+        "run.observer_stride": 10,
+        "run.init": "gaussian",
+        "run.margin": 10.0,
+        "run.delta_rr_avg": 0.0,
+        "run.n_polar": 12,
+        "run.n_azimuth": 24,
+    }
+    assert cfg.effective == {
+        "kernel.cutoff_radius": "0", "kernel.method": "lattice", "kernel.orientation": "0 0 1",
+        "medium.dip_moment_r": "1", "medium.k_c_perp": "0 0", "medium.u_strength": "0",
+        "run.delta_rr_avg": "0", "run.init": "gaussian", "run.margin": "10",
+        "run.n_azimuth": "24", "run.n_polar": "12", "run.observer_stride": "10",
+    }
+
+
 def test_effective_echo_round_trips():
     cfg = parse_config(FULL)
     assert list(cfg.effective) == sorted(cfg.effective)
