@@ -57,6 +57,7 @@ from .fields import (
     simulate_linear_1d,
 )
 from .fileio import (
+    _g,
     provenance_lines,
     write_field,
     write_kernel_table,
@@ -133,10 +134,6 @@ def _comments(cfg: SimConfig | None, extra: list[str] = ()) -> list[str]:
     return lines
 
 
-def _g(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _out_path(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -181,9 +178,7 @@ def _cmd_kernel(cfg: SimConfig, args) -> int:
     table = kernel_table_fourier(grid, spec, method=cfg.get("kernel.method"),
                                  workers=args.threads)
 
-    dxs, dys, dzs = grid.displacements()
-    xm, ym, zm = np.meshgrid(dxs, dys, dzs, indexing="ij")
-    rvec = np.stack((xm, ym, zm), axis=-1)
+    rvec = np.stack(np.meshgrid(*grid.displacements(), indexing="ij"), axis=-1)
     rn = np.linalg.norm(rvec, axis=-1)
     vals = np.zeros(grid.shape)
     mask = rn > 0
@@ -346,15 +341,13 @@ def _cmd_evolve(cfg: SimConfig, args) -> int:
                     observer_stride=cfg.get("run.observer_stride"), workers=args.threads)
 
     tau, energy, dens, ell = scales.time, scales.energy, scales.density, scales.length
-    rows = []
-    for o in result.observables:
-        rows.append((
-            o.t * tau, o.norm, o.energy_total * energy,
-            o.kinetic_perp * energy, o.kinetic_z * energy, o.dipolar * energy,
-            o.peak_density * dens,
-            o.center_of_mass[0] * ell, o.center_of_mass[1] * ell, o.center_of_mass[2] * ell,
-            o.variance[0] * ell**2, o.variance[1] * ell**2, o.variance[2] * ell**2,
-        ))
+    rows = [(
+        o.t * tau, o.norm, o.energy_total * energy,
+        o.kinetic_perp * energy, o.kinetic_z * energy, o.dipolar * energy,
+        o.peak_density * dens,
+        o.center_of_mass[0] * ell, o.center_of_mass[1] * ell, o.center_of_mass[2] * ell,
+        o.variance[0] * ell**2, o.variance[1] * ell**2, o.variance[2] * ell**2,
+    ) for o in result.observables]
     write_table(
         _out_path(args, "observables.csv"),
         ("t", "norm", "energy_total", "kinetic_perp", "kinetic_z", "dipolar",

@@ -18,7 +18,8 @@ of the diffusion coefficient encodes the EIT absorption of the stationary
 component).
 
 Fields are plain complex arrays paired with a Grid1D or GridSpec; on 3D grids
-the z axis is the last one.
+the z axis is the last one. The spectral helpers and simulate_linear_1d
+import scipy.fft when called, so commands that never transform skip its import.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .eit import C_LIGHT, DerivedQuantities, MediumParams
 from .errors import (
@@ -127,18 +127,21 @@ def _z_wavenumbers(grid) -> np.ndarray:
 
 
 def _dz_spectral(arr: np.ndarray, grid) -> np.ndarray:
+    import scipy.fft
     qz = _z_wavenumbers(grid)
     spec = scipy.fft.fft(arr, axis=-1)
     return scipy.fft.ifft(1j * qz * spec, axis=-1)
 
 
 def _d2z_spectral(arr: np.ndarray, grid) -> np.ndarray:
+    import scipy.fft
     qz = _z_wavenumbers(grid)
     spec = scipy.fft.fft(arr, axis=-1)
     return scipy.fft.ifft(-(qz**2) * spec, axis=-1)
 
 
 def _perp_laplacian(arr: np.ndarray, grid) -> np.ndarray:
+    import scipy.fft
     if isinstance(grid, Grid1D):
         return np.zeros_like(np.asarray(arr, dtype=complex))
     qx, qy, _ = grid.wavenumber_mesh()
@@ -148,6 +151,7 @@ def _perp_laplacian(arr: np.ndarray, grid) -> np.ndarray:
 
 def _warn_if_nyquist_heavy(arr: np.ndarray, grid, threshold: float = 1e-6):
     # derivative-weighted spectral energy concentrated at the Nyquist bin
+    import scipy.fft
     qz = np.ravel(_z_wavenumbers(grid))
     spec = scipy.fft.fft(np.asarray(arr), axis=-1)
     energy = np.abs(qz * spec) ** 2
@@ -330,6 +334,7 @@ def simulate_linear_1d(cfg: LinearRunConfig) -> LinearRunResult:
     variance s0^2 the analytic law is s^2(t) = s0^2 + 2 Re(D) t at zero
     detuning.
     """
+    import scipy.fft
     grid, d = cfg.grid, complex(cfg.diffusion)
     psi = np.asarray(cfg.initial, dtype=complex).copy()
     z = grid.z()

@@ -74,23 +74,36 @@ def write_text(path: str, lines: Iterable[str]) -> None:
     _atomic_write(path, body.encode())
 
 
+def _cell_format(cell) -> str:
+    if isinstance(cell, str):
+        return "%s"
+    return "%.17g,%.17g" if isinstance(cell, complex) or np.iscomplexobj(cell) else "%.17g"
+
+
 def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence[float]],
                 comments: Sequence[str] = ()) -> None:
-    """CSV table: comment block, one header row, %.17g data rows."""
-    lines = list(comments)
-    lines.append(",".join(header))
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, complex) or np.iscomplexobj(cell):
-                c = complex(cell)
-                cells.append(_g(c.real))
-                cells.append(_g(c.imag))
-            else:
-                cells.append(_g(float(cell)))
-        lines.append(",".join(cells))
+    """CSV table: comment block, one header row, %.17g data rows.
+
+    Cells are strings, reals or complexes (two cells). The first row's cell kinds
+    give one format string for all rows, and other kinds raise ConfigError.
+    """
+    lines = [*comments, ",".join(header)]
+    kinds, known = None, set()  # known: cell type tuples with the first row's kinds
+    # an array is read a row at a time: a whole .tolist() would hold every cell at once
+    for row in map(tuple, map(np.ndarray.tolist, rows) if isinstance(rows, np.ndarray) else rows):
+        types = tuple(map(type, row))
+        if types not in known:
+            if kinds is None:
+                kinds = tuple(map(_cell_format, row))
+                fmt, split = ",".join(kinds), "%.17g,%.17g" in kinds
+            elif tuple(map(_cell_format, row)) != kinds:
+                raise ConfigError(f"table row {len(lines) - len(comments)}: cell kinds differ from row 1")
+            if np.ndarray not in types:  # an array cell's kind is its dtype's
+                known.add(types)
+        if split:
+            row = tuple(x for kind, cell in zip(kinds, row) for x in
+                        ((complex(cell).real, complex(cell).imag) if kind == "%.17g,%.17g" else (cell,)))
+        lines.append(fmt % row)
     write_text(path, lines)
 
 

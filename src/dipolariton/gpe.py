@@ -27,7 +27,8 @@ convolution is the real-to-complex one of kernel.convolve_density, and the
 phase factor is built from cos/sin of a real array. evolve and linear_response_experiment
 share its stepping loop (SplitStep.run), which names the step and time at
 which a guard trips or the field turns non-finite. The module keeps no FFT
-state.
+state; SplitStep.step and observables import scipy.fft when called, so a
+command that never steps does not pay for importing it.
 
 SplitStep is the only code here that convolves the density: with each
 convolution it keeps sum(rho (eps conv rho)), and
@@ -59,7 +60,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import bogoliubov
 from .eit import HBAR
@@ -325,6 +325,7 @@ class SplitStep:
 
     def step(self, state: CondensateState) -> CondensateState:
         """One Strang step: half potential, exact kinetic in Fourier, half potential."""
+        import scipy.fft
         self._check_params(state)
         if state.phi is not self._field:
             self._convolve(state.phi)
@@ -403,6 +404,7 @@ def observables(
     variances reduce |phi|^2, to per-axis marginals. workers is the FFT
     worker count.
     """
+    import scipy.fft
     p = state.params
     grid = p.grid
     dv = grid.cell_volume

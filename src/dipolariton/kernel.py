@@ -30,6 +30,9 @@ Two table constructions are provided:
 
 Both tables pin the q = 0 coefficient to zero: the angular average of the
 kernel vanishes, and a uniform condensate must be exactly stationary.
+
+Only the two functions that transform, the lattice table build and
+convolve_density, import scipy.fft (it costs more than the package to import).
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import GridMismatchError, ParameterDomainError
 from .grid import GridSpec
@@ -185,6 +187,7 @@ def kernel_table_fourier(
     """
     r_c = _resolve_sphere_radius(grid, spec)
     if method == "lattice":
+        import scipy.fft
         # |r| and r . axis from open per-axis meshes: one full-grid array each
         x, y, z = np.meshgrid(*grid.displacements(), indexing="ij", sparse=True)
         rn = np.sqrt(x**2 + y**2 + z**2)
@@ -236,6 +239,7 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1) -> 
     coeffs[..., :nz//2+1] (a view, no copy) equals the full complex route
     real(ifftn(fftn(rho) * coeffs)) at about half the cost.
     """
+    import scipy.fft
     rho = np.asarray(rho)
     if rho.shape != table.grid.shape:
         raise GridMismatchError(
@@ -263,25 +267,18 @@ def direct_convolution_reference(
     if rho.shape != grid.shape:
         raise GridMismatchError(f"density shape {rho.shape} does not match grid {grid.shape}")
     r_c = sphere_radius if sphere_radius is not None else _resolve_sphere_radius(grid, spec)
-    cutoff = spec.cutoff_radius
-    dx, dy, dz = grid.displacements()
+    d = np.stack(np.meshgrid(*grid.displacements(), indexing="ij"), axis=-1).reshape(-1, 3)
+    rn = np.linalg.norm(d, axis=-1)
+    inside = (rn > 0.0) & (rn <= r_c) & (rn >= spec.cutoff_radius)
+    weights = kernel_value(d[inside], KernelSpec(spec.orientation, spec.strength, 0.0))
+    shifts = np.argwhere(inside.reshape(grid.shape))
     out = np.zeros(grid.shape)
-    nx, ny, nz = grid.dims
     weight_sum = 0.0
-    for i in range(nx):
-        for j in range(ny):
-            for l in range(nz):
-                d = np.array([dx[i], dy[j], dz[l]])
-                rn = float(np.linalg.norm(d))
-                if rn == 0.0 or rn > r_c:
-                    continue
-                if cutoff > 0 and rn < cutoff:
-                    continue
-                w = float(kernel_value(d, KernelSpec(spec.orientation, spec.strength, 0.0)))
-                if w == 0.0:
-                    continue
-                weight_sum += w
-                out += w * np.roll(rho, shift=(i, j, l), axis=(0, 1, 2))
+    for shift, w in zip(shifts.tolist(), weights.tolist()):
+        if w == 0.0:
+            continue
+        weight_sum += w
+        out += w * np.roll(rho, shift=shift, axis=(0, 1, 2))
     # the uniform response is zero by convention (the continuum angular
     # average vanishes); subtract the lattice sum's DC artifact, which is
     # zero anyway on cubic lattices by symmetry

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end (in process)."""
 
+import json
 import math
 import os
 import subprocess
@@ -575,17 +576,37 @@ def test_exit_code_follows_the_error_hierarchy(tmp_path, capsys, monkeypatch, cl
     assert err == ("numerical failure: boom\n" if numerical else "error: boom\n")
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only the response fit needs scipy.optimize; every other command skips its import cost
+_LOADED_AFTER_EACH_STAGE = """
+import json, sys
+loaded = lambda: [m for m in ("scipy.fft", "scipy.optimize") if m in sys.modules]
+import dipolariton
+report = {"import": loaded()}
+from dipolariton.cli import main
+configs, out = sys.argv[1], sys.argv[2]
+for command, cfg in (("derive", "derive"), ("validate", "validate"),
+                     ("dispersion", "dispersion"), ("stability-map", "stability"),
+                     ("kernel", "kernel")):
+    assert main([command, "--config", f"{configs}/{cfg}.cfg", "--out", out]) == 0
+    report[command] = loaded()
+print(json.dumps(report))
+"""
+
+
+def test_commands_load_scipy_fft_and_optimize_only_where_used(tmp_path):
+    # one fresh process, so nothing else has imported scipy: the package and the
+    # commands that never transform leave scipy.fft unloaded, and every command
+    # but respond leaves scipy.optimize so; kernel, run last, must load scipy.fft
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, dipolariton.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", _LOADED_AFTER_EACH_STAGE, str(CONFIGS), str(tmp_path)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": [], "derive": [], "validate": [], "dispersion": [],
+        "stability-map": [], "kernel": ["scipy.fft"],
+    }
 
 
 def test_argparse_rejections():

@@ -201,6 +201,81 @@ def test_seventeen_digit_floats_are_lossless(tmp_path):
     assert [float(s) for s in lines[1:]] == values
 
 
+def _per_cell_table(header, rows, comments=()):
+    """The byte reference: each cell formatted on its own, kind by kind."""
+    lines = list(comments)
+    lines.append(",".join(header))
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, str):
+                cells.append(cell)
+            elif isinstance(cell, complex) or np.iscomplexobj(cell):
+                c = complex(cell)
+                cells.append(f"{c.real:.17g}")
+                cells.append(f"{c.imag:.17g}")
+            else:
+                cells.append(f"{float(cell):.17g}")
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1.5e-310,
+           2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1.0 / 3.0, 1e16, 12.0]
+# the same cases in single precision, where 1e-45 is subnormal
+SPECIAL32 = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-45, 1e-40,
+             1.1754943508222875e-38, 3.4028234663852886e38, 0.1, -1.0 / 3.0, 1e16, 12.0]
+
+
+def _mixed_rows():
+    rows = []
+    for i, x in enumerate(SPECIAL):
+        y = SPECIAL[-1 - i]
+        rows.append((
+            f"row{i}", x, complex(x, y), np.float64(y), np.float32(SPECIAL32[i]),
+            [3, -7, 2**60 + 1][i % 3],  # ints, in a column that also holds a float
+            bool(i % 2), np.int64(-i), np.bool_(i % 2 == 0),
+            np.complex64(complex(SPECIAL32[-1 - i], SPECIAL32[i])), np.complex128(complex(x, -y)),
+            np.array(y), np.array(complex(y, x)),
+        ))
+    rows[1] = rows[1][:5] + (2.5,) + rows[1][6:]
+    return rows
+
+
+@pytest.mark.parametrize("rows", [
+    _mixed_rows(),
+    np.array(SPECIAL).reshape(-1, 1) * np.array([1.0, -1.0, 1e-300, 0.5]),
+    np.array([complex(a, b) for a, b in zip(SPECIAL[:12], SPECIAL[1:])]).reshape(4, 3),
+    np.arange(-6, 6).reshape(4, 3),
+    np.array([[True, False], [False, True]]),
+    np.array(SPECIAL32, dtype=np.float32).reshape(-1, 1),
+    [],
+], ids=["mixed-cells", "float-array", "complex-array", "int-array", "bool-array",
+        "float32-array", "no-rows"])
+def test_write_table_bytes_match_the_per_cell_formatter(tmp_path, rows):
+    header = [f"c{i}" for i in range(3)]
+    comments = ["# provenance", "# param a = 1"]
+    path = tmp_path / "t.csv"
+    write_table(str(path), header, rows, comments=comments)
+    assert path.read_bytes() == _per_cell_table(header, rows, comments)
+
+
+@pytest.mark.parametrize("rows", [
+    [(1.0, "a"), ("b", 2.0)],
+    [("a",), (1.0,)],
+    [(1.0,), (1.0 + 2j,)],
+    [(1.0 + 2j,), (1.0,)],
+    [(1.0,), (np.complex128(1.0),)],
+    [(np.array(1.0),), (np.array(1j),)],
+    [(1.0, 2.0), (1.0,)],
+])
+def test_write_table_refuses_a_row_of_other_cell_kinds(tmp_path, rows):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ConfigError, match="row 2"):
+        write_table(str(path), ["a", "b"], rows)
+    assert not path.exists()
+
+
 def test_write_text_uses_lf(tmp_path):
     path = str(tmp_path / "lines.txt")
     write_text(path, ["alpha", "beta"])

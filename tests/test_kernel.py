@@ -194,6 +194,42 @@ def test_lattice_table_matches_direct_summation_with_cutoff():
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
+def _per_displacement_direct_sum(grid, spec, rho):
+    """The reference's sum with one kernel_value call per displacement."""
+    r_c = 0.5 * min(grid.box_lengths)
+    dx, dy, dz = grid.displacements()
+    out = np.zeros(grid.shape)
+    weight_sum = 0.0
+    for i, j, l in np.ndindex(grid.shape):
+        d = np.array([dx[i], dy[j], dz[l]])
+        rn = float(np.linalg.norm(d))
+        if rn == 0.0 or rn > r_c or rn < spec.cutoff_radius:
+            continue
+        w = float(kernel_value(d, KernelSpec(spec.orientation, spec.strength)))
+        if w != 0.0:
+            weight_sum += w
+            out += w * np.roll(rho, shift=(i, j, l), axis=(0, 1, 2))
+    out -= weight_sum * float(np.mean(rho))
+    return out * grid.cell_volume
+
+
+@pytest.mark.parametrize("orientation, cutoff", [(Z_AXIS, 0.0), (Z_AXIS, 0.9),
+                                                 ((1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0), 0.0)])
+def test_direct_reference_matches_per_displacement_sum(orientation, cutoff):
+    # the weights come from one batched kernel_value call; on the z axis the
+    # arithmetic is the per-displacement one, off axis the batched r . axis
+    # may round differently in the last bits of each weight
+    grid = GridSpec(dims=(8, 8, 10), spacings=(0.5, 0.7, 0.4))
+    spec = KernelSpec(orientation=orientation, strength=0.8, cutoff_radius=cutoff)
+    rho = np.random.default_rng(7).random(grid.shape)
+    batched = direct_convolution_reference(grid, spec, rho)
+    looped = _per_displacement_direct_sum(grid, spec, rho)
+    if orientation == Z_AXIS:
+        assert np.array_equal(batched, looped)
+    else:
+        assert np.max(np.abs(batched - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+
 @pytest.mark.parametrize("method", ["lattice", "analytic"])
 def test_table_zero_mode_is_pinned(method):
     grid = GridSpec(dims=(8, 8, 8), spacings=(0.5, 0.5, 0.5))
