@@ -12,6 +12,7 @@ complex128; kernel coefficient tables the same with float64.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from typing import Iterable, Sequence
@@ -107,8 +108,29 @@ def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence[float]
     write_text(path, lines)
 
 
-def _header_floats(parts: list[str], start: int, count: int) -> tuple[float, ...]:
-    return tuple(float(p) for p in parts[start:start + count])
+def _read_binary(path: str, magic: str, what: str, dtype: str,
+                 fields: Sequence[str] = ()) -> tuple[list[str], GridSpec, np.ndarray]:
+    """Header words (magic first), grid and payload array of a binary file.
+
+    The header is the magic, nx ny nz dx dy dz and then fields. A wrong magic,
+    a missing header field or a payload that is not exactly the grid's size
+    raises ConfigError naming the path.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().decode()
+        payload = fh.read()
+    parts = header.split()
+    if not parts or parts[0] != magic:
+        raise ConfigError(f"{path}: not a {what} file (missing '{magic}' header)")
+    fields = ("nx", "ny", "nz", "dx", "dy", "dz", *fields)
+    if len(parts) <= len(fields):
+        raise ConfigError(f"{path}: {what} header lacks {', '.join(fields[len(parts) - 1:])}")
+    grid = GridSpec(dims=tuple(map(int, parts[1:4])), spacings=tuple(map(float, parts[4:7])))
+    expected = math.prod(grid.dims) * np.dtype(dtype).itemsize
+    if len(payload) != expected:
+        raise ConfigError(f"{path}: payload is {len(payload)} bytes, expected {expected} "
+                          f"for a {'x'.join(map(str, grid.dims))} grid of '{dtype}'")
+    return parts, grid, np.frombuffer(payload, dtype=dtype).reshape(grid.shape).copy()
 
 
 def write_field(path: str, field: np.ndarray, grid: GridSpec, t: float = 0.0) -> None:
@@ -128,19 +150,8 @@ def write_field(path: str, field: np.ndarray, grid: GridSpec, t: float = 0.0) ->
 
 
 def read_field(path: str) -> tuple[np.ndarray, GridSpec, float]:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode()
-        payload = fh.read()
-    parts = header.split()
-    if not parts or parts[0] != _FIELD_MAGIC:
-        raise ConfigError(f"{path}: not a field file (missing '{_FIELD_MAGIC}' header)")
-    dims = tuple(int(p) for p in parts[1:4])
-    spacings = _header_floats(parts, 4, 3)
-    t = float(parts[7]) if len(parts) > 7 else 0.0
-    grid = GridSpec(dims=dims, spacings=spacings)
-    n = dims[0] * dims[1] * dims[2]
-    arr = np.frombuffer(payload, dtype="<c16", count=n).reshape(dims).copy()
-    return arr, grid, t
+    parts, grid, field = _read_binary(path, _FIELD_MAGIC, "field", "<c16")
+    return field, grid, float(parts[7]) if len(parts) > 7 else 0.0
 
 
 def write_kernel_table(path: str, table: FourierTable) -> None:
@@ -159,21 +170,10 @@ def write_kernel_table(path: str, table: FourierTable) -> None:
 
 
 def read_kernel_table(path: str) -> FourierTable:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode()
-        payload = fh.read()
-    parts = header.split()
-    if not parts or parts[0] != _KERNEL_MAGIC:
-        raise ConfigError(f"{path}: not a kernel table file (missing '{_KERNEL_MAGIC}' header)")
-    dims = tuple(int(p) for p in parts[1:4])
-    spacings = _header_floats(parts, 4, 3)
-    orientation = _header_floats(parts, 7, 3)
-    strength, cutoff, sphere = _header_floats(parts, 10, 3)
-    method = parts[13]
-    grid = GridSpec(dims=dims, spacings=spacings)
-    spec = KernelSpec(orientation=orientation, strength=strength,
+    parts, grid, coeffs = _read_binary(
+        path, _KERNEL_MAGIC, "kernel table", "<f8",
+        ("ox", "oy", "oz", "strength", "cutoff_radius", "sphere_radius", "method"))
+    strength, cutoff, sphere = map(float, parts[10:13])
+    spec = KernelSpec(orientation=tuple(map(float, parts[7:10])), strength=strength,
                       cutoff_radius=cutoff, sphere_radius=sphere)
-    n = dims[0] * dims[1] * dims[2]
-    coeffs = np.frombuffer(payload, dtype="<f8", count=n).reshape(dims).copy()
-    return FourierTable(grid=grid, spec=spec, coeffs=coeffs,
-                        method=method, sphere_radius=sphere)
+    return FourierTable(grid=grid, spec=spec, coeffs=coeffs, method=parts[13], sphere_radius=sphere)

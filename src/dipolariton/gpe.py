@@ -45,13 +45,15 @@ An accuracy guard rejects steps whose maximal potential phase per half step
 exceeds max_potential_phase (default pi/4).
 
 linear_response_experiment seeds a weak density wave on the uniform state,
-tracks its Fourier amplitude and fits either an oscillation (stable mode) or
-exponential growth (unstable mode). The prediction it is compared against
-calibrates the dipolar coupling from the same Fourier table the stepping
-uses, closing the loop with the bogoliubov module. When physical (infinite
-box) numbers are wanted instead, the box edge should exceed roughly four
-times the longest instability wavelength probed, so the truncated kernel has
-converged at the probe wavevector.
+tracks its Fourier amplitude and reads nu off it in closed form (Prony's
+method): the stepped linear mode obeys s[n+1] + s[n-1] = 2 c s[n], with
+c = cos(nu dt) for an oscillation and cosh(g dt) for growth, so one linear
+fit serves both laws without a model, initial guess or iteration. The
+prediction it is compared against calibrates the dipolar coupling from the
+same Fourier table the stepping uses, closing the loop with the bogoliubov
+module. When physical (infinite box) numbers are wanted instead, the box
+edge should exceed roughly four times the longest instability wavelength
+probed, so the truncated kernel has converged at the probe wavevector.
 """
 
 from __future__ import annotations
@@ -573,6 +575,37 @@ def _density_mode_amplitude(phi: np.ndarray, waves: tuple[np.ndarray, ...], dv: 
     return complex((rho @ ez) @ ey @ ex * dv)
 
 
+def _fit_mode(times: np.ndarray, signal: np.ndarray) -> tuple[complex, float]:
+    """nu and relative rms residual of a sampled linear mode (Prony's method).
+
+    c, the least-squares coefficient of s[n+1] + s[n-1] = 2 c s[n], is
+    cos(nu dt) for an oscillation and cosh(g dt) for growth (nu = i g). The
+    amplitudes are a linear fit on cos and sin of nu t, or on exp(-g t) and
+    exp(g (t - t_end)), which span cosh and sinh of g t without overflow.
+    A c that is not finite or is below -1 raises FitFailureError.
+    """
+    dt = float(times[1] - times[0])
+    mid = signal[1:-1]
+    norm = 2.0 * float(mid @ mid)
+    c = float(mid @ (signal[2:] + signal[:-2])) / norm if norm > 0 else math.nan
+    if not -1.0 <= c < math.inf:
+        raise FitFailureError(f"mode signal follows no oscillation or growth law (c = {c:.6g})")
+    if c <= 1.0:
+        rate = math.acos(c) / dt
+        nu, basis = complex(rate, 0.0), (np.cos(rate * times), np.sin(rate * times))
+    else:
+        rate = math.acosh(c) / dt
+        nu, basis = complex(0.0, rate), (np.exp(-rate * times), np.exp(rate * (times - times[-1])))
+    design = np.column_stack(basis)
+    fit = design @ np.linalg.lstsq(design, signal, rcond=None)[0]
+    # c is finite, so the signal is not all zero
+    return nu, float(np.linalg.norm(signal - fit) / np.linalg.norm(signal))
+
+
+# time steps per oscillation period (or per 1/g of growth) when dt is not given
+_POINTS_PER_CYCLE = 48
+
+
 def linear_response_experiment(
     params: GpeParams,
     q,
@@ -581,16 +614,17 @@ def linear_response_experiment(
     *,
     n0: float = 1.0,
     dt: float | None = None,
-    points_per_cycle: int = 48,
     workers: int = 1,
 ) -> ResponseResult:
     """Measure a Bogoliubov mode by evolving a weakly perturbed uniform state.
 
     Seeds phi = sqrt(n0) (1 + delta cos(q.r)), tracks the density Fourier
-    amplitude at +q, and fits A cos(nu t) for a stable mode or A cosh(g t)
-    for a growing one (the seeded perturbation has zero initial current, so
-    both laws are exact in the linear regime). Raises FitFailureError when
-    the fit residual exceeds 10% of the signal. Neither law models damping,
+    amplitude at +q and reads nu off the real part of that amplitude in
+    closed form: in the linear regime it is a sum of two exponentials, so
+    it obeys s[n+1] + s[n-1] = 2 c s[n], and c = cos(nu dt) gives a stable
+    mode's frequency while c = cosh(g dt) gives a growing mode's rate
+    nu = i g (see _fit_mode). Raises FitFailureError when the residual of
+    that law exceeds 10% of the signal. The recurrence models no damping,
     so a complex m_par is refused with ParameterDomainError before stepping.
     The returned prediction uses the table-calibrated coupling at the same
     q. The mode amplitude is read by an O(N) projection on the plane wave at
@@ -611,7 +645,7 @@ def linear_response_experiment(
         duration = (2.0 * math.pi * 4.0 / scale) if nu_pred.imag == 0 else (3.5 / scale)
     if dt is None:
         cycle = 2.0 * math.pi / scale if nu_pred.imag == 0 else 1.0 / scale
-        dt = cycle / points_per_cycle
+        dt = cycle / _POINTS_PER_CYCLE
         # keep the largest single-step kinetic phase a factor 2 below the
         # pi resonance of the splitting; at resonance the Nyquist-scale
         # modes pump up from round-off and bury the tracked mode
@@ -634,46 +668,9 @@ def linear_response_experiment(
         amps[i] = _density_mode_amplitude(current.phi, waves, dv)
 
     prop.run(state, n_steps, record)
-    a0 = abs(amps[0])
-    if a0 == 0.0:
+    if amps[0] == 0.0:
         raise FitFailureError("seeded mode has zero initial amplitude")
-    # imported here, not at module level: only this fit needs it, and it
-    # costs about a third of the package's import time
-    import scipy.optimize
-
-    signal = np.real(amps)
-    growth_factor = float(np.max(np.abs(amps))) / a0
-    if growth_factor > 3.0:
-        # growing branch: |amp| = a0 cosh(g t)
-        mag = np.abs(amps) / a0
-        def model(t, g):
-            return np.log(np.cosh(np.minimum(g * t, 700.0)))
-        (g_fit,), _ = scipy.optimize.curve_fit(
-            model, times, np.log(mag), p0=[scale], maxfev=10000
-        )
-        g_fit = abs(float(g_fit))
-        fit_curve = a0 * np.cosh(g_fit * times)
-        resid = float(np.sqrt(np.mean((np.abs(amps) - fit_curve) ** 2)))
-        denom = float(np.sqrt(np.mean(np.abs(amps) ** 2)))
-        nu_fit = complex(0.0, g_fit)
-    else:
-        # oscillating branch: Re(amp) = A cos(nu t + phase)
-        spec = np.fft.rfft(signal)
-        freqs = 2.0 * np.pi * np.fft.rfftfreq(len(signal), d=dt)
-        guess = freqs[int(np.argmax(np.abs(spec[1:]))) + 1] if len(spec) > 1 else scale
-        def model(t, a, w, ph):
-            return a * np.cos(w * t + ph)
-        try:
-            (a_fit, w_fit, ph_fit), _ = scipy.optimize.curve_fit(
-                model, times, signal, p0=[signal[0], guess, 0.0], maxfev=20000
-            )
-        except RuntimeError as exc:
-            raise FitFailureError(f"oscillation fit did not converge: {exc}") from None
-        fit_curve = model(times, a_fit, w_fit, ph_fit)
-        resid = float(np.sqrt(np.mean((signal - fit_curve) ** 2)))
-        denom = float(np.sqrt(np.mean(signal**2)))
-        nu_fit = complex(abs(float(w_fit)), 0.0)
-    rel_resid = resid / denom if denom > 0 else math.inf
+    nu_fit, rel_resid = _fit_mode(times, np.real(amps))
     if rel_resid > 0.10:
         raise FitFailureError(
             f"fit residual {rel_resid:.1%} exceeds 10% of the signal at "

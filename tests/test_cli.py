@@ -585,7 +585,7 @@ from dipolariton.cli import main
 configs, out = sys.argv[1], sys.argv[2]
 for command, cfg in (("derive", "derive"), ("validate", "validate"),
                      ("dispersion", "dispersion"), ("stability-map", "stability"),
-                     ("kernel", "kernel")):
+                     ("respond", "respond"), ("kernel", "kernel"), ("evolve", "evolve")):
     assert main([command, "--config", f"{configs}/{cfg}.cfg", "--out", out]) == 0
     report[command] = loaded()
 print(json.dumps(report))
@@ -594,8 +594,8 @@ print(json.dumps(report))
 
 def test_commands_load_scipy_fft_and_optimize_only_where_used(tmp_path):
     # one fresh process, so nothing else has imported scipy: the package and the
-    # commands that never transform leave scipy.fft unloaded, and every command
-    # but respond leaves scipy.optimize so; kernel, run last, must load scipy.fft
+    # commands that never transform leave scipy.fft unloaded, respond, the first
+    # that transforms, must load it, and no command loads scipy.optimize
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER_EACH_STAGE, str(CONFIGS), str(tmp_path)],
@@ -605,7 +605,8 @@ def test_commands_load_scipy_fft_and_optimize_only_where_used(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "import": [], "derive": [], "validate": [], "dispersion": [],
-        "stability-map": [], "kernel": ["scipy.fft"],
+        "stability-map": [], "respond": ["scipy.fft"], "kernel": ["scipy.fft"],
+        "evolve": ["scipy.fft"],
     }
 
 

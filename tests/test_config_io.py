@@ -354,6 +354,47 @@ def test_magic_mismatch_rejected(tmp_path):
         read_kernel_table(bogus)
 
 
+def _written(tmp_path, kind):
+    grid = GridSpec(dims=(8, 8, 10), spacings=(0.5, 0.5, 0.25))
+    path = str(tmp_path / f"{kind}.bin")
+    if kind == "field":
+        write_field(path, random_complex(grid.shape, 2), grid, t=0.5)
+    else:
+        write_kernel_table(path, kernel_table_fourier(grid, KernelSpec((0.0, 0.0, 1.0), 1.0)))
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        payload = fh.read()
+    return path, header, payload
+
+
+_READERS = {"field": read_field, "kernel": read_kernel_table}
+
+
+@pytest.mark.parametrize("kind, size", [("field", 640 * 16), ("kernel", 640 * 8)])
+@pytest.mark.parametrize("change", [-5, 8])
+def test_payload_of_the_wrong_size_rejected(tmp_path, kind, size, change):
+    # a truncated payload, or one with trailing bytes, names both byte counts
+    path, header, payload = _written(tmp_path, kind)
+    assert len(payload) == size
+    with open(path, "wb") as fh:
+        fh.write(header + (payload[:change] if change < 0 else payload + b"\x00" * change))
+    with pytest.raises(ConfigError, match=rf"payload is {size + change} bytes, expected {size} "):
+        _READERS[kind](path)
+
+
+@pytest.mark.parametrize("kind, keep, missing", [
+    ("field", 4, "dx, dy, dz"),
+    ("kernel", 10, "strength, cutoff_radius, sphere_radius, method"),
+    ("kernel", 13, "method"),
+])
+def test_header_missing_fields_rejected(tmp_path, kind, keep, missing):
+    path, header, payload = _written(tmp_path, kind)
+    with open(path, "wb") as fh:
+        fh.write(b" ".join(header.split()[:keep]) + b"\n" + payload)
+    with pytest.raises(ConfigError, match=f"header lacks {missing}$"):
+        _READERS[kind](path)
+
+
 def test_kernel_table_round_trip(tmp_path):
     grid = GridSpec(dims=(8, 8, 8), spacings=(0.4, 0.4, 0.4))
     spec = KernelSpec(orientation=(1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0),

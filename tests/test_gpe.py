@@ -553,14 +553,56 @@ def test_linear_response_refuses_a_complex_mass(monkeypatch):
         linear_response_experiment(p, lattice_q(grid16(), 0, 0, 1), 1e-4)
 
 
-def test_fit_failure_names_q_in_plain_floats(monkeypatch):
-    import scipy.optimize
+@pytest.mark.parametrize("g_times", [1.0, 1.5])
+def test_short_growing_run_is_fit_as_growth(g_times):
+    # a run shorter than acosh(3) / g never triples its amplitude; the fit must
+    # still read it as growth, not as an oscillation with a 98% residual
+    grid = grid16()
+    p = make_params(grid, -0.5)
+    q = lattice_q(grid, 0, 0, 1)
+    g = predicted_mode_frequency(p, q, 1.0).imag
+    res = linear_response_experiment(p, q, 1e-4, duration=g_times / g)
+    assert res.nu_fit.real == 0.0
+    assert abs(res.nu_fit.imag - g) / g <= 0.05
 
+
+def _samples(n=97, dt=0.05):
+    return np.arange(n) * dt
+
+
+@pytest.mark.parametrize("nu, phase", [(0.7, 0.0), (2.3, 1.1), (5.0, -2.0)])
+def test_fit_mode_recovers_an_oscillation(nu, phase):
+    t = _samples()
+    got, resid = gpe._fit_mode(t, 1.7 * np.cos(nu * t + phase))
+    assert got.imag == 0.0
+    assert got.real == pytest.approx(nu, rel=1e-10)
+    assert resid <= 1e-10
+
+
+@pytest.mark.parametrize("g, a, b", [(0.4, 1.0, 0.0), (1.3, 0.5, -0.2), (3.0, -2.0, 1.0)])
+def test_fit_mode_recovers_growth(g, a, b):
+    t = _samples()
+    got, resid = gpe._fit_mode(t, a * np.cosh(g * t) + b * np.sinh(g * t))
+    assert got.real == 0.0
+    assert got.imag == pytest.approx(g, rel=1e-10)
+    assert resid <= 1e-10
+
+
+@pytest.mark.parametrize("signal", [
+    (-1.2) ** np.arange(97),  # grows while alternating sign: c < -1
+    np.zeros(97),  # no signal to fit: c is not finite
+], ids=["alternating_growth", "zero"])
+def test_fit_mode_refuses_what_no_mode_law_fits(signal):
+    with pytest.raises(FitFailureError, match="no oscillation or growth law"):
+        gpe._fit_mode(_samples(), signal)
+
+
+def test_fit_failure_names_q_in_plain_floats(monkeypatch):
     p = make_params(grid16(), 0.5)
     q = lattice_q(grid16(), 0, 0, 1)
-    # a fit that returns a zero amplitude leaves the whole signal as residual
-    monkeypatch.setattr(scipy.optimize, "curve_fit",
-                        lambda model, t, y, p0, **kw: ((0.0, p0[1], 0.0), None))
+    # a readout of noise leaves most of the signal as residual
+    noise = iter(np.random.default_rng(7).standard_normal(10_000))
+    monkeypatch.setattr(gpe, "_density_mode_amplitude", lambda phi, waves, dv: next(noise))
     with pytest.raises(FitFailureError) as info:
         linear_response_experiment(p, q, 1e-4)
     assert str(info.value) == (
