@@ -19,7 +19,7 @@ component).
 
 Fields are plain complex arrays paired with a Grid1D or GridSpec; on 3D grids
 the z axis is the last one. The spectral helpers and simulate_linear_1d
-import scipy.fft when called, so commands that never transform skip its import.
+transform through numpy.fft on the calling thread.
 """
 
 from __future__ import annotations
@@ -127,33 +127,29 @@ def _z_wavenumbers(grid) -> np.ndarray:
 
 
 def _dz_spectral(arr: np.ndarray, grid) -> np.ndarray:
-    import scipy.fft
     qz = _z_wavenumbers(grid)
-    spec = scipy.fft.fft(arr, axis=-1)
-    return scipy.fft.ifft(1j * qz * spec, axis=-1)
+    spec = np.fft.fft(arr, axis=-1)
+    return np.fft.ifft(1j * qz * spec, axis=-1)
 
 
 def _d2z_spectral(arr: np.ndarray, grid) -> np.ndarray:
-    import scipy.fft
     qz = _z_wavenumbers(grid)
-    spec = scipy.fft.fft(arr, axis=-1)
-    return scipy.fft.ifft(-(qz**2) * spec, axis=-1)
+    spec = np.fft.fft(arr, axis=-1)
+    return np.fft.ifft(-(qz**2) * spec, axis=-1)
 
 
 def _perp_laplacian(arr: np.ndarray, grid) -> np.ndarray:
-    import scipy.fft
     if isinstance(grid, Grid1D):
         return np.zeros_like(np.asarray(arr, dtype=complex))
     qx, qy, _ = grid.wavenumber_mesh()
-    spec = scipy.fft.fftn(arr, axes=(0, 1))
-    return scipy.fft.ifftn(-(qx**2 + qy**2) * spec, axes=(0, 1))
+    spec = np.fft.fftn(arr, axes=(0, 1))
+    return np.fft.ifftn(-(qx**2 + qy**2) * spec, axes=(0, 1))
 
 
 def _warn_if_nyquist_heavy(arr: np.ndarray, grid, threshold: float = 1e-6):
     # derivative-weighted spectral energy concentrated at the Nyquist bin
-    import scipy.fft
     qz = np.ravel(_z_wavenumbers(grid))
-    spec = scipy.fft.fft(np.asarray(arr), axis=-1)
+    spec = np.fft.fft(np.asarray(arr), axis=-1)
     energy = np.abs(qz * spec) ** 2
     total = float(np.sum(energy))
     if total == 0.0:
@@ -334,7 +330,6 @@ def simulate_linear_1d(cfg: LinearRunConfig) -> LinearRunResult:
     variance s0^2 the analytic law is s^2(t) = s0^2 + 2 Re(D) t at zero
     detuning.
     """
-    import scipy.fft
     grid, d = cfg.grid, complex(cfg.diffusion)
     psi = np.asarray(cfg.initial, dtype=complex).copy()
     z = grid.z()
@@ -353,7 +348,7 @@ def simulate_linear_1d(cfg: LinearRunConfig) -> LinearRunResult:
     snaps = [psi.copy()]
     for step in range(1, cfg.n_steps + 1):
         if cfg.integrator == "spectral":
-            psi = scipy.fft.ifft(decay * scipy.fft.fft(psi))
+            psi = np.fft.ifft(decay * np.fft.fft(psi))
         else:
             lap = (np.roll(psi, -1) + np.roll(psi, 1) - 2.0 * psi) / grid.dz**2
             psi = psi + cfg.dt * d * lap

@@ -112,20 +112,27 @@ def _read_binary(path: str, magic: str, what: str, dtype: str,
                  fields: Sequence[str] = ()) -> tuple[list[str], GridSpec, np.ndarray]:
     """Header words (magic first), grid and payload array of a binary file.
 
-    The header is the magic, nx ny nz dx dy dz and then fields. A wrong magic,
-    a missing header field or a payload that is not exactly the grid's size
-    raises ConfigError naming the path.
+    The header is the magic, nx ny nz dx dy dz and then fields. A header that
+    is not UTF-8, a wrong magic, a missing header field, a grid that does not
+    parse or that GridSpec refuses, or a payload that is not exactly the
+    grid's size raises ConfigError naming the path.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode()
+        header = fh.readline()
         payload = fh.read()
-    parts = header.split()
+    try:
+        parts = header.decode().split()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: {what} header is not UTF-8 text") from None
     if not parts or parts[0] != magic:
         raise ConfigError(f"{path}: not a {what} file (missing '{magic}' header)")
     fields = ("nx", "ny", "nz", "dx", "dy", "dz", *fields)
     if len(parts) <= len(fields):
         raise ConfigError(f"{path}: {what} header lacks {', '.join(fields[len(parts) - 1:])}")
-    grid = GridSpec(dims=tuple(map(int, parts[1:4])), spacings=tuple(map(float, parts[4:7])))
+    try:
+        grid = GridSpec(dims=tuple(map(int, parts[1:4])), spacings=tuple(map(float, parts[4:7])))
+    except ValueError as exc:  # a word that is not a number, or a grid GridSpec refuses
+        raise ConfigError(f"{path}: bad {what} grid in header: {exc}") from None
     expected = math.prod(grid.dims) * np.dtype(dtype).itemsize
     if len(payload) != expected:
         raise ConfigError(f"{path}: payload is {len(payload)} bytes, expected {expected} "
@@ -151,7 +158,10 @@ def write_field(path: str, field: np.ndarray, grid: GridSpec, t: float = 0.0) ->
 
 def read_field(path: str) -> tuple[np.ndarray, GridSpec, float]:
     parts, grid, field = _read_binary(path, _FIELD_MAGIC, "field", "<c16")
-    return field, grid, float(parts[7]) if len(parts) > 7 else 0.0
+    try:
+        return field, grid, float(parts[7]) if len(parts) > 7 else 0.0
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad field time in header: {exc}") from None
 
 
 def write_kernel_table(path: str, table: FourierTable) -> None:
@@ -173,7 +183,10 @@ def read_kernel_table(path: str) -> FourierTable:
     parts, grid, coeffs = _read_binary(
         path, _KERNEL_MAGIC, "kernel table", "<f8",
         ("ox", "oy", "oz", "strength", "cutoff_radius", "sphere_radius", "method"))
-    strength, cutoff, sphere = map(float, parts[10:13])
-    spec = KernelSpec(orientation=tuple(map(float, parts[7:10])), strength=strength,
-                      cutoff_radius=cutoff, sphere_radius=sphere)
+    try:
+        strength, cutoff, sphere = map(float, parts[10:13])
+        spec = KernelSpec(orientation=tuple(map(float, parts[7:10])), strength=strength,
+                          cutoff_radius=cutoff, sphere_radius=sphere)
+    except ValueError as exc:  # as for the grid: not a number, or a spec KernelSpec refuses
+        raise ConfigError(f"{path}: bad kernel spec in header: {exc}") from None
     return FourierTable(grid=grid, spec=spec, coeffs=coeffs, method=parts[13], sphere_radius=sphere)

@@ -31,8 +31,8 @@ Two table constructions are provided:
 Both tables pin the q = 0 coefficient to zero: the angular average of the
 kernel vanishes, and a uniform condensate must be exactly stationary.
 
-Only the two functions that transform, the lattice table build and
-convolve_density, import scipy.fft (it costs more than the package to import).
+The lattice table build and convolve_density transform through numpy.fft,
+split into slabs over `workers` threads (dipolariton._fft).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fft
 from .errors import GridMismatchError, ParameterDomainError
 from .grid import GridSpec
 
@@ -187,7 +188,6 @@ def kernel_table_fourier(
     """
     r_c = _resolve_sphere_radius(grid, spec)
     if method == "lattice":
-        import scipy.fft
         # |r| and r . axis from open per-axis meshes: one full-grid array each
         x, y, z = np.meshgrid(*grid.displacements(), indexing="ij", sparse=True)
         rn = np.sqrt(x**2 + y**2 + z**2)
@@ -208,7 +208,15 @@ def kernel_table_fourier(
         vals /= rn
         del rn
         vals[outside] = 0.0
-        coeffs = scipy.fft.fftn(vals, workers=workers).real * grid.cell_volume
+        # the real part of the half spectrum, completed by Hermitian symmetry
+        # F[-k] = conj(F[k]): past kz = nz // 2 the index is (-kx, -ky, nz - kz)
+        half = _fft.rfftn(vals, workers).real
+        del vals
+        m = half.shape[-1]
+        coeffs = np.empty(grid.shape)
+        coeffs[..., :m] = half
+        coeffs[..., m:] = np.roll(half[::-1, ::-1, grid.dims[2] - m:0:-1], 1, axis=(0, 1))
+        coeffs *= grid.cell_volume
     elif method == "analytic":
         qx, qy, qz = grid.wavenumber_mesh()
         qn = np.sqrt(qx**2 + qy**2 + qz**2)
@@ -237,20 +245,20 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1) -> 
     density times the real, even table gives a Hermitian product spectrum,
     so the real-to-complex transform pair over the half spectrum
     coeffs[..., :nz//2+1] (a view, no copy) equals the full complex route
-    real(ifftn(fftn(rho) * coeffs)) at about half the cost.
+    real(ifftn(fftn(rho) * coeffs)) at about half the cost. The product
+    spectrum is not needed again, so the inverse transform overwrites it.
     """
-    import scipy.fft
     rho = np.asarray(rho)
     if rho.shape != table.grid.shape:
         raise GridMismatchError(
             f"density shape {rho.shape} does not match table grid {table.grid.shape}"
         )
-    spectrum = scipy.fft.rfftn(rho, workers=workers)
+    spectrum = _fft.rfftn(rho, workers)
     # a non-finite density gives inf * 0 at the table's zeros; the NaNs that
     # follow are the caller's to report, not numpy's to warn about
     with np.errstate(invalid="ignore"):
         spectrum *= table.coeffs[..., : rho.shape[-1] // 2 + 1]
-    return scipy.fft.irfftn(spectrum, s=rho.shape, workers=workers)
+    return _fft.irfftn(spectrum, rho.shape[-1], workers)
 
 
 def direct_convolution_reference(

@@ -576,37 +576,37 @@ def test_exit_code_follows_the_error_hierarchy(tmp_path, capsys, monkeypatch, cl
     assert err == ("numerical failure: boom\n" if numerical else "error: boom\n")
 
 
-_LOADED_AFTER_EACH_STAGE = """
+_SCIPY_AFTER_EACH_STAGE = """
 import json, sys
-loaded = lambda: [m for m in ("scipy.fft", "scipy.optimize") if m in sys.modules]
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import dipolariton
 report = {"import": loaded()}
 from dipolariton.cli import main
 configs, out = sys.argv[1], sys.argv[2]
 for command, cfg in (("derive", "derive"), ("validate", "validate"),
                      ("dispersion", "dispersion"), ("stability-map", "stability"),
-                     ("respond", "respond"), ("kernel", "kernel"), ("evolve", "evolve")):
-    assert main([command, "--config", f"{configs}/{cfg}.cfg", "--out", out]) == 0
+                     ("respond", "respond"), ("kernel", "kernel"), ("evolve", "evolve"),
+                     ("selftest", None)):
+    argv = [command, "--out", out] + (["--config", f"{configs}/{cfg}.cfg"] if cfg else [])
+    assert main(argv) == 0
     report[command] = loaded()
 print(json.dumps(report))
 """
 
 
-def test_commands_load_scipy_fft_and_optimize_only_where_used(tmp_path):
-    # one fresh process, so nothing else has imported scipy: the package and the
-    # commands that never transform leave scipy.fft unloaded, respond, the first
-    # that transforms, must load it, and no command loads scipy.optimize
+def test_no_command_loads_scipy(tmp_path):
+    # one fresh process, so nothing else has imported scipy: the package and
+    # every shipped command transform through numpy.fft and leave scipy unloaded
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER_EACH_STAGE, str(CONFIGS), str(tmp_path)],
+        [sys.executable, "-c", _SCIPY_AFTER_EACH_STAGE, str(CONFIGS), str(tmp_path)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "import": [], "derive": [], "validate": [], "dispersion": [],
-        "stability-map": [], "respond": ["scipy.fft"], "kernel": ["scipy.fft"],
-        "evolve": ["scipy.fft"],
+        stage: [] for stage in ("import", "derive", "validate", "dispersion", "stability-map",
+                                "respond", "kernel", "evolve", "selftest")
     }
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -368,6 +369,7 @@ def _written(tmp_path, kind):
 
 
 _READERS = {"field": read_field, "kernel": read_kernel_table}
+_WHAT = {"field": "field", "kernel": "kernel table"}
 
 
 @pytest.mark.parametrize("kind, size", [("field", 640 * 16), ("kernel", 640 * 8)])
@@ -392,6 +394,67 @@ def test_header_missing_fields_rejected(tmp_path, kind, keep, missing):
     with open(path, "wb") as fh:
         fh.write(b" ".join(header.split()[:keep]) + b"\n" + payload)
     with pytest.raises(ConfigError, match=f"header lacks {missing}$"):
+        _READERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", ["field", "kernel"])
+@pytest.mark.parametrize("word, value, reason", [
+    (3, b"x", r"invalid literal for int\(\) with base 10: 'x'"),
+    (5, b"0.5m", r"could not convert string to float: '0.5m'"),
+])
+def test_header_non_numeric_grid_rejected(tmp_path, kind, word, value, reason):
+    path, header, payload = _written(tmp_path, kind)
+    words = header.split()
+    words[word] = value
+    with open(path, "wb") as fh:
+        fh.write(b" ".join(words) + b"\n" + payload)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: bad {_WHAT[kind]} grid in header: {reason}$"):
+        _READERS[kind](path)
+
+
+@pytest.mark.parametrize("word, value, reason", [
+    (10, b"x", r"could not convert string to float: 'x'"),
+    (7, b"2", r"orientation must be a unit vector"),
+])
+def test_header_bad_kernel_spec_rejected(tmp_path, word, value, reason):
+    path, header, payload = _written(tmp_path, "kernel")
+    words = header.split()
+    words[word] = value
+    with open(path, "wb") as fh:
+        fh.write(b" ".join(words) + b"\n" + payload)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: bad kernel spec in header: {reason}"):
+        read_kernel_table(path)
+
+
+def test_header_bad_field_time_rejected(tmp_path):
+    path, header, payload = _written(tmp_path, "field")
+    words = header.split()
+    words[7] = b"0.5s"
+    with open(path, "wb") as fh:
+        fh.write(b" ".join(words) + b"\n" + payload)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: bad field time in header: "
+                                          r"could not convert string to float: '0.5s'$"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("kind", ["field", "kernel"])
+def test_header_grid_below_eight_points_rejected(tmp_path, kind):
+    path, header, payload = _written(tmp_path, kind)
+    words = header.split()
+    words[1] = b"4"
+    with open(path, "wb") as fh:
+        fh.write(b" ".join(words) + b"\n" + payload)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: bad {_WHAT[kind]} grid in header: "
+                                          r"need at least 8 points per axis"):
+        _READERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", ["field", "kernel"])
+def test_header_not_utf8_rejected(tmp_path, kind):
+    path, header, payload = _written(tmp_path, kind)
+    with open(path, "wb") as fh:
+        fh.write(header.rstrip(b"\n") + b" \xff\xfe\n" + payload)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: {_WHAT[kind]} header is not UTF-8 text$"):
         _READERS[kind](path)
 
 

@@ -346,7 +346,7 @@ def test_lattice_table_does_not_depend_on_worker_count():
     spec = KernelSpec(orientation=(0.0, 0.6, 0.8), strength=0.9, cutoff_radius=0.4)
     one = kernel_table_fourier(grid, spec, workers=1).coeffs
     two = kernel_table_fourier(grid, spec, workers=2).coeffs
-    assert np.max(np.abs(two - one)) <= 1e-15 * np.max(np.abs(one))
+    assert np.array_equal(two, one)
 
 
 def test_table_shape_mismatch_raises():
