@@ -13,12 +13,13 @@ Commands
     validate       adiabaticity margins and four-wave phase mismatch
     selftest       run the built-in numerical oracles
 
-Exit codes: 0 success, 1 stdout closed by its reader before the output was
-written, 2 validation error (a package error that is a ValueError, or a
-missing config file), 3 numerical failure (a package error that is a
-RuntimeError). All SI at
-the boundary; evolve/respond convert to the internal scale system and back.
-Outputs are deterministic: no timestamps, fixed formatting, atomic writes.
+Files go to --out, created on the first write; the last stdout line is
+`wrote a, b, ...`. Exit codes: 0 success, 1 stdout closed by its reader,
+2 validation error (a package ValueError, a missing or non-UTF-8 config, an
+--out that cannot be a directory), 3 numerical failure (a package
+RuntimeError). All SI at the boundary; evolve/respond convert to the internal
+scale system and back. Outputs are deterministic: no timestamps, fixed
+formatting, atomic writes.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .bogoliubov import (
 from .config import SimConfig, parse_config
 from .eit import (
     C_LIGHT,
+    DerivedQuantities,
     MediumParams,
     PulseSpec,
     UnitScales,
@@ -88,10 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dipolariton",
         description="Stationary-light polariton condensate toolkit.",
     )
-    parser.add_argument("command", choices=(
-        "derive", "kernel", "dispersion", "stability-map",
-        "evolve", "respond", "validate", "selftest",
-    ))
+    parser.add_argument("command", choices=tuple(_COMMANDS))
     parser.add_argument("--config", help="path to a section.key = value config file")
     parser.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (created if missing)")
@@ -106,44 +105,76 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> SimConfig:
+def _load_config(args) -> SimConfig | None:
+    """The parsed --config; None only for selftest, which needs none."""
     if not args.config:
+        if args.command == "selftest":
+            return None
         raise ConfigError(f"command '{args.command}' requires --config")
-    with open(args.config, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {args.config} is not UTF-8 text "
+                          f"(byte {exc.start}: {exc.reason})") from None
 
 
-def _kernel_spec(cfg: SimConfig, command: str) -> KernelSpec:
+class _Run:
+    """One invocation: the command, its config and options, and the files it writes."""
+
+    def __init__(self, args):
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
+        self.command = args.command
+        self.cfg = _load_config(args)
+        self.threads = args.threads
+        self.complex_mass = args.complex_mass
+        self.out = args.out
+        self.written: list[str] = []
+
+    def require(self, key: str):
+        return self.cfg.require(key, self.command)
+
+    def path(self, name: str) -> str:
+        """Path of output file name in --out, which is created if missing."""
+        try:
+            os.makedirs(self.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {self.out} cannot be used as the output directory "
+                              f"({exc.strerror})") from None
+        path = os.path.join(self.out, name)
+        self.written.append(path)
+        return path
+
+    def table(self, name: str, header, rows, *extra_comments: str) -> None:
+        """CSV name in --out, opened by the provenance lines and extra_comments."""
+        cfg = self.cfg
+        comments = provenance_lines(__version__, cfg and cfg.sha256, cfg and cfg.effective)
+        write_table(self.path(name), header, rows, comments=comments + list(extra_comments))
+
+
+def _kernel_spec(run: _Run) -> KernelSpec:
+    cfg = run.cfg
     strength = cfg.get("kernel.strength")
     if strength is None and cfg.medium is not None and cfg.medium.kernel_strength != 0.0:
         strength = cfg.medium.kernel_strength
     if strength is None:
-        strength = cfg.require("kernel.strength", command)
-    return KernelSpec(
-        orientation=cfg.get("kernel.orientation"),
-        strength=strength,
-        cutoff_radius=cfg.get("kernel.cutoff_radius"),
-        sphere_radius=cfg.get("kernel.sphere_radius"),
-    )
+        strength = run.require("kernel.strength")
+    return KernelSpec(orientation=cfg.get("kernel.orientation"), strength=strength,
+                      cutoff_radius=cfg.get("kernel.cutoff_radius"),
+                      sphere_radius=cfg.get("kernel.sphere_radius"))
 
 
-def _comments(cfg: SimConfig | None, extra: list[str] = ()) -> list[str]:
-    lines = provenance_lines(__version__, cfg.sha256 if cfg else None,
-                             cfg.effective if cfg else None)
-    lines.extend(extra)
-    return lines
-
-
-def _out_path(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+def _derived(run: _Run) -> DerivedQuantities:
+    """EIT quantities of the medium, with the real mass unless --complex-mass."""
+    derived = derive_eit(run.cfg.require_medium(run.command))
+    return derived if run.complex_mass else derived.real_mass()
 
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_derive(cfg: SimConfig, args) -> int:
-    medium = cfg.require_medium("derive")
-    derived = derive_eit(medium)
+def _cmd_derive(run: _Run) -> int:
+    derived = derive_eit(run.cfg.require_medium(run.command))
     scales = UnitScales.from_derived(derived)
     rows = [
         ("theta", derived.theta, 0.0),
@@ -160,60 +191,46 @@ def _cmd_derive(cfg: SimConfig, args) -> int:
         ("time_scale", scales.time, 0.0),
         ("energy_scale", scales.energy, 0.0),
     ]
-    write_table(_out_path(args, "derived.csv"), ("quantity", "real", "imag"),
-                rows, comments=_comments(cfg))
+    run.table("derived.csv", ("quantity", "real", "imag"), rows)
     print(f"group velocity {derived.v_gr:.6g} m/s, "
           f"absorption length {derived.l_abs:.6g} m")
     print(f"masses: perp {derived.m_perp:.6g} kg, "
           f"par {derived.m_par.real:.6g}{derived.m_par.imag:+.6g}j kg "
           f"(|alpha| = {abs(derived.alpha):.6g})")
     print(f"real-mass treatment suggested: {derived.real_mass_suggested}")
-    print(f"wrote {_out_path(args, 'derived.csv')}")
     return 0
 
 
-def _cmd_kernel(cfg: SimConfig, args) -> int:
-    grid = cfg.require_grid("kernel")
-    spec = _kernel_spec(cfg, "kernel")
-    table = kernel_table_fourier(grid, spec, method=cfg.get("kernel.method"),
-                                 workers=args.threads)
+def _cmd_kernel(run: _Run) -> int:
+    grid = run.cfg.require_grid(run.command)
+    spec = _kernel_spec(run)
+    table = kernel_table_fourier(grid, spec, method=run.cfg.get("kernel.method"),
+                                 workers=run.threads)
 
     rvec = np.stack(np.meshgrid(*grid.displacements(), indexing="ij"), axis=-1)
-    rn = np.linalg.norm(rvec, axis=-1)
     vals = np.zeros(grid.shape)
-    mask = rn > 0
+    mask = np.linalg.norm(rvec, axis=-1) > 0
     vals[mask] = kernel_value(rvec[mask], spec)
-    write_table(
-        _out_path(args, "kernel_real.csv"),
-        ("x", "y", "z", "epsilon"),
-        np.column_stack((rvec.reshape(-1, 3), vals.ravel())),
-        comments=_comments(cfg, ["# origin sample set to 0 (self-interaction excluded)"]),
-    )
+    run.table("kernel_real.csv", ("x", "y", "z", "epsilon"),
+              np.column_stack((rvec.reshape(-1, 3), vals.ravel())),
+              "# origin sample set to 0 (self-interaction excluded)")
 
     qmesh = np.stack(np.broadcast_arrays(*grid.wavenumber_mesh()), axis=-1)
-    write_table(
-        _out_path(args, "kernel_fourier.csv"),
-        ("qx", "qy", "qz", "coefficient"),
-        np.column_stack((qmesh.reshape(-1, 3), table.coeffs.ravel())),
-        comments=_comments(cfg, [f"# method {table.method}",
-                                 f"# sphere_radius {_g(table.sphere_radius)}"]),
-    )
-    write_kernel_table(_out_path(args, "kernel_table.bin"), table)
+    run.table("kernel_fourier.csv", ("qx", "qy", "qz", "coefficient"),
+              np.column_stack((qmesh.reshape(-1, 3), table.coeffs.ravel())),
+              f"# method {table.method}", f"# sphere_radius {_g(table.sphere_radius)}")
+    write_kernel_table(run.path("kernel_table.bin"), table)
     print(f"tabulated {table.coeffs.size} coefficients ({table.method} method, "
           f"truncation radius {table.sphere_radius:.6g} m)")
     print(f"coefficient range [{table.coeffs.min():.6g}, {table.coeffs.max():.6g}]")
-    print(f"wrote {_out_path(args, 'kernel_real.csv')}, "
-          f"{_out_path(args, 'kernel_fourier.csv')}, "
-          f"{_out_path(args, 'kernel_table.bin')}")
     return 0
 
 
-def _ray_directions(cfg: SimConfig, command: str) -> np.ndarray:
-    arr = np.asarray(cfg.require("run.directions", command), dtype=float)
+def _ray_directions(run: _Run) -> np.ndarray:
+    arr = np.asarray(run.require("run.directions"), dtype=float)
     if arr.size == 0 or arr.size % 3 != 0:
-        raise ConfigError(
-            f"run.directions must hold 3 components per direction, got {arr.size} numbers"
-        )
+        raise ConfigError(f"run.directions must hold 3 components per direction, "
+                          f"got {arr.size} numbers")
     dirs = arr.reshape(-1, 3)
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0):
@@ -221,76 +238,66 @@ def _ray_directions(cfg: SimConfig, command: str) -> np.ndarray:
     return dirs / norms[:, None]
 
 
-def _condensate_params(cfg: SimConfig, args, command: str) -> CondensateParams:
-    derived = derive_eit(cfg.require_medium(command))
-    if not args.complex_mass:
-        derived = derived.real_mass()
+def _condensate_params(run: _Run) -> CondensateParams:
+    derived = _derived(run)
     return CondensateParams(
         m_perp=derived.m_perp,
         m_par=derived.m_par,
-        c_dd=cfg.require("run.c_dd", command),
-        orientation=cfg.get("kernel.orientation"),
+        c_dd=run.require("run.c_dd"),
+        orientation=run.cfg.get("kernel.orientation"),
     )
 
 
-def _write_modes(args, name: str, smap: StabilityMap, comments: list[str]) -> None:
+def _write_modes(run: _Run, name: str, smap: StabilityMap, *extra_comments: str) -> None:
     """One CSV row per mode: wavevector, Re and signed Im of nu, stable flag."""
     rows = np.column_stack((smap.q.reshape(-1, 3), smap.nu.real.ravel(), smap.nu.imag.ravel(),
                             smap.stable.ravel()))
-    write_table(_out_path(args, name), ("qx", "qy", "qz", "re_nu", "im_nu", "stable"),
-                rows, comments=comments)
+    run.table(name, ("qx", "qy", "qz", "re_nu", "im_nu", "stable"), rows, *extra_comments)
 
 
-def _cmd_dispersion(cfg: SimConfig, args) -> int:
-    params = _condensate_params(cfg, args, "dispersion")
-    dirs = _ray_directions(cfg, "dispersion")
-    mags = cfg.require("run.q_magnitudes", "dispersion")
-    smap = stability_map(params, dirs, mags, complex_mass=args.complex_mass)
-    _write_modes(args, "dispersion.csv", smap, _comments(cfg))
+def _cmd_dispersion(run: _Run) -> int:
+    params = _condensate_params(run)
+    dirs = _ray_directions(run)
+    mags = run.require("run.q_magnitudes")
+    smap = stability_map(params, dirs, mags, complex_mass=run.complex_mass)
+    _write_modes(run, "dispersion.csv", smap)
     print(f"evaluated {smap.nu.size} modes on {len(dirs)} rays; {smap.n_unstable} unstable")
     for d in dirs:
         qc = critical_wavenumber(d, params)
         if qc is not None:
             print(f"  critical |q| along ({d[0]:+.3f} {d[1]:+.3f} {d[2]:+.3f}): {qc:.6g} 1/m")
-    print(f"wrote {_out_path(args, 'dispersion.csv')}")
     return 0
 
 
-def _cmd_stability_map(cfg: SimConfig, args) -> int:
-    params = _condensate_params(cfg, args, "stability-map")
+def _cmd_stability_map(run: _Run) -> int:
+    cfg = run.cfg
+    params = _condensate_params(run)
     if cfg.get("run.directions") is not None:
-        dirs = _ray_directions(cfg, "stability-map")
+        dirs = _ray_directions(run)
     else:
         dirs = spherical_directions(cfg.get("run.n_polar"), cfg.get("run.n_azimuth"))
-    mags = cfg.require("run.q_magnitudes", "stability-map")
-    smap = stability_map(params, dirs, mags, complex_mass=args.complex_mass)
-    extra = [
-        f"# max_growth_rate {_g(smap.max_growth_rate)}",
-        f"# argmax_direction {' '.join(_g(v) for v in smap.argmax_direction)}",
-        f"# argmax_q {' '.join(_g(v) for v in smap.argmax_q)}",
-        f"# n_unstable {smap.n_unstable}",
-    ]
-    _write_modes(args, "stability_map.csv", smap, _comments(cfg, extra))
+    mags = run.require("run.q_magnitudes")
+    smap = stability_map(params, dirs, mags, complex_mass=run.complex_mass)
+    _write_modes(run, "stability_map.csv", smap,
+                 f"# max_growth_rate {_g(smap.max_growth_rate)}",
+                 f"# argmax_direction {' '.join(_g(v) for v in smap.argmax_direction)}",
+                 f"# argmax_q {' '.join(_g(v) for v in smap.argmax_q)}",
+                 f"# n_unstable {smap.n_unstable}")
     print(f"{smap.nu.size} modes scanned ({len(dirs)} directions x {len(mags)} magnitudes)")
     print(f"unstable modes: {smap.n_unstable}; max growth rate {smap.max_growth_rate:.6g} 1/s")
     if smap.n_unstable:
         d = smap.argmax_direction
         print(f"fastest growth along ({d[0]:+.4f} {d[1]:+.4f} {d[2]:+.4f})")
-    print(f"wrote {_out_path(args, 'stability_map.csv')}")
     return 0
 
 
-def _scaled_problem(cfg: SimConfig, args, command: str):
+def _scaled_problem(run: _Run):
     """Nondimensionalize medium + grid + kernel for the split-step solver."""
-    medium = cfg.require_medium(command)
-    grid = cfg.require_grid(command)
-    spec = _kernel_spec(cfg, command)
-    derived = derive_eit(medium)
-    if not args.complex_mass:
-        derived = derived.real_mass()
+    derived = _derived(run)
+    grid = run.cfg.require_grid(run.command)
+    spec = _kernel_spec(run)
     scales = UnitScales.from_derived(derived)
-    ell, tau = scales.length, scales.time
-
+    ell = scales.length
     sgrid = GridSpec(dims=grid.dims, spacings=tuple(s / ell for s in grid.spacings))
     sspec = KernelSpec(
         orientation=spec.orientation,
@@ -298,24 +305,19 @@ def _scaled_problem(cfg: SimConfig, args, command: str):
         cutoff_radius=spec.cutoff_radius / ell,
         sphere_radius=None if spec.sphere_radius is None else spec.sphere_radius / ell,
     )
-    table = kernel_table_fourier(sgrid, sspec, method=cfg.get("kernel.method"),
-                                 workers=args.threads)
-    params = GpeParams(
-        m_perp=1.0,
-        m_par=derived.m_par / derived.m_perp,
-        sin2_theta=math.sin(derived.theta) ** 2,
-        table=table,
-        hbar=1.0,
-    )
+    table = kernel_table_fourier(sgrid, sspec, method=run.cfg.get("kernel.method"),
+                                 workers=run.threads)
+    params = GpeParams(m_perp=1.0, m_par=derived.m_par / derived.m_perp,
+                       sin2_theta=math.sin(derived.theta) ** 2, table=table, hbar=1.0)
     return params, scales, grid
 
 
-def _scaled_initial_state(cfg: SimConfig, params: GpeParams, scales: UnitScales,
-                          command: str) -> CondensateState:
+def _scaled_initial_state(run: _Run, params: GpeParams, scales: UnitScales) -> CondensateState:
+    cfg = run.cfg
     kind = cfg.get("run.init")
     ell = scales.length
     if kind == "gaussian":
-        w = tuple(v / ell for v in cfg.require("run.gaussian_widths", command))
+        w = tuple(v / ell for v in run.require("run.gaussian_widths"))
         state = init_state("gaussian", params, widths=w)
         n0 = cfg.get("run.n0")
         if n0 is not None:
@@ -324,21 +326,21 @@ def _scaled_initial_state(cfg: SimConfig, params: GpeParams, scales: UnitScales,
             factor = math.sqrt(n0 / scales.density / peak)
             state = CondensateState(state.phi * factor, state.t, params)
         return state
-    n0_scaled = cfg.require("run.n0", command) / scales.density
+    n0_scaled = run.require("run.n0") / scales.density
     if kind == "uniform":
         return init_state("uniform", params, n0=n0_scaled)
-    q_scaled = tuple(v * ell for v in cfg.require("run.q_perturb", command))
+    q_scaled = tuple(v * ell for v in run.require("run.q_perturb"))
     return init_state("perturbed_plane_wave", params, n0=n0_scaled,
-                      delta=cfg.require("run.delta_amp", command), q=q_scaled)
+                      delta=run.require("run.delta_amp"), q=q_scaled)
 
 
-def _cmd_evolve(cfg: SimConfig, args) -> int:
-    params, scales, si_grid = _scaled_problem(cfg, args, "evolve")
-    dt = cfg.require("run.dt", "evolve")
-    t_final = cfg.require("run.t_final", "evolve")
-    state = _scaled_initial_state(cfg, params, scales, "evolve")
+def _cmd_evolve(run: _Run) -> int:
+    params, scales, si_grid = _scaled_problem(run)
+    dt = run.require("run.dt")
+    t_final = run.require("run.t_final")
+    state = _scaled_initial_state(run, params, scales)
     result = evolve(state, dt / scales.time, t_final / scales.time,
-                    observer_stride=cfg.get("run.observer_stride"), workers=args.threads)
+                    observer_stride=run.cfg.get("run.observer_stride"), workers=run.threads)
 
     tau, energy, dens, ell = scales.time, scales.energy, scales.density, scales.length
     rows = [(
@@ -348,34 +350,28 @@ def _cmd_evolve(cfg: SimConfig, args) -> int:
         o.center_of_mass[0] * ell, o.center_of_mass[1] * ell, o.center_of_mass[2] * ell,
         o.variance[0] * ell**2, o.variance[1] * ell**2, o.variance[2] * ell**2,
     ) for o in result.observables]
-    write_table(
-        _out_path(args, "observables.csv"),
-        ("t", "norm", "energy_total", "kinetic_perp", "kinetic_z", "dipolar",
-         "peak_density", "com_x", "com_y", "com_z", "var_x", "var_y", "var_z"),
-        rows, comments=_comments(cfg),
-    )
+    run.table("observables.csv",
+              ("t", "norm", "energy_total", "kinetic_perp", "kinetic_z", "dipolar",
+               "peak_density", "com_x", "com_y", "com_z", "var_x", "var_y", "var_z"), rows)
     phi_si = result.final.phi * dens**0.5
-    write_field(_out_path(args, "final_field.bin"), phi_si, si_grid, t=result.final.t * tau)
+    write_field(run.path("final_field.bin"), phi_si, si_grid, t=result.final.t * tau)
 
     first, last = result.observables[0], result.observables[-1]
     norm_drift = abs(last.norm - first.norm) / first.norm if first.norm else math.nan
-    if first.energy_total != 0:
-        energy_drift = abs(last.energy_total - first.energy_total) / abs(first.energy_total)
-    else:
-        energy_drift = math.nan
+    energy_drift = (abs(last.energy_total - first.energy_total) / abs(first.energy_total)
+                    if first.energy_total else math.nan)
     print(f"evolved to t = {last.t * tau:.6g} s in {len(result.observables) - 1} records")
     print(f"relative norm drift {norm_drift:.3e}, energy drift {energy_drift:.3e}")
-    print(f"wrote {_out_path(args, 'observables.csv')}, {_out_path(args, 'final_field.bin')}")
     return 0
 
 
-def _cmd_respond(cfg: SimConfig, args) -> int:
-    params, scales, _si_grid = _scaled_problem(cfg, args, "respond")
-    n0 = cfg.require("run.n0", "respond")
-    delta = cfg.require("run.delta_amp", "respond")
-    q = cfg.require("run.q_perturb", "respond")
-    duration = cfg.get("run.duration")
-    dt = cfg.get("run.dt")
+def _cmd_respond(run: _Run) -> int:
+    params, scales, _si_grid = _scaled_problem(run)
+    n0 = run.require("run.n0")
+    delta = run.require("run.delta_amp")
+    q = run.require("run.q_perturb")
+    duration = run.cfg.get("run.duration")
+    dt = run.cfg.get("run.dt")
     res = linear_response_experiment(
         params,
         tuple(v * scales.length for v in q),
@@ -383,26 +379,19 @@ def _cmd_respond(cfg: SimConfig, args) -> int:
         duration=None if duration is None else duration / scales.time,
         n0=n0 / scales.density,
         dt=None if dt is None else dt / scales.time,
-        workers=args.threads,
+        workers=run.threads,
     )
     freq = scales.frequency
     nu_fit = res.nu_fit * freq
     nu_pred = res.nu_predicted * freq
     c_dd_si = res.effective_c_dd * scales.energy
-    rows = [
-        (t * scales.time, a.real, a.imag, abs(a))
-        for t, a in zip(res.times, res.amplitudes)
-    ]
-    extra = [
-        f"# q {' '.join(_g(v) for v in q)}",
-        f"# nu_fit {_g(nu_fit.real)} {_g(nu_fit.imag)}",
-        f"# nu_predicted {_g(nu_pred.real)} {_g(nu_pred.imag)}",
-        f"# fit_residual {_g(res.residual)}",
-        f"# effective_c_dd {_g(c_dd_si)}",
-    ]
-    write_table(_out_path(args, "response.csv"),
-                ("t", "re_amplitude", "im_amplitude", "abs_amplitude"),
-                rows, comments=_comments(cfg, extra))
+    rows = [(t * scales.time, a.real, a.imag, abs(a)) for t, a in zip(res.times, res.amplitudes)]
+    run.table("response.csv", ("t", "re_amplitude", "im_amplitude", "abs_amplitude"), rows,
+              f"# q {' '.join(_g(v) for v in q)}",
+              f"# nu_fit {_g(nu_fit.real)} {_g(nu_fit.imag)}",
+              f"# nu_predicted {_g(nu_pred.real)} {_g(nu_pred.imag)}",
+              f"# fit_residual {_g(res.residual)}",
+              f"# effective_c_dd {_g(c_dd_si)}")
     kind = "growth rate" if nu_fit.imag else "frequency"
     fit_val = nu_fit.imag if nu_fit.imag else nu_fit.real
     pred_val = nu_pred.imag if nu_fit.imag else nu_pred.real
@@ -410,15 +399,15 @@ def _cmd_respond(cfg: SimConfig, args) -> int:
     print(f"measured {kind} {fit_val:.6g} 1/s, predicted {pred_val:.6g} 1/s "
           f"({dev:.2%} deviation, fit residual {res.residual:.2%})")
     print(f"effective dipolar coupling {c_dd_si:.6g} J")
-    print(f"wrote {_out_path(args, 'response.csv')}")
     return 0
 
 
-def _cmd_validate(cfg: SimConfig, args) -> int:
-    medium = cfg.require_medium("validate")
+def _cmd_validate(run: _Run) -> int:
+    cfg = run.cfg
+    medium = run.cfg.require_medium(run.command)
     derived = derive_eit(medium)
-    pulse = PulseSpec(T=cfg.require("run.pulse_t", "validate"),
-                      l_pulse=cfg.require("run.pulse_length", "validate"),
+    pulse = PulseSpec(T=run.require("run.pulse_t"),
+                      l_pulse=run.require("run.pulse_length"),
                       delta_rr_avg=cfg.get("run.delta_rr_avg"))
     report = adiabaticity_margins(medium, derived, pulse, margin=cfg.get("run.margin"))
 
@@ -442,13 +431,11 @@ def _cmd_validate(cfg: SimConfig, args) -> int:
         rows.append((f"phase_mismatch_{axis}", _g(v), ""))
     rows.append(("phase_matched", "1" if matched else "0",
                  "MATCHED" if matched else "MISMATCHED"))
-    write_table(_out_path(args, "validation.csv"), ("quantity", "value", "status"),
-                rows, comments=_comments(cfg))
+    run.table("validation.csv", ("quantity", "value", "status"), rows)
     print(f"adiabaticity: {'all margins pass' if report.all_pass else 'margin violated'} "
           f"(threshold {report.margin:g})")
     print(f"phase mismatch ({mismatch[0]:.6g} {mismatch[1]:.6g} {mismatch[2]:.6g}) 1/m "
           f"-> {'matched' if matched else 'NOT matched'}")
-    print(f"wrote {_out_path(args, 'validation.csv')}")
     return 0
 
 
@@ -552,28 +539,24 @@ def _check_longitudinal_elimination() -> tuple[str, float, bool]:
     return "longitudinal_elimination_fd8", err, err <= 1e-8
 
 
-def _cmd_selftest(cfg: SimConfig | None, args) -> int:
+def _cmd_selftest(run: _Run) -> int:
     checks = (
         _check_alpha,
-        lambda: _check_convolution(args.threads),
+        lambda: _check_convolution(run.threads),
         _check_envelope_root,
         _check_critical_wavenumber,
-        lambda: _check_free_spreading(args.threads),
+        lambda: _check_free_spreading(run.threads),
         _check_linear_diffusion,
         _check_longitudinal_elimination,
     )
     rows = []
-    failed = 0
     for check in checks:
         name, err, ok = check()
         rows.append((name, _g(err), "PASS" if ok else "FAIL"))
         print(f"{'ok  ' if ok else 'FAIL'} {name} (measure = {err:.3e})")
-        if not ok:
-            failed += 1
-    write_table(_out_path(args, "selftest.csv"), ("check", "measure", "status"),
-                rows, comments=_comments(cfg))
+    failed = sum(status == "FAIL" for _, _, status in rows)
+    run.table("selftest.csv", ("check", "measure", "status"), rows)
     print(f"{len(checks) - failed} of {len(checks)} oracle checks passed")
-    print(f"wrote {_out_path(args, 'selftest.csv')}")
     return 0 if failed == 0 else 3
 
 
@@ -587,20 +570,16 @@ _COMMANDS = {
     "evolve": _cmd_evolve,
     "respond": _cmd_respond,
     "validate": _cmd_validate,
+    "selftest": _cmd_selftest,
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
-        if args.command == "selftest":
-            cfg = _load_config(args) if args.config else None
-            rc = _cmd_selftest(cfg, args)
-        else:
-            rc = _COMMANDS[args.command](_load_config(args), args)
+        run = _Run(args)
+        rc = _COMMANDS[run.command](run)
+        print(f"wrote {', '.join(run.written)}")
         sys.stdout.flush()
         return rc
     except BrokenPipeError:

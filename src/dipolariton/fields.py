@@ -142,8 +142,8 @@ def _perp_laplacian(arr: np.ndarray, grid) -> np.ndarray:
     if isinstance(grid, Grid1D):
         return np.zeros_like(np.asarray(arr, dtype=complex))
     qx, qy, _ = grid.wavenumber_mesh()
-    spec = np.fft.fftn(arr, axes=(0, 1))
-    return np.fft.ifftn(-(qx**2 + qy**2) * spec, axes=(0, 1))
+    spec = np.fft.fftn(arr, axes=(-3, -2))
+    return np.fft.ifftn(-(qx**2 + qy**2) * spec, axes=(-3, -2))
 
 
 def _warn_if_nyquist_heavy(arr: np.ndarray, grid, threshold: float = 1e-6):
@@ -201,13 +201,9 @@ def sum_polarization(
     interior = traj[1:-1]
     chi = 1.0 + 1j * derived.detuning_ratio
     diffusion = c * derived.l_abs * chi
-    out = np.empty_like(interior)
-    for i in range(interior.shape[0]):
-        out[i] = (
-            d_dt[i]
-            - diffusion * _d2z_spectral(interior[i], grid)
-            - 1j * (c / (2.0 * params.k)) * _perp_laplacian(interior[i], grid)
-        )
+    out = (d_dt
+           - diffusion * _d2z_spectral(interior, grid)
+           - 1j * (c / (2.0 * params.k)) * _perp_laplacian(interior, grid))
     return -1j / (params.g * params.n_atoms) * out
 
 

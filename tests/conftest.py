@@ -8,8 +8,8 @@ from dipolariton import GpeParams, GridSpec, KernelSpec, kernel_table_fourier
 
 
 def make_params(grid: GridSpec, c_dd: float, *, n0: float = 1.0, sin2_theta: float = 1.0,
-                orientation=(0.0, 0.0, 1.0), m_perp: float = 1.0, m_par: complex = 1.0,
-                method: str = "lattice") -> GpeParams:
+                orientation=(0.0, 0.0, 1.0), m_perp: float = 1.0,
+                m_par: complex = 1.0) -> GpeParams:
     """Scaled-unit solver params whose full-space dipolar coupling is c_dd.
 
     The Fourier coefficient of the untruncated kernel along the dipole axis is

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end (in process)."""
 
+import hashlib
 import json
 import math
 import os
@@ -21,10 +22,11 @@ from dipolariton import (
     GridSpec,
     PulseSpec,
 )
+import dipolariton
 from dipolariton import cli, errors
 from dipolariton.bogoliubov import CondensateParams, dispersion
 from dipolariton.cli import main
-from dipolariton.config import GRID_KEYS, MEDIUM_KEYS
+from dipolariton.config import GRID_KEYS, MEDIUM_KEYS, parse_config
 from dipolariton.fileio import read_field, read_kernel_table
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -483,6 +485,61 @@ def test_bad_thread_count(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MEDIUM_BLOCK)
+    afile = write_cfg(tmp_path, "not a directory\n", name="plain.txt")
+    for out in (afile, os.path.join(afile, "sub")):
+        assert main(["derive", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out} cannot be used as the output directory")
+    assert open(afile).read() == "not a directory\n"
+
+
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(MEDIUM_BLOCK.encode() + b"# caf\xe9\n")
+    out = tmp_path / "o"
+    assert main(["derive", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg} is not UTF-8 text")
+    assert not out.exists()
+
+
+# (command, shipped config or None) for every command
+_SHIPPED = [("derive", "derive"), ("kernel", "kernel"), ("dispersion", "dispersion"),
+            ("stability-map", "stability"), ("evolve", "evolve"), ("respond", "respond"),
+            ("validate", "validate"), ("selftest", None)]
+
+
+@pytest.mark.parametrize("command,cfg_name", _SHIPPED, ids=[c for c, _ in _SHIPPED])
+def test_every_command_lists_its_files_and_opens_each_csv_alike(tmp_path, capsys,
+                                                                 command, cfg_name):
+    out = tmp_path / "o"
+    argv = [command, "--out", str(out)]
+    block = [f"# dipolariton {dipolariton.__version__}"]
+    if cfg_name:
+        cfg = CONFIGS / f"{cfg_name}.cfg"
+        argv += ["--config", str(cfg)]
+        block.append(f"# config sha256 {hashlib.sha256(cfg.read_bytes()).hexdigest()}")
+        block += [f"# param {key} = {value}"
+                  for key, value in sorted(parse_config(cfg.read_text()).effective.items())]
+    assert main(argv) == 0
+
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("wrote ")
+    listed = last[len("wrote "):].split(", ")
+    assert len(set(listed)) == len(listed)
+    assert sorted(listed) == sorted(str(out / name) for name in os.listdir(out))
+    csvs = [path for path in listed if path.endswith(".csv")]
+    assert csvs
+    for path in csvs:
+        with open(path) as fh:
+            head = [fh.readline().rstrip("\n") for _ in range(len(block) + 1)]
+        assert head[:-1] == block, path
+        # the block ends there: what follows is a command's own comment or the header
+        assert not head[-1].startswith(("# param ", "# config ", "# dipolariton ")), path
+
+
 def test_closed_stdout_ends_without_traceback(tmp_path):
     # the reader closes the pipe before anything is written, as `| head` may
     src = Path(__file__).resolve().parents[1] / "src"
@@ -565,7 +622,7 @@ def test_every_package_error_is_either_validation_or_numerical():
 
 @pytest.mark.parametrize("cls", _PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
 def test_exit_code_follows_the_error_hierarchy(tmp_path, capsys, monkeypatch, cls):
-    def fail(cfg, args):
+    def fail(run):
         raise cls("boom")
 
     monkeypatch.setitem(cli._COMMANDS, "derive", fail)
