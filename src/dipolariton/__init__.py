@@ -17,7 +17,6 @@ from .bogoliubov import (
     StabilityMap,
     critical_wavenumber,
     dispersion,
-    dispersion_rescaled,
     spherical_directions,
     stability_map,
 )
@@ -35,7 +34,6 @@ from .eit import (
     phase_mismatch,
 )
 from .errors import (
-    CaseMismatchError,
     ConfigError,
     DipolaritonError,
     EmptyInputError,
@@ -43,7 +41,6 @@ from .errors import (
     GridCoarseWarning,
     GridMismatchError,
     GridTooSmallError,
-    InsufficientHistoryError,
     NonFiniteStateError,
     OffLatticeError,
     ParameterDomainError,
@@ -55,14 +52,11 @@ from .fields import (
     LinearRunConfig,
     LinearRunResult,
     ModePair,
-    compose_polariton,
     diffusion_coefficient,
     eliminate_difference,
     from_sum_difference,
     gaussian_profile,
     simulate_linear_1d,
-    spin_coherence_adiabatic,
-    sum_polarization,
     to_sum_difference,
 )
 from .config import SimConfig, parse_config

@@ -24,24 +24,27 @@ absorption carried by a complex longitudinal mass), positive is exponential
 growth, and a mode is unstable exactly when Im(nu) > 0. By default the
 longitudinal mass enters through its real part, so nu is real or purely
 imaginary; complex-mass evaluation is available behind an explicit flag.
+
+dispersion evaluates nu on any array of wavevectors in one expression,
+stability_map scans it over directions (see spherical_directions) and
+magnitudes, and critical_wavenumber gives, in closed form, the magnitude at
+which a ray turns unstable.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eit import HBAR
-from .errors import CaseMismatchError, EmptyInputError, ParameterDomainError
+from .errors import EmptyInputError, ParameterDomainError
 
 __all__ = [
     "CondensateParams",
     "StabilityMap",
     "dispersion",
-    "dispersion_rescaled",
     "stability_map",
     "critical_wavenumber",
     "spherical_directions",
@@ -121,49 +124,6 @@ def dispersion(q, p: CondensateParams, complex_mass: bool = False) -> np.ndarray
     # each part is divided by hbar on its own: numpy divides a complex array
     # by multiplying with 1/hbar, which rounds twice
     return re / p.hbar + 1j * (im / p.hbar)
-
-
-_CASE_AXES = {"longitudinal": np.array([0.0, 0.0, 1.0]), "transversal": np.array([0.0, 1.0, 0.0])}
-
-
-def dispersion_rescaled(q, p: CondensateParams, case: str) -> complex:
-    """Closed-form excitation frequency in rescaled coordinates, for comparison.
-
-    Uses q_tilde = (q_x, q_y, q_z * alpha) with alpha = Re(m_par)/m_perp and the
-    literal anisotropy fractions of the two published orientation cases:
-
-    longitudinal (axis z): (2 qt_z^2 a^2 - qt_x^2 - qt_y^2) / (qt_z^2 a^2 + qt_x^2 + qt_y^2)
-    transversal  (axis y): (2 qt_y^2 - qt_x^2 - qt_z^2 a^2) / (qt_z^2 a^2 + qt_x^2 + qt_y^2)
-
-    With alpha = 1 the rescaling is trivial and the longitudinal case
-    coincides with dispersion(). Raises CaseMismatchError when the stored
-    orientation is not the case's axis.
-    """
-    qv = _check_q(q)
-    if qv.shape != (3,):
-        raise ParameterDomainError(f"q must be one 3-vector, got shape {qv.shape}")
-    if case not in _CASE_AXES:
-        raise CaseMismatchError(f"unknown case '{case}' (use 'longitudinal' or 'transversal')")
-    if np.linalg.norm(p.axis - _CASE_AXES[case]) > 1e-9:
-        raise CaseMismatchError(
-            f"orientation {p.orientation} does not match the {case} axis {tuple(_CASE_AXES[case])}"
-        )
-    alpha = p.m_par.real / p.m_perp
-    qt_x, qt_y, qt_z = qv[0], qv[1], qv[2] * alpha
-    t2 = qt_x**2 + qt_y**2 + qt_z**2
-    if t2 == 0.0:
-        return 0.0 + 0.0j
-    den = qt_z**2 * alpha**2 + qt_x**2 + qt_y**2
-    if case == "longitudinal":
-        num = 2.0 * qt_z**2 * alpha**2 - qt_x**2 - qt_y**2
-    else:
-        num = 2.0 * qt_y**2 - qt_x**2 - qt_z**2 * alpha**2
-    hbar = p.hbar
-    kin = t2 / (2.0 * p.m_perp)
-    root = cmath.sqrt(kin * (hbar**2 * t2 / (2.0 * p.m_perp) + p.c_dd * num / den))
-    if root.imag < 0.0:
-        root = -root
-    return root
 
 
 def spherical_directions(n_polar: int, n_azimuth: int) -> np.ndarray:

@@ -52,7 +52,6 @@ from .eit import (
 )
 from .errors import ConfigError, DipolaritonError
 from .fields import (
-    Grid1D,
     LinearRunConfig,
     eliminate_difference,
     gaussian_profile,
@@ -72,7 +71,7 @@ from .gpe import (
     init_state,
     linear_response_experiment,
 )
-from .grid import GridSpec
+from .grid import Grid1D, GridSpec
 from .kernel import (
     KernelSpec,
     _truncated_radial_factor,
@@ -112,7 +111,8 @@ def _load_config(args) -> SimConfig | None:
             return None
         raise ConfigError(f"command '{args.command}' requires --config")
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        # newline="" keeps CRLF, so the recorded digest is that of the file's bytes
+        with open(args.config, encoding="utf-8", newline="") as fh:
             return parse_config(fh.read())
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {args.config} is not UTF-8 text "
@@ -517,7 +517,7 @@ def _check_linear_diffusion() -> tuple[str, float, bool]:
     grid = Grid1D(n=256, dz=0.05)
     profile = gaussian_profile(grid, sigma=0.8)
     cfg = LinearRunConfig(grid=grid, initial=profile, diffusion=0.3,
-                          dt=0.002, n_steps=200, integrator="spectral")
+                          dt=0.002, n_steps=200)
     run = simulate_linear_1d(cfg)
     err = abs(run.variance_rate - 0.6) / 0.6
     return "linear_diffusion_spreading", err, err <= 1e-2

@@ -11,9 +11,7 @@ __all__ = [
     "GridMismatchError",
     "GridTooSmallError",
     "OffLatticeError",
-    "CaseMismatchError",
     "EmptyInputError",
-    "InsufficientHistoryError",
     "StepSizeError",
     "NonFiniteStateError",
     "FitFailureError",
@@ -43,16 +41,8 @@ class OffLatticeError(DipolaritonError, ValueError):
     """A wavevector does not sit on the grid's reciprocal lattice."""
 
 
-class CaseMismatchError(DipolaritonError, ValueError):
-    """Dipole orientation does not match the requested closed-form case."""
-
-
 class EmptyInputError(DipolaritonError, ValueError):
     """An operation received an empty collection."""
-
-
-class InsufficientHistoryError(DipolaritonError, ValueError):
-    """A time-derivative operation needs more time slices than provided."""
 
 
 class StepSizeError(DipolaritonError, RuntimeError):

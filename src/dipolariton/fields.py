@@ -5,10 +5,9 @@ and difference modes
 
     sqrt(2) E_S = E_plus + E_minus,    sqrt(2) E_D = E_plus - E_minus.
 
-Adiabatic elimination ties the difference mode, the optical polarization and
-the ground-Rydberg coherence to the sum mode; compose_polariton assembles the
-dark-state field from the sum mode and the coherence. simulate_linear_1d
-integrates the z-only linear equation of the sum mode,
+Adiabatic elimination ties the difference mode to the gradient of the sum
+mode. simulate_linear_1d integrates the z-only linear equation of the sum
+mode,
 
     d/dt E_S = c L_abs (1 + i delta/gamma) cos^2(theta) d^2/dz^2 E_S,
 
@@ -17,9 +16,9 @@ Fourier mode; it doubles as a validator for the derived masses (the real part
 of the diffusion coefficient encodes the EIT absorption of the stationary
 component).
 
-Fields are plain complex arrays paired with a Grid1D or GridSpec; on 3D grids
-the z axis is the last one. The spectral helpers and simulate_linear_1d
-transform through numpy.fft on the calling thread.
+Fields are plain complex arrays along z, paired with a Grid1D; any other
+grid is refused with ParameterDomainError. The transforms go through
+numpy.fft on the calling thread.
 """
 
 from __future__ import annotations
@@ -30,15 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eit import C_LIGHT, DerivedQuantities, MediumParams
-from .errors import (
-    GridCoarseWarning,
-    GridMismatchError,
-    InsufficientHistoryError,
-    ParameterDomainError,
-    StepSizeError,
-)
-from .grid import Grid1D, GridSpec
+from .eit import DerivedQuantities
+from .errors import GridCoarseWarning, GridMismatchError, ParameterDomainError
+from .grid import Grid1D
 
 __all__ = [
     "FieldPair",
@@ -46,9 +39,6 @@ __all__ = [
     "to_sum_difference",
     "from_sum_difference",
     "eliminate_difference",
-    "sum_polarization",
-    "spin_coherence_adiabatic",
-    "compose_polariton",
     "diffusion_coefficient",
     "LinearRunConfig",
     "LinearRunResult",
@@ -64,15 +54,11 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str):
         raise GridMismatchError(f"{what}: shapes {a.shape} and {b.shape} differ")
 
 
-def _check_field_on_grid(arr: np.ndarray, grid):
-    if isinstance(grid, Grid1D):
-        if arr.shape != (grid.n,):
-            raise GridMismatchError(f"field shape {arr.shape} does not match 1D grid ({grid.n},)")
-    elif isinstance(grid, GridSpec):
-        if arr.shape != grid.shape:
-            raise GridMismatchError(f"field shape {arr.shape} does not match grid {grid.shape}")
-    else:
-        raise ParameterDomainError(f"grid must be Grid1D or GridSpec, got {type(grid)!r}")
+def _check_field_on_grid(arr: np.ndarray, grid: Grid1D):
+    if not isinstance(grid, Grid1D):
+        raise ParameterDomainError(f"grid must be a Grid1D, got {type(grid)!r}")
+    if arr.shape != (grid.n,):
+        raise GridMismatchError(f"field shape {arr.shape} does not match 1D grid ({grid.n},)")
 
 
 @dataclass(frozen=True)
@@ -81,7 +67,7 @@ class FieldPair:
 
     e_plus: np.ndarray
     e_minus: np.ndarray
-    grid: Grid1D | GridSpec
+    grid: Grid1D
 
     def __post_init__(self):
         _check_same_shape(self.e_plus, self.e_minus, "FieldPair")
@@ -94,7 +80,7 @@ class ModePair:
 
     e_sum: np.ndarray
     e_diff: np.ndarray
-    grid: Grid1D | GridSpec
+    grid: Grid1D
 
     def __post_init__(self):
         _check_same_shape(self.e_sum, self.e_diff, "ModePair")
@@ -119,43 +105,13 @@ def from_sum_difference(modes: ModePair) -> FieldPair:
     )
 
 
-def _z_wavenumbers(grid) -> np.ndarray:
-    if isinstance(grid, Grid1D):
-        return grid.wavenumbers()
-    qz = grid.wavenumbers()[2]
-    return qz.reshape(1, 1, -1)
-
-
-def _dz_spectral(arr: np.ndarray, grid) -> np.ndarray:
-    qz = _z_wavenumbers(grid)
-    spec = np.fft.fft(arr, axis=-1)
-    return np.fft.ifft(1j * qz * spec, axis=-1)
-
-
-def _d2z_spectral(arr: np.ndarray, grid) -> np.ndarray:
-    qz = _z_wavenumbers(grid)
-    spec = np.fft.fft(arr, axis=-1)
-    return np.fft.ifft(-(qz**2) * spec, axis=-1)
-
-
-def _perp_laplacian(arr: np.ndarray, grid) -> np.ndarray:
-    if isinstance(grid, Grid1D):
-        return np.zeros_like(np.asarray(arr, dtype=complex))
-    qx, qy, _ = grid.wavenumber_mesh()
-    spec = np.fft.fftn(arr, axes=(-3, -2))
-    return np.fft.ifftn(-(qx**2 + qy**2) * spec, axes=(-3, -2))
-
-
-def _warn_if_nyquist_heavy(arr: np.ndarray, grid, threshold: float = 1e-6):
-    # derivative-weighted spectral energy concentrated at the Nyquist bin
-    qz = np.ravel(_z_wavenumbers(grid))
-    spec = np.fft.fft(np.asarray(arr), axis=-1)
-    energy = np.abs(qz * spec) ** 2
+def _warn_if_nyquist_heavy(d_spec: np.ndarray, threshold: float = 1e-6):
+    # spectral energy of the z derivative concentrated at the Nyquist bin
+    energy = np.abs(d_spec) ** 2
     total = float(np.sum(energy))
     if total == 0.0:
         return
-    n = arr.shape[-1]
-    nyq = float(np.sum(energy[..., n // 2]))
+    nyq = float(energy[len(energy) // 2])
     if nyq / total > threshold:
         warnings.warn(
             f"z derivative carries {nyq / total:.2e} of its energy at the Nyquist bin; "
@@ -165,90 +121,14 @@ def _warn_if_nyquist_heavy(arr: np.ndarray, grid, threshold: float = 1e-6):
         )
 
 
-def eliminate_difference(e_sum: np.ndarray, grid, derived: DerivedQuantities) -> np.ndarray:
+def eliminate_difference(e_sum: np.ndarray, grid: Grid1D, derived: DerivedQuantities) -> np.ndarray:
     """Difference mode slaved to the sum mode: E_D = -L_abs (1 + i delta/gamma) dE_S/dz."""
     e_sum = np.asarray(e_sum, dtype=complex)
     _check_field_on_grid(e_sum, grid)
-    _warn_if_nyquist_heavy(e_sum, grid)
+    d_spec = 1j * grid.wavenumbers() * np.fft.fft(e_sum)
+    _warn_if_nyquist_heavy(d_spec)
     chi = 1.0 + 1j * derived.detuning_ratio
-    return -derived.l_abs * chi * _dz_spectral(e_sum, grid)
-
-
-def sum_polarization(
-    e_sum_traj: np.ndarray,
-    dt: float,
-    grid,
-    params: MediumParams,
-    derived: DerivedQuantities,
-    c: float = C_LIGHT,
-) -> np.ndarray:
-    """Optical polarization driving the sum mode, from a sampled trajectory.
-
-    Applies -(i / (g N)) (d/dt - c L_abs (1 + i delta/gamma) d^2/dz^2
-    - i (c / 2k) lap_perp) to E_S with centered second-order time differences,
-    so the result covers the interior slices: input (nt, ...) gives output
-    (nt - 2, ...) aligned with e_sum_traj[1:-1].
-    """
-    traj = np.asarray(e_sum_traj, dtype=complex)
-    if traj.ndim < 2 or traj.shape[0] < 3:
-        raise InsufficientHistoryError(
-            f"need at least 3 time slices for centered differences, got shape {traj.shape}"
-        )
-    if not (np.isfinite(dt) and dt > 0):
-        raise ParameterDomainError(f"dt must be positive, got {dt}")
-    _check_field_on_grid(traj[0], grid)
-    d_dt = (traj[2:] - traj[:-2]) / (2.0 * dt)
-    interior = traj[1:-1]
-    chi = 1.0 + 1j * derived.detuning_ratio
-    diffusion = c * derived.l_abs * chi
-    out = (d_dt
-           - diffusion * _d2z_spectral(interior, grid)
-           - 1j * (c / (2.0 * params.k)) * _perp_laplacian(interior, grid))
-    return -1j / (params.g * params.n_atoms) * out
-
-
-def _transverse_phase(grid, k_c_perp, sign: float) -> np.ndarray | float:
-    kx, ky = float(k_c_perp[0]), float(k_c_perp[1])
-    if isinstance(grid, Grid1D) or (kx == 0.0 and ky == 0.0):
-        # 1D grids carry no transverse coordinates; the phase is unity
-        return 1.0
-    xm, ym, _ = grid.meshgrid()
-    return np.exp(sign * 1j * (kx * xm + ky * ym))
-
-
-def spin_coherence_adiabatic(e_sum, grid, g: float, omega: float, k_c_perp=(0.0, 0.0)) -> np.ndarray:
-    """Ground-Rydberg coherence slaved to the sum mode.
-
-    sigma_gr = -g E_S exp(-i k_c_perp . r_perp) / (sqrt(2) Omega)
-    """
-    if not (np.isfinite(omega) and omega > 0):
-        raise ParameterDomainError(f"omega must be positive, got {omega}")
-    if not (np.isfinite(g) and g > 0):
-        raise ParameterDomainError(f"g must be positive, got {g}")
-    e_sum = np.asarray(e_sum, dtype=complex)
-    _check_field_on_grid(e_sum, grid)
-    phase = _transverse_phase(grid, k_c_perp, -1.0)
-    return -(g / (_SQRT2 * omega)) * e_sum * phase
-
-
-def compose_polariton(
-    e_sum, sigma_gr, grid, theta: float, n_atoms: float, k_c_perp=(0.0, 0.0)
-) -> np.ndarray:
-    """Dark-state polariton field from the sum mode and the Rydberg coherence.
-
-    Psi = cos(theta) E_S - sin(theta) sqrt(N) sigma_gr exp(+i k_c_perp . r_perp).
-    With the adiabatic coherence this collapses to E_S = cos(theta) Psi.
-    """
-    if not (0.0 <= theta <= math.pi / 2):
-        raise ParameterDomainError(f"theta must lie in [0, pi/2], got {theta}")
-    if not (np.isfinite(n_atoms) and n_atoms > 0):
-        raise ParameterDomainError(f"n_atoms must be positive, got {n_atoms}")
-    e_sum = np.asarray(e_sum, dtype=complex)
-    sig = np.asarray(sigma_gr, dtype=complex)
-    _check_same_shape(e_sum, sig, "compose_polariton")
-    _check_field_on_grid(e_sum, grid)
-    phase = _transverse_phase(grid, k_c_perp, +1.0)
-    return math.cos(theta) * e_sum - math.sin(theta) * math.sqrt(n_atoms) * sig * phase
+    return -derived.l_abs * chi * np.fft.ifft(d_spec)
 
 
 def diffusion_coefficient(derived: DerivedQuantities) -> complex:
@@ -264,11 +144,7 @@ def diffusion_coefficient(derived: DerivedQuantities) -> complex:
 
 @dataclass(frozen=True)
 class LinearRunConfig:
-    """Inputs of the 1D linear validator run.
-
-    integrator "spectral" applies the exact per-mode exponential; "explicit"
-    is a forward-difference cross-check with the usual stability bound.
-    """
+    """Inputs of the 1D linear validator run."""
 
     grid: Grid1D
     initial: np.ndarray
@@ -276,7 +152,6 @@ class LinearRunConfig:
     dt: float
     n_steps: int
     snapshot_stride: int = 10
-    integrator: str = "spectral"
 
     def __post_init__(self):
         _check_field_on_grid(np.asarray(self.initial), self.grid)
@@ -289,8 +164,6 @@ class LinearRunConfig:
         d = complex(self.diffusion)
         if not (np.isfinite(d.real) and np.isfinite(d.imag)) or d.real < 0:
             raise ParameterDomainError(f"diffusion must be finite with Re >= 0, got {d}")
-        if self.integrator not in ("spectral", "explicit"):
-            raise ParameterDomainError(f"unknown integrator '{self.integrator}'")
 
 
 @dataclass(frozen=True)
@@ -320,42 +193,31 @@ def _amplitude_variance(profile: np.ndarray, z: np.ndarray) -> float:
 def simulate_linear_1d(cfg: LinearRunConfig) -> LinearRunResult:
     """Integrate the z-only sum-mode diffusion equation and track its spread.
 
-    Returns snapshots every snapshot_stride steps (plus the initial state),
-    the amplitude-weighted variance and norm sum(|E|^2) dz at those times, and
+    Each step applies the exact per-mode factor exp(-D q^2 dt). Returns
+    snapshots every snapshot_stride steps (plus the initial state), the
+    amplitude-weighted variance and norm sum(|E|^2) dz at those times, and
     the linear-fit growth rate of the variance. For a Gaussian profile of
     variance s0^2 the analytic law is s^2(t) = s0^2 + 2 Re(D) t at zero
     detuning.
     """
     grid, d = cfg.grid, complex(cfg.diffusion)
-    psi = np.asarray(cfg.initial, dtype=complex).copy()
+    psi = np.array(cfg.initial, dtype=complex)
     z = grid.z()
-    if cfg.integrator == "explicit":
-        # amplification per mode: 1 - (dt/dz^2) D s, s in [0, 4]; |.| <= 1 needs
-        # dt <= dz^2 Re(D) / (2 |D|^2)
-        if d != 0:
-            bound = grid.dz**2 * d.real / (2.0 * abs(d) ** 2)
-            if cfg.dt > bound:
-                raise StepSizeError(
-                    f"dt = {cfg.dt:.3e} exceeds the explicit stability bound {bound:.3e}"
-                )
     q2 = grid.wavenumbers() ** 2
     decay = np.exp(-d * q2 * cfg.dt)
     times = [0.0]
-    snaps = [psi.copy()]
+    snaps = [psi]
     for step in range(1, cfg.n_steps + 1):
-        if cfg.integrator == "spectral":
-            psi = np.fft.ifft(decay * np.fft.fft(psi))
-        else:
-            lap = (np.roll(psi, -1) + np.roll(psi, 1) - 2.0 * psi) / grid.dz**2
-            psi = psi + cfg.dt * d * lap
+        psi = np.fft.ifft(decay * np.fft.fft(psi))
         if step % cfg.snapshot_stride == 0 or step == cfg.n_steps:
             times.append(step * cfg.dt)
-            snaps.append(psi.copy())
+            snaps.append(psi)
     times = np.asarray(times)
     snapshots = np.asarray(snaps)
     variances = np.asarray([_amplitude_variance(s, z) for s in snapshots])
     norms = np.asarray([float(np.sum(np.abs(s) ** 2)) * grid.dz for s in snapshots])
-    rate = float(np.polyfit(times, variances, 1)[0]) if len(times) > 1 else math.nan
+    # n_steps >= 1 always records the initial and the final state
+    rate = float(np.polyfit(times, variances, 1)[0])
     return LinearRunResult(
         times=times, snapshots=snapshots, variances=variances, norms=norms, variance_rate=rate
     )

@@ -469,6 +469,18 @@ class EvolveResult:
     observables: tuple[Observables, ...]
 
 
+def _whole_steps(span: float, dt: float, what: str) -> int:
+    """Number of steps dt that make up span, which must be a whole positive
+    number of them (to 1e-9 relative); otherwise ParameterDomainError."""
+    steps = span / dt
+    n_steps = round(steps) if np.isfinite(steps) else 0
+    if n_steps < 1 or abs(steps - n_steps) > 1e-9 * n_steps:
+        raise ParameterDomainError(
+            f"{what} is not a whole positive number of steps dt = {dt} ({steps:.12g} steps)"
+        )
+    return n_steps
+
+
 def evolve(
     state: CondensateState,
     dt: float,
@@ -487,13 +499,7 @@ def evolve(
     their dipolar energy from the propagator's convolutions.
     """
     prop = SplitStep(state.params, dt, workers)
-    steps = (t_final - state.t) / dt
-    n_steps = round(steps) if np.isfinite(steps) else 0
-    if n_steps < 1 or abs(steps - n_steps) > 1e-9 * n_steps:
-        raise ParameterDomainError(
-            f"t_final = {t_final} is not a whole positive number of steps dt = {dt} "
-            f"from t = {state.t} ({steps:.12g} steps)"
-        )
+    n_steps = _whole_steps(t_final - state.t, dt, f"t_final = {t_final} (from t = {state.t})")
     if observer_stride < 1:
         raise ParameterDomainError(f"observer_stride must be >= 1, got {observer_stride}")
     # the propagator keeps each convolution it makes, so the t = 0 record
@@ -602,6 +608,8 @@ def _fit_mode(times: np.ndarray, signal: np.ndarray) -> tuple[complex, float]:
 
 # time steps per oscillation period (or per 1/g of growth) when dt is not given
 _POINTS_PER_CYCLE = 48
+# fewest steps a response run takes: the fit reads three-term products
+_MIN_RESPONSE_STEPS = 8
 
 
 def linear_response_experiment(
@@ -627,6 +635,12 @@ def linear_response_experiment(
     The returned prediction uses the table-calibrated coupling at the same
     q. The mode amplitude is read by an O(N) projection on the plane wave at
     q; workers is the FFT worker count of the stepping.
+
+    Without duration the run lasts four periods (3.5 / g for a growing mode).
+    A given duration is met exactly: with dt it must be a whole number of at
+    least 8 steps, otherwise ParameterDomainError; without dt the run takes
+    the fewest steps, at least 8, that end at duration and are no longer than
+    the step chosen when dt is not given.
     """
     if params.m_par.imag != 0.0:
         raise ParameterDomainError(
@@ -639,11 +653,9 @@ def linear_response_experiment(
     scale = abs(nu_pred)
     if scale == 0.0:
         raise ParameterDomainError("predicted frequency is zero; pick a nonzero lattice q")
-    if duration is None:
-        duration = (2.0 * math.pi * 4.0 / scale) if nu_pred.imag == 0 else (3.5 / scale)
     if dt is None:
         cycle = 2.0 * math.pi / scale if nu_pred.imag == 0 else 1.0 / scale
-        dt = cycle / _POINTS_PER_CYCLE
+        dt_cap = cycle / _POINTS_PER_CYCLE
         # keep the largest single-step kinetic phase a factor 2 below the
         # pi resonance of the splitting; at resonance the Nyquist-scale
         # modes pump up from round-off and bury the tracked mode
@@ -652,8 +664,23 @@ def linear_response_experiment(
             + (math.pi / grid.spacings[1]) ** 2 / params.m_perp
             + (math.pi / grid.spacings[2]) ** 2 * abs((1.0 / params.m_par).real)
         )
-        dt = min(dt, 0.5 * math.pi / rate_max)
-    n_steps = max(int(round(duration / dt)), 8)
+        dt_cap = min(dt_cap, 0.5 * math.pi / rate_max)
+    if duration is None:
+        duration = (2.0 * math.pi * 4.0 / scale) if nu_pred.imag == 0 else (3.5 / scale)
+        dt = dt_cap if dt is None else dt
+        n_steps = max(int(round(duration / dt)), _MIN_RESPONSE_STEPS)
+    elif dt is None:
+        if not (math.isfinite(duration) and duration > 0):
+            raise ParameterDomainError(f"duration must be positive, got {duration}")
+        n_steps = max(math.ceil(duration / dt_cap), _MIN_RESPONSE_STEPS)
+        dt = duration / n_steps
+    else:
+        n_steps = _whole_steps(duration, dt, f"duration = {duration}")
+        if n_steps < _MIN_RESPONSE_STEPS:
+            raise ParameterDomainError(
+                f"duration = {duration} is {n_steps} steps dt = {dt}; "
+                f"the response fit needs at least {_MIN_RESPONSE_STEPS}"
+            )
     state = init_state("perturbed_plane_wave", params, n0=n0, delta=delta, q=q)
     prop = SplitStep(params, dt, workers)
     waves = _plane_waves(idx, grid)

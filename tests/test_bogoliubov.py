@@ -1,4 +1,5 @@
-"""Collective-mode dispersion, closed-form comparisons and stability scans."""
+"""Collective-mode dispersion against an exact-rational oracle, critical
+wavenumbers and stability scans."""
 
 import cmath
 import math
@@ -11,13 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dipolariton import (
-    CaseMismatchError,
     CondensateParams,
     EmptyInputError,
     ParameterDomainError,
     critical_wavenumber,
     dispersion,
-    dispersion_rescaled,
     spherical_directions,
     stability_map,
 )
@@ -121,6 +120,10 @@ def test_dispersion_matches_scalar_recomputation():
         ((0.2, -0.3, 0.4), params(m_par=1e-4 + 5e-5j, c_dd=0.5), True),
         ((0.2, -0.3, 0.4), params(m_par=1e-4 + 5e-5j, c_dd=0.5), False),
         ((0.0, 0.5, 0.5), params(orientation=Y, c_dd=-1.0), False),
+        # unit mass ratio with a negative coupling along z, stable and unstable rays
+        ((0.3, 0.1, 0.7), params(c_dd=-0.7), False),
+        ((0.0, 0.0, 0.4), params(c_dd=-0.7), False),          # unstable
+        ((1.2, -0.5, 0.0), params(c_dd=-0.7), False),
     ]
     for q, p, cm in cases:
         nu = dispersion(q, p, complex_mass=cm)
@@ -366,44 +369,6 @@ def test_real_branch_requires_nonzero_real_mass():
     with pytest.raises(ParameterDomainError):
         dispersion((0.1, 0.0, 0.2), p)
     dispersion((0.1, 0.0, 0.2), p, complex_mass=True)  # complex branch works
-
-
-# ------------------------------------------------------ rescaled closed form
-
-def test_rescaled_longitudinal_equals_dispersion_at_unit_alpha():
-    p = params(m_perp=1.0, m_par=1.0, c_dd=-0.7)
-    for q in [(0.3, 0.1, 0.7), (0.0, 0.0, 0.4), (1.2, -0.5, 0.0)]:
-        assert dispersion_rescaled(q, p, "longitudinal") == pytest.approx(
-            dispersion(q, p), rel=1e-12
-        )
-
-
-def test_rescaled_transversal_worked_point():
-    # alpha = 1/4: q = (0.3, 0.4, 2.0) rescales to (0.3, 0.4, 0.5) with
-    # den = 0.265625 and transversal numerator 0.214375
-    p = params(m_perp=1.0, m_par=0.25, c_dd=-0.3, orientation=Y)
-    got = dispersion_rescaled((0.3, 0.4, 2.0), p, "transversal")
-    t2 = 0.09 + 0.16 + 0.25
-    expected = cmath.sqrt((t2 / 2.0) * (t2 / 2.0 - 0.3 * 0.214375 / 0.265625))
-    assert got == pytest.approx(expected, rel=1e-13)
-
-
-def test_rescaled_transversal_instability_pattern():
-    # negative coupling with the axis along y destabilizes the y ray only
-    p = params(c_dd=-1.0, orientation=Y)
-    along_axis = dispersion_rescaled((0.0, 0.2, 0.0), p, "transversal")
-    across = dispersion_rescaled((0.2, 0.0, 0.0), p, "transversal")
-    assert along_axis.imag > 0.0
-    assert across.imag == 0.0 and across.real > 0.0
-
-
-def test_rescaled_zero_mode_and_case_checks():
-    p = params(c_dd=0.5)
-    assert dispersion_rescaled((0.0, 0.0, 0.0), p, "longitudinal") == 0.0
-    with pytest.raises(CaseMismatchError):
-        dispersion_rescaled((0.1, 0.0, 0.0), p, "transversal")  # axis is z
-    with pytest.raises(CaseMismatchError):
-        dispersion_rescaled((0.1, 0.0, 0.0), p, "sideways")
 
 
 # ------------------------------------------------------------- stability map

@@ -399,6 +399,21 @@ def test_respond_measures_predicted_mode(tmp_path, capsys):
     assert "measured frequency" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("duration,dt,reason", [
+    ("1e-9", "3e-12", "not a whole positive number of steps"),
+    ("1.4e-11", "2e-12", "the response fit needs at least 8"),
+], ids=["partial-step", "too-few-steps"])
+def test_respond_refuses_a_duration_it_cannot_meet(tmp_path, capsys, duration, dt, reason):
+    # 333.3 steps, and 7 steps: usage errors, not a silently rounded run
+    text = (CONFIGS / "respond.cfg").read_text() + f"run.duration = {duration}\nrun.dt = {dt}\n"
+    out = tmp_path / "o"
+    assert main(["respond", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration = ")
+    assert reason in err
+    assert not (out / "response.csv").exists()
+
+
 def test_respond_refuses_complex_mass_before_stepping(tmp_path, capsys):
     out = tmp_path / "o"
     rc = main(["respond", "--config", str(CONFIGS / "respond.cfg"), "--out", str(out),
@@ -503,6 +518,23 @@ def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {cfg} is not UTF-8 text")
     assert not out.exists()
+
+
+def test_crlf_config_records_the_digest_of_its_own_bytes(tmp_path):
+    lf = CONFIGS / "derive.cfg"
+    crlf = tmp_path / "derive_crlf.cfg"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    tables = {}
+    for cfg in (lf, crlf):
+        out = tmp_path / cfg.stem
+        assert main(["derive", "--config", str(cfg), "--out", str(out)]) == 0
+        tables[cfg] = read_rows(out / "derived.csv")
+    comments, header, rows = tables[crlf]
+    assert f"# config sha256 {hashlib.sha256(crlf.read_bytes()).hexdigest()}" in comments
+    lf_comments, lf_header, lf_rows = tables[lf]
+    params = [c for c in comments if c.startswith("# param ")]
+    assert params and params == [c for c in lf_comments if c.startswith("# param ")]
+    assert (header, rows) == (lf_header, lf_rows)
 
 
 # (command, shipped config or None) for every command
@@ -615,7 +647,7 @@ _PACKAGE_ERRORS = [cls for cls in (getattr(errors, name) for name in errors.__al
 
 def test_every_package_error_is_either_validation_or_numerical():
     # the CLI's exit code is chosen by this split
-    assert len(_PACKAGE_ERRORS) == 12
+    assert len(_PACKAGE_ERRORS) == 10
     for cls in _PACKAGE_ERRORS:
         assert issubclass(cls, ValueError) != issubclass(cls, RuntimeError), cls.__name__
 

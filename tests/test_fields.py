@@ -12,21 +12,16 @@ from dipolariton import (
     GridCoarseWarning,
     GridMismatchError,
     GridSpec,
-    InsufficientHistoryError,
     LinearRunConfig,
     MediumParams,
     ModePair,
     ParameterDomainError,
-    StepSizeError,
-    compose_polariton,
     derive_eit,
     diffusion_coefficient,
     eliminate_difference,
     from_sum_difference,
     gaussian_profile,
     simulate_linear_1d,
-    spin_coherence_adiabatic,
-    sum_polarization,
     to_sum_difference,
 )
 from conftest import random_complex
@@ -63,6 +58,15 @@ def test_pair_shape_validation():
         FieldPair(np.zeros(16, complex), np.zeros(12, complex), grid)
     with pytest.raises(GridMismatchError):
         ModePair(np.zeros(8, complex), np.zeros(8, complex), grid)
+    # the field algebra runs along z only: a 3-D grid is refused
+    grid3 = GridSpec(dims=(8, 8, 8), spacings=(0.5, 0.5, 0.5))
+    field3 = np.zeros(grid3.shape, complex)
+    with pytest.raises(ParameterDomainError):
+        FieldPair(field3, field3, grid3)
+    with pytest.raises(ParameterDomainError):
+        ModePair(field3, field3, grid3)
+    with pytest.raises(ParameterDomainError):
+        eliminate_difference(field3, grid3, derive_eit(medium()))
 
 
 # -------------------------------------------------- difference-mode slaving
@@ -119,125 +123,7 @@ def test_eliminate_difference_warns_on_nyquist_content():
         eliminate_difference(alternating, grid, derived)
 
 
-# --------------------------------------------------------- polarization source
-
-def test_sum_polarization_static_plane_wave():
-    grid = Grid1D(n=64, dz=0.1)
-    m = medium()
-    derived = derive_eit(m)
-    q = 2.0 * math.pi * 5.0 / grid.length
-    field = np.exp(1j * q * grid.z())
-    traj = np.stack([field, field, field])
-    out = sum_polarization(traj, 1e-9, grid, m, derived)
-    assert out.shape == (1, 64)
-    chi = 1.0 + 1j * derived.detuning_ratio
-    expected = -1j / (m.g * m.n_atoms) * C_LIGHT * derived.l_abs * chi * q**2 * field
-    assert np.allclose(out[0], expected, rtol=1e-12, atol=0)
-
-
-def test_sum_polarization_transverse_plane_wave_3d():
-    grid = GridSpec(dims=(16, 8, 8), spacings=(0.2, 0.3, 0.3))
-    m = medium()
-    derived = derive_eit(m)
-    qx = 2.0 * math.pi * 2.0 / grid.box_lengths[0]
-    xm, _, _ = grid.meshgrid()
-    field = np.exp(1j * qx * xm) * np.ones(grid.shape)
-    traj = np.stack([field, field, field])
-    out = sum_polarization(traj, 1e-9, grid, m, derived)
-    expected = C_LIGHT * qx**2 / (2.0 * m.k * m.g * m.n_atoms) * field
-    assert np.allclose(out[0], expected, rtol=1e-12, atol=0)
-
-
-def test_sum_polarization_oscillating_uniform_field():
-    """Centered differences of e^{-i nu t} give -sin(nu dt)/dt, not -nu.
-
-    The discrete identity is exact; the continuum value -nu/(g N) is then
-    recovered to (nu dt)^2/6.
-    """
-    grid = Grid1D(n=8, dz=1.0)
-    m = medium()
-    derived = derive_eit(m)
-    nu, dt = 1.0e6, 1.0e-9  # nu dt = 1e-3
-    times = np.arange(5) * dt
-    traj = np.exp(-1j * nu * times)[:, None] * np.ones((5, 8))
-    out = sum_polarization(traj, dt, grid, m, derived)
-    assert out.shape == (3, 8)
-    discrete = -math.sin(nu * dt) / (dt * m.g * m.n_atoms)
-    for i in range(3):
-        expected = discrete * traj[i + 1]
-        assert np.allclose(out[i], expected, rtol=1e-12, atol=0)
-    continuum = -nu / (m.g * m.n_atoms)
-    assert out[1, 0] / traj[2, 0] == pytest.approx(continuum, rel=1e-6)
-
-
-def test_sum_polarization_history_and_dt_validation():
-    grid = Grid1D(n=8, dz=1.0)
-    m = medium()
-    derived = derive_eit(m)
-    with pytest.raises(InsufficientHistoryError):
-        sum_polarization(np.ones((2, 8), complex), 1e-9, grid, m, derived)
-    with pytest.raises(ParameterDomainError):
-        sum_polarization(np.ones((3, 8), complex), 0.0, grid, m, derived)
-
-
-# ------------------------------------------------------- slaved matter fields
-
-def test_spin_coherence_matched_drive():
-    grid = Grid1D(n=16, dz=0.5)
-    field = random_complex(16, 5)
-    omega = 3.0e6
-    g = math.sqrt(2.0) * omega  # prefactor becomes exactly -1
-    sigma = spin_coherence_adiabatic(field, grid, g, omega)
-    assert np.array_equal(sigma, -field)
-
-
-def test_spin_coherence_transverse_phase():
-    grid = GridSpec(dims=(8, 8, 8), spacings=(0.4, 0.4, 0.4))
-    field = np.ones(grid.shape, complex)
-    k_c = (2.0 * math.pi / grid.box_lengths[0], 0.0)
-    sigma = spin_coherence_adiabatic(field, grid, 1e6, 2e6, k_c_perp=k_c)
-    xm, _, _ = grid.meshgrid()
-    expected = -(1e6 / (math.sqrt(2.0) * 2e6)) * np.exp(-1j * k_c[0] * xm) * field
-    assert np.allclose(sigma, expected, rtol=1e-14, atol=0)
-
-
-def test_spin_coherence_validation():
-    grid = Grid1D(n=8, dz=1.0)
-    with pytest.raises(ParameterDomainError):
-        spin_coherence_adiabatic(np.ones(8, complex), grid, 1e6, 0.0)
-    with pytest.raises(ParameterDomainError):
-        spin_coherence_adiabatic(np.ones(8, complex), grid, -1e6, 1e6)
-
-
-def test_compose_polariton_limits():
-    grid = Grid1D(n=8, dz=1.0)
-    e = random_complex(8, 6)
-    sig = random_complex(8, 7)
-    assert np.allclose(compose_polariton(e, sig, grid, 0.0, 4.0), e, rtol=0, atol=0)
-    assert np.allclose(compose_polariton(e, sig, grid, math.pi / 2.0, 4.0),
-                       -2.0 * sig, rtol=1e-15, atol=1e-15)
-
-
-def test_compose_polariton_adiabatic_identity():
-    # with the slaved coherence, cos(theta) Psi collapses back to the field
-    grid = GridSpec(dims=(8, 8, 8), spacings=(0.4, 0.4, 0.4))
-    e = random_complex(grid.shape, 8)
-    g, omega, n_atoms = 4.0e5, 1.1e6, 2.5e9
-    theta = math.atan(g * math.sqrt(n_atoms) / (math.sqrt(2.0) * omega))
-    k_c = (2.0 * math.pi / grid.box_lengths[0], -2.0 * math.pi / grid.box_lengths[1])
-    sigma = spin_coherence_adiabatic(e, grid, g, omega, k_c_perp=k_c)
-    psi = compose_polariton(e, sigma, grid, theta, n_atoms, k_c_perp=k_c)
-    assert np.allclose(math.cos(theta) * psi, e, rtol=1e-12, atol=1e-12)
-
-
-def test_compose_polariton_validation():
-    grid = Grid1D(n=8, dz=1.0)
-    e = np.ones(8, complex)
-    with pytest.raises(ParameterDomainError):
-        compose_polariton(e, e, grid, -0.1, 1.0)
-    with pytest.raises(ParameterDomainError):
-        compose_polariton(e, e, grid, 0.5, 0.0)
-
+# ------------------------------------------------------- diffusion coefficient
 
 def test_diffusion_coefficient_two_forms_agree():
     derived = derive_eit(medium())
@@ -287,30 +173,6 @@ def test_plane_wave_mode_decay_is_exact(d):
     assert np.allclose(run.final, expected, rtol=1e-12, atol=1e-12)
 
 
-def test_explicit_integrator_matches_spectral():
-    grid = Grid1D(n=128, dz=0.25)
-    initial = gaussian_profile(grid, 2.0)
-    kwargs = dict(grid=grid, initial=initial, diffusion=0.2, dt=0.01, n_steps=100)
-    spectral = simulate_linear_1d(LinearRunConfig(integrator="spectral", **kwargs))
-    explicit = simulate_linear_1d(LinearRunConfig(integrator="explicit", **kwargs))
-    diff = np.max(np.abs(spectral.final - explicit.final))
-    assert diff <= 1e-2 * np.max(np.abs(spectral.final))
-
-
-def test_explicit_integrator_stability_bound():
-    grid = Grid1D(n=64, dz=0.25)
-    initial = gaussian_profile(grid, 1.0)
-    d = 0.2
-    bound = grid.dz**2 * d / (2.0 * d**2)  # real coefficient: dz^2/(2 d)
-    with pytest.raises(StepSizeError):
-        simulate_linear_1d(LinearRunConfig(grid=grid, initial=initial, diffusion=d,
-                                           dt=bound * 1.01, n_steps=5,
-                                           integrator="explicit"))
-    simulate_linear_1d(LinearRunConfig(grid=grid, initial=initial, diffusion=d,
-                                       dt=bound * 0.99, n_steps=5,
-                                       integrator="explicit"))
-
-
 def test_norm_decays_monotonically_under_real_diffusion():
     grid = Grid1D(n=128, dz=0.1)
     cfg = LinearRunConfig(grid=grid, initial=gaussian_profile(grid, 0.9),
@@ -339,8 +201,6 @@ def test_run_config_validation():
         LinearRunConfig(**{**good, "n_steps": 0})
     with pytest.raises(ParameterDomainError):
         LinearRunConfig(**{**good, "diffusion": -0.1})
-    with pytest.raises(ParameterDomainError):
-        LinearRunConfig(**{**good, "integrator": "magic"})
     with pytest.raises(GridMismatchError):
         LinearRunConfig(**{**good, "initial": profile[:-1]})
     with pytest.raises(ParameterDomainError):

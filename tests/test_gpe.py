@@ -566,6 +566,41 @@ def test_short_growing_run_is_fit_as_growth(g_times):
     assert abs(res.nu_fit.imag - g) / g <= 0.05
 
 
+def test_response_duration_without_dt_ends_exactly_there():
+    # the fewest steps, at least 8, no longer than the default step
+    grid = GridSpec(dims=(8, 8, 8), spacings=(0.5, 0.5, 0.5))
+    p = make_params(grid, 0.5)
+    q = lattice_q(grid, 0, 0, 1)
+    cap = linear_response_experiment(p, q, 1e-4).times[1]
+    for duration, n_steps in ((10.3 * cap, 11), (3.0 * cap, 8)):
+        res = linear_response_experiment(p, q, 1e-4, duration=duration)
+        assert len(res.times) == n_steps + 1
+        assert res.times[-1] == pytest.approx(duration, rel=1e-15)
+        assert res.times[1] <= cap
+
+
+def test_response_duration_with_dt_is_whole_steps_or_refused(monkeypatch):
+    grid = GridSpec(dims=(8, 8, 8), spacings=(0.5, 0.5, 0.5))
+    p = make_params(grid, 0.5)
+    q = lattice_q(grid, 0, 0, 1)
+    res = linear_response_experiment(p, q, 1e-4, duration=1.0, dt=0.025)
+    assert len(res.times) == 41
+    assert res.times[-1] == pytest.approx(1.0, rel=1e-15)
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("stepped before refusing")
+
+    monkeypatch.setattr(gpe.SplitStep, "run", no_stepping)
+    # 3.33 and 33.3 steps: refused instead of stopping at t = 2.4 or t = 9.9
+    for duration in (1.0, 10.0):
+        with pytest.raises(ParameterDomainError, match="whole"):
+            linear_response_experiment(p, q, 1e-4, duration=duration, dt=0.3)
+    with pytest.raises(ParameterDomainError, match="at least 8"):
+        linear_response_experiment(p, q, 1e-4, duration=2.1, dt=0.3)
+    with pytest.raises(ParameterDomainError, match="positive"):
+        linear_response_experiment(p, q, 1e-4, duration=0.0)
+
+
 def _samples(n=97, dt=0.05):
     return np.arange(n) * dt
 
