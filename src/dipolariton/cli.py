@@ -17,8 +17,8 @@ Files go to --out, created on the first write; the last stdout line is
 `wrote a, b, ...`. Exit codes: 0 success, 1 stdout closed by its reader,
 2 validation error (a package ValueError, a missing or non-UTF-8 config, an
 --out that cannot be a directory), 3 numerical failure (a package
-RuntimeError). All SI at the boundary; evolve/respond convert to the internal
-scale system and back. Outputs are deterministic: no timestamps, fixed
+RuntimeError). Every command runs in the config's SI units, and so do its
+files and messages. Outputs are deterministic: no timestamps, fixed
 formatting, atomic writes.
 """
 
@@ -291,114 +291,80 @@ def _cmd_stability_map(run: _Run) -> int:
     return 0
 
 
-def _scaled_problem(run: _Run):
-    """Nondimensionalize medium + grid + kernel for the split-step solver."""
+def _gpe_params(run: _Run) -> GpeParams:
+    """Masses, mixing angle and kernel table of the split-step solver, in SI."""
     derived = _derived(run)
-    grid = run.cfg.require_grid(run.command)
-    spec = _kernel_spec(run)
-    scales = UnitScales.from_derived(derived)
-    ell = scales.length
-    sgrid = GridSpec(dims=grid.dims, spacings=tuple(s / ell for s in grid.spacings))
-    sspec = KernelSpec(
-        orientation=spec.orientation,
-        strength=spec.strength / scales.kernel_strength,
-        cutoff_radius=spec.cutoff_radius / ell,
-        sphere_radius=None if spec.sphere_radius is None else spec.sphere_radius / ell,
-    )
-    table = kernel_table_fourier(sgrid, sspec, method=run.cfg.get("kernel.method"),
-                                 workers=run.threads)
-    params = GpeParams(m_perp=1.0, m_par=derived.m_par / derived.m_perp,
-                       sin2_theta=math.sin(derived.theta) ** 2, table=table, hbar=1.0)
-    return params, scales, grid
+    table = kernel_table_fourier(run.cfg.require_grid(run.command), _kernel_spec(run),
+                                 method=run.cfg.get("kernel.method"), workers=run.threads)
+    return GpeParams(m_perp=derived.m_perp, m_par=derived.m_par,
+                     sin2_theta=math.sin(derived.theta) ** 2, table=table)
 
 
-def _scaled_initial_state(run: _Run, params: GpeParams, scales: UnitScales) -> CondensateState:
+def _initial_state(run: _Run, params: GpeParams) -> CondensateState:
     cfg = run.cfg
     kind = cfg.get("run.init")
-    ell = scales.length
     if kind == "gaussian":
-        w = tuple(v / ell for v in run.require("run.gaussian_widths"))
+        w = run.require("run.gaussian_widths")
         state = init_state("gaussian", params, widths=w)
         n0 = cfg.get("run.n0")
         if n0 is not None:
             # unit-norm Gaussian peaks at 1/((2 pi)^(3/2) wx wy wz); lift to n0
             peak = 1.0 / ((2.0 * math.pi) ** 1.5 * w[0] * w[1] * w[2])
-            factor = math.sqrt(n0 / scales.density / peak)
-            state = CondensateState(state.phi * factor, state.t, params)
+            state = CondensateState(state.phi * math.sqrt(n0 / peak), state.t, params)
         return state
-    n0_scaled = run.require("run.n0") / scales.density
+    n0 = run.require("run.n0")
     if kind == "uniform":
-        return init_state("uniform", params, n0=n0_scaled)
-    q_scaled = tuple(v * ell for v in run.require("run.q_perturb"))
-    return init_state("perturbed_plane_wave", params, n0=n0_scaled,
-                      delta=run.require("run.delta_amp"), q=q_scaled)
+        return init_state("uniform", params, n0=n0)
+    return init_state("perturbed_plane_wave", params, n0=n0,
+                      delta=run.require("run.delta_amp"), q=run.require("run.q_perturb"))
 
 
 def _cmd_evolve(run: _Run) -> int:
-    params, scales, si_grid = _scaled_problem(run)
+    params = _gpe_params(run)
     dt = run.require("run.dt")
     t_final = run.require("run.t_final")
-    state = _scaled_initial_state(run, params, scales)
-    result = evolve(state, dt / scales.time, t_final / scales.time,
+    state = _initial_state(run, params)
+    result = evolve(state, dt, t_final,
                     observer_stride=run.cfg.get("run.observer_stride"), workers=run.threads)
 
-    tau, energy, dens, ell = scales.time, scales.energy, scales.density, scales.length
-    rows = [(
-        o.t * tau, o.norm, o.energy_total * energy,
-        o.kinetic_perp * energy, o.kinetic_z * energy, o.dipolar * energy,
-        o.peak_density * dens,
-        o.center_of_mass[0] * ell, o.center_of_mass[1] * ell, o.center_of_mass[2] * ell,
-        o.variance[0] * ell**2, o.variance[1] * ell**2, o.variance[2] * ell**2,
-    ) for o in result.observables]
+    rows = [(o.t, o.norm, o.energy_total, o.kinetic_perp, o.kinetic_z, o.dipolar,
+             o.peak_density, *o.center_of_mass, *o.variance) for o in result.observables]
     run.table("observables.csv",
               ("t", "norm", "energy_total", "kinetic_perp", "kinetic_z", "dipolar",
                "peak_density", "com_x", "com_y", "com_z", "var_x", "var_y", "var_z"), rows)
-    phi_si = result.final.phi * dens**0.5
-    write_field(run.path("final_field.bin"), phi_si, si_grid, t=result.final.t * tau)
+    write_field(run.path("final_field.bin"), result.final.phi, params.grid, t=result.final.t)
 
     first, last = result.observables[0], result.observables[-1]
     norm_drift = abs(last.norm - first.norm) / first.norm if first.norm else math.nan
     energy_drift = (abs(last.energy_total - first.energy_total) / abs(first.energy_total)
                     if first.energy_total else math.nan)
-    print(f"evolved to t = {last.t * tau:.6g} s in {len(result.observables) - 1} records")
+    print(f"evolved to t = {last.t:.6g} s in {len(result.observables) - 1} records")
     print(f"relative norm drift {norm_drift:.3e}, energy drift {energy_drift:.3e}")
     return 0
 
 
 def _cmd_respond(run: _Run) -> int:
-    params, scales, _si_grid = _scaled_problem(run)
+    params = _gpe_params(run)
     n0 = run.require("run.n0")
     delta = run.require("run.delta_amp")
     q = run.require("run.q_perturb")
-    duration = run.cfg.get("run.duration")
-    dt = run.cfg.get("run.dt")
-    res = linear_response_experiment(
-        params,
-        tuple(v * scales.length for v in q),
-        delta,
-        duration=None if duration is None else duration / scales.time,
-        n0=n0 / scales.density,
-        dt=None if dt is None else dt / scales.time,
-        workers=run.threads,
-    )
-    freq = scales.frequency
-    nu_fit = res.nu_fit * freq
-    nu_pred = res.nu_predicted * freq
-    c_dd_si = res.effective_c_dd * scales.energy
-    rows = [(t * scales.time, a.real, a.imag, abs(a)) for t, a in zip(res.times, res.amplitudes)]
+    res = linear_response_experiment(params, q, delta, duration=run.cfg.get("run.duration"),
+                                     n0=n0, dt=run.cfg.get("run.dt"), workers=run.threads)
+    nu_fit, nu_pred = res.nu_fit, res.nu_predicted
+    rows = [(t, a.real, a.imag, abs(a)) for t, a in zip(res.times, res.amplitudes)]
     run.table("response.csv", ("t", "re_amplitude", "im_amplitude", "abs_amplitude"), rows,
               f"# q {' '.join(_g(v) for v in q)}",
               f"# nu_fit {_g(nu_fit.real)} {_g(nu_fit.imag)}",
               f"# nu_predicted {_g(nu_pred.real)} {_g(nu_pred.imag)}",
               f"# fit_residual {_g(res.residual)}",
-              f"# effective_c_dd {_g(c_dd_si)}")
+              f"# effective_c_dd {_g(res.effective_c_dd)}")
     kind = "growth rate" if nu_fit.imag else "frequency"
     fit_val = nu_fit.imag if nu_fit.imag else nu_fit.real
     pred_val = nu_pred.imag if nu_fit.imag else nu_pred.real
     dev = abs(fit_val - pred_val) / abs(pred_val) if pred_val else math.nan
     print(f"measured {kind} {fit_val:.6g} 1/s, predicted {pred_val:.6g} 1/s "
           f"({dev:.2%} deviation, fit residual {res.residual:.2%})")
-    print(f"effective dipolar coupling {c_dd_si:.6g} J")
+    print(f"effective dipolar coupling {res.effective_c_dd:.6g} J")
     return 0
 
 

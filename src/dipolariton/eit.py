@@ -5,8 +5,8 @@ pair of probe fields as stationary light. The dark-state polariton that forms
 acquires an effective transverse mass from diffraction and a complex effective
 longitudinal mass from the EIT absorption profile. This module computes those
 quantities from raw medium parameters, checks the validity margins of the
-adiabatic treatment, evaluates four-wave phase matching, and provides the
-nondimensional scale system used by the solvers.
+adiabatic treatment, evaluates four-wave phase matching, and gives the
+characteristic scales of the polariton problem.
 
 All inputs and outputs are SI; hbar and c enter explicitly so the formulas can
 also be run in scaled units.
@@ -258,10 +258,10 @@ def adiabaticity_margins(
 
 @dataclass(frozen=True)
 class UnitScales:
-    """Nondimensional scale system of the polariton problem.
+    """Characteristic scales of the polariton problem.
 
-    length = 1/k, time = m_perp * length^2 / hbar, mass = m_perp. In the scaled
-    system hbar -> 1, m_perp -> 1 and m_par -> alpha.
+    length = 1/k, time = m_perp * length^2 / hbar, mass = m_perp. Measured in
+    them, hbar -> 1, m_perp -> 1 and m_par -> alpha; `derive` reports them.
     """
 
     length: float

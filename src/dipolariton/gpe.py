@@ -33,10 +33,10 @@ observables into a buffer of its own.
 
 SplitStep is the only code here that convolves the density: with each
 convolution it keeps sum(rho (eps conv rho)), and
-observables(state, workers, propagator) takes the dipolar energy from
-there. evolve hands it its propagator, so the observation at t = 0 makes
-the convolution step 1 opens with, and n steps with any number of
-observations cost n + 1 convolutions. Called without a propagator,
+observables(state, propagator) takes the dipolar energy from there. evolve
+hands it its propagator, so the observation at t = 0 makes the convolution
+step 1 opens with, and n steps with any number of observations cost n + 1
+convolutions. Called without a propagator,
 observables builds a throwaway SplitStep of the state's params. It reduces
 |phi|^2 and the spectral weight to per-axis marginals, from which the
 kinetic energies, centre of mass and variances follow without full-grid
@@ -392,19 +392,17 @@ class Observables:
     variance: tuple[float, float, float]
 
 
-def observables(
-    state: CondensateState, workers: int = 1, propagator: SplitStep | None = None
-) -> Observables:
+def observables(state: CondensateState, propagator: SplitStep | None = None) -> Observables:
     """Norm, energies, peak density, centre of mass and variances of state.
 
     The dipolar energy is hbar sin^2(theta) / 2 * sum(rho (eps conv rho)) dV.
     Given a propagator built from state.params, the sum comes from it (the
     convolution of the field it stepped or observed last is kept, else it
     makes the one its next step of this field opens with); without one, a
-    throwaway SplitStep of state.params makes it. The kinetic energies
-    reduce the spectral weight |fftn(phi)|^2, and the centre of mass and
-    variances reduce |phi|^2, to per-axis marginals. workers is the FFT
-    worker count.
+    throwaway SplitStep of state.params makes it on one FFT worker. The
+    kinetic energies reduce the spectral weight |fftn(phi)|^2, and the
+    centre of mass and variances reduce |phi|^2, to per-axis marginals;
+    that transform uses the propagator's worker count, or one worker.
     """
     p = state.params
     grid = p.grid
@@ -413,9 +411,9 @@ def observables(
     if propagator is None:
         # the sum does not depend on dt, so any step size serves; the
         # throwaway is bound to no name, so its convolution is freed here
-        conv_sum = SplitStep(p, 1.0, workers).convolution_sum(state)
+        conv_sum, workers = SplitStep(p, 1.0).convolution_sum(state), 1
     else:
-        conv_sum = propagator.convolution_sum(state)
+        conv_sum, workers = propagator.convolution_sum(state), propagator.workers
     rho = np.abs(phi) ** 2
     e_dip = 0.5 * p.hbar * p.sin2_theta * conv_sum * dv
     peak = float(rho.max())
@@ -495,8 +493,8 @@ def evolve(
     otherwise ParameterDomainError. Aborts with StepSizeError or
     NonFiniteStateError, each carrying the step index and time, when the
     potential-phase guard trips or the field develops NaN or Inf. workers is
-    the FFT worker count of the stepping and of the observables, which take
-    their dipolar energy from the propagator's convolutions.
+    the FFT worker count of the propagator, whose convolutions and worker
+    count the observables use too.
     """
     prop = SplitStep(state.params, dt, workers)
     n_steps = _whole_steps(t_final - state.t, dt, f"t_final = {t_final} (from t = {state.t})")
@@ -504,11 +502,11 @@ def evolve(
         raise ParameterDomainError(f"observer_stride must be >= 1, got {observer_stride}")
     # the propagator keeps each convolution it makes, so the t = 0 record
     # makes the one step 1 opens with and later records reuse the last step's
-    obs = [observables(state, workers, prop)]
+    obs = [observables(state, prop)]
 
     def record(i: int, current: CondensateState):
         if i % observer_stride == 0 or i == n_steps:
-            obs.append(observables(current, workers, prop))
+            obs.append(observables(current, prop))
 
     final = prop.run(state, n_steps, record)
     return EvolveResult(final=final, observables=tuple(obs))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from dipolariton import (
     PulseSpec,
 )
 import dipolariton
-from dipolariton import cli, errors
+from dipolariton import cli, errors, gpe
 from dipolariton.bogoliubov import CondensateParams, dispersion
 from dipolariton.cli import main
 from dipolariton.config import GRID_KEYS, MEDIUM_KEYS, parse_config
@@ -359,7 +360,57 @@ def test_evolve_rejects_oversized_step(tmp_path, capsys):
         scales, strength_scaled=50.0, dt_scaled=0.5, tf_scaled=5.0,
         extra=f"run.n0 = {dens}\n"))
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    # the guard names step i by the config's times (i - 1) dt -> i dt, in seconds
+    dt = float(fmt(0.5 * scales.time))
+    i, t0, t1 = re.search(r"step (\d+) \(t = (\S+) -> (\S+)\)", err).groups()
+    assert (t0, t1) == (f"{(int(i) - 1) * dt:.6e}", f"{int(i) * dt:.6e}")
+
+
+def test_evolve_refuses_a_t_final_it_cannot_meet(tmp_path, capsys):
+    # 25.5 steps: a usage error that quotes the config's own numbers
+    shipped = (CONFIGS / "evolve.cfg").read_text()
+    text = shipped.replace("run.t_final = 2.5e-8 s", "run.t_final = 2.55e-8 s")
+    assert text != shipped
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_final = 2.55e-08 ")
+    assert "not a whole positive number of steps dt = 1e-09 (25.5 steps)" in err
+    assert not (out / "observables.csv").exists()
+
+
+def si_gpe_params(cfg, command):
+    """GpeParams of a config as the library takes it: SI masses on the config's grid."""
+    derived = derive_eit(cfg.medium).real_mass()
+    spec = KernelSpec(orientation=cfg.get("kernel.orientation"),
+                      strength=cfg.get("kernel.strength"),
+                      cutoff_radius=cfg.get("kernel.cutoff_radius"),
+                      sphere_radius=cfg.get("kernel.sphere_radius"))
+    table = kernel_table_fourier(cfg.require_grid(command), spec, method=cfg.get("kernel.method"))
+    return gpe.GpeParams(m_perp=derived.m_perp, m_par=derived.m_par,
+                         sin2_theta=math.sin(derived.theta) ** 2, table=table)
+
+
+@pytest.mark.parametrize("extra", ["", "run.n0 = 1e21\n"], ids=["unit-norm", "lifted-to-n0"])
+def test_evolve_records_the_library_observables_of_the_config_as_given(tmp_path, extra):
+    text = (CONFIGS / "evolve.cfg").read_text() + extra
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    _, _, rows = read_rows(out / "observables.csv")
+
+    cfg = parse_config(text)
+    params = si_gpe_params(cfg, "evolve")
+    w = cfg.get("run.gaussian_widths")
+    state = gpe.init_state("gaussian", params, widths=w)
+    if extra:
+        peak = 1.0 / ((2.0 * math.pi) ** 1.5 * w[0] * w[1] * w[2])
+        state = gpe.CondensateState(state.phi * math.sqrt(cfg.get("run.n0") / peak), 0.0, params)
+    o = gpe.observables(state)
+    expected = (o.t, o.norm, o.energy_total, o.kinetic_perp, o.kinetic_z, o.dipolar,
+                o.peak_density, *o.center_of_mass, *o.variance)
+    assert rows[0] == [fmt(v) for v in expected]
 
 
 # ------------------------------------------------------------------ respond
@@ -409,9 +460,24 @@ def test_respond_refuses_a_duration_it_cannot_meet(tmp_path, capsys, duration, d
     out = tmp_path / "o"
     assert main(["respond", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: duration = ")
+    # the config's numbers, in seconds
+    assert err.startswith(f"error: duration = {float(duration)!r} ")
+    assert re.search(rf"dt = {re.escape(repr(float(dt)))}\b", err)
     assert reason in err
     assert not (out / "response.csv").exists()
+
+
+def test_respond_writes_the_library_prediction_for_the_config_as_given(tmp_path):
+    out = tmp_path / "o"
+    assert main(["respond", "--config", str(CONFIGS / "respond.cfg"), "--out", str(out)]) == 0
+    comments, _, _ = read_rows(out / "response.csv")
+
+    cfg = parse_config((CONFIGS / "respond.cfg").read_text())
+    params = si_gpe_params(cfg, "respond")
+    q, n0 = cfg.get("run.q_perturb"), cfg.get("run.n0")
+    nu = gpe.predicted_mode_frequency(params, q, n0)
+    assert f"# nu_predicted {fmt(nu.real)} {fmt(nu.imag)}" in comments
+    assert f"# effective_c_dd {fmt(gpe.effective_dipolar_coupling(params, q, n0))}" in comments
 
 
 def test_respond_refuses_complex_mass_before_stepping(tmp_path, capsys):

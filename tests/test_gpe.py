@@ -394,11 +394,11 @@ def test_propagator_fed_observables_equal_standalone(make):
     g0 = init_state("gaussian", p, widths=(1.0, 1.2, 0.9), center=(3.0, 2.5, 3.5))
     st = CondensateState(g0.phi * 3.0, 0.0, p)
     prop = gpe.SplitStep(p, 0.01)
-    fed = [observables(st, 1, prop)]
+    fed = [observables(st, prop)]
     fields = [st]
 
     def visit(i, current):
-        fed.append(observables(current, 1, prop))
+        fed.append(observables(current, prop))
         fields.append(current)
 
     prop.run(st, 4, visit)
@@ -411,7 +411,7 @@ def test_propagator_fed_observables_equal_standalone(make):
         assert_observables_close(alone, observables_oracle(state), 1e-12)
     # a field the propagator has not convolved is convolved afresh
     other = CondensateState(fields[2].phi * 0.5, 0.0, p)
-    assert_observables_close(observables(other, 1, prop), observables(other), 1e-12)
+    assert_observables_close(observables(other, prop), observables(other), 1e-12)
 
 
 def test_observables_refuse_a_propagator_of_other_params():
@@ -419,7 +419,7 @@ def test_observables_refuse_a_propagator_of_other_params():
     st = init_state("uniform", p, n0=1.0)
     prop = gpe.SplitStep(make_params(grid16(), 0.5), 0.01)
     with pytest.raises(ParameterDomainError, match="different params"):
-        observables(st, 1, prop)
+        observables(st, prop)
 
 
 def test_reused_potential_matches_fresh_steps():
