@@ -28,15 +28,16 @@ C_DD = 1e-31      # dipolar coupling magnitude, J
 
 
 def build_params(c_dd):
-    d = derive_eit(MEDIUM)
+    # the real part of the longitudinal mass, as the CLI takes it by default
+    d = derive_eit(MEDIUM).real_mass()
     return CondensateParams(m_perp=d.m_perp, m_par=d.m_par, c_dd=c_dd,
                             orientation=(0.0, 0.0, 1.0))
 
 
 def main():
-    p = build_params(C_DD)
-    print(f"masses: m_perp = {p.m_perp:.4g} kg, "
-          f"m_par = {p.m_par.real:.4g}{p.m_par.imag:+.2g}j kg")
+    d = derive_eit(MEDIUM)
+    print(f"masses: m_perp = {d.m_perp:.4g} kg, "
+          f"m_par = {d.m_par.real:.4g}{d.m_par.imag:+.2g}j kg")
     print(f"|c_dd| = {C_DD:g} J, dipoles along z")
 
     print()

@@ -21,9 +21,10 @@ Re(nu) >= 0 is returned, which continues the free-particle branch
 nu = E_free / hbar; where the radicand is negative the root is taken with
 Im >= 0, the growing branch. Im(nu) is signed: negative is damping (the
 absorption carried by a complex longitudinal mass), positive is exponential
-growth, and a mode is unstable exactly when Im(nu) > 0. By default the
-longitudinal mass enters through its real part, so nu is real or purely
-imaginary; complex-mass evaluation is available behind an explicit flag.
+growth, and a mode is unstable exactly when Im(nu) > 0. The mass given
+decides the law: a longitudinal mass with zero imaginary part gives nu real
+or purely imaginary (DerivedQuantities.real_mass makes that approximation of
+the EIT mass), any other the absorptive law above.
 
 dispersion evaluates nu on any array of wavevectors in one expression,
 stability_map scans it over directions (see spherical_directions) and
@@ -56,7 +57,7 @@ class CondensateParams:
     """Masses, dipolar coupling and dipole axis of the uniform condensate.
 
     m_perp       transverse mass [kg], > 0
-    m_par        longitudinal mass [kg], complex; Re used unless complex mode
+    m_par        longitudinal mass [kg], complex; Im = 0 gives the real law
     c_dd         dipolar coupling [J], signed
     orientation  unit 3-vector of the dipole axis
     """
@@ -109,14 +110,13 @@ def _energies(q: np.ndarray, p: CondensateParams, m_par: complex) -> tuple[np.nd
     return e_free, p.c_dd * (3.0 * cos2 - 1.0)
 
 
-def dispersion(q, p: CondensateParams, complex_mass: bool = False) -> np.ndarray:
+def dispersion(q, p: CondensateParams) -> np.ndarray:
     """Excitation frequency nu(q) for wavevectors q of shape (..., 3).
 
     nu has shape q.shape[:-1], so a single 3-vector gives a complex scalar.
+    A real m_par (zero imaginary part) enters as a float, a complex one as is.
     """
-    if not complex_mass and p.m_par.real == 0:
-        raise ParameterDomainError("Re(m_par) is zero; use complex_mass=True")
-    e_free, e_int = _energies(_check_q(q), p, p.m_par if complex_mass else p.m_par.real)
+    e_free, e_int = _energies(_check_q(q), p, p.m_par.real if p.m_par.imag == 0 else p.m_par)
     e_re = np.real(e_free)
     radicand = e_re * (e_re + e_int)
     re = np.sqrt(np.maximum(radicand, 0.0))
@@ -179,9 +179,7 @@ class StabilityMap:
         return tuple(self.q[self._argmax])
 
 
-def stability_map(
-    p: CondensateParams, directions, magnitudes, complex_mass: bool = False
-) -> StabilityMap:
+def stability_map(p: CondensateParams, directions, magnitudes) -> StabilityMap:
     """Evaluate the dispersion over directions (outer) and magnitudes (inner)."""
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     mags = np.asarray(magnitudes, dtype=float).ravel()
@@ -195,7 +193,7 @@ def stability_map(
     if np.any(~np.isfinite(mags)) or np.any(mags < 0):
         raise ParameterDomainError("magnitudes must be finite and non-negative")
     q = dirs[:, None, :] * mags[None, :, None]
-    nu = dispersion(q, p, complex_mass=complex_mass)
+    nu = dispersion(q, p)
     return StabilityMap(directions=dirs, magnitudes=mags, q=q, nu=nu)
 
 

@@ -1,7 +1,6 @@
 """Command-line front end.
 
-    dipolariton <command> --config FILE [--out DIR] [--threads N]
-                [--real-mass | --complex-mass]
+    dipolariton <command> --config FILE [--out DIR] [--threads N] [--complex-mass]
 
 Commands
     derive         medium parameters -> derived polariton quantities (CSV)
@@ -15,11 +14,12 @@ Commands
 
 Files go to --out, created on the first write; the last stdout line is
 `wrote a, b, ...`. Exit codes: 0 success, 1 stdout closed by its reader,
-2 validation error (a package ValueError, a missing or non-UTF-8 config, an
---out that cannot be a directory), 3 numerical failure (a package
-RuntimeError). Every command runs in the config's SI units, and so do its
-files and messages. Outputs are deterministic: no timestamps, fixed
-formatting, atomic writes.
+2 validation error (a package ValueError, a missing, unreadable or non-UTF-8
+config, an --out that cannot be a directory), 3 numerical failure (a package
+RuntimeError). The longitudinal mass is the real part of the EIT mass unless
+--complex-mass keeps it whole. Every command runs in the config's SI units,
+and so do its files and messages. Outputs are deterministic: no timestamps,
+fixed formatting, atomic writes.
 """
 
 from __future__ import annotations
@@ -96,11 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1, metavar="N",
                         help="FFT worker threads of the kernel table and the split-step "
                              "propagator (default 1)")
-    mass = parser.add_mutually_exclusive_group()
-    mass.add_argument("--real-mass", action="store_true",
-                      help="drop the imaginary part of the longitudinal mass (default)")
-    mass.add_argument("--complex-mass", action="store_true",
-                      help="keep the complex longitudinal mass")
+    parser.add_argument("--complex-mass", action="store_true",
+                        help="keep the complex longitudinal mass (default: its real part)")
     return parser
 
 
@@ -117,6 +114,8 @@ def _load_config(args) -> SimConfig | None:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {args.config} is not UTF-8 text "
                           f"(byte {exc.start}: {exc.reason})") from None
+    except OSError as exc:
+        raise ConfigError(f"config {args.config} cannot be read ({exc.strerror})") from None
 
 
 class _Run:
@@ -259,7 +258,7 @@ def _cmd_dispersion(run: _Run) -> int:
     params = _condensate_params(run)
     dirs = _ray_directions(run)
     mags = run.require("run.q_magnitudes")
-    smap = stability_map(params, dirs, mags, complex_mass=run.complex_mass)
+    smap = stability_map(params, dirs, mags)
     _write_modes(run, "dispersion.csv", smap)
     print(f"evaluated {smap.nu.size} modes on {len(dirs)} rays; {smap.n_unstable} unstable")
     for d in dirs:
@@ -277,11 +276,11 @@ def _cmd_stability_map(run: _Run) -> int:
     else:
         dirs = spherical_directions(cfg.get("run.n_polar"), cfg.get("run.n_azimuth"))
     mags = run.require("run.q_magnitudes")
-    smap = stability_map(params, dirs, mags, complex_mass=run.complex_mass)
+    smap = stability_map(params, dirs, mags)
     _write_modes(run, "stability_map.csv", smap,
                  f"# max_growth_rate {_g(smap.max_growth_rate)}",
-                 f"# argmax_direction {' '.join(_g(v) for v in smap.argmax_direction)}",
-                 f"# argmax_q {' '.join(_g(v) for v in smap.argmax_q)}",
+                 f"# argmax_direction {_g(smap.argmax_direction)}",
+                 f"# argmax_q {_g(smap.argmax_q)}",
                  f"# n_unstable {smap.n_unstable}")
     print(f"{smap.nu.size} modes scanned ({len(dirs)} directions x {len(mags)} magnitudes)")
     print(f"unstable modes: {smap.n_unstable}; max growth rate {smap.max_growth_rate:.6g} 1/s")
@@ -353,7 +352,7 @@ def _cmd_respond(run: _Run) -> int:
     nu_fit, nu_pred = res.nu_fit, res.nu_predicted
     rows = [(t, a.real, a.imag, abs(a)) for t, a in zip(res.times, res.amplitudes)]
     run.table("response.csv", ("t", "re_amplitude", "im_amplitude", "abs_amplitude"), rows,
-              f"# q {' '.join(_g(v) for v in q)}",
+              f"# q {_g(q)}",
               f"# nu_fit {_g(nu_fit.real)} {_g(nu_fit.imag)}",
               f"# nu_predicted {_g(nu_pred.real)} {_g(nu_pred.imag)}",
               f"# fit_residual {_g(res.residual)}",
@@ -388,13 +387,13 @@ def _cmd_validate(run: _Run) -> int:
 
     rows = []
     for r in report.ratios:
-        rows.append((r.name, _g(r.value), "PASS" if r.passed else "FAIL"))
+        rows.append((r.name, r.value, "PASS" if r.passed else "FAIL"))
         print(f"{r.name:<16} {r.value:12.6g}  {'PASS' if r.passed else 'FAIL'}")
-    rows.append(("margin_threshold", _g(report.margin), ""))
+    rows.append(("margin_threshold", report.margin, ""))
     rows.append(("all_pass", "1" if report.all_pass else "0",
                  "PASS" if report.all_pass else "FAIL"))
     for axis, v in zip("xyz", mismatch):
-        rows.append((f"phase_mismatch_{axis}", _g(v), ""))
+        rows.append((f"phase_mismatch_{axis}", v, ""))
     rows.append(("phase_matched", "1" if matched else "0",
                  "MATCHED" if matched else "MISMATCHED"))
     run.table("validation.csv", ("quantity", "value", "status"), rows)
@@ -518,7 +517,7 @@ def _cmd_selftest(run: _Run) -> int:
     rows = []
     for check in checks:
         name, err, ok = check()
-        rows.append((name, _g(err), "PASS" if ok else "FAIL"))
+        rows.append((name, err, "PASS" if ok else "FAIL"))
         print(f"{'ok  ' if ok else 'FAIL'} {name} (measure = {err:.3e})")
     failed = sum(status == "FAIL" for _, _, status in rows)
     run.table("selftest.csv", ("check", "measure", "status"), rows)
@@ -553,7 +552,7 @@ def main(argv=None) -> int:
         # including the flush at interpreter exit, to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (DipolaritonError, FileNotFoundError, IsADirectoryError) as exc:
+    except DipolaritonError as exc:
         if isinstance(exc, RuntimeError):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 3

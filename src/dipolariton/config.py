@@ -24,6 +24,7 @@ from typing import Any
 
 from .eit import MediumParams
 from .errors import ConfigError, GridTooSmallError, ParameterDomainError, UnitError
+from .fileio import _g
 from .grid import GridSpec
 
 __all__ = ["SimConfig", "parse_config", "KEY_TABLE", "UNIT_TABLE", "MEDIUM_KEYS", "GRID_KEYS"]
@@ -200,14 +201,6 @@ class SimConfig:
         return self.grid
 
 
-def _render(value: Any) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, tuple):
-        return " ".join(_render(v) for v in value)
-    return str(value)
-
-
 def parse_config(text: str) -> SimConfig:
     """Parse config text; see the module docstring for the format."""
     values: dict[str, Any] = {}
@@ -258,6 +251,6 @@ def parse_config(text: str) -> SimConfig:
         except (ParameterDomainError, GridTooSmallError) as exc:
             raise ConfigError(f"grid: {exc}") from exc
 
-    effective = {k: _render(values[k]) for k in sorted(values)}
+    effective = {k: _g(values[k]) for k in sorted(values)}
     digest = hashlib.sha256(text.encode()).hexdigest()
     return SimConfig(values=values, effective=effective, sha256=digest, medium=medium, grid=grid)

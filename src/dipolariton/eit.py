@@ -8,8 +8,8 @@ quantities from raw medium parameters, checks the validity margins of the
 adiabatic treatment, evaluates four-wave phase matching, and gives the
 characteristic scales of the polariton problem.
 
-All inputs and outputs are SI; hbar and c enter explicitly so the formulas can
-also be run in scaled units.
+All inputs and outputs are SI, with hbar and c the CODATA values HBAR and
+C_LIGHT.
 """
 
 from __future__ import annotations
@@ -130,15 +130,15 @@ class DerivedQuantities:
         return self.gamma_complex.imag / self.gamma_complex.real
 
 
-def derive_eit(params: MediumParams, hbar: float = HBAR, c: float = C_LIGHT) -> DerivedQuantities:
+def derive_eit(params: MediumParams) -> DerivedQuantities:
     """Derive the polariton quantities from raw medium parameters."""
     g2n = params.g**2 * params.n_atoms
-    l_abs = params.gamma * c / g2n
+    l_abs = params.gamma * C_LIGHT / g2n
     tan2 = g2n / (2.0 * params.omega**2)
     theta = math.atan(math.sqrt(tan2))
     cos2 = 1.0 / (1.0 + tan2)
-    v_gr = c * cos2
-    m_perp = hbar * params.k / v_gr
+    v_gr = C_LIGHT * cos2
+    m_perp = HBAR * params.k / v_gr
     ratio = params.delta / params.gamma
     alpha = 1.0 / (2.0 * params.k * l_abs * complex(ratio, -1.0))
     return DerivedQuantities(
@@ -223,7 +223,6 @@ def adiabaticity_margins(
     derived: DerivedQuantities,
     pulse: PulseSpec,
     margin: float = 10.0,
-    c: float = C_LIGHT,
 ) -> MarginReport:
     """Check the four validity ratios of the adiabatic polariton treatment.
 
@@ -260,27 +259,26 @@ def adiabaticity_margins(
 class UnitScales:
     """Characteristic scales of the polariton problem.
 
-    length = 1/k, time = m_perp * length^2 / hbar, mass = m_perp. Measured in
+    length = 1/k, time = m_perp * length^2 / HBAR, mass = m_perp. Measured in
     them, hbar -> 1, m_perp -> 1 and m_par -> alpha; `derive` reports them.
     """
 
     length: float
     time: float
     mass: float
-    hbar: float = HBAR
 
     def __post_init__(self):
-        for name in ("length", "time", "mass", "hbar"):
+        for name in ("length", "time", "mass"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ParameterDomainError(f"scale {name} must be positive, got {v}")
 
     @classmethod
-    def from_derived(cls, derived: DerivedQuantities, hbar: float = HBAR) -> "UnitScales":
+    def from_derived(cls, derived: DerivedQuantities) -> "UnitScales":
         # m_perp = hbar k / v_gr, so 1/k = hbar / (m_perp v_gr)
-        length = hbar / (derived.m_perp * derived.v_gr)
-        time = derived.m_perp * length**2 / hbar
-        return cls(length=length, time=time, mass=derived.m_perp, hbar=hbar)
+        length = HBAR / (derived.m_perp * derived.v_gr)
+        time = derived.m_perp * length**2 / HBAR
+        return cls(length=length, time=time, mass=derived.m_perp)
 
     @property
     def frequency(self) -> float:
@@ -288,7 +286,7 @@ class UnitScales:
 
     @property
     def energy(self) -> float:
-        return self.hbar / self.time
+        return HBAR / self.time
 
     @property
     def density(self) -> float:

@@ -105,14 +105,14 @@ def from_sum_difference(modes: ModePair) -> FieldPair:
     )
 
 
-def _warn_if_nyquist_heavy(d_spec: np.ndarray, threshold: float = 1e-6):
-    # spectral energy of the z derivative concentrated at the Nyquist bin
+def _warn_if_nyquist_heavy(d_spec: np.ndarray):
+    # warn when over 1e-6 of the z derivative's spectral energy sits at the Nyquist bin
     energy = np.abs(d_spec) ** 2
     total = float(np.sum(energy))
     if total == 0.0:
         return
     nyq = float(energy[len(energy) // 2])
-    if nyq / total > threshold:
+    if nyq / total > 1e-6:
         warnings.warn(
             f"z derivative carries {nyq / total:.2e} of its energy at the Nyquist bin; "
             "the grid may be too coarse",

@@ -43,7 +43,7 @@ kinetic energies, centre of mass and variances follow without full-grid
 coordinate or wavenumber meshes.
 
 An accuracy guard rejects steps whose maximal potential phase per half step
-exceeds max_potential_phase (default pi/4).
+exceeds MAX_POTENTIAL_PHASE = pi/4.
 
 linear_response_experiment seeds a weak density wave on the uniform state,
 tracks its Fourier amplitude and reads nu off it in closed form (Prony's
@@ -92,6 +92,9 @@ __all__ = [
     "linear_response_experiment",
 ]
 
+# largest potential phase per half step a step may take [rad]
+MAX_POTENTIAL_PHASE = math.pi / 4.0
+
 
 @dataclass(frozen=True)
 class GpeParams:
@@ -102,7 +105,8 @@ class GpeParams:
     sin2_theta  sin^2 of the mixing angle, in [0, 1]
     table   kernel Fourier table; carries the grid
     hbar    Planck constant of the unit system in use
-    max_potential_phase  accuracy guard per half step [rad]
+
+    Steps are guarded by the module constant MAX_POTENTIAL_PHASE.
     """
 
     m_perp: float
@@ -110,7 +114,6 @@ class GpeParams:
     sin2_theta: float
     table: FourierTable
     hbar: float = HBAR
-    max_potential_phase: float = math.pi / 4.0
 
     def __post_init__(self):
         if not (np.isfinite(self.m_perp) and self.m_perp > 0):
@@ -122,10 +125,6 @@ class GpeParams:
             raise ParameterDomainError(f"sin2_theta must lie in [0, 1], got {self.sin2_theta}")
         if not (np.isfinite(self.hbar) and self.hbar > 0):
             raise ParameterDomainError(f"hbar must be positive, got {self.hbar}")
-        if not (0 < self.max_potential_phase <= math.pi):
-            raise ParameterDomainError(
-                f"max_potential_phase must lie in (0, pi], got {self.max_potential_phase}"
-            )
         object.__setattr__(self, "m_par", m_par)
 
     @property
@@ -154,8 +153,8 @@ class CondensateState:
         return self.params.grid
 
 
-def _lattice_index(q, grid: GridSpec, rel_tol: float = 1e-9) -> tuple[int, int, int]:
-    """Indices of a reciprocal-lattice vector; OffLatticeError if q is not one."""
+def _lattice_index(q, grid: GridSpec) -> tuple[int, int, int]:
+    """Indices of a reciprocal-lattice vector; OffLatticeError if q is off it by 1e-9 relative."""
     qv = np.asarray(q, dtype=float)
     if qv.shape != (3,) or not np.all(np.isfinite(qv)):
         raise ParameterDomainError(f"q must be a finite 3-vector, got {q}")
@@ -164,7 +163,7 @@ def _lattice_index(q, grid: GridSpec, rel_tol: float = 1e-9) -> tuple[int, int, 
         steps = comp * length / (2.0 * math.pi)
         nearest = round(steps)
         scale = max(abs(steps), 1.0)
-        if abs(steps - nearest) > rel_tol * scale:
+        if abs(steps - nearest) > 1e-9 * scale:
             raise OffLatticeError(
                 f"q = {tuple(qv)} is off the reciprocal lattice (component {comp} is "
                 f"{steps} lattice steps)"
@@ -179,16 +178,14 @@ def init_state(
     *,
     n0: float | None = None,
     widths=None,
-    center=None,
     delta: float | None = None,
     q=None,
-    t: float = 0.0,
 ) -> CondensateState:
-    """Prepare a condensate state.
+    """Prepare a condensate state at t = 0.
 
     kind="uniform":  phi = sqrt(n0) everywhere.
     kind="gaussian": density Gaussian, unit norm, per-axis standard deviations
-                     `widths`, centered at `center` (default box middle).
+                     `widths`, centered in the box.
     kind="perturbed_plane_wave": phi = sqrt(n0) (1 + delta cos(q . r)) with
                      delta <= 1e-3 and q on the reciprocal lattice.
     """
@@ -197,16 +194,12 @@ def init_state(
         if n0 is None or not (np.isfinite(n0) and n0 > 0):
             raise ParameterDomainError(f"uniform state needs n0 > 0, got {n0}")
         phi = np.full(grid.shape, math.sqrt(n0), dtype=complex)
-        return CondensateState(phi, t, params)
+        return CondensateState(phi, 0.0, params)
     if kind == "gaussian":
         w = np.asarray(widths, dtype=float) if widths is not None else None
         if w is None or w.shape != (3,) or np.any(~np.isfinite(w)) or np.any(w <= 0):
             raise ParameterDomainError(f"gaussian state needs three positive widths, got {widths}")
-        ctr = (
-            np.asarray(center, dtype=float)
-            if center is not None
-            else 0.5 * np.asarray(grid.box_lengths)
-        )
+        ctr = 0.5 * np.asarray(grid.box_lengths)
         xm, ym, zm = grid.meshgrid()
         # widths are density standard deviations: |phi|^2 ~ exp(-x^2 / (2 w^2))
         envelope = np.exp(
@@ -216,7 +209,7 @@ def init_state(
         ).astype(complex)
         norm = np.sum(np.abs(envelope) ** 2) * grid.cell_volume
         phi = envelope / math.sqrt(norm)
-        return CondensateState(phi, t, params)
+        return CondensateState(phi, 0.0, params)
     if kind == "perturbed_plane_wave":
         if n0 is None or not (np.isfinite(n0) and n0 > 0):
             raise ParameterDomainError(f"perturbed state needs n0 > 0, got {n0}")
@@ -229,7 +222,7 @@ def init_state(
         xm, ym, zm = grid.meshgrid()
         phase = qv[0] * xm + qv[1] * ym + qv[2] * zm
         phi = math.sqrt(n0) * (1.0 + delta * np.cos(phase)).astype(complex)
-        return CondensateState(phi, t, params)
+        return CondensateState(phi, 0.0, params)
     raise ParameterDomainError(f"unknown state kind '{kind}'")
 
 
@@ -308,11 +301,10 @@ class SplitStep:
         return self._factor
 
     def _check_guard(self) -> None:
-        guard = self.params.max_potential_phase
-        if self._max_phase > guard:
+        if self._max_phase > MAX_POTENTIAL_PHASE:
             raise StepSizeError(
                 f"potential phase per half step {self._max_phase:.3f} rad exceeds the accuracy "
-                f"guard {guard:.3f} rad; reduce dt"
+                f"guard {MAX_POTENTIAL_PHASE:.3f} rad; reduce dt"
             )
 
     def convolution_sum(self, state: CondensateState) -> float:
@@ -537,8 +529,8 @@ def effective_dipolar_coupling(params: GpeParams, q, n0: float) -> float:
     return e_int / ang
 
 
-def predicted_mode_frequency(params: GpeParams, q, n0: float, complex_mass: bool = False) -> complex:
-    """Bogoliubov frequency at lattice q with the table-calibrated coupling."""
+def predicted_mode_frequency(params: GpeParams, q, n0: float) -> complex:
+    """Bogoliubov frequency at lattice q with the table-calibrated coupling and params' mass."""
     c_dd = effective_dipolar_coupling(params, q, n0)
     cp = bogoliubov.CondensateParams(
         m_perp=params.m_perp,
@@ -547,7 +539,7 @@ def predicted_mode_frequency(params: GpeParams, q, n0: float, complex_mass: bool
         orientation=params.table.spec.orientation,
         hbar=params.hbar,
     )
-    return bogoliubov.dispersion(q, cp, complex_mass=complex_mass)
+    return bogoliubov.dispersion(q, cp)
 
 
 @dataclass(frozen=True)
@@ -629,7 +621,8 @@ def linear_response_experiment(
     mode's frequency while c = cosh(g dt) gives a growing mode's rate
     nu = i g (see _fit_mode). Raises FitFailureError when the residual of
     that law exceeds 10% of the signal. The recurrence models no damping,
-    so a complex m_par is refused with ParameterDomainError before stepping.
+    so a complex m_par is refused with ParameterDomainError before stepping,
+    and so is a given dt that is not positive and finite.
     The returned prediction uses the table-calibrated coupling at the same
     q. The mode amplitude is read by an O(N) projection on the plane wave at
     q; workers is the FFT worker count of the stepping.
@@ -645,6 +638,8 @@ def linear_response_experiment(
             "the response fit models an undamped mode and needs a real mass; "
             f"got m_par = {params.m_par}"
         )
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ParameterDomainError(f"dt must be positive and finite, got {dt}")
     grid = params.grid
     idx = _lattice_index(q, grid)
     nu_pred = predicted_mode_frequency(params, q, n0)

@@ -113,20 +113,21 @@ def test_magic_direction_reduces_to_free_branch():
 
 def test_dispersion_matches_scalar_recomputation():
     cases = [
-        ((0.3, 0.1, 0.7), params(c_dd=0.5), False),
-        ((0.3, 0.1, 0.7), params(c_dd=-2.0), False),
-        ((0.9, 0.0, 0.05), params(m_par=1e-4, c_dd=0.5), False),
-        ((0.1, 0.0, 0.0), params(c_dd=5.0), False),           # unstable
-        ((0.2, -0.3, 0.4), params(m_par=1e-4 + 5e-5j, c_dd=0.5), True),
-        ((0.2, -0.3, 0.4), params(m_par=1e-4 + 5e-5j, c_dd=0.5), False),
-        ((0.0, 0.5, 0.5), params(orientation=Y, c_dd=-1.0), False),
+        ((0.3, 0.1, 0.7), params(c_dd=0.5)),
+        ((0.3, 0.1, 0.7), params(c_dd=-2.0)),
+        ((0.9, 0.0, 0.05), params(m_par=1e-4, c_dd=0.5)),
+        ((0.1, 0.0, 0.0), params(c_dd=5.0)),           # unstable
+        ((0.2, -0.3, 0.4), params(m_par=1e-4 + 5e-5j, c_dd=0.5)),
+        ((0.2, -0.3, 0.4), params(m_par=1e-4, c_dd=0.5)),
+        ((0.0, 0.5, 0.5), params(orientation=Y, c_dd=-1.0)),
         # unit mass ratio with a negative coupling along z, stable and unstable rays
-        ((0.3, 0.1, 0.7), params(c_dd=-0.7), False),
-        ((0.0, 0.0, 0.4), params(c_dd=-0.7), False),          # unstable
-        ((1.2, -0.5, 0.0), params(c_dd=-0.7), False),
+        ((0.3, 0.1, 0.7), params(c_dd=-0.7)),
+        ((0.0, 0.0, 0.4), params(c_dd=-0.7)),          # unstable
+        ((1.2, -0.5, 0.0), params(c_dd=-0.7)),
     ]
-    for q, p, cm in cases:
-        nu = dispersion(q, p, complex_mass=cm)
+    for q, p in cases:
+        nu = dispersion(q, p)
+        cm = p.m_par.imag != 0
         assert nu == pytest.approx(nu_oracle(q, p, cm), rel=1e-13)
         # the root continuing the free branch, and of two growth rates the larger
         assert nu.real >= 0.0
@@ -199,7 +200,8 @@ finite_q = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False).map(
 condensates = st.builds(
     params,
     m_perp=st.sampled_from([1.0, 0.4]),
-    m_par=st.sampled_from([1.0, 0.3, -0.5, 1e-4 + 5e-5j, 0.3 + 0.1j, -0.5 - 0.2j, 2.0 - 0.5j]),
+    m_par=st.sampled_from([1.0, 0.3, -0.5, 1e-4, 2.0,
+                           1e-4 + 5e-5j, 0.3 + 0.1j, -0.5 - 0.2j, 2.0 - 0.5j]),
     c_dd=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
     orientation=st.sampled_from([Z, Y, (0.6, 0.0, 0.8)]),
 )
@@ -207,17 +209,17 @@ condensates = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(q=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3)), elements=finite_q),
-       p=condensates, complex_mass=st.booleans())
-def test_dispersion_of_row_array_matches_oracle(q, p, complex_mass):
-    assert_matches_oracle(dispersion(q, p, complex_mass=complex_mass), q, p, complex_mass)
+       p=condensates)
+def test_dispersion_of_row_array_matches_oracle(q, p):
+    assert_matches_oracle(dispersion(q, p), q, p, p.m_par.imag != 0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(q=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(3)),
                     elements=finite_q),
-       p=condensates, complex_mass=st.booleans())
-def test_dispersion_of_stacked_array_matches_oracle(q, p, complex_mass):
-    assert_matches_oracle(dispersion(q, p, complex_mass=complex_mass), q, p, complex_mass)
+       p=condensates)
+def test_dispersion_of_stacked_array_matches_oracle(q, p):
+    assert_matches_oracle(dispersion(q, p), q, p, p.m_par.imag != 0)
 
 
 def test_single_wavevector_gives_a_complex_scalar():
@@ -239,7 +241,7 @@ def test_complex_mass_absorption_is_damping():
     # coupling nu = e_free / hbar and every nonzero mode decays
     p = params(m_perp=1.0, m_par=0.3 + 0.1j, c_dd=0.0)
     q = np.array([[0.0, 0.0, 0.5], [0.4, -0.2, 0.3], [1.0, 0.0, 0.0]])
-    nu = dispersion(q, p, complex_mass=True)
+    nu = dispersion(q, p)
     e_free = (q[:, 0] ** 2 + q[:, 1] ** 2) / 2.0 + q[:, 2] ** 2 / (2.0 * p.m_par)
     assert np.allclose(nu, e_free, rtol=1e-14, atol=0.0)
     assert np.all(nu.imag[:2] < 0.0) and nu.imag[2] == 0.0
@@ -247,8 +249,7 @@ def test_complex_mass_absorption_is_damping():
 
 def test_complex_mass_map_without_coupling_is_stable():
     p = params(m_perp=1.0, m_par=0.3 + 0.1j, c_dd=0.0)
-    smap = stability_map(p, spherical_directions(9, 18), np.logspace(-2, 1, 10),
-                         complex_mass=True)
+    smap = stability_map(p, spherical_directions(9, 18), np.logspace(-2, 1, 10))
     assert smap.n_unstable == 0
     assert np.all(smap.stable)
     assert smap.max_growth_rate == 0.0
@@ -258,7 +259,7 @@ def test_complex_mass_map_without_coupling_is_stable():
 def test_complex_mass_growth_keeps_its_sign():
     # a soft transverse ray stays unstable with a small absorptive mass part
     p = params(m_perp=1.0, m_par=1.0 + 1e-3j, c_dd=0.5)
-    nu = dispersion((0.3, 0.0, 0.0), p, complex_mass=True)
+    nu = dispersion((0.3, 0.0, 0.0), p)
     assert nu.imag > 0.0
     assert nu == pytest.approx(nu_oracle((0.3, 0.0, 0.0), p, True), rel=1e-13)
 
@@ -270,7 +271,7 @@ def test_complex_mass_axis_mode_in_the_upper_unstable_band_grows():
     p = params(m_perp=1.0, m_par=1.0 + 0.1j, c_dd=-0.5)
     e = 1.189**2 / (2.0 * p.m_par)
     assert 0.5 < e.real < 1.0
-    nu = dispersion((0.0, 0.0, 1.189), p, complex_mass=True)
+    nu = dispersion((0.0, 0.0, 1.189), p)
     assert nu.real == 0.0
     assert nu.imag == pytest.approx(e.imag + math.sqrt(e.real * (1.0 - e.real)), rel=1e-14)
     assert nu.imag == pytest.approx(0.3883, abs=1e-4)
@@ -283,7 +284,7 @@ def test_complex_mass_growth_is_continuous_across_the_band():
     mags = np.linspace(0.01, 2.0, 4001)
     q = np.zeros((mags.size, 3))
     q[:, 2] = mags
-    nu = dispersion(q, p, complex_mass=True)
+    nu = dispersion(q, p)
     assert np.all(nu.real >= 0.0)
     # the square root's slope at the band edges allows steps of about 0.03;
     # switching roots mid-band jumps by twice the growth rate, about 0.9
@@ -364,11 +365,11 @@ def test_unstable_growth_small_q_asymptote():
     assert nu.imag == pytest.approx(expected, rel=1e-2)
 
 
-def test_real_branch_requires_nonzero_real_mass():
+def test_purely_imaginary_mass_takes_the_absorptive_law():
+    # a zero real part is no special case: the mass given is the mass evaluated
     p = params(m_par=1j * 1e-4)
-    with pytest.raises(ParameterDomainError):
-        dispersion((0.1, 0.0, 0.2), p)
-    dispersion((0.1, 0.0, 0.2), p, complex_mass=True)  # complex branch works
+    q = (0.1, 0.0, 0.2)
+    assert dispersion(q, p) == pytest.approx(nu_oracle(q, p, True), rel=1e-13)
 
 
 # ------------------------------------------------------------- stability map

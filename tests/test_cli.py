@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end (in process)."""
 
+import errno
 import hashlib
 import json
 import math
@@ -243,12 +244,12 @@ def test_dispersion_rows_match_library(tmp_path, capsys):
     assert "unstable" in printed
 
 
-@pytest.mark.parametrize("mass_flag", ["--real-mass", "--complex-mass"])
-def test_shipped_dispersion_has_three_unstable_modes(tmp_path, capsys, mass_flag):
+@pytest.mark.parametrize("mass_flags", [[], ["--complex-mass"]], ids=["default", "--complex-mass"])
+def test_shipped_dispersion_has_three_unstable_modes(tmp_path, capsys, mass_flags):
     # absorption through the complex mass damps modes; it does not make them grow
     out = str(tmp_path / "o")
     assert main(["dispersion", "--config", str(CONFIGS / "dispersion.cfg"), "--out", out,
-                 mass_flag]) == 0
+                 *mass_flags]) == 0
     assert "evaluated 10 modes on 2 rays; 3 unstable" in capsys.readouterr().out
     _, _, rows = read_rows(out + "/dispersion.csv")
     assert sum(1 for r in rows if float(r[5]) == 0.0) == 3
@@ -467,6 +468,17 @@ def test_respond_refuses_a_duration_it_cannot_meet(tmp_path, capsys, duration, d
     assert not (out / "response.csv").exists()
 
 
+@pytest.mark.parametrize("dt", ["-1e-9", "0"], ids=["negative", "zero"])
+def test_respond_refuses_a_dt_that_is_not_positive(tmp_path, capsys, dt):
+    # without run.duration too: the response fit needs forward steps
+    text = (CONFIGS / "respond.cfg").read_text() + f"run.dt = {dt} s\n"
+    out = tmp_path / "o"
+    assert main(["respond", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: dt must be positive and finite, got {float(dt)!r}\n")
+    assert not (out / "response.csv").exists()
+
+
 def test_respond_writes_the_library_prediction_for_the_config_as_given(tmp_path):
     out = tmp_path / "o"
     assert main(["respond", "--config", str(CONFIGS / "respond.cfg"), "--out", str(out)]) == 0
@@ -552,6 +564,20 @@ def test_nonexistent_config_file(tmp_path, capsys):
     # a directory (IsADirectoryError) is a usage error too
     assert main(["derive", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # root reads past file modes, so the refusal to read is simulated
+    cfg = write_cfg(tmp_path, MEDIUM_BLOCK)
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    out = tmp_path / "o"
+    assert main(["derive", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config {cfg} cannot be read (Permission denied)\n"
+    assert not out.exists()
 
 
 def test_invalid_config_content(tmp_path, capsys):
@@ -771,4 +797,4 @@ def test_argparse_rejections():
     with pytest.raises(SystemExit):
         main(["transmogrify"])
     with pytest.raises(SystemExit):
-        main(["derive", "--real-mass", "--complex-mass"])
+        main(["derive", "--real-mass"])  # the real part is the default; there is no flag

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,13 +65,6 @@ def test_gaussian_state_norm_and_widths():
     assert obs.center_of_mass == pytest.approx((6.0, 6.0, 6.0), abs=1e-4)
 
 
-def test_gaussian_custom_center_peaks_there():
-    p = make_params(grid16(), 0.0)
-    st = init_state("gaussian", p, widths=(0.8, 0.8, 0.8), center=(2.0, 2.0, 2.0))
-    peak = np.unravel_index(np.argmax(np.abs(st.phi)), st.phi.shape)
-    assert peak == (4, 4, 4)  # dx = 0.5
-
-
 def test_perturbed_plane_wave_spectrum():
     grid = grid16()
     p = make_params(grid, 0.5)
@@ -104,7 +98,7 @@ def test_complex_mass_decay_matches_dispersion():
     idx = (1, 0, 2)
     ratio = abs(np.fft.fftn(final.phi)[idx]) / abs(np.fft.fftn(st.phi)[idx])
     cp = CondensateParams(m_perp=p.m_perp, m_par=p.m_par, c_dd=0.0, hbar=p.hbar)
-    nu = dispersion(q, cp, complex_mass=True)
+    nu = dispersion(q, cp)
     assert nu.imag < 0.0
     expected = math.exp(nu.imag * t_final)
     assert ratio == pytest.approx(expected, rel=1e-9)
@@ -120,7 +114,7 @@ def test_complex_mass_growth_matches_dispersion_with_coupling(m_par):
     grid = GridSpec(dims=(8, 8, 10), spacings=(0.5, 0.5, 0.5))
     p = make_params(grid, -1.2, m_par=m_par)
     q = lattice_q(grid, 0, 0, 1)
-    nu = predicted_mode_frequency(p, q, 1.0, complex_mass=True)
+    nu = predicted_mode_frequency(p, q, 1.0)
     e_free = q[2] ** 2 / (2.0 * m_par)
     assert 2.0 * e_free.real + 2.0 * effective_dipolar_coupling(p, q, 1.0) > 0.0
     assert nu.real == 0.0 and nu.imag > 0.0
@@ -132,7 +126,7 @@ def test_complex_mass_growth_matches_dispersion_with_coupling(m_par):
     # Strang splitting error at dt = 0.02 and the decayed branch give about 6e-5
     assert rate == pytest.approx(nu.imag, rel=5e-4)
     # absorption slows the growth the real mass predicts
-    assert rate < predicted_mode_frequency(p, q, 1.0).imag
+    assert rate < predicted_mode_frequency(replace(p, m_par=m_par.real), q, 1.0).imag
 
 
 def test_init_state_validation():
@@ -251,18 +245,17 @@ def test_strang_splitting_is_second_order():
 
 
 def test_potential_phase_guard():
-    grid = grid16()
-    p = make_params(grid, 0.5)
-    guarded = GpeParams(m_perp=p.m_perp, m_par=p.m_par, sin2_theta=p.sin2_theta,
-                        table=p.table, hbar=p.hbar, max_potential_phase=0.01)
-    g0 = init_state("gaussian", guarded, widths=(1.0, 1.0, 1.0))
-    st = CondensateState(g0.phi * 20.0, 0.0, guarded)
-    with pytest.raises(StepSizeError):
-        gpe.SplitStep(guarded, 0.3).step(st)
+    # at dt = 0.3, 20 times the unit-norm Gaussian takes 0.41 rad per half
+    # step, inside the pi/4 guard; twice the amplitude takes four times that
+    p = make_params(grid16(), 0.5)
+    g0 = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
+    gpe.SplitStep(p, 0.3).step(CondensateState(g0.phi * 20.0, 0.0, p))
+    st = CondensateState(g0.phi * 40.0, 0.0, p)
+    with pytest.raises(StepSizeError, match=r"guard 0\.785 rad"):
+        gpe.SplitStep(p, 0.3).step(st)
     # the stepping loop names where the guard tripped
     with pytest.raises(StepSizeError, match="step 1"):
         evolve(st, 0.3, 0.6)
-    gpe.SplitStep(p, 0.3).step(CondensateState(st.phi, 0.0, p))  # default guard admits this step
 
 
 def test_non_finite_field_is_reported():
@@ -391,8 +384,9 @@ def _offaxis_cutoff_params():
 ], ids=["gaussian", "complex-m_par", "off-axis-cutoff", "non-cubic"])
 def test_propagator_fed_observables_equal_standalone(make):
     p = make()
-    g0 = init_state("gaussian", p, widths=(1.0, 1.2, 0.9), center=(3.0, 2.5, 3.5))
-    st = CondensateState(g0.phi * 3.0, 0.0, p)
+    g0 = init_state("gaussian", p, widths=(1.0, 1.2, 0.9))
+    # off the box centre by whole cells, so no marginal is symmetric about it
+    st = CondensateState(np.roll(g0.phi, (-2, -3, -1), axis=(0, 1, 2)) * 3.0, 0.0, p)
     prop = gpe.SplitStep(p, 0.01)
     fed = [observables(st, prop)]
     fields = [st]
@@ -553,6 +547,22 @@ def test_linear_response_refuses_a_complex_mass(monkeypatch):
         linear_response_experiment(p, lattice_q(grid16(), 0, 0, 1), 1e-4)
 
 
+@pytest.mark.parametrize("dt", [-0.1, 0.0, math.nan, math.inf])
+def test_linear_response_refuses_a_dt_that_is_not_positive_and_finite(monkeypatch, dt):
+    # refused with or without a duration, before stepping: a negative dt would
+    # step backwards and fit a negative frequency, a zero dt makes no steps
+    p = make_params(grid16(), 0.5)
+    q = lattice_q(grid16(), 0, 0, 1)
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("stepped before refusing")
+
+    monkeypatch.setattr(gpe.SplitStep, "run", no_stepping)
+    for duration in (None, 1.0):
+        with pytest.raises(ParameterDomainError, match="dt must be positive and finite"):
+            linear_response_experiment(p, q, 1e-4, duration=duration, dt=dt)
+
+
 @pytest.mark.parametrize("g_times", [1.0, 1.5])
 def test_short_growing_run_is_fit_as_growth(g_times):
     # a run shorter than acosh(3) / g never triples its amplitude; the fit must
@@ -658,8 +668,7 @@ def test_gpe_params_validation():
     good = dict(m_perp=1.0, m_par=1.0, sin2_theta=0.5, table=table, hbar=1.0)
     GpeParams(**good)
     for bad in (dict(m_perp=0.0), dict(m_par=0.0), dict(sin2_theta=1.5),
-                dict(sin2_theta=-0.1), dict(hbar=0.0),
-                dict(max_potential_phase=0.0), dict(max_potential_phase=4.0)):
+                dict(sin2_theta=-0.1), dict(hbar=0.0)):
         with pytest.raises(ParameterDomainError):
             GpeParams(**{**good, **bad})
 
