@@ -154,12 +154,8 @@ class _Run:
 
 def _kernel_spec(run: _Run) -> KernelSpec:
     cfg = run.cfg
-    strength = cfg.get("kernel.strength")
-    if strength is None and cfg.medium is not None and cfg.medium.kernel_strength != 0.0:
-        strength = cfg.medium.kernel_strength
-    if strength is None:
-        strength = run.require("kernel.strength")
-    return KernelSpec(orientation=cfg.get("kernel.orientation"), strength=strength,
+    return KernelSpec(orientation=cfg.get("kernel.orientation"),
+                      strength=run.require("kernel.strength"),
                       cutoff_radius=cfg.get("kernel.cutoff_radius"),
                       sphere_radius=cfg.get("kernel.sphere_radius"))
 
@@ -300,17 +296,10 @@ def _gpe_params(run: _Run) -> GpeParams:
 
 
 def _initial_state(run: _Run, params: GpeParams) -> CondensateState:
-    cfg = run.cfg
-    kind = cfg.get("run.init")
+    kind = run.cfg.get("run.init")
     if kind == "gaussian":
-        w = run.require("run.gaussian_widths")
-        state = init_state("gaussian", params, widths=w)
-        n0 = cfg.get("run.n0")
-        if n0 is not None:
-            # unit-norm Gaussian peaks at 1/((2 pi)^(3/2) wx wy wz); lift to n0
-            peak = 1.0 / ((2.0 * math.pi) ** 1.5 * w[0] * w[1] * w[2])
-            state = CondensateState(state.phi * math.sqrt(n0 / peak), state.t, params)
-        return state
+        return init_state("gaussian", params, widths=run.require("run.gaussian_widths"),
+                          n0=run.cfg.get("run.n0"))
     n0 = run.require("run.n0")
     if kind == "uniform":
         return init_state("uniform", params, n0=n0)

@@ -9,10 +9,11 @@ is a hard error naming the key, as are unknown keys (with a nearest-key
 suggestion), duplicate keys and malformed lines, all reported with line
 numbers.
 
-Sections: medium (raw medium parameters), kernel (dipole axis and cutoffs),
-grid (lattice), run (per-command numbers). parse_config returns the typed
-values plus an echo of every effective value, defaults included, so outputs
-can embed the exact parameter set they were produced from.
+Sections: medium (the EIT parameters, one key per MediumParams field),
+kernel (dipole axis, coupling strength and cutoffs), grid (lattice), run
+(per-command numbers). parse_config returns the typed values plus an echo
+of every effective value, defaults included, so outputs can embed the exact
+parameter set they were produced from.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ UNIT_TABLE: dict[str, dict[str, float]] = {
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str  # float | int | word | vec2 | vec3 | ivec3 | floats
+    kind: str  # float | int | word | vec3 | ivec3 | floats
     dimension: str = "none"
     default: Any = None  # None: the key has no default
     choices: tuple[str, ...] | None = None
@@ -59,9 +60,6 @@ KEY_TABLE: dict[str, _Key] = {
     "medium.delta": _Key("float", "frequency"),
     "medium.omega": _Key("float", "frequency"),
     "medium.k": _Key("float", "inv_length"),
-    "medium.k_c_perp": _Key("vec2", "inv_length", (0.0, 0.0)),
-    "medium.u_strength": _Key("float", "coupling", 0.0),
-    "medium.dip_moment_r": _Key("float", "none", 1.0),
     "kernel.orientation": _Key("vec3", "none", (0.0, 0.0, 1.0)),
     "kernel.strength": _Key("float", "coupling"),
     "kernel.cutoff_radius": _Key("float", "length", 0.0),
@@ -94,12 +92,10 @@ KEY_TABLE: dict[str, _Key] = {
     "run.k_c_minus": _Key("vec3", "inv_length"),
 }
 
-# keys without a default that SimConfig.medium and SimConfig.grid are built from
+# the keys SimConfig.medium and SimConfig.grid are built from; medium.* is
+# exactly MEDIUM_KEYS, one per MediumParams field
 MEDIUM_KEYS = tuple(f"medium.{f}" for f in ("g", "n_atoms", "v_t", "gamma", "delta", "omega", "k"))
 GRID_KEYS = ("grid.dims", "grid.spacings")
-
-# what a missing-key error adds for a key that another setting can stand in for
-_STAND_INS = {"kernel.strength": "or medium.u_strength with medium.dip_moment_r"}
 
 
 def _is_number(token: str) -> bool:
@@ -154,12 +150,9 @@ def _convert(key: str, info: _Key, tokens: list[str], line_no: int) -> Any:
                 f"line {line_no}: {key}: '{word}' is not one of {', '.join(info.choices)}"
             )
         return word
-    if info.kind in ("vec2", "vec3", "ivec3"):
-        want = 2 if info.kind == "vec2" else 3
-        if len(tokens) != want:
-            raise ConfigError(
-                f"line {line_no}: {key}: expected {want} components, got {len(tokens)}"
-            )
+    if info.kind in ("vec3", "ivec3"):
+        if len(tokens) != 3:
+            raise ConfigError(f"line {line_no}: {key}: expected 3 components, got {len(tokens)}")
         if info.kind == "ivec3":
             return tuple(as_int(t) for t in tokens)
         return tuple(as_float(t) for t in tokens)
@@ -184,8 +177,7 @@ class SimConfig:
     def require(self, key: str, command: str) -> Any:
         """Value of key; ConfigError naming command and key when it is unset."""
         if key not in self.values:
-            stand_in = f" ({_STAND_INS[key]})" if key in _STAND_INS else ""
-            raise ConfigError(f"command '{command}' needs config key '{key}'{stand_in}")
+            raise ConfigError(f"command '{command}' needs config key '{key}'")
         return self.values[key]
 
     def require_medium(self, command: str) -> MediumParams:
@@ -228,18 +220,7 @@ def parse_config(text: str) -> SimConfig:
     medium = None
     if all(key in values for key in MEDIUM_KEYS):
         try:
-            medium = MediumParams(
-                g=values["medium.g"],
-                n_atoms=values["medium.n_atoms"],
-                v_t=values["medium.v_t"],
-                gamma=values["medium.gamma"],
-                delta=values["medium.delta"],
-                omega=values["medium.omega"],
-                k=values["medium.k"],
-                k_c_perp=values["medium.k_c_perp"],
-                u_strength=values["medium.u_strength"],
-                dip_moment_r=values["medium.dip_moment_r"],
-            )
+            medium = MediumParams(**{key[len("medium."):]: values[key] for key in MEDIUM_KEYS})
         except ParameterDomainError as exc:
             bad = str(exc).split(" ", 1)[0]
             raise ConfigError(f"medium.{bad}: {exc}") from exc

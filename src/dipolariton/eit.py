@@ -45,7 +45,7 @@ REAL_MASS_RATIO = 10.0
 
 @dataclass(frozen=True)
 class MediumParams:
-    """Raw parameters of the driven atomic medium.
+    """Raw parameters of the driven atomic medium, one field per `medium.*` key.
 
     g            single photon-atom coupling [rad/s]
     n_atoms      number of atoms in the interaction volume
@@ -54,9 +54,9 @@ class MediumParams:
     delta        one-photon detuning, signed [rad/s]
     omega        control Rabi frequency [rad/s]
     k            probe carrier wavenumber [1/m]
-    k_c_perp     shared transverse wavevector of the control fields [1/m]
-    u_strength   dipolar coupling per squared transition moment [rad/s * m^3]
-    dip_moment_r reduced transition moment of the upper-state pair [dimensionless]
+
+    The dipolar coupling is not a medium parameter: it enters only as
+    KernelSpec.strength (the config's `kernel.strength`).
     """
 
     g: float
@@ -66,9 +66,6 @@ class MediumParams:
     delta: float
     omega: float
     k: float
-    k_c_perp: tuple[float, float] = (0.0, 0.0)
-    u_strength: float = 0.0
-    dip_moment_r: float = 1.0
 
     def __post_init__(self):
         positive = {
@@ -84,18 +81,6 @@ class MediumParams:
                 raise ParameterDomainError(f"{name} must be positive and finite, got {value}")
         if not np.isfinite(self.delta):
             raise ParameterDomainError(f"delta must be finite, got {self.delta}")
-        if len(self.k_c_perp) != 2 or not all(np.isfinite(v) for v in self.k_c_perp):
-            raise ParameterDomainError(f"k_c_perp must be a finite 2-vector, got {self.k_c_perp}")
-        if not np.isfinite(self.u_strength):
-            raise ParameterDomainError("u_strength must be finite")
-        if not np.isfinite(self.dip_moment_r):
-            raise ParameterDomainError("dip_moment_r must be finite")
-        object.__setattr__(self, "k_c_perp", tuple(float(v) for v in self.k_c_perp))
-
-    @property
-    def kernel_strength(self) -> float:
-        """Dipolar kernel prefactor: coupling times squared transition moment."""
-        return self.u_strength * self.dip_moment_r**2
 
 
 @dataclass(frozen=True)
@@ -259,16 +244,15 @@ def adiabaticity_margins(
 class UnitScales:
     """Characteristic scales of the polariton problem.
 
-    length = 1/k, time = m_perp * length^2 / HBAR, mass = m_perp. Measured in
-    them, hbar -> 1, m_perp -> 1 and m_par -> alpha; `derive` reports them.
+    length = 1/k and time = m_perp * length^2 / HBAR; measured in them,
+    hbar -> 1, m_perp -> 1 and m_par -> alpha. `derive` reports them.
     """
 
     length: float
     time: float
-    mass: float
 
     def __post_init__(self):
-        for name in ("length", "time", "mass"):
+        for name in ("length", "time"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ParameterDomainError(f"scale {name} must be positive, got {v}")
@@ -277,8 +261,7 @@ class UnitScales:
     def from_derived(cls, derived: DerivedQuantities) -> "UnitScales":
         # m_perp = hbar k / v_gr, so 1/k = hbar / (m_perp v_gr)
         length = HBAR / (derived.m_perp * derived.v_gr)
-        time = derived.m_perp * length**2 / HBAR
-        return cls(length=length, time=time, mass=derived.m_perp)
+        return cls(length=length, time=derived.m_perp * length**2 / HBAR)
 
     @property
     def frequency(self) -> float:

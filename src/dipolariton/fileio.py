@@ -80,11 +80,18 @@ def write_text(path: str, lines: Iterable[str]) -> None:
     _atomic_write(path, body.encode())
 
 
+def _cell(c) -> str:
+    """A str as is, a real as %.17g; a complex cell, numpy's too, raises TypeError."""
+    if isinstance(c, (complex, np.complexfloating)):
+        raise TypeError(f"table cell {c!r} is complex; write its real and imaginary parts")
+    return c if isinstance(c, str) else "%.17g" % c
+
+
 def write_table(path: str, header: Sequence[str], rows, comments: Sequence[str] = ()) -> None:
     """CSV table: comment block, one header row, then the rows.
 
     rows is a 2-D real array, or rows of str and real cells; reals are
-    written as %.17g.
+    written as %.17g, and a complex cell raises TypeError.
     """
     lines = [*comments, ",".join(header)]
     if isinstance(rows, np.ndarray):
@@ -92,8 +99,7 @@ def write_table(path: str, header: Sequence[str], rows, comments: Sequence[str] 
         # a row at a time: a whole .tolist() would hold every cell at once
         lines.extend(fmt % tuple(row.tolist()) for row in rows)
     else:
-        lines.extend(",".join(c if isinstance(c, str) else "%.17g" % c for c in row)
-                     for row in rows)
+        lines.extend(",".join(map(_cell, row)) for row in rows)
     write_text(path, lines)
 
 

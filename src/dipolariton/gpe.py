@@ -184,8 +184,9 @@ def init_state(
     """Prepare a condensate state at t = 0.
 
     kind="uniform":  phi = sqrt(n0) everywhere.
-    kind="gaussian": density Gaussian, unit norm, per-axis standard deviations
-                     `widths`, centered in the box.
+    kind="gaussian": density Gaussian, per-axis standard deviations `widths`,
+                     centered in the box; unit norm, or lifted to peak near
+                     n0 if given (scaled by sqrt(n0 (2 pi)^(3/2) wx wy wz)).
     kind="perturbed_plane_wave": phi = sqrt(n0) (1 + delta cos(q . r)) with
                      delta <= 1e-3 and q on the reciprocal lattice.
     """
@@ -199,6 +200,8 @@ def init_state(
         w = np.asarray(widths, dtype=float) if widths is not None else None
         if w is None or w.shape != (3,) or np.any(~np.isfinite(w)) or np.any(w <= 0):
             raise ParameterDomainError(f"gaussian state needs three positive widths, got {widths}")
+        if n0 is not None and not (np.isfinite(n0) and n0 > 0):
+            raise ParameterDomainError(f"gaussian state needs n0 > 0 when given, got {n0}")
         ctr = 0.5 * np.asarray(grid.box_lengths)
         xm, ym, zm = grid.meshgrid()
         # widths are density standard deviations: |phi|^2 ~ exp(-x^2 / (2 w^2))
@@ -209,6 +212,9 @@ def init_state(
         ).astype(complex)
         norm = np.sum(np.abs(envelope) ** 2) * grid.cell_volume
         phi = envelope / math.sqrt(norm)
+        if n0 is not None:
+            peak = 1.0 / ((2.0 * math.pi) ** 1.5 * w[0] * w[1] * w[2])
+            phi = phi * math.sqrt(n0 / peak)
         return CondensateState(phi, 0.0, params)
     if kind == "perturbed_plane_wave":
         if n0 is None or not (np.isfinite(n0) and n0 > 0):

@@ -261,9 +261,7 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1) -> 
     return _fft.irfftn(spectrum, rho.shape[-1], workers)
 
 
-def direct_convolution_reference(
-    grid: GridSpec, spec: KernelSpec, rho: np.ndarray, sphere_radius: float | None = None
-) -> np.ndarray:
+def direct_convolution_reference(grid: GridSpec, spec: KernelSpec, rho: np.ndarray) -> np.ndarray:
     """Brute-force periodic convolution by summation over the truncation sphere.
 
     O(N^2) reference used by the self-test and the acceptance suite; it shares
@@ -274,7 +272,7 @@ def direct_convolution_reference(
     rho = np.asarray(rho)
     if rho.shape != grid.shape:
         raise GridMismatchError(f"density shape {rho.shape} does not match grid {grid.shape}")
-    r_c = sphere_radius if sphere_radius is not None else _resolve_sphere_radius(grid, spec)
+    r_c = _resolve_sphere_radius(grid, spec)
     d = np.stack(np.meshgrid(*grid.displacements(), indexing="ij"), axis=-1).reshape(-1, 3)
     rn = np.linalg.norm(d, axis=-1)
     inside = (rn > 0.0) & (rn <= r_c) & (rn >= spec.cutoff_radius)

@@ -394,6 +394,14 @@ def si_gpe_params(cfg, command):
                          sin2_theta=math.sin(derived.theta) ** 2, table=table)
 
 
+def test_evolve_refuses_a_gaussian_n0_that_is_not_positive(tmp_path, capsys):
+    text = (CONFIGS / "evolve.cfg").read_text() + "run.n0 = -1e21\n"
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert "gaussian state needs n0 > 0 when given, got -1e+21" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", ["", "run.n0 = 1e21\n"], ids=["unit-norm", "lifted-to-n0"])
 def test_evolve_records_the_library_observables_of_the_config_as_given(tmp_path, extra):
     text = (CONFIGS / "evolve.cfg").read_text() + extra
@@ -403,11 +411,8 @@ def test_evolve_records_the_library_observables_of_the_config_as_given(tmp_path,
 
     cfg = parse_config(text)
     params = si_gpe_params(cfg, "evolve")
-    w = cfg.get("run.gaussian_widths")
-    state = gpe.init_state("gaussian", params, widths=w)
-    if extra:
-        peak = 1.0 / ((2.0 * math.pi) ** 1.5 * w[0] * w[1] * w[2])
-        state = gpe.CondensateState(state.phi * math.sqrt(cfg.get("run.n0") / peak), 0.0, params)
+    state = gpe.init_state("gaussian", params, widths=cfg.get("run.gaussian_widths"),
+                           n0=cfg.get("run.n0"))
     o = gpe.observables(state)
     expected = (o.t, o.norm, o.energy_total, o.kinetic_perp, o.kinetic_z, o.dipolar,
                 o.peak_density, *o.center_of_mass, *o.variance)
@@ -727,8 +732,6 @@ def test_missing_required_key_is_named(tmp_path, capsys, case, key):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"command '{command}' needs config key '{key}'" in err
-    if key == "kernel.strength":
-        assert "medium.u_strength" in err
     assert not os.path.exists(tmp_path / "o")
 
 

@@ -1,5 +1,6 @@
 """Config parsing, unit handling and the deterministic file formats."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -18,6 +19,7 @@ from dipolariton import (
     kernel_table_fourier,
     parse_config,
 )
+from dipolariton.config import KEY_TABLE, MEDIUM_KEYS
 from dipolariton.fileio import (
     provenance_lines,
     read_field,
@@ -70,8 +72,6 @@ def test_parse_full_config():
     # defaults fill in for keys the file does not set
     assert v["run.observer_stride"] == 10
     assert v["run.margin"] == 10.0
-    assert v["medium.k_c_perp"] == (0.0, 0.0)
-    assert v["medium.dip_moment_r"] == 1.0
     assert v["kernel.orientation"] == (0.0, 0.0, 1.0)
     assert "run.t_final" not in v  # no default for per-command numbers
 
@@ -85,9 +85,6 @@ def test_parse_full_config():
 def test_empty_config_holds_exactly_the_defaults():
     cfg = parse_config("")
     assert cfg.values == {
-        "medium.k_c_perp": (0.0, 0.0),
-        "medium.u_strength": 0.0,
-        "medium.dip_moment_r": 1.0,
         "kernel.orientation": (0.0, 0.0, 1.0),
         "kernel.cutoff_radius": 0.0,
         "kernel.method": "lattice",
@@ -100,10 +97,22 @@ def test_empty_config_holds_exactly_the_defaults():
     }
     assert cfg.effective == {
         "kernel.cutoff_radius": "0", "kernel.method": "lattice", "kernel.orientation": "0 0 1",
-        "medium.dip_moment_r": "1", "medium.k_c_perp": "0 0", "medium.u_strength": "0",
         "run.delta_rr_avg": "0", "run.init": "gaussian", "run.margin": "10",
         "run.n_azimuth": "24", "run.n_polar": "12", "run.observer_stride": "10",
     }
+
+
+def test_medium_section_is_exactly_the_medium_params_fields():
+    # parse_config builds MediumParams from MEDIUM_KEYS by name
+    fields = [f.name for f in dataclasses.fields(MediumParams)]
+    assert fields == [key.removeprefix("medium.") for key in MEDIUM_KEYS]
+    assert [key for key in KEY_TABLE if key.startswith("medium.")] == list(MEDIUM_KEYS)
+
+
+@pytest.mark.parametrize("key", ["medium.k_c_perp", "medium.u_strength", "medium.dip_moment_r"])
+def test_removed_medium_keys_are_unknown(key):
+    with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
+        parse_config(f"{key} = 1\n")
 
 
 def test_effective_echo_round_trips():
@@ -129,7 +138,7 @@ def test_require_names_command_and_key():
     assert cfg.require("run.dt", "evolve") == 0.5
     with pytest.raises(ConfigError, match="command 'evolve' needs config key 'run.t_final'"):
         cfg.require("run.t_final", "evolve")
-    with pytest.raises(ConfigError, match=r"'kernel.strength' \(or medium.u_strength"):
+    with pytest.raises(ConfigError, match=r"^command 'kernel' needs config key 'kernel.strength'$"):
         cfg.require("kernel.strength", "kernel")
 
 
@@ -245,6 +254,17 @@ def test_write_table_bytes_match_the_per_cell_formatter(tmp_path, rows):
     path = tmp_path / "t.csv"
     write_table(str(path), header, rows, comments=comments)
     assert path.read_bytes() == _per_cell_table(header, rows, comments)
+
+
+@pytest.mark.parametrize("cell", [complex(1.0, 2.0), np.complex128(1 + 2j),
+                                  np.complex64(1 + 2j), np.clongdouble(1 + 2j)],
+                         ids=["complex", "complex128", "complex64", "clongdouble"])
+def test_write_table_refuses_a_complex_cell(tmp_path, cell):
+    # "%.17g" of a numpy complex would keep the real part behind a ComplexWarning
+    path = tmp_path / "t.csv"
+    with pytest.raises(TypeError, match="is complex"):
+        write_table(str(path), ["a", "b"], [(1.0, 2.0), ("x", cell)])
+    assert not path.exists()
 
 
 def test_write_text_uses_lf(tmp_path):

@@ -244,9 +244,9 @@ def test_unit_scales_identities():
 
 def test_unit_scales_rejects_nonpositive():
     with pytest.raises(ParameterDomainError):
-        UnitScales(length=0.0, time=1.0, mass=1.0)
+        UnitScales(length=0.0, time=1.0)
     with pytest.raises(ParameterDomainError):
-        UnitScales(length=1.0, time=-1.0, mass=1.0)
+        UnitScales(length=1.0, time=-1.0)
 
 
 # --------------------------------------------------------------- validation
@@ -259,11 +259,3 @@ def test_medium_params_validation():
         MediumParams(**{**good, "g": 0.0})
     with pytest.raises(ParameterDomainError):
         MediumParams(**{**good, "delta": math.inf})
-    with pytest.raises(ParameterDomainError):
-        MediumParams(**{**good, "k_c_perp": (1.0, 2.0, 3.0)})
-
-
-def test_kernel_strength_property():
-    m = MediumParams(g=1e6, n_atoms=1e10, v_t=1e-9, gamma=1e7, delta=0.0,
-                     omega=1e6, k=1e7, u_strength=2.5, dip_moment_r=3.0)
-    assert m.kernel_strength == 2.5 * 9.0

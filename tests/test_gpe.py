@@ -65,6 +65,27 @@ def test_gaussian_state_norm_and_widths():
     assert obs.center_of_mass == pytest.approx((6.0, 6.0, 6.0), abs=1e-4)
 
 
+def test_gaussian_n0_lifts_the_unit_norm_state():
+    # lifted to the density n0 at the continuum peak 1/((2 pi)^(3/2) wx wy wz)
+    grid = GridSpec(dims=(24, 24, 24), spacings=(0.5, 0.5, 0.5))
+    p = make_params(grid, 0.0)
+    w = (1.0, 1.2, 0.8)
+    unit = init_state("gaussian", p, widths=w)
+    lifted = init_state("gaussian", p, widths=w, n0=2.5)
+    scale = 2.5 * (2.0 * math.pi) ** 1.5 * w[0] * w[1] * w[2]
+    assert np.allclose(lifted.phi, unit.phi * math.sqrt(scale), rtol=1e-14, atol=0.0)
+    obs = observables(lifted)
+    assert obs.norm == pytest.approx(scale, rel=1e-10)
+    assert obs.peak_density == pytest.approx(2.5, rel=1e-2)
+
+
+@pytest.mark.parametrize("n0", [0.0, -1.0, math.nan, math.inf])
+def test_gaussian_n0_must_be_positive_and_finite(n0):
+    p = make_params(grid16(), 0.5)
+    with pytest.raises(ParameterDomainError, match="gaussian state needs n0 > 0"):
+        init_state("gaussian", p, widths=(1.0, 1.0, 1.0), n0=n0)
+
+
 def test_perturbed_plane_wave_spectrum():
     grid = grid16()
     p = make_params(grid, 0.5)
