@@ -36,7 +36,7 @@ import numpy as np
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 
 
-def _in_slabs(task, n: int, workers: int) -> None:
+def in_slabs(task, n: int, workers: int) -> None:
     """Call task(s) for min(workers, n) contiguous slices s of range(n) at once."""
     count = min(workers, n)
     if count == 1:
@@ -68,13 +68,13 @@ def _in_slabs(task, n: int, workers: int) -> None:
 
 def _axis0(a: np.ndarray, transform, workers: int) -> None:
     """transform a in place along axis 0, in axis-1 slabs."""
-    _in_slabs(lambda s: transform(a[:, s], axis=0, out=a[:, s]), a.shape[1], workers)
+    in_slabs(lambda s: transform(a[:, s], axis=0, out=a[:, s]), a.shape[1], workers)
 
 
 def _c2c(a, workers, out, transform_nd, transform) -> np.ndarray:
     if out is None:
         out = np.empty(a.shape, dtype=complex)
-    _in_slabs(lambda s: transform_nd(a[s], axes=(1, 2), out=out[s]), a.shape[0], workers)
+    in_slabs(lambda s: transform_nd(a[s], axes=(1, 2), out=out[s]), a.shape[0], workers)
     _axis0(out, transform, workers)
     return out
 
@@ -89,29 +89,29 @@ def ifftn(a: np.ndarray, workers: int = 1, out: np.ndarray | None = None) -> np.
     return _c2c(a, workers, out, np.fft.ifftn, np.fft.ifft)
 
 
-def rfftn(a: np.ndarray, workers: int = 1) -> np.ndarray:
-    """Half spectrum, shape (nx, ny, nz // 2 + 1), of the real 3-D array a."""
+def rfftn(a: np.ndarray, workers: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum, shape (nx, ny, nz // 2 + 1), of the real 3-D array a, into out."""
     nx, ny, nz = a.shape
-    out = np.empty((nx, ny, nz // 2 + 1), dtype=complex)
+    out = np.empty((nx, ny, nz // 2 + 1), dtype=complex) if out is None else out
 
     def planes(s: slice) -> None:
         np.fft.rfft(a[s], axis=2, out=out[s])
         np.fft.fft(out[s], axis=1, out=out[s])
 
-    _in_slabs(planes, nx, workers)
+    in_slabs(planes, nx, workers)
     _axis0(out, np.fft.fft, workers)
     return out
 
 
-def irfftn(spec: np.ndarray, n: int, workers: int = 1) -> np.ndarray:
-    """Real 3-D array of last-axis length n from its half spectrum; spec is overwritten."""
+def irfftn(spec: np.ndarray, n: int, workers: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """Real 3-D array of last-axis length n from its half spectrum, into out; overwrites spec."""
     nx, ny, _ = spec.shape
-    out = np.empty((nx, ny, n))
+    out = np.empty((nx, ny, n)) if out is None else out
     _axis0(spec, np.fft.ifft, workers)
 
     def planes(s: slice) -> None:
         np.fft.ifft(spec[s], axis=1, out=spec[s])
         np.fft.irfft(spec[s], n=n, axis=2, out=out[s])
 
-    _in_slabs(planes, nx, workers)
+    in_slabs(planes, nx, workers)
     return out

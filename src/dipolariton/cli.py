@@ -67,6 +67,7 @@ from .fileio import (
 from .gpe import (
     CondensateState,
     GpeParams,
+    _kinetic_phase,
     evolve,
     init_state,
     linear_response_experiment,
@@ -328,6 +329,7 @@ def _cmd_evolve(run: _Run) -> int:
                     if first.energy_total else math.nan)
     print(f"evolved to t = {last.t:.6g} s in {len(result.observables) - 1} records")
     print(f"relative norm drift {norm_drift:.3e}, energy drift {energy_drift:.3e}")
+    print(f"kinetic phase per step {_kinetic_phase(params, dt) / math.pi:.3g} pi")
     return 0
 
 

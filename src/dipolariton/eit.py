@@ -264,18 +264,9 @@ class UnitScales:
         return cls(length=length, time=derived.m_perp * length**2 / HBAR)
 
     @property
-    def frequency(self) -> float:
-        return 1.0 / self.time
-
-    @property
     def energy(self) -> float:
         return HBAR / self.time
 
     @property
     def density(self) -> float:
         return self.length**-3
-
-    @property
-    def kernel_strength(self) -> float:
-        # kernel values carry frequency, so strength = frequency * volume
-        return self.length**3 / self.time

@@ -19,28 +19,35 @@ absorptive part of the medium.
 
 SplitStep is the propagator, built once per (params, dt, workers). It holds
 the kinetic phase, the kernel factor that turns the convolved density into
-the half-step potential phase, and the FFT worker count. Because the
-potential phase leaves |phi|^2 unchanged, the potential at the end of one
-step is exactly the one the next step opens with; the propagator keeps its
-phase factor, so n steps cost n + 1 density convolutions instead of 2n. The
-convolution is the real-to-complex one of kernel.convolve_density, and the
-phase factor is built from cos/sin of a real array. evolve and linear_response_experiment
-share its stepping loop (SplitStep.run), which names the step and time at
-which a guard trips or the field turns non-finite. The module keeps no FFT
-state: the step transforms its field in place through numpy.fft, split into
-slabs over the propagator's worker threads (dipolariton._fft), and so does
-observables into a buffer of its own.
+the half-step potential angle, and the FFT worker count. At its first
+convolution it allocates the grids it works in: one complex field buffer,
+two real workspaces (|phi|^2 and the half-step angle) and one half spectrum.
+SplitStep.run copies the caller's state into the buffer, never writes the
+caller's state, and steps the buffer in place; the returned final state
+takes the buffer over. Each potential half-step rotates the field by the
+kept angle one chunk of axis-0 planes at a time, so no full-grid factor is
+made. Because the potential phase leaves |phi|^2 unchanged, the angle at the
+end of one step is the one the next step opens with: n steps cost n + 1
+density convolutions instead of 2n, and when no visitor reads the state
+between two steps, the closing half of the first and the opening half of
+the second are one rotation by twice the angle. The convolution is the
+real-to-complex one of kernel.convolve_density, written into the
+propagator's workspaces. The transforms run in place through numpy.fft,
+split into slabs over the propagator's worker threads (dipolariton._fft).
 
-SplitStep is the only code here that convolves the density: with each
-convolution it keeps sum(rho (eps conv rho)), and
-observables(state, propagator) takes the dipolar energy from there. evolve
+The visitor of SplitStep.run sees a CondensateState over a read-only view of
+the buffer, valid only during its call; it copies what it keeps. With each
+convolution the propagator keeps sum(rho (eps conv rho)), and
+observables(state, propagator) takes the dipolar energy from there: evolve
 hands it its propagator, so the observation at t = 0 makes the convolution
-step 1 opens with, and n steps with any number of observations cost n + 1
-convolutions. Called without a propagator,
-observables builds a throwaway SplitStep of the state's params. It reduces
-|phi|^2 and the spectral weight to per-axis marginals, from which the
+step 1 opens with, each later one reads the convolution of the step it
+follows, and n steps with any number of observations cost n + 1
+convolutions. Called without a propagator, observables builds a throwaway
+SplitStep of the state's params. It writes |phi|^2 into the propagator's
+real workspace and reduces it and the spectral weight to per-axis
+marginals, taking the latter by Parseval from slab transforms, so the
 kinetic energies, centre of mass and variances follow without full-grid
-coordinate or wavenumber meshes.
+meshes or a full-grid spectrum.
 
 An accuracy guard rejects steps whose maximal potential phase per half step
 exceeds MAX_POTENTIAL_PHASE = pi/4.
@@ -202,19 +209,17 @@ def init_state(
             raise ParameterDomainError(f"gaussian state needs three positive widths, got {widths}")
         if n0 is not None and not (np.isfinite(n0) and n0 > 0):
             raise ParameterDomainError(f"gaussian state needs n0 > 0 when given, got {n0}")
-        ctr = 0.5 * np.asarray(grid.box_lengths)
-        xm, ym, zm = grid.meshgrid()
-        # widths are density standard deviations: |phi|^2 ~ exp(-x^2 / (2 w^2))
-        envelope = np.exp(
-            -((xm - ctr[0]) ** 2) / (4.0 * w[0] ** 2)
-            - ((ym - ctr[1]) ** 2) / (4.0 * w[1] ** 2)
-            - ((zm - ctr[2]) ** 2) / (4.0 * w[2] ** 2)
-        ).astype(complex)
-        norm = np.sum(np.abs(envelope) ** 2) * grid.cell_volume
-        phi = envelope / math.sqrt(norm)
+        # one factor per axis; widths are density standard deviations,
+        # |phi|^2 ~ exp(-x^2 / (2 w^2)), and the norm is the product of per-axis sums
+        fx, fy, fz = (np.exp(-((c - 0.5 * length) ** 2) / (4.0 * wi**2))
+                      for c, length, wi in zip(grid.axes(), grid.box_lengths, w))
+        norm = float(np.sum(fx**2)) * float(np.sum(fy**2)) * float(np.sum(fz**2)) * grid.cell_volume
+        lift = 1.0 / math.sqrt(norm)
         if n0 is not None:
             peak = 1.0 / ((2.0 * math.pi) ** 1.5 * w[0] * w[1] * w[2])
-            phi = phi * math.sqrt(n0 / peak)
+            lift *= math.sqrt(n0 / peak)
+        phi = np.zeros(grid.shape, dtype=complex)
+        np.multiply(np.multiply.outer(fx * lift, fy)[:, :, None], fz, out=phi.real)
         return CondensateState(phi, 0.0, params)
     if kind == "perturbed_plane_wave":
         if n0 is None or not (np.isfinite(n0) and n0 > 0):
@@ -246,18 +251,42 @@ def _kinetic_factors(params: GpeParams, dt: float) -> tuple[np.ndarray, np.ndarr
     return np.multiply.outer(fx, fy)[:, :, None], fz
 
 
+def _kinetic_phase(params: GpeParams, dt: float) -> float:
+    """Largest kinetic phase |dt| omega(q) of one step on the grid [rad], reached at
+    the Nyquist wavenumbers pi / spacing (an upper bound if Re(1/m_par) < 0)."""
+    dx, dy, dz = params.grid.spacings
+    return abs(dt) * 0.5 * params.hbar * (
+        (math.pi / dx) ** 2 / params.m_perp
+        + (math.pi / dy) ** 2 / params.m_perp
+        + (math.pi / dz) ** 2 * abs((1.0 / params.m_par).real)
+    )
+
+
+# bytes of field a potential half-step or an observables transform takes at once
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunks(n: int, plane_bytes: int) -> list[slice]:
+    """Contiguous slices of range(n), each about _CHUNK_BYTES of planes of plane_bytes."""
+    step = max(1, _CHUNK_BYTES // plane_bytes)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 class SplitStep:
     """Strang propagator for one (params, dt, workers).
 
     Holds the kinetic phase (as per-axis factors), the kernel factor
-    -dt sin^2(theta) / 2 that turns eps conv |phi|^2 into the angle of the
-    half-step potential factor, and the FFT worker count. It keeps what the
-    convolution of the field it saw last gives (the half-step angle, or the
-    factor once a step has built it, its largest |angle| and
-    sum(rho (eps conv rho))) and reuses it when that field is stepped or
-    observed next, which is why fields are never modified in place.
-    Negative dt steps backwards and exactly inverts the corresponding
-    forward step.
+    -dt sin^2(theta) / 2 that turns eps conv |phi|^2 into the half-step
+    angle, and the FFT worker count. It owns a complex field buffer, the
+    real workspaces |phi|^2 and angle, and a half spectrum, allocated at its
+    first convolution (a run whose final state took the buffer allocates a
+    new one). The workspaces hold the convolution of one state, with its
+    largest |angle| and sum(rho (eps conv rho)); run and observables reuse
+    it when handed that state again. run steps the buffer in place and
+    fuses the closing half-step of one step with the opening half-step of
+    the next into one rotation by twice the angle, except where a visitor
+    reads the state or the run ends. Negative dt steps backwards and
+    exactly inverts the corresponding forward step.
     """
 
     def __init__(self, params: GpeParams, dt: float, workers: int = 1):
@@ -270,109 +299,111 @@ class SplitStep:
         self.workers = int(workers)
         self._kinetic = _kinetic_factors(params, self.dt)
         self._kernel_factor = -0.5 * self.dt * params.sin2_theta
-        self._field: np.ndarray | None = None
-        self._angle: np.ndarray | None = None
-        self._factor: np.ndarray | None = None
+        self._phi = self._rho = self._angle = self._spec = None
+        self._held: CondensateState | None = None
         self._max_phase = 0.0
         self._conv_sum = 0.0
 
-    def _check_params(self, state: CondensateState) -> None:
-        if state.params is not self.params:
-            raise ParameterDomainError("state and propagator were built from different params")
+    def _density(self, phi: np.ndarray) -> np.ndarray:
+        """|phi|^2 in the real workspace, allocating the workspaces on first use."""
+        if self._rho is None:
+            nx, ny, nz = self.params.grid.shape
+            self._rho, self._angle = np.empty((nx, ny, nz)), np.empty((nx, ny, nz))
+            self._spec = np.empty((nx, ny, nz // 2 + 1), dtype=complex)
+        return np.square(np.abs(phi, out=self._rho), out=self._rho)
 
     def _convolve(self, phi: np.ndarray) -> None:
-        """Convolve rho = |phi|^2 once and keep what steps and observables need of it.
+        """Convolve rho = |phi|^2 into the angle workspace.
 
-        Keeps the half-step angle, its largest |angle| and
-        sum(rho (eps conv rho)). The largest |angle| is NaN or inf when phi
-        is not finite, since one bad sample spreads to every convolved one.
-        The einsum reduction stays on one thread, where a BLAS dot would
-        start a second.
+        Keeps sum(rho (eps conv rho)) and the largest |angle|, which is NaN
+        or inf when phi is not finite, since one bad sample spreads to
+        every convolved one. The einsum reduction stays on one thread,
+        where a BLAS dot would start a second.
         """
-        rho = np.abs(phi) ** 2
-        angle = convolve_density(self.params.table, rho, workers=self.workers)
+        rho = self._density(phi)
+        angle = convolve_density(self.params.table, rho, self.workers,
+                                 out=self._angle, spectrum=self._spec)
         self._conv_sum = float(np.einsum("ijk,ijk->", rho, angle))
-        del rho
         angle *= self._kernel_factor
         self._max_phase = max(float(angle.max()), -float(angle.min()))
-        self._field, self._angle, self._factor = phi, angle, None
 
-    def _potential_factor(self) -> np.ndarray:
-        """exp(i angle) of the kept angle, built from cos/sin of the real array once."""
-        if self._factor is None:
-            factor = np.empty(self._angle.shape, dtype=complex)
-            np.cos(self._angle, out=factor.real)
-            np.sin(self._angle, out=factor.imag)
-            self._angle, self._factor = None, factor
-        return self._factor
-
-    def _check_guard(self) -> None:
-        if self._max_phase > MAX_POTENTIAL_PHASE:
-            raise StepSizeError(
-                f"potential phase per half step {self._max_phase:.3f} rad exceeds the accuracy "
-                f"guard {MAX_POTENTIAL_PHASE:.3f} rad; reduce dt"
-            )
-
-    def convolution_sum(self, state: CondensateState) -> float:
-        """sum(rho (eps conv rho)) with rho = |phi|^2 of state.
-
-        Read from the kept convolution if it is of state.phi; otherwise the
-        convolution is made and kept for the next step of state.
-        """
-        self._check_params(state)
-        if state.phi is not self._field:
+    def _hold(self, state: CondensateState) -> None:
+        """Make the workspaces hold the convolution of state, unless they do."""
+        if state.params is not self.params:
+            raise ParameterDomainError("state and propagator were built from different params")
+        if state is not self._held:
             self._convolve(state.phi)
-        return self._conv_sum
+            self._held = state
+
+    def _rotate(self, turns: float) -> None:
+        """Multiply the field by exp(i turns angle), one chunk of axis-0 planes at a time."""
+        phi, angle = self._phi, self._angle
+        chunks = _chunks(phi.shape[0], phi[0].nbytes)
+        factor = np.empty((chunks[0].stop, *phi.shape[1:]), dtype=complex)
+        for s in chunks:
+            f = factor[: s.stop - s.start]
+            # doubling the angle is exact, so a fused rotation is one cos/sin pass
+            a = angle[s] if turns == 1 else np.multiply(angle[s], turns, out=f.real)
+            np.sin(a, out=f.imag)
+            np.cos(a, out=f.real)
+            phi[s] *= f
+
+    def _check_guard(self, i: int, t: float) -> None:
+        if self._max_phase > MAX_POTENTIAL_PHASE:
+            raise StepSizeError(f"step {i} (t = {t:.6e} -> {t + self.dt:.6e}): potential phase "
+                                f"per half step {self._max_phase:.3f} rad exceeds the accuracy "
+                                f"guard {MAX_POTENTIAL_PHASE:.3f} rad; reduce dt")
 
     def step(self, state: CondensateState) -> CondensateState:
         """One Strang step: half potential, exact kinetic in Fourier, half potential."""
-        self._check_params(state)
-        if state.phi is not self._field:
-            self._convolve(state.phi)
-        self._check_guard()
-        factor = self._potential_factor()
-        self._field = self._factor = None
-        # the factor is not needed again, so its buffer takes the product
-        phi = np.multiply(state.phi, factor, out=factor)
-        del factor
-        spec = _fft.fftn(phi, self.workers, out=phi)
-        kin_perp, kin_z = self._kinetic
-        spec *= kin_perp
-        spec *= kin_z
-        phi = _fft.ifftn(spec, self.workers, out=spec)
-        self._convolve(phi)
-        self._check_guard()
-        phi *= self._potential_factor()
-        new = CondensateState(phi, state.t + self.dt, self.params)
-        self._field = new.phi
-        return new
+        return self.run(state, 1)
 
-    def run(self, state: CondensateState, n_steps: int, visit=None) -> CondensateState:
-        """Take n_steps from state, calling visit(i, state) after step i.
+    def run(self, state: CondensateState, n_steps: int, visit=None, every: int = 1) -> CondensateState:
+        """Take n_steps from state, calling visit(i, current) after every every-th step and the last.
 
-        The stepping loop of the module. A tripped potential-phase guard
-        (StepSizeError) or a non-finite field (NonFiniteStateError) is
-        reported with the step index and time. Finiteness is read from the
-        largest |angle| of the closing convolution, so the samples are
-        counted only when one is bad.
+        The stepping loop of the module. current is a CondensateState over a
+        read-only view of the field buffer, valid only during the call. A
+        tripped potential-phase guard (StepSizeError) or a non-finite field
+        (NonFiniteStateError) is reported with the step index and time.
+        Finiteness is read from the largest |angle| of the closing
+        convolution, so the samples are counted only when one is bad.
         """
+        self._hold(state)
+        if self._phi is None:
+            self._phi = np.empty(state.phi.shape, dtype=complex)
+        phi, (kin_perp, kin_z), t = self._phi, self._kinetic, state.t
+        np.copyto(phi, state.phi)
+        self._held, turns = None, 1.0
+        self._check_guard(1, t)
         for i in range(1, n_steps + 1):
-            try:
-                new = self.step(state)
-            except StepSizeError as exc:
-                raise StepSizeError(
-                    f"step {i} (t = {state.t:.6e} -> {state.t + self.dt:.6e}): {exc}"
-                ) from None
+            self._rotate(turns)
+            _fft.fftn(phi, self.workers, out=phi)
+            phi *= kin_perp
+            phi *= kin_z
+            _fft.ifftn(phi, self.workers, out=phi)
+            self._convolve(phi)
+            self._check_guard(i, t)
+            t += self.dt
             if not math.isfinite(self._max_phase):
-                bad = int(np.count_nonzero(~np.isfinite(new.phi)))
+                self._rotate(1.0)
+                bad = int(np.count_nonzero(~np.isfinite(phi)))
                 raise NonFiniteStateError(
-                    f"non-finite field after step {i} (t = {new.t:.6e}); "
-                    f"{bad} bad samples of {new.phi.size}"
+                    f"non-finite field after step {i} (t = {t:.6e}); {bad} bad samples of {phi.size}"
                 )
-            state = new
-            if visit is not None:
-                visit(i, state)
-        return state
+            turns = 2.0
+            if i == n_steps or (visit is not None and i % every == 0):
+                self._rotate(1.0)
+                turns = 1.0
+                if visit is not None:
+                    view = phi.view()
+                    view.flags.writeable = False
+                    self._held = current = CondensateState(view, t, self.params)
+                    visit(i, current)
+                    if self._held is not current:
+                        self._convolve(phi)  # the visitor convolved another state
+                    self._held = None
+        self._phi = None
+        return CondensateState(phi, t, self.params)
 
 
 @dataclass(frozen=True)
@@ -390,50 +421,73 @@ class Observables:
     variance: tuple[float, float, float]
 
 
+def _kinetic_sums(phi: np.ndarray, qs, workers: int) -> tuple[float, float, float]:
+    """sum(q_a^2 |fftn(phi)|^2) for each axis a, without a full-grid spectrum.
+
+    By Parseval, the spectral weight summed over kz is nz times |fft2(phi)|^2
+    of the xy transforms summed over z, and summed over (kx, ky) it is
+    nx ny times |fft(phi)|^2 of the z transforms summed over (x, y). Each
+    chunk (of z planes for the first, of x planes for the second) is
+    transformed on its own and its sums go to a row of their own; the rows
+    are added in chunk order, so the result is the same for every worker
+    count. |.|^2 is read off (re, im) float pairs.
+    """
+    nx, ny, nz = phi.shape
+    z_chunks, x_chunks = _chunks(nz, phi[:, :, 0].nbytes), _chunks(nx, phi[0].nbytes)
+    w_x, w_y = np.empty((len(z_chunks), nx)), np.empty((len(z_chunks), ny))
+    w_z = np.empty((len(x_chunks), 2 * nz))
+
+    def xy(s: slice) -> None:
+        for c in range(len(z_chunks))[s]:
+            pairs = np.fft.fft2(phi[:, :, z_chunks[c]], axes=(0, 1)).view(float)
+            w_x[c], w_y[c] = (np.einsum(f"ijk,ijk->{a}", pairs, pairs) for a in "ij")
+
+    def z(s: slice) -> None:
+        for c in range(len(x_chunks))[s]:
+            pairs = np.fft.fft(phi[x_chunks[c]], axis=2).view(float)
+            w_z[c] = np.einsum("ijk,ijk->k", pairs, pairs)
+
+    _fft.in_slabs(xy, len(z_chunks), workers)
+    _fft.in_slabs(z, len(x_chunks), workers)
+    marginals = (nz * w_x.sum(axis=0), nz * w_y.sum(axis=0),
+                 nx * ny * w_z.sum(axis=0).reshape(-1, 2).sum(axis=1))
+    # a non-finite field gives 0 * inf at q = 0; the caller reports the NaNs
+    with np.errstate(invalid="ignore"):
+        return tuple(float(np.sum(q**2 * w)) for q, w in zip(qs, marginals))
+
+
 def observables(state: CondensateState, propagator: SplitStep | None = None) -> Observables:
     """Norm, energies, peak density, centre of mass and variances of state.
 
-    The dipolar energy is hbar sin^2(theta) / 2 * sum(rho (eps conv rho)) dV.
-    Given a propagator built from state.params, the sum comes from it (the
-    convolution of the field it stepped or observed last is kept, else it
-    makes the one its next step of this field opens with); without one, a
-    throwaway SplitStep of state.params makes it on one FFT worker. The
-    kinetic energies reduce the spectral weight |fftn(phi)|^2, and the
-    centre of mass and variances reduce |phi|^2, to per-axis marginals;
-    that transform uses the propagator's worker count, or one worker.
+    The dipolar energy is hbar sin^2(theta) / 2 * sum(rho (eps conv rho)) dV,
+    from the propagator built from state.params if given (its kept
+    convolution when it holds state's, else one it makes and keeps for its
+    next run of state), otherwise from a throwaway SplitStep on one FFT
+    worker. rho = |phi|^2 goes into that propagator's real workspace; the
+    kinetic energies reduce the spectral weight, and the centre of mass and
+    variances reduce rho, to per-axis marginals. The slab transforms use
+    the propagator's worker count, or one worker.
     """
     p = state.params
     grid = p.grid
     dv = grid.cell_volume
     phi = state.phi
-    if propagator is None:
-        # the sum does not depend on dt, so any step size serves; the
-        # throwaway is bound to no name, so its convolution is freed here
-        conv_sum, workers = SplitStep(p, 1.0).convolution_sum(state), 1
-    else:
-        conv_sum, workers = propagator.convolution_sum(state), propagator.workers
-    rho = np.abs(phi) ** 2
-    e_dip = 0.5 * p.hbar * p.sin2_theta * conv_sum * dv
+    # the sum does not depend on dt, so a throwaway of any step size serves
+    prop = SplitStep(p, 1.0) if propagator is None else propagator
+    prop._hold(state)
+    e_dip = 0.5 * p.hbar * p.sin2_theta * prop._conv_sum * dv
+    rho = prop._density(phi)
     peak = float(rho.max())
     rho_xy = rho.sum(axis=2)
     rho_axes = (rho_xy.sum(axis=1), rho_xy.sum(axis=0), rho.sum(axis=(0, 1)))
-    del rho
     norm = float(rho_axes[0].sum()) * dv
 
-    # |spec|^2 summed onto (kx, ky) and onto kz, read as (re, im) float
-    # pairs so that no full-grid weight array is made
-    pairs = _fft.fftn(phi, workers).view(float)
-    w_xy = np.einsum("ijk,ijk->ij", pairs, pairs)
-    w_z = np.einsum("ijk,ijk->k", pairs, pairs).reshape(-1, 2).sum(axis=1)
-    del pairs
-    qx, qy, qz = grid.wavenumbers()
+    sum_x, sum_y, sum_z = _kinetic_sums(phi, grid.wavenumbers(), prop.workers)
     scale = p.hbar**2 * dv / phi.size
-    kin_perp = scale / (2.0 * p.m_perp) * float(
-        np.sum(qx**2 * w_xy.sum(axis=1)) + np.sum(qy**2 * w_xy.sum(axis=0))
-    )
+    kin_perp = scale / (2.0 * p.m_perp) * (sum_x + sum_y)
     # kinetic weight along z uses the real part of 1/m_par so it reduces to the
     # usual positive expression for real masses
-    kin_z = scale * 0.5 * (1.0 / p.m_par).real * float(np.sum(qz**2 * w_z))
+    kin_z = scale * 0.5 * (1.0 / p.m_par).real * sum_z
 
     if norm > 0:
         com = tuple(
@@ -498,15 +552,11 @@ def evolve(
     n_steps = _whole_steps(t_final - state.t, dt, f"t_final = {t_final} (from t = {state.t})")
     if observer_stride < 1:
         raise ParameterDomainError(f"observer_stride must be >= 1, got {observer_stride}")
-    # the propagator keeps each convolution it makes, so the t = 0 record
-    # makes the one step 1 opens with and later records reuse the last step's
+    # the t = 0 record makes the convolution step 1 opens with, and each
+    # later record reads the convolution of the step it follows
     obs = [observables(state, prop)]
-
-    def record(i: int, current: CondensateState):
-        if i % observer_stride == 0 or i == n_steps:
-            obs.append(observables(current, prop))
-
-    final = prop.run(state, n_steps, record)
+    final = prop.run(state, n_steps, lambda i, current: obs.append(observables(current, prop)),
+                     every=observer_stride)
     return EvolveResult(final=final, observables=tuple(obs))
 
 
@@ -658,12 +708,7 @@ def linear_response_experiment(
         # keep the largest single-step kinetic phase a factor 2 below the
         # pi resonance of the splitting; at resonance the Nyquist-scale
         # modes pump up from round-off and bury the tracked mode
-        rate_max = 0.5 * params.hbar * (
-            (math.pi / grid.spacings[0]) ** 2 / params.m_perp
-            + (math.pi / grid.spacings[1]) ** 2 / params.m_perp
-            + (math.pi / grid.spacings[2]) ** 2 * abs((1.0 / params.m_par).real)
-        )
-        dt_cap = min(dt_cap, 0.5 * math.pi / rate_max)
+        dt_cap = min(dt_cap, 0.5 * math.pi / _kinetic_phase(params, 1.0))
     if duration is None:
         duration = (2.0 * math.pi * 4.0 / scale) if nu_pred.imag == 0 else (3.5 / scale)
         dt = dt_cap if dt is None else dt

@@ -59,11 +59,6 @@ class GridSpec:
     def box_lengths(self) -> tuple[float, float, float]:
         return tuple(n * d for n, d in zip(self.dims, self.spacings))
 
-    @property
-    def box_volume(self) -> float:
-        lx, ly, lz = self.box_lengths
-        return lx * ly * lz
-
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Real-space coordinates per axis, 0 .. (n-1)*dx."""
         return tuple(np.arange(n) * d for n, d in zip(self.dims, self.spacings))

@@ -238,27 +238,29 @@ def kernel_table_fourier(
     return FourierTable(grid=grid, spec=spec, coeffs=coeffs, method=method, sphere_radius=r_c)
 
 
-def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1) -> np.ndarray:
+def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
+                     out: np.ndarray | None = None, spectrum: np.ndarray | None = None) -> np.ndarray:
     """Convolve a real density with the kernel through the Fourier table.
 
-    Returns the frequency-shift field sum_r' eps(r - r') rho(r') dV. A real
-    density times the real, even table gives a Hermitian product spectrum,
-    so the real-to-complex transform pair over the half spectrum
-    coeffs[..., :nz//2+1] (a view, no copy) equals the full complex route
-    real(ifftn(fftn(rho) * coeffs)) at about half the cost. The product
-    spectrum is not needed again, so the inverse transform overwrites it.
+    Returns the frequency-shift field sum_r' eps(r - r') rho(r') dV, in out
+    if given. A real density times the real, even table gives a Hermitian
+    product spectrum, so the real-to-complex transform pair over the half
+    spectrum coeffs[..., :nz//2+1] (a view, no copy) equals the full complex
+    route real(ifftn(fftn(rho) * coeffs)) at about half the cost. The half
+    spectrum goes into `spectrum` (a new array if None), which the inverse
+    transform overwrites.
     """
     rho = np.asarray(rho)
     if rho.shape != table.grid.shape:
         raise GridMismatchError(
             f"density shape {rho.shape} does not match table grid {table.grid.shape}"
         )
-    spectrum = _fft.rfftn(rho, workers)
+    spectrum = _fft.rfftn(rho, workers, out=spectrum)
     # a non-finite density gives inf * 0 at the table's zeros; the NaNs that
     # follow are the caller's to report, not numpy's to warn about
     with np.errstate(invalid="ignore"):
         spectrum *= table.coeffs[..., : rho.shape[-1] // 2 + 1]
-    return _fft.irfftn(spectrum, rho.shape[-1], workers)
+    return _fft.irfftn(spectrum, rho.shape[-1], workers, out=out)
 
 
 def direct_convolution_reference(grid: GridSpec, spec: KernelSpec, rho: np.ndarray) -> np.ndarray:

@@ -321,7 +321,7 @@ def evolve_cfg(scales, strength_scaled=0.05, dt_scaled=0.01, tf_scaled=0.25,
     return (MEDIUM_BLOCK
             + "grid.dims = 12 12 12\n"
             + f"grid.spacings = {fmt(dx)} {fmt(dx)} {fmt(dx)}\n"
-            + f"kernel.strength = {fmt(strength_scaled * scales.kernel_strength)}\n"
+            + f"kernel.strength = {fmt(strength_scaled * ell**3 / tau)}\n"
             + "run.init = gaussian\n"
             + f"run.gaussian_widths = {fmt(w)} {fmt(w)} {fmt(w)}\n"
             + f"run.dt = {fmt(dt_scaled * tau)}\n"
@@ -352,6 +352,20 @@ def test_evolve_writes_observables_and_field(tmp_path, capsys):
     assert t == pytest.approx(t_final, rel=1e-12)
     assert np.all(np.isfinite(field))
     assert "relative norm drift" in capsys.readouterr().out
+
+
+def test_evolve_reports_the_kinetic_phase_per_step(tmp_path, capsys):
+    # a report, not a refusal: the shipped example runs far past pi per step
+    assert main(["evolve", "--config", str(CONFIGS / "evolve.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    phase = re.search(r"^kinetic phase per step (\S+) pi$", capsys.readouterr().out, re.M)
+    cfg = parse_config((CONFIGS / "evolve.cfg").read_text())
+    derived = derive_eit(cfg.medium)
+    qx, qy, qz = cfg.grid.wavenumber_mesh()
+    omega = (qx**2 + qy**2) / (2.0 * derived.m_perp) + qz**2 * 0.5 * (1.0 / derived.m_par).real
+    expected = cfg.get("run.dt") * dipolariton.eit.HBAR * np.max(np.abs(omega)) / math.pi
+    assert float(phase.group(1)) == pytest.approx(expected, rel=5e-3)  # 3 digits
+    assert float(phase.group(1)) > 100.0
 
 
 def test_evolve_rejects_oversized_step(tmp_path, capsys):
@@ -426,7 +440,7 @@ def test_respond_measures_predicted_mode(tmp_path, capsys):
     ell = scales.length
     dx = 0.5 * ell
     qz = 2.0 * math.pi / (12.0 * dx)
-    strength = (3.0 * 0.5 / (8.0 * math.pi)) * scales.kernel_strength
+    strength = (3.0 * 0.5 / (8.0 * math.pi)) * ell**3 / scales.time
     cfg = write_cfg(tmp_path, (
         MEDIUM_BLOCK
         + "grid.dims = 12 12 12\n"

@@ -236,10 +236,8 @@ def test_unit_scales_identities():
     scales = UnitScales.from_derived(derived)
     assert scales.length == pytest.approx(1.0 / m.k, rel=1e-12)
     assert scales.time == pytest.approx(derived.m_perp * scales.length**2 / HBAR, rel=1e-15)
-    assert scales.frequency == pytest.approx(1.0 / scales.time, rel=1e-15)
     assert scales.energy == pytest.approx(HBAR / scales.time, rel=1e-15)
     assert scales.density == pytest.approx(scales.length**-3, rel=1e-15)
-    assert scales.kernel_strength == pytest.approx(scales.length**3 / scales.time, rel=1e-15)
 
 
 def test_unit_scales_rejects_nonpositive():

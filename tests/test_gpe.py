@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,7 +47,7 @@ def test_uniform_state_norm_and_energy():
     p = make_params(grid16(), 0.5)
     st = init_state("uniform", p, n0=2.5)
     obs = observables(st)
-    assert obs.norm == pytest.approx(2.5 * p.grid.box_volume, rel=1e-13)
+    assert obs.norm == pytest.approx(2.5 * math.prod(p.grid.box_lengths), rel=1e-13)
     assert obs.peak_density == pytest.approx(2.5, rel=1e-15)
     assert abs(obs.energy_total) <= 1e-12
 
@@ -317,7 +318,7 @@ def test_evolve_refuses_partial_last_step():
 def test_potential_is_reused_across_steps(monkeypatch):
     # n steps with k observations make n + 1 convolutions in total: the t = 0
     # observation makes the one step 1 opens with, each step one more, and
-    # the later observations reuse the convolution of the step before them
+    # the later observations read the convolution of the step they follow
     p = make_params(grid16(), 0.5)
     st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
     calls = {"step": 0, "observables": 0}
@@ -414,7 +415,9 @@ def test_propagator_fed_observables_equal_standalone(make):
 
     def visit(i, current):
         fed.append(observables(current, prop))
-        fields.append(current)
+        # the visitor's state is a view of the propagator's buffer, valid
+        # only during the call
+        fields.append(CondensateState(current.phi.copy(), current.t, p))
 
     prop.run(st, 4, visit)
     assert len(fed) == 5
@@ -438,8 +441,9 @@ def test_observables_refuse_a_propagator_of_other_params():
 
 
 def test_reused_potential_matches_fresh_steps():
-    # stepping the propagator's own output reuses its end-of-step potential;
-    # fresh single steps recompute it; both give the same field
+    # a run reuses each end-of-step potential for the next step and fuses the
+    # half-steps between them; fresh single steps recompute it and rotate
+    # twice; both give the same field
     p = make_params(grid16(), 0.5)
     g0 = init_state("gaussian", p, widths=(1.0, 1.1, 0.9))
     st = CondensateState(g0.phi * 3.0, 0.0, p)
@@ -450,6 +454,126 @@ def test_reused_potential_matches_fresh_steps():
     err = np.max(np.abs(fused.phi - fresh.phi)) / np.max(np.abs(fresh.phi))
     assert err <= 1e-14
     assert fused.t == pytest.approx(fresh.t, rel=1e-15)
+
+
+def _counting_convolve(monkeypatch):
+    calls = []
+    convolve = gpe.convolve_density
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(gpe, "convolve_density", counting)
+    return calls
+
+
+@pytest.mark.parametrize("every", [1, 3, 7])
+def test_run_costs_n_plus_one_convolutions(monkeypatch, every):
+    # with or without a visitor, and whatever its stride, a run of n steps
+    # convolves once for the state it starts from and once per step
+    p = make_params(grid16(), 0.5)
+    st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
+    calls = _counting_convolve(monkeypatch)
+    gpe.SplitStep(p, 0.01).run(st, 7)
+    assert len(calls) == 8
+    calls.clear()
+    visited = []
+    gpe.SplitStep(p, 0.01).run(st, 7, lambda i, current: visited.append(i), every=every)
+    assert len(calls) == 8
+    assert visited == [i for i in range(1, 8) if i % every == 0 or i == 7]
+
+
+def test_visitor_state_is_read_only_and_the_callers_state_is_kept():
+    p = make_params(grid16(), 0.5)
+    st = init_state("gaussian", p, widths=(1.0, 1.1, 0.9))
+    before = st.phi.copy()
+
+    def visit(i, current):
+        with pytest.raises(ValueError, match="read-only"):
+            current.phi[0, 0, 0] = 0.0
+
+    final = gpe.SplitStep(p, 0.01).run(st, 3, visit)
+    assert np.array_equal(st.phi, before)
+    assert final.phi.flags.writeable and not np.shares_memory(final.phi, st.phi)
+
+
+def test_fused_half_steps_match_visited_steps():
+    # every = 5 fuses the half-steps between visits, every = 1 rotates twice
+    p = _offaxis_cutoff_params()
+    g0 = init_state("gaussian", p, widths=(1.0, 1.2, 0.9))
+    st = CondensateState(g0.phi * 3.0, 0.0, p)
+    ignore = lambda i, current: None
+    fused = gpe.SplitStep(p, 0.02).run(st, 10, ignore, every=5)
+    visited = gpe.SplitStep(p, 0.02).run(st, 10, ignore, every=1)
+    assert np.max(np.abs(fused.phi - visited.phi)) <= 1e-14 * np.max(np.abs(visited.phi))
+    assert fused.t == visited.t
+
+
+def test_visitor_observing_another_state_leaves_the_run_unchanged():
+    # the visitor's observation of another state takes the propagator's
+    # workspaces; the run convolves its own field again before going on
+    p = make_params(grid16(), 0.5)
+    st = CondensateState(init_state("gaussian", p, widths=(1.0, 1.1, 0.9)).phi * 3.0, 0.0, p)
+    other = init_state("uniform", p, n0=1.0)
+    prop = gpe.SplitStep(p, 0.02)
+    got = prop.run(st, 6, lambda i, current: observables(other, prop), every=2)
+    want = gpe.SplitStep(p, 0.02).run(st, 6, lambda i, current: None, every=2)
+    assert np.max(np.abs(got.phi - want.phi)) <= 1e-14 * np.max(np.abs(want.phi))
+
+
+def test_observables_do_not_depend_on_worker_count():
+    p = _offaxis_cutoff_params()
+    st = CondensateState(random_complex(p.grid.shape, 5), 0.0, p)
+    one = observables(st, gpe.SplitStep(p, 0.01, workers=1))
+    assert observables(st, gpe.SplitStep(p, 0.01, workers=2)) == one
+    assert observables(st) == one
+
+
+def test_separable_gaussian_matches_the_full_grid_formula():
+    grid = GridSpec(dims=(16, 12, 10), spacings=(0.3, 0.5, 0.7))
+    p = make_params(grid, 0.5)
+    w = (0.9, 1.3, 1.1)
+    xm, ym, zm = grid.meshgrid()
+    ctr = [0.5 * length for length in grid.box_lengths]
+    envelope = np.exp(-((xm - ctr[0]) ** 2) / (4.0 * w[0] ** 2)
+                      - ((ym - ctr[1]) ** 2) / (4.0 * w[1] ** 2)
+                      - ((zm - ctr[2]) ** 2) / (4.0 * w[2] ** 2))
+    full = envelope / math.sqrt(np.sum(envelope**2) * grid.cell_volume)
+    got = init_state("gaussian", p, widths=w).phi
+    assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
+    assert not np.any(got.imag)
+
+
+def test_evolve_peak_memory_above_the_held_state():
+    # the propagator's field buffer (1), |phi|^2 and angle (1/2 each) and half
+    # spectrum (about 1/2) in field sizes, plus chunk-sized temporaries
+    grid = GridSpec(dims=(96, 96, 96), spacings=(0.5, 0.5, 0.5))
+    p = make_params(grid, 0.5)
+    st = init_state("gaussian", p, widths=(4.0, 4.0, 4.0))
+    tracemalloc.start()
+    try:
+        evolve(st, 0.01, 0.04, observer_stride=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * st.phi.nbytes
+
+
+def test_kinetic_phase_is_the_largest_on_the_grid():
+    grid = GridSpec(dims=(16, 12, 10), spacings=(0.3, 0.5, 0.7))
+    for m_par in (1.7, 0.4 + 0.3j):
+        p = make_params(grid, 0.5, m_perp=1.3, m_par=m_par)
+        qx, qy, qz = grid.wavenumber_mesh()
+        omega = (qx**2 + qy**2) / (2.0 * p.m_perp) + qz**2 * 0.5 * (1.0 / p.m_par).real
+        assert gpe._kinetic_phase(p, -0.05) == pytest.approx(0.05 * np.max(omega), rel=1e-14)
+
+
+def test_response_step_cap_is_half_the_kinetic_resonance():
+    # on this grid the kinetic cap binds, so the default step takes pi / 2
+    p = make_params(grid16(), 0.5)
+    res = linear_response_experiment(p, lattice_q(grid16(), 0, 0, 1), 1e-4)
+    assert gpe._kinetic_phase(p, res.times[1]) == pytest.approx(0.5 * math.pi, rel=1e-14)
 
 
 # ------------------------------------------------- kernel-calibrated coupling
