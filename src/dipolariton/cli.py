@@ -213,10 +213,12 @@ def _cmd_kernel(run: _Run) -> int:
 
     qmesh = np.stack(np.broadcast_arrays(*grid.wavenumber_mesh()), axis=-1)
     run.table("kernel_fourier.csv", ("qx", "qy", "qz", "coefficient"),
-              np.column_stack((qmesh.reshape(-1, 3), table.coeffs.ravel())),
-              f"# method {table.method}", f"# sphere_radius {_g(table.sphere_radius)}")
+              np.column_stack((qmesh[:, :, : table.coeffs.shape[2]].reshape(-1, 3),
+                               table.coeffs.ravel())),
+              f"# method {table.method}", f"# sphere_radius {_g(table.sphere_radius)}",
+              "# half spectrum, z index 0 .. nz/2 in rfftn order; coefficient(-q) = coefficient(q)")
     write_kernel_table(run.path("kernel_table.bin"), table)
-    print(f"tabulated {table.coeffs.size} coefficients ({table.method} method, "
+    print(f"tabulated {table.coeffs.size} coefficients (half spectrum, {table.method} method, "
           f"truncation radius {table.sphere_radius:.6g} m)")
     print(f"coefficient range [{table.coeffs.min():.6g}, {table.coeffs.max():.6g}]")
     return 0

@@ -7,7 +7,7 @@ byte-identical files. Writes go through a temp file in the target directory
 plus os.replace, so readers never observe a half-written file.
 
 Complex 3-d fields use a one-line text header followed by little-endian
-complex128; kernel coefficient tables the same with float64.
+complex128; kernel coefficient tables the same with their float64 half spectrum.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 _FIELD_MAGIC = "dipolariton-field-v1"
-_KERNEL_MAGIC = "dipolariton-kernel-v1"
+_KERNEL_MAGIC = "dipolariton-kernel-v2"
 
 
 def _atomic_write(path: str, *chunks) -> None:
@@ -103,14 +103,14 @@ def write_table(path: str, header: Sequence[str], rows, comments: Sequence[str] 
     write_text(path, lines)
 
 
-def _read_binary(path: str, magic: str, what: str, dtype: str,
-                 fields: Sequence[str] = ()) -> tuple[list[str], GridSpec, np.ndarray]:
+def _read_binary(path: str, magic: str, what: str, dtype: str, fields: Sequence[str] = (),
+                 half: bool = False) -> tuple[list[str], GridSpec, np.ndarray]:
     """Header words (magic first), grid and payload array of a binary file.
 
-    The header is the magic, nx ny nz dx dy dz and then fields. A header that
-    is not UTF-8, a wrong magic, a missing header field, a grid that does not
-    parse or that GridSpec refuses, or a payload that is not exactly the
-    grid's size raises ConfigError naming the path.
+    The header is the magic, nx ny nz dx dy dz, then fields; the payload has the
+    grid's shape, or (nx, ny, nz // 2 + 1) if half. A non-UTF-8 header, a wrong
+    magic, a missing field, a grid that does not parse or that GridSpec refuses,
+    or a payload of another size raises ConfigError naming the path.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -128,11 +128,12 @@ def _read_binary(path: str, magic: str, what: str, dtype: str,
         grid = GridSpec(dims=tuple(map(int, parts[1:4])), spacings=tuple(map(float, parts[4:7])))
     except ValueError as exc:  # a word that is not a number, or a grid GridSpec refuses
         raise ConfigError(f"{path}: bad {what} grid in header: {exc}") from None
-    expected = math.prod(grid.dims) * np.dtype(dtype).itemsize
+    shape = (*grid.dims[:2], grid.dims[2] // 2 + 1) if half else grid.shape
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
     if len(payload) != expected:
         raise ConfigError(f"{path}: payload is {len(payload)} bytes, expected {expected} "
-                          f"for a {'x'.join(map(str, grid.dims))} grid of '{dtype}'")
-    return parts, grid, np.frombuffer(payload, dtype=dtype).reshape(grid.shape).copy()
+                          f"for {'x'.join(map(str, shape))} values of '{dtype}'")
+    return parts, grid, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
 def write_field(path: str, field: np.ndarray, grid: GridSpec, t: float = 0.0) -> None:
@@ -160,7 +161,7 @@ def read_field(path: str) -> tuple[np.ndarray, GridSpec, float]:
 
 
 def write_kernel_table(path: str, table: FourierTable) -> None:
-    """Binary kernel coefficients: text header line, then '<f8' in C order."""
+    """Binary kernel coefficients: text header line, then the half spectrum as '<f8' in C order."""
     grid = table.grid
     spec = table.spec
     nx, ny, nz = grid.dims
@@ -177,11 +178,13 @@ def write_kernel_table(path: str, table: FourierTable) -> None:
 def read_kernel_table(path: str) -> FourierTable:
     parts, grid, coeffs = _read_binary(
         path, _KERNEL_MAGIC, "kernel table", "<f8",
-        ("ox", "oy", "oz", "strength", "cutoff_radius", "sphere_radius", "method"))
+        ("ox", "oy", "oz", "strength", "cutoff_radius", "sphere_radius", "method"), half=True)
     try:
         strength, cutoff, sphere = map(float, parts[10:13])
         spec = KernelSpec(orientation=tuple(map(float, parts[7:10])), strength=strength,
                           cutoff_radius=cutoff, sphere_radius=sphere)
     except ValueError as exc:  # as for the grid: not a number, or a spec KernelSpec refuses
         raise ConfigError(f"{path}: bad kernel spec in header: {exc}") from None
+    if parts[13] not in ("lattice", "analytic"):
+        raise ConfigError(f"{path}: bad kernel spec in header: unknown table method '{parts[13]}'")
     return FourierTable(grid=grid, spec=spec, coeffs=coeffs, method=parts[13], sphere_radius=sphere)

@@ -309,7 +309,7 @@ class SplitStep:
         if self._rho is None:
             nx, ny, nz = self.params.grid.shape
             self._rho, self._angle = np.empty((nx, ny, nz)), np.empty((nx, ny, nz))
-            self._spec = np.empty((nx, ny, nz // 2 + 1), dtype=complex)
+            self._spec = np.empty(self.params.table.coeffs.shape, dtype=complex)
         return np.square(np.abs(phi, out=self._rho), out=self._rho)
 
     def _convolve(self, phi: np.ndarray) -> None:
@@ -368,6 +368,8 @@ class SplitStep:
         Finiteness is read from the largest |angle| of the closing
         convolution, so the samples are counted only when one is bad.
         """
+        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (n_steps, every)):
+            raise ParameterDomainError(f"n_steps, every must be integers >= 1: {n_steps!r}, {every!r}")
         self._hold(state)
         if self._phi is None:
             self._phi = np.empty(state.phi.shape, dtype=complex)
@@ -572,6 +574,8 @@ def effective_dipolar_coupling(params: GpeParams, q, n0: float) -> float:
     if not (np.isfinite(n0) and n0 > 0):
         raise ParameterDomainError(f"n0 must be positive, got {n0}")
     idx = _lattice_index(q, params.grid)
+    if idx[2] > params.grid.dims[2] // 2:  # the half table holds T(-q) = T(q)
+        idx = tuple((-i) % n for i, n in zip(idx, params.grid.dims))
     t_q = float(params.table.coeffs[idx])
     e_int = 2.0 * n0 * params.hbar * params.sin2_theta * t_q
     qv = np.asarray(q, dtype=float)

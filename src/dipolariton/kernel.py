@@ -31,8 +31,8 @@ Two table constructions are provided:
 Both tables pin the q = 0 coefficient to zero: the angular average of the
 kernel vanishes, and a uniform condensate must be exactly stationary.
 
-The lattice table build and convolve_density transform through numpy.fft,
-split into slabs over `workers` threads (dipolariton._fft).
+Tables are even, T(-q) = T(q), and keep the half spectrum convolve_density
+reads; transforms run in numpy.fft slabs over `workers` threads (dipolariton._fft).
 """
 
 from __future__ import annotations
@@ -150,10 +150,11 @@ def _truncated_radial_factor(x: np.ndarray) -> np.ndarray:
 class FourierTable:
     """Kernel Fourier coefficients on a grid's reciprocal lattice.
 
-    coeffs is real and even in the index, coeffs[-k] = coeffs[k] (the
-    truncated kernel is even), laid out in FFT ordering, and carries the
-    physical convolution normalization: ifftn(fftn(rho) * coeffs)
-    approximates the continuum integral of eps against rho.
+    coeffs is the real half spectrum, shape (nx, ny, nz // 2 + 1) in rfftn
+    ordering: the truncated kernel is even, so the index (-i, -j, -k) mod n
+    holds what (i, j, k) holds. It carries the physical normalization:
+    irfftn(rfftn(rho) * coeffs) approximates the continuum integral of eps
+    against rho.
     """
 
     grid: GridSpec
@@ -163,10 +164,10 @@ class FourierTable:
     sphere_radius: float
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}"
-            )
+        nx, ny, nz = self.grid.dims
+        if self.coeffs.shape != (nx, ny, nz // 2 + 1):
+            raise GridMismatchError(f"coefficient shape {self.coeffs.shape} is not the half "
+                                    f"spectrum {(nx, ny, nz // 2 + 1)} of grid {self.grid.shape}")
 
 
 def _resolve_sphere_radius(grid: GridSpec, spec: KernelSpec) -> float:
@@ -187,6 +188,7 @@ def kernel_table_fourier(
     workers is the FFT worker count of the lattice transform.
     """
     r_c = _resolve_sphere_radius(grid, spec)
+    ax, ay, az = spec.orientation
     if method == "lattice":
         # |r| and r . axis from open per-axis meshes: one full-grid array each
         x, y, z = np.meshgrid(*grid.displacements(), indexing="ij", sparse=True)
@@ -195,7 +197,6 @@ def kernel_table_fourier(
         outside = (rn == 0) | (rn > r_c)
         if spec.cutoff_radius > 0:
             outside |= rn < spec.cutoff_radius
-        ax, ay, az = spec.orientation
         cos_phi = x * ax + y * ay + z * az
         rn[outside] = 1.0
         cos_phi /= rn
@@ -208,30 +209,23 @@ def kernel_table_fourier(
         vals /= rn
         del rn
         vals[outside] = 0.0
-        # the real part of the half spectrum, completed by Hermitian symmetry
-        # F[-k] = conj(F[k]): past kz = nz // 2 the index is (-kx, -ky, nz - kz)
-        half = _fft.rfftn(vals, workers).real
-        del vals
-        m = half.shape[-1]
-        coeffs = np.empty(grid.shape)
-        coeffs[..., :m] = half
-        coeffs[..., m:] = np.roll(half[::-1, ::-1, grid.dims[2] - m:0:-1], 1, axis=(0, 1))
-        coeffs *= grid.cell_volume
+        # the kernel is real and even, so its spectrum is real
+        coeffs = _fft.rfftn(vals, workers).real * grid.cell_volume
     elif method == "analytic":
-        qx, qy, qz = grid.wavenumber_mesh()
+        qx, qy, qz = grid.wavenumbers()
+        qx, qy, qz = np.meshgrid(qx, qy, qz[: grid.dims[2] // 2 + 1], indexing="ij", sparse=True)
         qn = np.sqrt(qx**2 + qy**2 + qz**2)
-        safe = np.where(qn > 0, qn, 1.0)
-        ax, ay, az = spec.orientation
-        cos_beta = (qx * ax + qy * ay + qz * az) / safe
         envelope = _truncated_radial_factor(qn * r_c)
         if spec.cutoff_radius > 0:
             envelope = envelope - _truncated_radial_factor(qn * spec.cutoff_radius)
-        coeffs = FULL_SPACE_PREFACTOR * spec.strength * (3.0 * cos_beta**2 - 1.0) * envelope
-        coeffs = np.ascontiguousarray(np.broadcast_to(coeffs, grid.shape)).astype(float)
-        # the sample at index -k is the one at -q except on Nyquist planes,
-        # where fftfreq puts -q_N on both sides; averaging with the mirrored
-        # table makes it index-even there too (and leaves the rest unchanged)
-        coeffs = 0.5 * (coeffs + np.roll(np.flip(coeffs), 1, axis=(0, 1, 2)))
+        samples = []
+        for _ in range(2):
+            cos_beta = (qx * ax + qy * ay + qz * az) / np.where(qn > 0, qn, 1.0)
+            samples.append(FULL_SPACE_PREFACTOR * spec.strength * (3.0 * cos_beta**2 - 1.0) * envelope)
+            # the second sample takes +q_N on each Nyquist plane, the mode fftfreq calls -q_N
+            for q, n in zip((qx, qy, qz), grid.dims):
+                q.flat[n // 2] *= -1.0
+        coeffs = 0.5 * (samples[0] + samples[1])
     else:
         raise ParameterDomainError(f"unknown table method '{method}' (use 'lattice' or 'analytic')")
     coeffs[0, 0, 0] = 0.0
@@ -243,12 +237,8 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
     """Convolve a real density with the kernel through the Fourier table.
 
     Returns the frequency-shift field sum_r' eps(r - r') rho(r') dV, in out
-    if given. A real density times the real, even table gives a Hermitian
-    product spectrum, so the real-to-complex transform pair over the half
-    spectrum coeffs[..., :nz//2+1] (a view, no copy) equals the full complex
-    route real(ifftn(fftn(rho) * coeffs)) at about half the cost. The half
-    spectrum goes into `spectrum` (a new array if None), which the inverse
-    transform overwrites.
+    if given: irfftn(rfftn(rho) * coeffs). The half spectrum goes into
+    `spectrum` (a new array if None), which the inverse transform overwrites.
     """
     rho = np.asarray(rho)
     if rho.shape != table.grid.shape:
@@ -259,7 +249,7 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
     # a non-finite density gives inf * 0 at the table's zeros; the NaNs that
     # follow are the caller's to report, not numpy's to warn about
     with np.errstate(invalid="ignore"):
-        spectrum *= table.coeffs[..., : rho.shape[-1] // 2 + 1]
+        spectrum *= table.coeffs
     return _fft.irfftn(spectrum, rho.shape[-1], workers, out=out)
 
 

@@ -124,10 +124,11 @@ def test_kernel_outputs(tmp_path):
     out = str(tmp_path / "o")
     assert main(["kernel", "--config", cfg, "--out", out]) == 0
 
-    _, header, rows = read_rows(out + "/kernel_fourier.csv")
+    comments, header, rows = read_rows(out + "/kernel_fourier.csv")
     assert header == ["qx", "qy", "qz", "coefficient"]
-    assert len(rows) == 512
+    assert len(rows) == 8 * 8 * 5  # the half spectrum, kz = 0 .. 4
     assert [float(c) for c in rows[0]] == [0.0, 0.0, 0.0, 0.0]  # pinned q = 0
+    assert any("coefficient(-q) = coefficient(q)" in c for c in comments)
 
     _, header2, rows2 = read_rows(out + "/kernel_real.csv")
     assert header2 == ["x", "y", "z", "epsilon"]
@@ -182,7 +183,8 @@ def test_threads_reach_every_kernel_table_build(tmp_path, monkeypatch):
 
 
 def test_kernel_csv_rows_in_index_order(tmp_path):
-    # one %.17g row per grid index in C order, exactly as a per-index loop writes it
+    # one %.17g row per grid index in C order, exactly as a per-index loop
+    # writes it; the Fourier rows stop at the half spectrum's last plane
     cfg = write_cfg(tmp_path, (
         "grid.dims = 12 10 8\n"
         "grid.spacings = 0.5 0.7 0.9\n"
@@ -201,8 +203,9 @@ def test_kernel_csv_rows_in_index_order(tmp_path):
         r = np.array([xs[i], ys[j], zs[k]])
         eps = kernel_value(r[None, :], spec)[0] if (i, j, k) != (0, 0, 0) else 0.0
         real_rows.append(",".join(fmt(v) for v in (*r, eps)))
-        fourier_rows.append(",".join(fmt(v) for v in (qx[i, 0, 0], qy[0, j, 0], qz[0, 0, k],
-                                                      coeffs[i, j, k])))
+        if k <= grid.dims[2] // 2:
+            fourier_rows.append(",".join(fmt(v) for v in (qx[i, 0, 0], qy[0, j, 0], qz[0, 0, k],
+                                                          coeffs[i, j, k])))
     for name, expected in (("kernel_real.csv", real_rows), ("kernel_fourier.csv", fourier_rows)):
         body = [ln for ln in open(os.path.join(out, name)).read().splitlines()
                 if not ln.startswith("#")][1:]
@@ -552,6 +555,27 @@ def test_validate_reports_margins_and_matching(tmp_path, capsys):
     assert float(table["phase_mismatch_x"][0]) == 0.0
     out_text = capsys.readouterr().out
     assert "adiabaticity" in out_text and "phase mismatch" in out_text
+
+
+def test_validate_reports_a_tilted_coupling_beam_as_mismatched(tmp_path, capsys):
+    # k_c_plus tilted off the z axis, in 1/um; the other beams keep their
+    # defaults (0, 0, +-k) and (0, 0, -k), so the mismatch is
+    # k_plus + k_c_minus - k_minus - k_c_plus = (-0.5e6, 0, 1e7 - 9.8e6) 1/m
+    cfg = write_cfg(tmp_path, (
+        MEDIUM_BLOCK
+        + "run.pulse_t = 1e-5\n"
+        + "run.pulse_length = 1e-3\n"
+        + "run.k_c_plus = 0.5 0 9.8 1/um\n"
+    ))
+    out = str(tmp_path / "o")
+    assert main(["validate", "--config", cfg, "--out", out]) == 0
+    _, _, rows = read_rows(out + "/validation.csv")
+    table = {r[0]: r[1:] for r in rows}
+    assert float(table["phase_mismatch_x"][0]) == pytest.approx(-0.5e6, rel=1e-12)
+    assert float(table["phase_mismatch_y"][0]) == 0.0
+    assert float(table["phase_mismatch_z"][0]) == pytest.approx(0.2e6, rel=1e-9)
+    assert table["phase_matched"] == ["0", "MISMATCHED"]
+    assert "NOT matched" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------- selftest

@@ -316,8 +316,14 @@ def test_kernel_table_bytes_equal_the_copying_writer(tmp_path):
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
-    assert header.startswith(b"dipolariton-kernel-v1 8 8 10 ")
+    assert header.startswith(b"dipolariton-kernel-v2 8 8 10 ")
+    assert table.coeffs.shape == (8, 8, 6)
     assert payload == table.coeffs.astype("<f8").tobytes()
+    # a file of the full-grid format is refused by its magic word
+    with open(path, "wb") as fh:
+        fh.write(header.replace(b"-v2 ", b"-v1 ") + payload)
+    with pytest.raises(ConfigError, match="missing 'dipolariton-kernel-v2' header"):
+        read_kernel_table(path)
 
 
 def test_field_header_time_defaults_to_zero(tmp_path):
@@ -362,10 +368,11 @@ _READERS = {"field": read_field, "kernel": read_kernel_table}
 _WHAT = {"field": "field", "kernel": "kernel table"}
 
 
-@pytest.mark.parametrize("kind, size", [("field", 640 * 16), ("kernel", 640 * 8)])
+@pytest.mark.parametrize("kind, size", [("field", 640 * 16), ("kernel", 384 * 8)])
 @pytest.mark.parametrize("change", [-5, 8])
 def test_payload_of_the_wrong_size_rejected(tmp_path, kind, size, change):
-    # a truncated payload, or one with trailing bytes, names both byte counts
+    # a truncated payload, or one with trailing bytes, names both byte counts;
+    # a kernel table holds the 8 x 8 x 6 half spectrum of its 8 x 8 x 10 grid
     path, header, payload = _written(tmp_path, kind)
     assert len(payload) == size
     with open(path, "wb") as fh:
@@ -405,6 +412,7 @@ def test_header_non_numeric_grid_rejected(tmp_path, kind, word, value, reason):
 @pytest.mark.parametrize("word, value, reason", [
     (10, b"x", r"could not convert string to float: 'x'"),
     (7, b"2", r"orientation must be a unit vector"),
+    (13, b"bogus", r"unknown table method 'bogus'"),
 ])
 def test_header_bad_kernel_spec_rejected(tmp_path, word, value, reason):
     path, header, payload = _written(tmp_path, "kernel")

@@ -484,6 +484,18 @@ def test_run_costs_n_plus_one_convolutions(monkeypatch, every):
     assert visited == [i for i in range(1, 8) if i % every == 0 or i == 7]
 
 
+@pytest.mark.parametrize("n_steps, every", [(-3, 1), (0, 1), (2.5, 1), (3, 0)])
+def test_run_refuses_step_counts_it_cannot_honour(monkeypatch, n_steps, every):
+    # refused before the first convolution, with or without a visitor
+    p = make_params(grid16(), 0.5)
+    st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
+    calls = _counting_convolve(monkeypatch)
+    for visit in (None, lambda i, current: None):
+        with pytest.raises(ParameterDomainError, match="must be integers >= 1"):
+            gpe.SplitStep(p, 0.01).run(st, n_steps, visit, every=every)
+    assert calls == []
+
+
 def test_visitor_state_is_read_only_and_the_callers_state_is_kept():
     p = make_params(grid16(), 0.5)
     st = init_state("gaussian", p, widths=(1.0, 1.1, 0.9))
@@ -617,6 +629,19 @@ def test_effective_coupling_values():
     assert effective_dipolar_coupling(p, (0.0, 0.0, 0.0), 1.0) == 0.0
     with pytest.raises(ParameterDomainError):
         effective_dipolar_coupling(p, qz, 0.0)
+
+
+@pytest.mark.parametrize("method", ["lattice", "analytic"])
+def test_effective_coupling_is_even_in_q(method):
+    # the table keeps kz = 0 .. nz/2; a q past that plane reads its mirror
+    grid = GridSpec(dims=(12, 10, 16), spacings=(0.5, 0.6, 0.4))
+    spec = KernelSpec(orientation=(0.6, 0.0, 0.8), strength=0.05, cutoff_radius=0.3)
+    p = GpeParams(m_perp=1.0, m_par=1.0, sin2_theta=0.8, hbar=1.0,
+                  table=kernel_table_fourier(grid, spec, method=method))
+    for i, k in ((0, 3), (2, 5), (5, 7)):
+        plus = effective_dipolar_coupling(p, lattice_q(grid, i, 0, k), 1.0)
+        assert plus != 0.0
+        assert effective_dipolar_coupling(p, lattice_q(grid, -i, 0, -k), 1.0) == plus
 
 
 def test_predicted_frequency_against_closed_form():

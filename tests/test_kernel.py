@@ -246,17 +246,36 @@ def test_zero_strength_table_is_zero(method):
     assert np.all(table.coeffs == 0.0)
 
 
+def _is_even(full):
+    """Largest |T[k] - T[-k]| over the full grid, relative to max |T|."""
+    mirrored = np.roll(np.flip(full), 1, axis=(0, 1, 2))
+    return np.max(np.abs(full - mirrored)) / np.max(np.abs(full))
+
+
+def _half(full):
+    return full[..., : full.shape[2] // 2 + 1]
+
+
 def test_table_coefficients_real_and_even():
+    # the stored half table is the kz <= nz/2 part of an even full table
     grid = GridSpec(dims=(16, 8, 12), spacings=(0.3, 0.5, 0.7))
     spec = KernelSpec(orientation=(1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0), strength=0.6)
-    table = kernel_table_fourier(grid, spec)
-    coeffs = table.coeffs
+    coeffs = kernel_table_fourier(grid, spec).coeffs
     assert not np.iscomplexobj(coeffs)
-    nx, ny, nz = grid.dims
-    scale = np.max(np.abs(coeffs))
-    for i, j, k in [(1, 2, 3), (5, 0, 1), (7, 3, 11), (15, 7, 6)]:
-        mirrored = coeffs[(-i) % nx, (-j) % ny, (-k) % nz]
-        assert abs(coeffs[i, j, k] - mirrored) <= 1e-12 * scale
+    assert coeffs.shape == (16, 8, 7)
+    reference = stacked_mesh_lattice_coeffs(grid, spec)
+    assert _is_even(reference) <= 1e-12
+    assert np.max(np.abs(coeffs - _half(reference))) <= 1e-14 * np.max(np.abs(reference))
+
+
+def analytic_full_coeffs(grid, spec):
+    """The analytic table of a spec without cutoff or sphere radius over the full grid,
+    each sample averaged with the one at the mirrored index."""
+    qx, qy, qz = grid.wavenumber_mesh()
+    q = np.stack(np.broadcast_arrays(qx, qy, qz), axis=-1)
+    envelope = _truncated_radial_factor(np.linalg.norm(q, axis=-1) * 0.5 * min(grid.box_lengths))
+    coeffs = kernel_fourier_analytic(q, spec) * envelope
+    return 0.5 * (coeffs + np.roll(np.flip(coeffs), 1, axis=(0, 1, 2)))
 
 
 def test_analytic_table_is_even_on_nyquist_planes():
@@ -266,8 +285,10 @@ def test_analytic_table_is_even_on_nyquist_planes():
     spec = KernelSpec(orientation=(1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0), strength=0.6)
     table = kernel_table_fourier(grid, spec, method="analytic")
     coeffs = table.coeffs
-    mirrored = np.roll(np.flip(coeffs), 1, axis=(0, 1, 2))
-    assert np.max(np.abs(coeffs - mirrored)) <= 1e-14 * np.max(np.abs(coeffs))
+    assert coeffs.shape == (16, 8, 7)
+    reference = analytic_full_coeffs(grid, spec)
+    assert _is_even(reference) <= 1e-14
+    assert np.max(np.abs(coeffs - _half(reference))) <= 1e-14 * np.max(np.abs(reference))
     # off the Nyquist planes the samples are the continuum transform itself
     qx, qy, qz = grid.wavenumber_mesh()
     q = np.stack(np.broadcast_arrays(qx, qy, qz), axis=-1)[1:8, 1:4, 1:6]
@@ -303,19 +324,23 @@ def test_analytic_table_converges_with_truncation_radius():
 
 @pytest.mark.parametrize("method", ["lattice", "analytic"])
 def test_real_transform_convolution_matches_complex_route(method):
-    # the r2c route over the half spectrum equals the full c2c product
+    # the r2c route over the half table equals the c2c product with the full one
     grid = GridSpec(dims=(16, 12, 10), spacings=(0.3, 0.5, 0.7))
     spec = KernelSpec(orientation=(1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0), strength=0.6)
     table = kernel_table_fourier(grid, spec, method=method)
+    full = (stacked_mesh_lattice_coeffs if method == "lattice" else analytic_full_coeffs)(grid, spec)
+    assert _is_even(full) <= 1e-12
+    assert np.max(np.abs(table.coeffs - _half(full))) <= 1e-14 * np.max(np.abs(full))
     rho = np.random.default_rng(7).random(grid.shape)
-    reference = np.real(np.fft.ifftn(np.fft.fftn(rho) * table.coeffs))
+    reference = np.real(np.fft.ifftn(np.fft.fftn(rho) * full))
     got = convolve_density(table, rho)
     assert got.dtype == np.float64
     assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def stacked_mesh_lattice_coeffs(grid, spec):
-    """The lattice table as once built: a stacked (N, 3) mesh, norms and kernel_value."""
+    """The lattice table as once built, over the full grid: a stacked (N, 3) mesh, norms,
+    kernel_value and a complex-to-complex transform."""
     r_c = spec.sphere_radius if spec.sphere_radius is not None else 0.5 * min(grid.box_lengths)
     dmesh = np.stack(np.meshgrid(*grid.displacements(), indexing="ij"), axis=-1)
     rn = np.linalg.norm(dmesh, axis=-1)
@@ -338,7 +363,7 @@ def stacked_mesh_lattice_coeffs(grid, spec):
 def test_lattice_table_matches_stacked_mesh_construction(grid, spec):
     reference = stacked_mesh_lattice_coeffs(grid, spec)
     got = kernel_table_fourier(grid, spec).coeffs
-    assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))
+    assert np.max(np.abs(got - _half(reference))) <= 1e-14 * np.max(np.abs(reference))
 
 
 def test_lattice_table_does_not_depend_on_worker_count():
