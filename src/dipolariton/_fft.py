@@ -20,6 +20,13 @@ more slabs than the axis has planes, and one pool per worker count, kept
 for the life of the process, so the many steps of a small grid do not
 start threads on every call.
 
+r2c and c2r also run in place in FFTW's padded layout: a complex half
+spectrum buf of shape (nx, ny, nz // 2 + 1) holds the real array in its
+view buf.view(float)[:, :, :nz], each (x, y) row inside the row of the
+spectrum it becomes. numpy copies an input that out= overlaps without
+being the same array, so the passes between the two layouts run on chunks
+of axis-0 planes, at every worker count, and each copy is one chunk.
+
 numpy's FFT checks floating-point flags: a non-finite field would warn
 ("invalid value encountered in fft") before the caller reports it. The
 NaNs that follow are the caller's to report, so each slab is transformed
@@ -34,6 +41,10 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 _POOLS: dict[int, ThreadPoolExecutor] = {}
+
+# most bytes of spectrum one call of a padded r2c or c2r pass takes, which
+# bounds numpy's copy of an overlapping input
+_PADDED_CHUNK_BYTES = 1 << 18
 
 
 def in_slabs(task, n: int, workers: int) -> None:
@@ -89,8 +100,24 @@ def ifftn(a: np.ndarray, workers: int = 1, out: np.ndarray | None = None) -> np.
     return _c2c(a, workers, out, np.fft.ifftn, np.fft.ifft)
 
 
+def _padded_planes(task, spec: np.ndarray, workers: int) -> None:
+    """task(c) for chunks c of at most _PADDED_CHUNK_BYTES of each axis-0 slab of spec."""
+    step = max(1, _PADDED_CHUNK_BYTES // spec[0].nbytes)
+
+    def run(s: slice) -> None:
+        lo, hi, _ = s.indices(spec.shape[0])
+        for c in range(lo, hi, step):
+            task(slice(c, min(c + step, hi)))
+
+    in_slabs(run, spec.shape[0], workers)
+
+
 def rfftn(a: np.ndarray, workers: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum, shape (nx, ny, nz // 2 + 1), of the real 3-D array a, into out."""
+    """Half spectrum, shape (nx, ny, nz // 2 + 1), of the real 3-D array a, into out.
+
+    a may be out's padded real view out.view(float)[:, :, :nz], which makes
+    the transform in place.
+    """
     nx, ny, nz = a.shape
     out = np.empty((nx, ny, nz // 2 + 1), dtype=complex) if out is None else out
 
@@ -98,13 +125,17 @@ def rfftn(a: np.ndarray, workers: int = 1, out: np.ndarray | None = None) -> np.
         np.fft.rfft(a[s], axis=2, out=out[s])
         np.fft.fft(out[s], axis=1, out=out[s])
 
-    in_slabs(planes, nx, workers)
+    _padded_planes(planes, out, workers)
     _axis0(out, np.fft.fft, workers)
     return out
 
 
 def irfftn(spec: np.ndarray, n: int, workers: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-    """Real 3-D array of last-axis length n from its half spectrum, into out; overwrites spec."""
+    """Real 3-D array of last-axis length n from its half spectrum, into out; overwrites spec.
+
+    out may be spec's padded real view spec.view(float)[:, :, :n], which
+    makes the transform in place.
+    """
     nx, ny, _ = spec.shape
     out = np.empty((nx, ny, n)) if out is None else out
     _axis0(spec, np.fft.ifft, workers)
@@ -113,5 +144,5 @@ def irfftn(spec: np.ndarray, n: int, workers: int = 1, out: np.ndarray | None = 
         np.fft.ifft(spec[s], axis=1, out=spec[s])
         np.fft.irfft(spec[s], n=n, axis=2, out=out[s])
 
-    in_slabs(planes, nx, workers)
+    _padded_planes(planes, spec, workers)
     return out

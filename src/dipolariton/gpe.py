@@ -19,35 +19,39 @@ absorptive part of the medium.
 
 SplitStep is the propagator, built once per (params, dt, workers). It holds
 the kinetic phase, the kernel factor that turns the convolved density into
-the half-step potential angle, and the FFT worker count. At its first
-convolution it allocates the grids it works in: one complex field buffer,
-two real workspaces (|phi|^2 and the half-step angle) and one half spectrum.
-SplitStep.run copies the caller's state into the buffer, never writes the
-caller's state, and steps the buffer in place; the returned final state
-takes the buffer over. Each potential half-step rotates the field by the
-kept angle one chunk of axis-0 planes at a time, so no full-grid factor is
-made. Because the potential phase leaves |phi|^2 unchanged, the angle at the
-end of one step is the one the next step opens with: n steps cost n + 1
-density convolutions instead of 2n, and when no visitor reads the state
-between two steps, the closing half of the first and the opening half of
-the second are one rotation by twice the angle. The convolution is the
-real-to-complex one of kernel.convolve_density, written into the
-propagator's workspaces. The transforms run in place through numpy.fft,
-split into slabs over the propagator's worker threads (dipolariton._fft).
+the half-step potential angle, and the FFT worker count. It works in two
+grids: a complex field buffer and one convolution buffer, the complex half
+spectrum (nx, ny, nz // 2 + 1) of kernel.convolve_density, allocated at
+its first convolution. |phi|^2 goes into the padded real view of the
+convolution buffer, and the real-to-complex transform, the product with
+the kernel table and the complex-to-real transform all run in place there
+(dipolariton._fft), so the view ends up holding eps conv |phi|^2, unscaled.
+SplitStep.run copies the caller's state into the field buffer, never
+writes the caller's state, and steps the field buffer in place; the
+returned final state takes it over. Each potential half-step rotates the
+field by the kernel factor times the kept convolution, one chunk of axis-0
+planes at a time, so no full-grid angle or factor is made. Because the
+potential phase leaves |phi|^2 unchanged, the convolution at the end of
+one step is the one the next step opens with: n steps cost n + 1 density
+convolutions instead of 2n, and when no visitor reads the state between
+two steps, the closing half of the first and the opening half of the
+second are one rotation by twice the angle. The transforms are split into
+slabs over the propagator's worker threads.
 
 The visitor of SplitStep.run sees a CondensateState over a read-only view of
-the buffer, valid only during its call; it copies what it keeps. With each
-convolution the propagator keeps sum(rho (eps conv rho)), and
-observables(state, propagator) takes the dipolar energy from there: evolve
-hands it its propagator, so the observation at t = 0 makes the convolution
-step 1 opens with, each later one reads the convolution of the step it
-follows, and n steps with any number of observations cost n + 1
-convolutions. Called without a propagator, observables builds a throwaway
-SplitStep of the state's params. It writes |phi|^2 into the propagator's
-real workspace and reduces it and the spectral weight to per-axis
-marginals, taking the latter by Parseval from slab transforms, so the
-kinetic energies, centre of mass and variances follow without full-grid
-meshes or a full-grid spectrum.
+the field buffer, valid only during its call; it copies what it keeps.
+observables(state, propagator) takes the dipolar energy from the
+propagator's kept convolution: evolve hands it its propagator, so the
+observation at t = 0 makes the convolution step 1 opens with, each later
+one reads the convolution of the step it follows, and n steps with any
+number of observations cost n + 1 convolutions. Called without a
+propagator, observables builds a throwaway SplitStep of the state's params.
+It recomputes |phi|^2 one chunk of axis-0 planes at a time and reduces it
+against the convolution to sum(rho (eps conv rho)), and to the peak and the
+per-axis marginals; the spectral weight goes to per-axis marginals by
+Parseval from slab transforms. So the energies, centre of mass and
+variances follow without full-grid meshes, a full-grid density or a
+full-grid spectrum.
 
 An accuracy guard rejects steps whose maximal potential phase per half step
 exceeds MAX_POTENTIAL_PHASE = pi/4.
@@ -277,12 +281,13 @@ class SplitStep:
 
     Holds the kinetic phase (as per-axis factors), the kernel factor
     -dt sin^2(theta) / 2 that turns eps conv |phi|^2 into the half-step
-    angle, and the FFT worker count. It owns a complex field buffer, the
-    real workspaces |phi|^2 and angle, and a half spectrum, allocated at its
-    first convolution (a run whose final state took the buffer allocates a
-    new one). The workspaces hold the convolution of one state, with its
-    largest |angle| and sum(rho (eps conv rho)); run and observables reuse
-    it when handed that state again. run steps the buffer in place and
+    angle, and the FFT worker count. It owns a complex field buffer and a
+    convolution buffer, the half spectrum of the kernel table's shape,
+    allocated at its first convolution (a run whose final state took the
+    field buffer allocates a new one). The padded real view of the
+    convolution buffer holds eps conv |phi|^2 of one state, with its
+    largest |angle|; run and observables reuse it when handed that state
+    again. run steps the field buffer in place and
     fuses the closing half-step of one step with the opening half-step of
     the next into one rotation by twice the angle, except where a visitor
     reads the state or the run ends. Negative dt steps backwards and
@@ -299,36 +304,26 @@ class SplitStep:
         self.workers = int(workers)
         self._kinetic = _kinetic_factors(params, self.dt)
         self._kernel_factor = -0.5 * self.dt * params.sin2_theta
-        self._phi = self._rho = self._angle = self._spec = None
+        self._phi = self._buf = self._conv = None
         self._held: CondensateState | None = None
         self._max_phase = 0.0
-        self._conv_sum = 0.0
-
-    def _density(self, phi: np.ndarray) -> np.ndarray:
-        """|phi|^2 in the real workspace, allocating the workspaces on first use."""
-        if self._rho is None:
-            nx, ny, nz = self.params.grid.shape
-            self._rho, self._angle = np.empty((nx, ny, nz)), np.empty((nx, ny, nz))
-            self._spec = np.empty(self.params.table.coeffs.shape, dtype=complex)
-        return np.square(np.abs(phi, out=self._rho), out=self._rho)
 
     def _convolve(self, phi: np.ndarray) -> None:
-        """Convolve rho = |phi|^2 into the angle workspace.
+        """Convolve rho = |phi|^2 in the convolution buffer, allocating it on first use.
 
-        Keeps sum(rho (eps conv rho)) and the largest |angle|, which is NaN
-        or inf when phi is not finite, since one bad sample spreads to
-        every convolved one. The einsum reduction stays on one thread,
-        where a BLAS dot would start a second.
+        Keeps eps conv rho in the buffer's real view and the largest |angle|,
+        |kernel factor| max|eps conv rho|, which is NaN or inf when phi is
+        not finite, since one bad sample spreads to every convolved one.
         """
-        rho = self._density(phi)
-        angle = convolve_density(self.params.table, rho, self.workers,
-                                 out=self._angle, spectrum=self._spec)
-        self._conv_sum = float(np.einsum("ijk,ijk->", rho, angle))
-        angle *= self._kernel_factor
-        self._max_phase = max(float(angle.max()), -float(angle.min()))
+        if self._buf is None:
+            self._buf = np.empty(self.params.table.coeffs.shape, dtype=complex)
+        rho = self._buf.view(float)[:, :, : phi.shape[2]]
+        np.square(np.abs(phi, out=rho), out=rho)
+        self._conv = conv = convolve_density(self.params.table, rho, self.workers, buffer=self._buf)
+        self._max_phase = abs(self._kernel_factor) * max(float(conv.max()), -float(conv.min()))
 
     def _hold(self, state: CondensateState) -> None:
-        """Make the workspaces hold the convolution of state, unless they do."""
+        """Make the convolution buffer hold the convolution of state, unless it does."""
         if state.params is not self.params:
             raise ParameterDomainError("state and propagator were built from different params")
         if state is not self._held:
@@ -337,13 +332,14 @@ class SplitStep:
 
     def _rotate(self, turns: float) -> None:
         """Multiply the field by exp(i turns angle), one chunk of axis-0 planes at a time."""
-        phi, angle = self._phi, self._angle
+        phi, conv, scale = self._phi, self._conv, turns * self._kernel_factor
         chunks = _chunks(phi.shape[0], phi[0].nbytes)
         factor = np.empty((chunks[0].stop, *phi.shape[1:]), dtype=complex)
         for s in chunks:
             f = factor[: s.stop - s.start]
-            # doubling the angle is exact, so a fused rotation is one cos/sin pass
-            a = angle[s] if turns == 1 else np.multiply(angle[s], turns, out=f.real)
+            # turns is 1 or 2, and scaling by a power of two commutes with
+            # rounding, so a fused rotation has the bits of twice the angle
+            a = np.multiply(conv[s], scale, out=f.real)
             np.sin(a, out=f.imag)
             np.cos(a, out=f.real)
             phi[s] *= f
@@ -462,13 +458,14 @@ def observables(state: CondensateState, propagator: SplitStep | None = None) -> 
     """Norm, energies, peak density, centre of mass and variances of state.
 
     The dipolar energy is hbar sin^2(theta) / 2 * sum(rho (eps conv rho)) dV,
-    from the propagator built from state.params if given (its kept
-    convolution when it holds state's, else one it makes and keeps for its
-    next run of state), otherwise from a throwaway SplitStep on one FFT
-    worker. rho = |phi|^2 goes into that propagator's real workspace; the
-    kinetic energies reduce the spectral weight, and the centre of mass and
-    variances reduce rho, to per-axis marginals. The slab transforms use
-    the propagator's worker count, or one worker.
+    against the convolution of the propagator built from state.params if
+    given (its kept one when it holds state's, else one it makes and keeps
+    for its next run of state), otherwise of a throwaway SplitStep on one
+    FFT worker. rho = |phi|^2 is recomputed one chunk of axis-0 planes at a
+    time and reduced to that sum, its peak and its per-axis marginals, which
+    give the centre of mass and variances; the kinetic energies reduce the
+    spectral weight to per-axis marginals. The slab transforms use the
+    propagator's worker count, or one worker.
     """
     p = state.params
     grid = p.grid
@@ -477,11 +474,27 @@ def observables(state: CondensateState, propagator: SplitStep | None = None) -> 
     # the sum does not depend on dt, so a throwaway of any step size serves
     prop = SplitStep(p, 1.0) if propagator is None else propagator
     prop._hold(state)
-    e_dip = 0.5 * p.hbar * p.sin2_theta * prop._conv_sum * dv
-    rho = prop._density(phi)
-    peak = float(rho.max())
-    rho_xy = rho.sum(axis=2)
-    rho_axes = (rho_xy.sum(axis=1), rho_xy.sum(axis=0), rho.sum(axis=(0, 1)))
+    nx, ny, nz = phi.shape
+    chunks = _chunks(nx, phi[0].nbytes)
+    # (x, y) rows of rho one chunk at a time, after a row that carries the
+    # running z marginal: numpy adds the rows of a sum over axis 0 in order,
+    # so the marginal has the bits of one sum over the whole grid
+    rows = np.zeros((chunks[0].stop * ny + 1, nz))
+    rho_xy = np.empty((nx, ny))
+    peaks, conv_sums = np.empty(len(chunks)), np.empty(len(chunks))
+    for c, s in enumerate(chunks):
+        n = (s.stop - s.start) * ny
+        r = rows[1 : n + 1].reshape(-1, ny, nz)
+        np.square(np.abs(phi[s], out=r), out=r)
+        # numpy reductions, since Python's max drops a NaN; einsum stays on
+        # one thread, where a BLAS dot would start a second
+        peaks[c] = r.max()
+        conv_sums[c] = np.einsum("ijk,ijk->", r, prop._conv[s])
+        r.sum(axis=2, out=rho_xy[s])
+        rows[0] = rows[: n + 1].sum(axis=0)
+    e_dip = 0.5 * p.hbar * p.sin2_theta * float(conv_sums.sum()) * dv
+    peak = float(peaks.max())
+    rho_axes = (rho_xy.sum(axis=1), rho_xy.sum(axis=0), rows[0])
     norm = float(rho_axes[0].sum()) * dv
 
     sum_x, sum_y, sum_z = _kinetic_sums(phi, grid.wavenumbers(), prop.workers)

@@ -233,24 +233,31 @@ def kernel_table_fourier(
 
 
 def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
-                     out: np.ndarray | None = None, spectrum: np.ndarray | None = None) -> np.ndarray:
+                     buffer: np.ndarray | None = None) -> np.ndarray:
     """Convolve a real density with the kernel through the Fourier table.
 
-    Returns the frequency-shift field sum_r' eps(r - r') rho(r') dV, in out
-    if given: irfftn(rfftn(rho) * coeffs). The half spectrum goes into
-    `spectrum` (a new array if None), which the inverse transform overwrites.
+    Returns the frequency-shift field sum_r' eps(r - r') rho(r') dV,
+    irfftn(rfftn(rho) * coeffs), as the padded real view
+    buffer.view(float)[:, :, :nz] of a complex buffer of the table's shape
+    (a new one if None). The transforms and the product run in place in the
+    buffer, and rho may be that view itself.
     """
     rho = np.asarray(rho)
     if rho.shape != table.grid.shape:
         raise GridMismatchError(
             f"density shape {rho.shape} does not match table grid {table.grid.shape}"
         )
-    spectrum = _fft.rfftn(rho, workers, out=spectrum)
+    if buffer is None:
+        buffer = np.empty(table.coeffs.shape, dtype=complex)
+    elif buffer.shape != table.coeffs.shape:
+        raise GridMismatchError(f"buffer shape {buffer.shape} is not the table's {table.coeffs.shape}")
+    _fft.rfftn(rho, workers, out=buffer)
     # a non-finite density gives inf * 0 at the table's zeros; the NaNs that
     # follow are the caller's to report, not numpy's to warn about
     with np.errstate(invalid="ignore"):
-        spectrum *= table.coeffs
-    return _fft.irfftn(spectrum, rho.shape[-1], workers, out=out)
+        buffer *= table.coeffs
+    nz = rho.shape[-1]
+    return _fft.irfftn(buffer, nz, workers, out=buffer.view(float)[:, :, :nz])
 
 
 def direct_convolution_reference(grid: GridSpec, spec: KernelSpec, rho: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Slab-threaded numpy.fft transforms, checked against scipy.fft as an independent oracle."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -62,6 +63,51 @@ def test_in_place_transform_keeps_the_buffer():
     assert np.array_equal(buf, np.fft.fftn(a))
     assert _fft.ifftn(buf, 2, out=buf) is buf
     assert rel_err(buf, a) <= 1e-15
+
+
+def padded(rho):
+    """A complex half-spectrum buffer whose real view [:, :, :nz] holds rho."""
+    nx, ny, nz = rho.shape
+    buf = np.full((nx, ny, nz // 2 + 1), np.nan, dtype=complex)
+    buf.view(float)[:, :, :nz] = rho
+    return buf
+
+
+@pytest.mark.parametrize("shape", [*SHAPES, (6, 5, 7)], ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_padded_in_place_pair_equals_out_of_place(shape, workers):
+    # the real array lives in the padded view of the spectrum it becomes;
+    # the padding starts as NaN, so a pass that read it would show
+    rho = random_complex(shape, 6).real
+    nz = shape[2]
+    buf = padded(rho)
+    assert _fft.rfftn(buf.view(float)[:, :, :nz], workers, out=buf) is buf
+    assert np.array_equal(buf, _fft.rfftn(rho, workers))
+    spec = buf.copy()
+    back = _fft.irfftn(buf, nz, workers, out=buf.view(float)[:, :, :nz])
+    assert np.shares_memory(back, buf)
+    assert np.array_equal(back, _fft.irfftn(spec, nz, workers))
+
+
+@pytest.mark.parametrize("direction", ["r2c", "c2r"])
+def test_padded_in_place_pass_copies_no_full_grid(direction):
+    # numpy copies an input that out= overlaps; the padded passes keep that
+    # copy to one chunk of planes, even at one worker
+    rho = random_complex((64, 64, 64), 7).real
+    buf = padded(rho)
+    real = buf.view(float)[:, :, :64]
+    if direction == "c2r":
+        _fft.rfftn(real, 1, out=buf)
+    tracemalloc.start()
+    try:
+        if direction == "r2c":
+            _fft.rfftn(real, 1, out=buf)
+        else:
+            _fft.irfftn(buf, 64, 1, out=real)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * rho.nbytes
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

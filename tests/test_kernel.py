@@ -183,6 +183,30 @@ def test_lattice_table_matches_direct_summation_anisotropic():
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
+@pytest.mark.parametrize("method", ["lattice", "analytic"])
+def test_convolution_in_a_given_buffer(method):
+    # the convolution is the padded real view of the buffer, with the bits
+    # of a convolution that allocates its own
+    grid = GridSpec(dims=(12, 8, 10), spacings=(0.4, 0.5, 0.6))
+    spec = KernelSpec(orientation=(0.0, 0.6, 0.8), strength=0.9, cutoff_radius=0.3)
+    table = kernel_table_fourier(grid, spec, method=method)
+    rho = np.random.default_rng(11).random(grid.shape)
+    buf = np.empty(table.coeffs.shape, dtype=complex)
+    got = convolve_density(table, rho, buffer=buf)
+    assert np.shares_memory(got, buf) and got.shape == grid.shape
+    assert np.array_equal(got, buf.view(float)[:, :, :10])
+    assert np.array_equal(got, convolve_density(table, rho))
+    # rho may be the buffer's own real view: the whole convolution in place
+    want = got.copy()
+    buf.view(float)[:, :, :10] = rho
+    assert np.array_equal(convolve_density(table, buf.view(float)[:, :, :10], 2, buffer=buf), want)
+    if method == "lattice":
+        slow = direct_convolution_reference(grid, spec, rho)
+        assert np.max(np.abs(want - slow)) <= 1e-12 * np.max(np.abs(slow))
+    with pytest.raises(GridMismatchError):
+        convolve_density(table, rho, buffer=np.empty(grid.shape, dtype=complex))
+
+
 def test_lattice_table_matches_direct_summation_with_cutoff():
     grid = GridSpec(dims=(12, 12, 12), spacings=(0.4, 0.4, 0.4))
     spec = KernelSpec(orientation=Z_AXIS, strength=1.1, cutoff_radius=0.6)
