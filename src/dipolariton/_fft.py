@@ -1,37 +1,45 @@
-"""Three-dimensional transforms through numpy.fft, run in slabs on a thread pool.
+"""Three-dimensional transforms through numpy.fft, as chunked sweeps on a thread pool.
 
 numpy.fft transforms one line at a time on the calling thread and releases
-the GIL while it does. A 3-D transform here is two passes, and each pass
-splits the array into slabs that the calling thread and a persistent pool
-of workers - 1 threads transform at once:
+the GIL while it does. A line along axis 0 of a large array is strided:
+each of its samples lies in another cache line, so a pass of such lines
+over a whole array moves far more memory than it transforms. The module
+works in sweeps instead. A sweep reads a chunk of about CHUNK_BYTES once
+and does all its work on the chunk while it is in cache:
 
-    c2c  fftn over axes (1, 2) per axis-0 slab, then fft over axis 0 per axis-1 slab
-    r2c  rfft over axis 2 and fft over axis 1 per axis-0 slab, then fft over
-         axis 0 per axis-1 slab
-    c2r  the mirror of r2c: ifft over axis 0 per axis-1 slab, then ifft over
-         axis 1 and irfft over axis 2 per axis-0 slab
+    sweep    task(w, c) per chunk c of axis-0 planes, in place; lines along
+             axes 1 and 2 of the chunk are contiguous or short-strided
+    x_lines  task(block, s) per chunk s of axis-1 slabs, block a contiguous
+             copy of a[:, s] in the thread's row of a scratch array, where
+             lines along axis 0 transform in cache; the task writes back
+             what it keeps
+    rfftn    rfft over axis 2 and fft over axis 1 per chunk of axis-0 planes
+             (rfft_planes), then fft over axis 0 in x_lines
+    c2r      ifft over axis 0 in x_lines, then ifft over axis 1 and irfft
+             over axis 2 per chunk of axis-0 planes (irfft_planes)
 
-Every line goes through the same call whichever slab holds it, so results
-are bit-identical for every worker count; c2c and r2c take numpy's own axis
-order and equal numpy.fft.fftn, ifftn and rfftn bit for bit. Each pass
-writes through out=, in place where the caller allows it, so the passes
-make no full-grid temporaries. There are no threads at workers=1, never
-more slabs than the axis has planes, and one pool per worker count, kept
-for the life of the process, so the many steps of a small grid do not
-start threads on every call.
+The chunks depend on the array's shape only, never on the worker count:
+the calling thread and a persistent pool of workers - 1 threads each take a
+contiguous run of them. Every line goes through the same call whichever
+chunk holds it, so results are bit-identical for every worker count, and
+rfftn takes numpy's own axis order and equals numpy.fft.rfftn bit for bit.
+A sweep of fewer than _THREADED_BYTES runs whole on the calling thread,
+where waking a second thread costs more than it gains. One pool per worker
+count is kept for the life of the process, so the many steps of a small
+grid do not start threads on every call.
 
 r2c and c2r also run in place in FFTW's padded layout: a complex half
 spectrum buf of shape (nx, ny, nz // 2 + 1) holds the real array in its
 view buf.view(float)[:, :, :nz], each (x, y) row inside the row of the
 spectrum it becomes. numpy copies an input that out= overlaps without
-being the same array, so the passes between the two layouts run on chunks
-of axis-0 planes, at every worker count, and each copy is one chunk.
+being the same array, so the plane passes take chunks of at most
+_PADDED_CHUNK_BYTES, and each copy is one chunk.
 
 numpy's FFT checks floating-point flags: a non-finite field would warn
 ("invalid value encountered in fft") before the caller reports it. The
-NaNs that follow are the caller's to report, so each slab is transformed
-under np.errstate(invalid="ignore"), set in its own thread, since threads
-do not inherit numpy's error state.
+NaNs that follow are the caller's to report, so each thread runs its
+chunks under np.errstate(invalid="ignore"), set in its own thread, since
+threads do not inherit numpy's error state.
 """
 
 from __future__ import annotations
@@ -42,24 +50,30 @@ import numpy as np
 
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 
+# bytes of array one sweep task takes at once
+CHUNK_BYTES = 1 << 20
 # most bytes of spectrum one call of a padded r2c or c2r pass takes, which
 # bounds numpy's copy of an overlapping input
 _PADDED_CHUNK_BYTES = 1 << 18
+# smallest sweep split over threads: on a 2-vCPU x86-64 host a Strang step
+# at 2 workers was slower than at 1 up to 32^3 (512 KiB of field) and
+# faster from 48^3 (1.7 MiB)
+_THREADED_BYTES = 1 << 20
 
 
 def in_slabs(task, n: int, workers: int) -> None:
-    """Call task(s) for min(workers, n) contiguous slices s of range(n) at once."""
+    """Call task(w, s) for w < min(workers, n) and contiguous slices s of range(n) at once."""
     count = min(workers, n)
     if count == 1:
         with np.errstate(invalid="ignore"):
-            task(slice(None))
+            task(0, slice(None))
         return
     edges = [n * i // count for i in range(count + 1)]
     slabs = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
-    def quiet(s: slice) -> None:
+    def quiet(w: int, s: slice) -> None:
         with np.errstate(invalid="ignore"):
-            task(s)
+            task(w, s)
 
     pool = _POOLS.get(workers)
     if pool is None:
@@ -68,48 +82,93 @@ def in_slabs(task, n: int, workers: int) -> None:
         pool = _POOLS.setdefault(
             workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="dipolariton-fft")
         )
-    futures = [pool.submit(quiet, s) for s in slabs[1:]]
+    futures = [pool.submit(quiet, w, s) for w, s in enumerate(slabs) if w > 0]
     try:
-        quiet(slabs[0])
+        quiet(0, slabs[0])
     finally:
         wait(futures)
     for future in futures:
         future.result()
 
 
-def _axis0(a: np.ndarray, transform, workers: int) -> None:
-    """transform a in place along axis 0, in axis-1 slabs."""
-    in_slabs(lambda s: transform(a[:, s], axis=0, out=a[:, s]), a.shape[1], workers)
+def chunks(n: int, unit_bytes: int, chunk_bytes: int = CHUNK_BYTES) -> list[slice]:
+    """Consecutive slices of range(n), each about chunk_bytes of units of unit_bytes, at least one unit."""
+    step = max(1, chunk_bytes // unit_bytes)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _c2c(a, workers, out, transform_nd, transform) -> np.ndarray:
-    if out is None:
-        out = np.empty(a.shape, dtype=complex)
-    in_slabs(lambda s: transform_nd(a[s], axes=(1, 2), out=out[s]), a.shape[0], workers)
-    _axis0(out, transform, workers)
+def sweep(task, n: int, unit_bytes: int, workers: int, chunk_bytes: int = CHUNK_BYTES) -> None:
+    """Call task(w, c) for the chunks c of range(n), each about chunk_bytes of units of unit_bytes.
+
+    w < workers is the slot of the thread that runs the chunk. Chunks are
+    consecutive and the same for every worker count; each thread takes a
+    contiguous run of them, in order.
+    """
+    cs = chunks(n, unit_bytes, chunk_bytes)
+
+    def run(w: int, s: slice) -> None:
+        for c in cs[s]:
+            task(w, c)
+
+    in_slabs(run, len(cs), workers if n * unit_bytes >= _THREADED_BYTES else 1)
+
+
+def new_scratch(shape: tuple[int, int, int], workers: int) -> np.ndarray:
+    """Complex scratch, one row per thread slot, for the sweeps of a complex array of shape.
+
+    A row holds the largest chunk of axis-0 planes or axis-1 slabs of that
+    array, or of its half spectrum.
+    """
+    nx, ny, nz = shape
+    row = min(nx * ny * nz, max(CHUNK_BYTES // 16, ny * nz, nx * nz))
+    return np.empty((workers, row), dtype=complex)
+
+
+def x_lines(a: np.ndarray, task, workers: int, scratch: np.ndarray | None = None) -> None:
+    """Call task(block, s) for the chunks s of axis-1 slabs of the complex 3-D array a.
+
+    block is a contiguous copy of a[:, s] in the running thread's row of
+    scratch (from new_scratch; a new one if None), so transforms along
+    axis 0 of block run in cache. a is not written unless task copies block
+    back.
+    """
+    nx, ny, nz = a.shape
+    scratch = new_scratch(a.shape, workers) if scratch is None else scratch
+
+    def copy(w: int, s: slice) -> None:
+        block = scratch[w, : nx * (s.stop - s.start) * nz].reshape(nx, -1, nz)
+        np.copyto(block, a[:, s])
+        task(block, s)
+
+    sweep(copy, ny, a[:, 0].nbytes, workers)
+
+
+def rfft_planes(a: np.ndarray, out: np.ndarray, workers: int) -> np.ndarray:
+    """rfft over axis 2 and fft over axis 1 of the real 3-D array a, into the half spectrum out.
+
+    a may be out's padded real view out.view(float)[:, :, :nz], which makes
+    the pass in place.
+    """
+    def planes(w: int, s: slice) -> None:
+        np.fft.rfft(a[s], axis=2, out=out[s])
+        np.fft.fft(out[s], axis=1, out=out[s])
+
+    sweep(planes, out.shape[0], out[0].nbytes, workers, _PADDED_CHUNK_BYTES)
     return out
 
 
-def fftn(a: np.ndarray, workers: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-    """Forward 3-D DFT of a into out (a new complex array if None; may be a itself)."""
-    return _c2c(a, workers, out, np.fft.fftn, np.fft.fft)
+def irfft_planes(spec: np.ndarray, n: int, out: np.ndarray, workers: int) -> np.ndarray:
+    """ifft over axis 1 and irfft to last-axis length n of spec, into the real out; overwrites spec.
 
+    out may be spec's padded real view spec.view(float)[:, :, :n], which
+    makes the pass in place.
+    """
+    def planes(w: int, s: slice) -> None:
+        np.fft.ifft(spec[s], axis=1, out=spec[s])
+        np.fft.irfft(spec[s], n=n, axis=2, out=out[s])
 
-def ifftn(a: np.ndarray, workers: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse 3-D DFT of a, normalised by 1/a.size, into out as for fftn."""
-    return _c2c(a, workers, out, np.fft.ifftn, np.fft.ifft)
-
-
-def _padded_planes(task, spec: np.ndarray, workers: int) -> None:
-    """task(c) for chunks c of at most _PADDED_CHUNK_BYTES of each axis-0 slab of spec."""
-    step = max(1, _PADDED_CHUNK_BYTES // spec[0].nbytes)
-
-    def run(s: slice) -> None:
-        lo, hi, _ = s.indices(spec.shape[0])
-        for c in range(lo, hi, step):
-            task(slice(c, min(c + step, hi)))
-
-    in_slabs(run, spec.shape[0], workers)
+    sweep(planes, spec.shape[0], spec[0].nbytes, workers, _PADDED_CHUNK_BYTES)
+    return out
 
 
 def rfftn(a: np.ndarray, workers: int = 1, out: np.ndarray | None = None) -> np.ndarray:
@@ -120,29 +179,11 @@ def rfftn(a: np.ndarray, workers: int = 1, out: np.ndarray | None = None) -> np.
     """
     nx, ny, nz = a.shape
     out = np.empty((nx, ny, nz // 2 + 1), dtype=complex) if out is None else out
+    rfft_planes(a, out, workers)
 
-    def planes(s: slice) -> None:
-        np.fft.rfft(a[s], axis=2, out=out[s])
-        np.fft.fft(out[s], axis=1, out=out[s])
+    def forward(block: np.ndarray, s: slice) -> None:
+        np.fft.fft(block, axis=0, out=block)
+        out[:, s] = block
 
-    _padded_planes(planes, out, workers)
-    _axis0(out, np.fft.fft, workers)
-    return out
-
-
-def irfftn(spec: np.ndarray, n: int, workers: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-    """Real 3-D array of last-axis length n from its half spectrum, into out; overwrites spec.
-
-    out may be spec's padded real view spec.view(float)[:, :, :n], which
-    makes the transform in place.
-    """
-    nx, ny, _ = spec.shape
-    out = np.empty((nx, ny, n)) if out is None else out
-    _axis0(spec, np.fft.ifft, workers)
-
-    def planes(s: slice) -> None:
-        np.fft.ifft(spec[s], axis=1, out=spec[s])
-        np.fft.irfft(spec[s], n=n, axis=2, out=out[s])
-
-    _padded_planes(planes, spec, workers)
+    x_lines(out, forward, workers)
     return out

@@ -266,23 +266,14 @@ def _kinetic_phase(params: GpeParams, dt: float) -> float:
     )
 
 
-# bytes of field a potential half-step or an observables transform takes at once
-_CHUNK_BYTES = 1 << 20
-
-
-def _chunks(n: int, plane_bytes: int) -> list[slice]:
-    """Contiguous slices of range(n), each about _CHUNK_BYTES of planes of plane_bytes."""
-    step = max(1, _CHUNK_BYTES // plane_bytes)
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 class SplitStep:
     """Strang propagator for one (params, dt, workers).
 
     Holds the kinetic phase (as per-axis factors), the kernel factor
     -dt sin^2(theta) / 2 that turns eps conv |phi|^2 into the half-step
-    angle, and the FFT worker count. It owns a complex field buffer and a
-    convolution buffer, the half spectrum of the kernel table's shape,
+    angle, and the FFT worker count. It owns a complex field buffer, a
+    convolution buffer, the half spectrum of the kernel table's shape, and
+    one chunk scratch per worker that every sweep shares, the last two
     allocated at its first convolution (a run whose final state took the
     field buffer allocates a new one). The padded real view of the
     convolution buffer holds eps conv |phi|^2 of one state, with its
@@ -304,22 +295,32 @@ class SplitStep:
         self.workers = int(workers)
         self._kinetic = _kinetic_factors(params, self.dt)
         self._kernel_factor = -0.5 * self.dt * params.sin2_theta
-        self._phi = self._buf = self._conv = None
+        self._phi = self._buf = self._conv = self._scratch = None
         self._held: CondensateState | None = None
         self._max_phase = 0.0
 
-    def _convolve(self, phi: np.ndarray) -> None:
-        """Convolve rho = |phi|^2 in the convolution buffer, allocating it on first use.
-
-        Keeps eps conv rho in the buffer's real view and the largest |angle|,
-        |kernel factor| max|eps conv rho|, which is NaN or inf when phi is
-        not finite, since one bad sample spreads to every convolved one.
-        """
+    def _density(self, phi: np.ndarray) -> np.ndarray:
+        """|phi|^2 into the convolution buffer's padded real view, allocating the buffers on first use."""
         if self._buf is None:
             self._buf = np.empty(self.params.table.coeffs.shape, dtype=complex)
+            self._scratch = _fft.new_scratch(phi.shape, self.workers)
         rho = self._buf.view(float)[:, :, : phi.shape[2]]
-        np.square(np.abs(phi, out=rho), out=rho)
-        self._conv = conv = convolve_density(self.params.table, rho, self.workers, buffer=self._buf)
+
+        def square(w: int, s: slice) -> None:
+            np.square(np.abs(phi[s], out=rho[s]), out=rho[s])
+
+        _fft.sweep(square, phi.shape[0], phi[0].nbytes, self.workers)
+        return rho
+
+    def _convolve(self, rho: np.ndarray) -> None:
+        """Convolve rho, the padded real view of the convolution buffer, in place there.
+
+        Keeps eps conv rho in the view and the largest |angle|, |kernel
+        factor| max|eps conv rho|, which is NaN or inf when rho is not
+        finite, since one bad sample spreads to every convolved one.
+        """
+        self._conv = conv = convolve_density(self.params.table, rho, self.workers,
+                                             buffer=self._buf, scratch=self._scratch)
         self._max_phase = abs(self._kernel_factor) * max(float(conv.max()), -float(conv.min()))
 
     def _hold(self, state: CondensateState) -> None:
@@ -327,22 +328,58 @@ class SplitStep:
         if state.params is not self.params:
             raise ParameterDomainError("state and propagator were built from different params")
         if state is not self._held:
-            self._convolve(state.phi)
+            self._convolve(self._density(state.phi))
             self._held = state
 
-    def _rotate(self, turns: float) -> None:
-        """Multiply the field by exp(i turns angle), one chunk of axis-0 planes at a time."""
-        phi, conv, scale = self._phi, self._conv, turns * self._kernel_factor
-        chunks = _chunks(phi.shape[0], phi[0].nbytes)
-        factor = np.empty((chunks[0].stop, *phi.shape[1:]), dtype=complex)
-        for s in chunks:
-            f = factor[: s.stop - s.start]
-            # turns is 1 or 2, and scaling by a power of two commutes with
-            # rounding, so a fused rotation has the bits of twice the angle
-            a = np.multiply(conv[s], scale, out=f.real)
-            np.sin(a, out=f.imag)
-            np.cos(a, out=f.real)
-            phi[s] *= f
+    def _rotate(self, w: int, s: slice, turns: float) -> None:
+        """Multiply the planes s of the field by exp(i turns angle), the factor in scratch row w."""
+        phi = self._phi[s]
+        f = self._scratch[w, : phi.size].reshape(phi.shape)
+        # turns is 1 or 2, and scaling by a power of two commutes with
+        # rounding, so a fused rotation has the bits of twice the angle
+        a = np.multiply(self._conv[s], turns * self._kernel_factor, out=f.real)
+        np.sin(a, out=f.imag)
+        np.cos(a, out=f.real)
+        phi *= f
+
+    def _close(self) -> None:
+        """The closing half-step: rotate the field by the kept angle, one sweep of planes."""
+        phi = self._phi
+        _fft.sweep(lambda w, s: self._rotate(w, s, 1.0), phi.shape[0], phi[0].nbytes, self.workers)
+
+    def _advance(self, turns: float) -> None:
+        """Rotate by turns times the kept angle, take the exact kinetic step, convolve the new density.
+
+        Three sweeps of the field and the convolution's: per chunk of axis-0
+        planes the rotation and fftn over axes (1, 2); per chunk of axis-1
+        slabs fft over axis 0, the kinetic factor and ifft over axis 0; per
+        chunk of axis-0 planes ifftn over axes (1, 2) and |phi|^2 into the
+        convolution buffer's padded real view.
+        """
+        phi, workers = self._phi, self.workers
+        kin_perp, kin_z = self._kinetic
+        rho = self._buf.view(float)[:, :, : phi.shape[2]]
+
+        def forward(w: int, s: slice) -> None:
+            self._rotate(w, s, turns)
+            np.fft.fftn(phi[s], axes=(1, 2), out=phi[s])
+
+        def kinetic(block: np.ndarray, s: slice) -> None:
+            np.fft.fft(block, axis=0, out=block)
+            block *= kin_perp[:, s]
+            block *= kin_z
+            np.fft.ifft(block, axis=0, out=block)
+            phi[:, s] = block
+
+        def inverse(w: int, s: slice) -> None:
+            # ifftn with axes, since ifft2 ignores out= here (numpy 2.4)
+            np.fft.ifftn(phi[s], axes=(1, 2), out=phi[s])
+            np.square(np.abs(phi[s], out=rho[s]), out=rho[s])
+
+        _fft.sweep(forward, phi.shape[0], phi[0].nbytes, workers)
+        _fft.x_lines(phi, kinetic, workers, self._scratch)
+        _fft.sweep(inverse, phi.shape[0], phi[0].nbytes, workers)
+        self._convolve(rho)
 
     def _check_guard(self, i: int, t: float) -> None:
         if self._max_phase > MAX_POTENTIAL_PHASE:
@@ -369,28 +406,23 @@ class SplitStep:
         self._hold(state)
         if self._phi is None:
             self._phi = np.empty(state.phi.shape, dtype=complex)
-        phi, (kin_perp, kin_z), t = self._phi, self._kinetic, state.t
+        phi, t = self._phi, state.t
         np.copyto(phi, state.phi)
         self._held, turns = None, 1.0
         self._check_guard(1, t)
         for i in range(1, n_steps + 1):
-            self._rotate(turns)
-            _fft.fftn(phi, self.workers, out=phi)
-            phi *= kin_perp
-            phi *= kin_z
-            _fft.ifftn(phi, self.workers, out=phi)
-            self._convolve(phi)
+            self._advance(turns)
             self._check_guard(i, t)
             t += self.dt
             if not math.isfinite(self._max_phase):
-                self._rotate(1.0)
+                self._close()
                 bad = int(np.count_nonzero(~np.isfinite(phi)))
                 raise NonFiniteStateError(
                     f"non-finite field after step {i} (t = {t:.6e}); {bad} bad samples of {phi.size}"
                 )
             turns = 2.0
             if i == n_steps or (visit is not None and i % every == 0):
-                self._rotate(1.0)
+                self._close()
                 turns = 1.0
                 if visit is not None:
                     view = phi.view()
@@ -398,7 +430,8 @@ class SplitStep:
                     self._held = current = CondensateState(view, t, self.params)
                     visit(i, current)
                     if self._held is not current:
-                        self._convolve(phi)  # the visitor convolved another state
+                        # the visitor convolved another state
+                        self._convolve(self._density(phi))
                     self._held = None
         self._phi = None
         return CondensateState(phi, t, self.params)
@@ -419,36 +452,34 @@ class Observables:
     variance: tuple[float, float, float]
 
 
-def _kinetic_sums(phi: np.ndarray, qs, workers: int) -> tuple[float, float, float]:
+def _kinetic_sums(phi: np.ndarray, qs, workers: int, scratch: np.ndarray) -> tuple[float, float, float]:
     """sum(q_a^2 |fftn(phi)|^2) for each axis a, without a full-grid spectrum.
 
-    By Parseval, the spectral weight summed over kz is nz times |fft2(phi)|^2
-    of the xy transforms summed over z, and summed over (kx, ky) it is
-    nx ny times |fft(phi)|^2 of the z transforms summed over (x, y). Each
-    chunk (of z planes for the first, of x planes for the second) is
-    transformed on its own and its sums go to a row of their own; the rows
-    are added in chunk order, so the result is the same for every worker
-    count. |.|^2 is read off (re, im) float pairs.
+    By Parseval, the spectral weight summed over kx is nx times the squares
+    of the (y, z) transforms summed over x, and summed over (ky, kz) it is
+    ny nz times the squares of the x transforms summed over (y, z). The
+    first comes from fftn over axes (1, 2) of each chunk of axis-0 planes,
+    the second from fft over axis 0 of each chunk of axis-1 slabs, both
+    into scratch (_fft.new_scratch). Each plane or slab sums into a row of
+    its own and the rows are added in order, so the result is the same for
+    every worker count. |.|^2 is read off (re, im) float pairs.
     """
     nx, ny, nz = phi.shape
-    z_chunks, x_chunks = _chunks(nz, phi[:, :, 0].nbytes), _chunks(nx, phi[0].nbytes)
-    w_x, w_y = np.empty((len(z_chunks), nx)), np.empty((len(z_chunks), ny))
-    w_z = np.empty((len(x_chunks), 2 * nz))
+    w_y, w_z, w_x = np.empty((nx, ny)), np.empty((nx, 2 * nz)), np.empty((ny, nx))
 
-    def xy(s: slice) -> None:
-        for c in range(len(z_chunks))[s]:
-            pairs = np.fft.fft2(phi[:, :, z_chunks[c]], axes=(0, 1)).view(float)
-            w_x[c], w_y[c] = (np.einsum(f"ijk,ijk->{a}", pairs, pairs) for a in "ij")
+    def yz(w: int, s: slice) -> None:
+        block = scratch[w, : phi[s].size].reshape(phi[s].shape)
+        pairs = np.fft.fftn(phi[s], axes=(1, 2), out=block).view(float)
+        w_y[s], w_z[s] = (np.einsum(f"ijk,ijk->i{a}", pairs, pairs) for a in "jk")
 
-    def z(s: slice) -> None:
-        for c in range(len(x_chunks))[s]:
-            pairs = np.fft.fft(phi[x_chunks[c]], axis=2).view(float)
-            w_z[c] = np.einsum("ijk,ijk->k", pairs, pairs)
+    def x(block: np.ndarray, s: slice) -> None:
+        pairs = np.fft.fft(block, axis=0, out=block).view(float)
+        w_x[s] = np.einsum("ijk,ijk->ji", pairs, pairs)
 
-    _fft.in_slabs(xy, len(z_chunks), workers)
-    _fft.in_slabs(z, len(x_chunks), workers)
-    marginals = (nz * w_x.sum(axis=0), nz * w_y.sum(axis=0),
-                 nx * ny * w_z.sum(axis=0).reshape(-1, 2).sum(axis=1))
+    _fft.sweep(yz, nx, phi[0].nbytes, workers)
+    _fft.x_lines(phi, x, workers, scratch)
+    marginals = (ny * nz * w_x.sum(axis=0), nx * w_y.sum(axis=0),
+                 nx * w_z.sum(axis=0).reshape(-1, 2).sum(axis=1))
     # a non-finite field gives 0 * inf at q = 0; the caller reports the NaNs
     with np.errstate(invalid="ignore"):
         return tuple(float(np.sum(q**2 * w)) for q, w in zip(qs, marginals))
@@ -475,7 +506,7 @@ def observables(state: CondensateState, propagator: SplitStep | None = None) -> 
     prop = SplitStep(p, 1.0) if propagator is None else propagator
     prop._hold(state)
     nx, ny, nz = phi.shape
-    chunks = _chunks(nx, phi[0].nbytes)
+    chunks = _fft.chunks(nx, phi[0].nbytes)
     # (x, y) rows of rho one chunk at a time, after a row that carries the
     # running z marginal: numpy adds the rows of a sum over axis 0 in order,
     # so the marginal has the bits of one sum over the whole grid
@@ -497,7 +528,7 @@ def observables(state: CondensateState, propagator: SplitStep | None = None) -> 
     rho_axes = (rho_xy.sum(axis=1), rho_xy.sum(axis=0), rows[0])
     norm = float(rho_axes[0].sum()) * dv
 
-    sum_x, sum_y, sum_z = _kinetic_sums(phi, grid.wavenumbers(), prop.workers)
+    sum_x, sum_y, sum_z = _kinetic_sums(phi, grid.wavenumbers(), prop.workers, prop._scratch)
     scale = p.hbar**2 * dv / phi.size
     kin_perp = scale / (2.0 * p.m_perp) * (sum_x + sum_y)
     # kinetic weight along z uses the real part of 1/m_par so it reduces to the

@@ -233,14 +233,17 @@ def kernel_table_fourier(
 
 
 def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
-                     buffer: np.ndarray | None = None) -> np.ndarray:
+                     buffer: np.ndarray | None = None,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
     """Convolve a real density with the kernel through the Fourier table.
 
     Returns the frequency-shift field sum_r' eps(r - r') rho(r') dV,
     irfftn(rfftn(rho) * coeffs), as the padded real view
     buffer.view(float)[:, :, :nz] of a complex buffer of the table's shape
     (a new one if None). The transforms and the product run in place in the
-    buffer, and rho may be that view itself.
+    buffer, and rho may be that view itself. The transforms along x and the
+    product are one sweep of axis-1 slabs through scratch (from
+    _fft.new_scratch; a new one if None).
     """
     rho = np.asarray(rho)
     if rho.shape != table.grid.shape:
@@ -251,13 +254,19 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
         buffer = np.empty(table.coeffs.shape, dtype=complex)
     elif buffer.shape != table.coeffs.shape:
         raise GridMismatchError(f"buffer shape {buffer.shape} is not the table's {table.coeffs.shape}")
-    _fft.rfftn(rho, workers, out=buffer)
+    _fft.rfft_planes(rho, buffer, workers)
+
     # a non-finite density gives inf * 0 at the table's zeros; the NaNs that
-    # follow are the caller's to report, not numpy's to warn about
-    with np.errstate(invalid="ignore"):
-        buffer *= table.coeffs
+    # follow are the caller's to report, and the sweep keeps numpy quiet
+    def product(block: np.ndarray, s: slice) -> None:
+        np.fft.fft(block, axis=0, out=block)
+        block *= table.coeffs[:, s]
+        np.fft.ifft(block, axis=0, out=block)
+        buffer[:, s] = block
+
+    _fft.x_lines(buffer, product, workers, scratch)
     nz = rho.shape[-1]
-    return _fft.irfftn(buffer, nz, workers, out=buffer.view(float)[:, :, :nz])
+    return _fft.irfft_planes(buffer, nz, buffer.view(float)[:, :, :nz], workers)
 
 
 def direct_convolution_reference(grid: GridSpec, spec: KernelSpec, rho: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Slab-threaded numpy.fft transforms, checked against scipy.fft as an independent oracle."""
+"""Chunked numpy.fft sweeps, checked against scipy.fft as an independent oracle."""
 
+import threading
 import tracemalloc
 import warnings
 
@@ -18,18 +19,118 @@ def rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def sweep_fftn(a, workers, inverse=False, out=None):
+    """The Strang step's c2c pair as sweeps in place on out (a copy of a if None): (y, z) per
+    chunk of x planes, x per chunk of y slabs."""
+    out = a.copy() if out is None else out
+    planes, line = (np.fft.ifftn, np.fft.ifft) if inverse else (np.fft.fftn, np.fft.fft)
+
+    def yz(w, s):
+        planes(out[s], axes=(1, 2), out=out[s])
+
+    def x(block, s):
+        line(block, axis=0, out=block)
+        out[:, s] = block
+
+    unit = out[0].nbytes
+    if inverse:
+        _fft.x_lines(out, x, workers)
+        _fft.sweep(yz, out.shape[0], unit, workers)
+    else:
+        _fft.sweep(yz, out.shape[0], unit, workers)
+        _fft.x_lines(out, x, workers)
+    return out
+
+
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_complex_pair_matches_scipy(shape, workers):
-    # at 4 workers the slab count is capped by axes of 3, 4, 5 and 7 planes
+    # the Strang step's c2c pair, as plane and slab sweeps
     a = random_complex(shape, 1)
-    forward = _fft.fftn(a, workers)
-    inverse = _fft.ifftn(a, workers)
+    forward = sweep_fftn(a, workers)
+    inverse = sweep_fftn(a, workers, inverse=True)
     assert rel_err(forward, scipy.fft.fftn(a)) <= 1e-15
     assert rel_err(inverse, scipy.fft.ifftn(a)) <= 1e-15
-    # numpy's own axis order, so numpy's own bits
+    # numpy's own axis order going forward, so numpy's own bits
     assert np.array_equal(forward, np.fft.fftn(a))
-    assert np.array_equal(inverse, np.fft.ifftn(a))
+
+
+@pytest.mark.parametrize("shape", [*SHAPES, (64, 40, 48)], ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_slab_sweep_transforms_x_lines_in_cache(shape, workers):
+    # 64 x 40 x 48 is 1.9 MiB in 2 chunks of y slabs, so two workers run it
+    a = random_complex(shape, 2)
+    a.flags.writeable = False
+    factor = random_complex(shape, 3)
+    out = np.full(shape, np.nan, dtype=complex)
+    seen = []
+
+    def task(block, s):
+        assert block.flags.c_contiguous and block.shape == (shape[0], s.stop - s.start, shape[2])
+        np.fft.fft(block, axis=0, out=block)
+        block *= factor[:, s]
+        np.fft.ifft(block, axis=0, out=block)
+        out[:, s] = block
+        seen.append(s)
+
+    _fft.x_lines(a, task, workers)
+    want = np.fft.ifft(np.fft.fft(a, axis=0) * factor, axis=0)
+    assert np.array_equal(out, want)
+    assert rel_err(out, scipy.fft.ifft(scipy.fft.fft(a, axis=0) * factor, axis=0)) <= 1e-15
+    assert sorted(s.start for s in seen) == [s.start for s in _fft.chunks(shape[1], a[:, 0].nbytes)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_slab_sweep_of_non_finite_input_is_quiet(bad, workers):
+    # numpy's FFT warns "invalid value encountered" on a non-finite line;
+    # each thread of a sweep runs under errstate(invalid="ignore")
+    a = np.ones((64, 40, 48), complex)
+    a[3, 30, 5] = bad
+    out = np.empty_like(a)
+
+    def task(block, s):
+        np.fft.fft(block, axis=0, out=block)
+        block *= 0.0
+        np.fft.ifft(block, axis=0, out=block)
+        out[:, s] = block
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _fft.x_lines(a, task, workers)
+    assert np.isnan(out[:, 30, 5]).all()
+    assert np.array_equal(out[:, :30], np.zeros((64, 30, 48), complex))
+
+
+@pytest.mark.parametrize("n, unit, workers", [(7, 1 << 18, 2), (130, 1 << 14, 3), (3, 1 << 22, 2)])
+def test_sweep_chunks_by_bytes_whatever_the_worker_count(n, unit, workers):
+    calls = []
+    lock = threading.Lock()
+
+    def task(w, c):
+        with lock:
+            calls.append((w, c))
+
+    _fft.sweep(task, n, unit, workers)
+    chunks = sorted((c.start, c.stop) for _, c in calls)
+    assert chunks == [(c.start, c.stop) for c in _fft.chunks(n, unit)]
+    # consecutive, covering range(n) once, about CHUNK_BYTES each, one unit at least
+    assert chunks[0][0] == 0 and chunks[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert all(hi - lo == max(1, _fft.CHUNK_BYTES // unit) for lo, hi in chunks[:-1])
+    assert {w for w, _ in calls} <= set(range(workers))
+
+
+def test_small_sweep_runs_on_the_calling_thread():
+    threads = set()
+    record = lambda w, c: threads.add((w, threading.get_ident()))
+    # 8 chunks of one unit, under _THREADED_BYTES in all
+    unit = _fft._THREADED_BYTES // 8 - 1
+    _fft.sweep(record, 8, unit, 2, chunk_bytes=unit)
+    assert threads == {(0, threading.get_ident())}
+    threads.clear()
+    _fft.sweep(record, 8, unit + 1, 2, chunk_bytes=unit + 1)
+    assert len(threads) == 2
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
@@ -40,28 +141,33 @@ def test_real_pair_matches_scipy(shape, workers):
     assert half.shape == (*shape[:2], shape[2] // 2 + 1)
     assert rel_err(half, scipy.fft.rfftn(rho)) <= 1e-15
     assert np.array_equal(half, np.fft.rfftn(rho))
-    back = _fft.irfftn(scipy.fft.rfftn(rho), shape[2], workers)
+    spec = np.fft.ifft(scipy.fft.rfftn(rho), axis=0)
+    back = _fft.irfft_planes(spec, shape[2], np.empty(shape), workers)
     assert rel_err(back, scipy.fft.irfftn(scipy.fft.rfftn(rho), s=shape)) <= 1e-15
     assert rel_err(back, rho) <= 1e-15
 
 
-@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("shape", [*SHAPES, (64, 40, 48)], ids=lambda s: "x".join(map(str, s)))
 def test_results_do_not_depend_on_worker_count(shape):
     a = random_complex(shape, 3)
     half = np.fft.rfftn(a.real)
-    one = (_fft.fftn(a), _fft.ifftn(a), _fft.rfftn(a.real), _fft.irfftn(half.copy(), shape[2]))
+
+    def transforms(workers):
+        return (sweep_fftn(a, workers), sweep_fftn(a, workers, inverse=True),
+                _fft.rfftn(a.real, workers),
+                _fft.irfft_planes(half.copy(), shape[2], np.empty(shape), workers))
+
+    one = transforms(1)
     for workers in (2, 3, 4):
-        got = (_fft.fftn(a, workers), _fft.ifftn(a, workers), _fft.rfftn(a.real, workers),
-               _fft.irfftn(half.copy(), shape[2], workers))
-        assert all(np.array_equal(g, o) for g, o in zip(got, one)), workers
+        assert all(np.array_equal(g, o) for g, o in zip(transforms(workers), one)), workers
 
 
 def test_in_place_transform_keeps_the_buffer():
     a = random_complex((8, 6, 10), 4)
     buf = a.copy()
-    assert _fft.fftn(buf, 2, out=buf) is buf
+    assert sweep_fftn(buf, 2, out=buf) is buf
     assert np.array_equal(buf, np.fft.fftn(a))
-    assert _fft.ifftn(buf, 2, out=buf) is buf
+    assert sweep_fftn(buf, 2, inverse=True, out=buf) is buf
     assert rel_err(buf, a) <= 1e-15
 
 
@@ -84,9 +190,9 @@ def test_padded_in_place_pair_equals_out_of_place(shape, workers):
     assert _fft.rfftn(buf.view(float)[:, :, :nz], workers, out=buf) is buf
     assert np.array_equal(buf, _fft.rfftn(rho, workers))
     spec = buf.copy()
-    back = _fft.irfftn(buf, nz, workers, out=buf.view(float)[:, :, :nz])
+    back = _fft.irfft_planes(buf, nz, buf.view(float)[:, :, :nz], workers)
     assert np.shares_memory(back, buf)
-    assert np.array_equal(back, _fft.irfftn(spec, nz, workers))
+    assert np.array_equal(back, _fft.irfft_planes(spec, nz, np.empty(shape), workers))
 
 
 @pytest.mark.parametrize("direction", ["r2c", "c2r"])
@@ -97,13 +203,13 @@ def test_padded_in_place_pass_copies_no_full_grid(direction):
     buf = padded(rho)
     real = buf.view(float)[:, :, :64]
     if direction == "c2r":
-        _fft.rfftn(real, 1, out=buf)
+        _fft.rfft_planes(real, buf, 1)
     tracemalloc.start()
     try:
         if direction == "r2c":
-            _fft.rfftn(real, 1, out=buf)
+            _fft.rfft_planes(real, buf, 1)
         else:
-            _fft.irfftn(buf, 64, 1, out=real)
+            _fft.irfft_planes(buf, 64, real, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -116,9 +222,9 @@ def test_non_finite_input_transforms_without_warning(bad):
     a[3, 4, 5] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spec = _fft.fftn(a, 2)
-        _fft.ifftn(spec, 2, out=spec)
-        _fft.irfftn(_fft.rfftn(a.real, 2), 16, 2)
+        spec = sweep_fftn(a, 2)
+        sweep_fftn(spec, 2, inverse=True)
+        _fft.irfft_planes(_fft.rfftn(a.real, 2), 16, np.empty(a.shape), 2)
     assert not np.all(np.isfinite(spec))
 
 
@@ -131,3 +237,14 @@ def test_non_finite_field_at_two_workers_is_reported_without_warning(bad):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteStateError, match=r"after step 1 .* 4096 bad samples"):
             evolve(st, 0.01, 0.1, workers=2)
+
+
+def test_non_finite_field_on_two_threads_is_reported_without_warning():
+    # 48^3 is 1.7 MiB of field, so its sweeps run on two threads, not one
+    p = make_params(GridSpec(dims=(48, 48, 48), spacings=(0.5, 0.5, 0.5)), 0.5)
+    st = init_state("uniform", p, n0=1.0)
+    st.phi[30, 4, 5] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError, match=rf"after step 1 .* {48**3} bad samples"):
+            evolve(st, 0.01, 0.02, workers=2)

@@ -389,8 +389,8 @@ def assert_observables_close(got, expected, rel):
         assert np.max(np.abs(a - b)) <= rel * scale, name
 
 
-def _offaxis_cutoff_params():
-    grid = grid16()
+def _offaxis_cutoff_params(grid=None):
+    grid = grid16() if grid is None else grid
     spec = KernelSpec(orientation=(1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0), strength=0.05,
                       cutoff_radius=0.6)
     return GpeParams(m_perp=1.0, m_par=1.0, sin2_theta=0.8,
@@ -532,6 +532,71 @@ def test_visitor_observing_another_state_leaves_the_run_unchanged():
     got = prop.run(st, 6, lambda i, current: observables(other, prop), every=2)
     want = gpe.SplitStep(p, 0.02).run(st, 6, lambda i, current: None, every=2)
     assert np.max(np.abs(got.phi - want.phi)) <= 1e-14 * np.max(np.abs(want.phi))
+
+
+def reference_step(phi, p, dt):
+    """One Strang step on whole arrays: np.fft transforms and a full-grid kinetic phase."""
+    def half_potential(phi):
+        conv = np.fft.irfftn(np.fft.rfftn(np.abs(phi) ** 2) * p.table.coeffs, s=phi.shape, axes=(0, 1, 2))
+        return np.exp(-0.5j * dt * p.sin2_theta * conv) * phi
+
+    qx, qy, qz = p.grid.wavenumber_mesh()
+    omega = p.hbar * ((qx**2 + qy**2) / (2.0 * p.m_perp) + qz**2 / (2.0 * p.m_par))
+    phi = half_potential(phi)
+    phi = np.fft.ifftn(np.exp(-1j * dt * omega) * np.fft.fftn(phi))
+    return half_potential(phi)
+
+
+@pytest.mark.parametrize("dims, m_par", [((10, 12, 14), 1.7), ((16, 16, 16), 1.0 + 0.2j)],
+                         ids=["10x12x14", "16x16x16"])
+def test_swept_steps_match_a_whole_array_reference(dims, m_par):
+    grid = GridSpec(dims=dims, spacings=(0.3, 0.5, 0.7))
+    p = make_params(grid, -0.4, m_perp=1.3, m_par=m_par)
+    g0 = init_state("gaussian", p, widths=(1.0, 1.2, 0.9))
+    st = CondensateState(np.roll(g0.phi, (-2, -3, -1), axis=(0, 1, 2)) * 3.0, 0.0, p)
+    want = st.phi
+    for n in (1, 2, 3):
+        want = reference_step(want, p, 0.02)
+        got = gpe.SplitStep(p, 0.02).run(st, n).phi
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
+
+
+def test_runs_on_one_two_and_three_workers_are_bit_identical():
+    # 64^3 is 4 MiB of field: 4 chunks per sweep, which 2 and 3 threads split
+    p = _offaxis_cutoff_params(GridSpec(dims=(64, 64, 64), spacings=(0.25, 0.25, 0.25)))
+    st = CondensateState(random_complex(p.grid.shape, 8) * 0.5, 0.0, p)
+    runs = {}
+    for workers in (1, 2, 3):
+        prop = gpe.SplitStep(p, 0.01, workers)
+        seen = []
+        final = prop.run(st, 3, lambda i, current: seen.append(observables(current, prop)), every=2)
+        runs[workers] = (final.phi, seen)
+    for workers in (2, 3):
+        assert np.array_equal(runs[workers][0], runs[1][0]), workers
+        assert runs[workers][1] == runs[1][1], workers
+
+
+# numpy FFT calls per step of the design that ran the c2c pair as two whole-array
+# transforms of two calls each, and r2c and c2r as three calls each
+_FFT_CALLS_PER_STEP_BEFORE = 10
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_a_step_makes_no_more_numpy_fft_calls_than_before(monkeypatch, n):
+    p = make_params(GridSpec(dims=(n, n, n), spacings=(0.5, 0.5, 0.5)), 0.5)
+    st = init_state("gaussian", p, widths=(1.0, 1.1, 0.9))
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft", "rfftn", "irfftn"):
+        def counting(*args, _f=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    counts = []
+    for steps in (1, 3):
+        calls.clear()
+        gpe.SplitStep(p, 0.01).run(st, steps)
+        counts.append(len(calls))
+    assert (counts[1] - counts[0]) / 2 <= _FFT_CALLS_PER_STEP_BEFORE
 
 
 def test_observables_do_not_depend_on_worker_count():
