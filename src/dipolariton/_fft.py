@@ -7,16 +7,19 @@ over a whole array moves far more memory than it transforms. The module
 works in sweeps instead. A sweep reads a chunk of about CHUNK_BYTES once
 and does all its work on the chunk while it is in cache:
 
-    sweep    task(w, c) per chunk c of axis-0 planes, in place; lines along
-             axes 1 and 2 of the chunk are contiguous or short-strided
-    x_lines  task(block, s) per chunk s of axis-1 slabs, block a contiguous
-             copy of a[:, s] in the thread's row of a scratch array, where
-             lines along axis 0 transform in cache; the task writes back
-             what it keeps
-    rfftn    rfft over axis 2 and fft over axis 1 per chunk of axis-0 planes
-             (rfft_planes), then fft over axis 0 in x_lines
-    c2r      ifft over axis 0 in x_lines, then ifft over axis 1 and irfft
-             over axis 2 per chunk of axis-0 planes (irfft_planes)
+    sweep         task(w, c) per chunk c of axis-0 planes, in place; lines
+                  along axes 1 and 2 of the chunk are contiguous or short
+    x_lines       task(block, s) per chunk s of axis-1 slabs, block a
+                  contiguous copy of a[:, s] in the thread's row of a scratch
+                  array, where lines along axis 0 transform in cache; the
+                  task writes back what it keeps
+    rfft_planes   rfft over axis 2 and fft over axis 1 per chunk of planes
+    irfft_planes  ifft over axis 1 and irfft over axis 2 per chunk of planes
+    rfftn         rfft_planes, then fft over axis 0 in x_lines
+
+kernel.convolve_density is rfft_planes, one x_lines sweep that transforms
+forward, multiplies by the table and transforms back, and irfft_planes;
+gpe composes the Strang step from sweep and x_lines the same way.
 
 The chunks depend on the array's shape only, never on the worker count:
 the calling thread and a persistent pool of workers - 1 threads each take a
@@ -28,7 +31,7 @@ where waking a second thread costs more than it gains. One pool per worker
 count is kept for the life of the process, so the many steps of a small
 grid do not start threads on every call.
 
-r2c and c2r also run in place in FFTW's padded layout: a complex half
+The plane passes also run in place in FFTW's padded layout: a complex half
 spectrum buf of shape (nx, ny, nz // 2 + 1) holds the real array in its
 view buf.view(float)[:, :, :nz], each (x, y) row inside the row of the
 spectrum it becomes. numpy copies an input that out= overlaps without
@@ -55,9 +58,9 @@ CHUNK_BYTES = 1 << 20
 # most bytes of spectrum one call of a padded r2c or c2r pass takes, which
 # bounds numpy's copy of an overlapping input
 _PADDED_CHUNK_BYTES = 1 << 18
-# smallest sweep split over threads: on a 2-vCPU x86-64 host a Strang step
-# at 2 workers was slower than at 1 up to 32^3 (512 KiB of field) and
-# faster from 48^3 (1.7 MiB)
+# smallest sweep split over threads: with every sweep split, a Strang step
+# at 2 workers took 0.97-1.02 of the 1-worker time from 16^3 to 40^3 (under
+# 1 MiB of field) and 0.69 at 48^3 (1.7 MiB), on a 2-vCPU x86-64 host
 _THREADED_BYTES = 1 << 20
 
 

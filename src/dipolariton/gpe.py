@@ -22,21 +22,36 @@ the kinetic phase, the kernel factor that turns the convolved density into
 the half-step potential angle, and the FFT worker count. It works in two
 grids: a complex field buffer and one convolution buffer, the complex half
 spectrum (nx, ny, nz // 2 + 1) of kernel.convolve_density, allocated at
-its first convolution. |phi|^2 goes into the padded real view of the
+its first convolution, together with one chunk scratch per worker that
+every sweep shares. |phi|^2 goes into the padded real view of the
 convolution buffer, and the real-to-complex transform, the product with
-the kernel table and the complex-to-real transform all run in place there
-(dipolariton._fft), so the view ends up holding eps conv |phi|^2, unscaled.
-SplitStep.run copies the caller's state into the field buffer, never
-writes the caller's state, and steps the field buffer in place; the
-returned final state takes it over. Each potential half-step rotates the
-field by the kernel factor times the kept convolution, one chunk of axis-0
-planes at a time, so no full-grid angle or factor is made. Because the
-potential phase leaves |phi|^2 unchanged, the convolution at the end of
-one step is the one the next step opens with: n steps cost n + 1 density
-convolutions instead of 2n, and when no visitor reads the state between
-two steps, the closing half of the first and the opening half of the
-second are one rotation by twice the angle. The transforms are split into
-slabs over the propagator's worker threads.
+the kernel table and the complex-to-real transform all run in place there,
+so the view ends up holding eps conv |phi|^2, unscaled. SplitStep.run
+copies the caller's state into the field buffer, never writes the caller's
+state, and steps the field buffer in place; the returned final state takes
+it over. Because the potential phase leaves |phi|^2 unchanged, the
+convolution at the end of one step is the one the next step opens with: n
+steps cost n + 1 density convolutions instead of 2n, and when no visitor
+reads the state between two steps, the closing half of the first and the
+opening half of the second are one rotation by twice the angle.
+
+A step is a few sweeps (dipolariton._fft), each of which reads a chunk of
+about 1 MiB once and does all its work on it while it is in cache:
+
+    A  per chunk of axis-0 planes: the rotation by the kept angle (once or
+       twice), then fftn over axes (1, 2)
+    B  per chunk of axis-1 slabs, copied into the scratch: fft over axis 0,
+       the kinetic phase, ifft over axis 0, and the copy back
+    C  per chunk of axis-0 planes: ifftn over axes (1, 2), then |phi|^2 into
+       the convolution buffer's padded real view
+    D  kernel.convolve_density, whose x pass is one sweep of axis-1 slabs
+       with the product with the table inside
+
+The kinetic propagator is a product of per-axis factors, so its forward
+and inverse transforms along axis 0 are one pass (Bao, Jaksch & Markowich,
+J. Comput. Phys. 187, 318 (2003)). The chunks of a sweep split over the
+propagator's worker threads, elementwise work included, and do not depend
+on their number, so results are bit-identical for every worker count.
 
 The visitor of SplitStep.run sees a CondensateState over a read-only view of
 the field buffer, valid only during its call; it copies what it keeps.
@@ -49,9 +64,9 @@ propagator, observables builds a throwaway SplitStep of the state's params.
 It recomputes |phi|^2 one chunk of axis-0 planes at a time and reduces it
 against the convolution to sum(rho (eps conv rho)), and to the peak and the
 per-axis marginals; the spectral weight goes to per-axis marginals by
-Parseval from slab transforms. So the energies, centre of mass and
-variances follow without full-grid meshes, a full-grid density or a
-full-grid spectrum.
+Parseval from the sweeps of steps A and B, transforming into the scratch.
+So the energies, centre of mass and variances follow without full-grid
+meshes, a full-grid density or a full-grid spectrum.
 
 An accuracy guard rejects steps whose maximal potential phase per half step
 exceeds MAX_POTENTIAL_PHASE = pi/4.

@@ -32,7 +32,8 @@ Both tables pin the q = 0 coefficient to zero: the angular average of the
 kernel vanishes, and a uniform condensate must be exactly stationary.
 
 Tables are even, T(-q) = T(q), and keep the half spectrum convolve_density
-reads; transforms run in numpy.fft slabs over `workers` threads (dipolariton._fft).
+reads; transforms run in chunked numpy.fft sweeps over `workers` threads
+(dipolariton._fft).
 """
 
 from __future__ import annotations
