@@ -55,8 +55,8 @@ _POOLS: dict[int, ThreadPoolExecutor] = {}
 
 # bytes of array one sweep task takes at once
 CHUNK_BYTES = 1 << 20
-# most bytes of spectrum one call of a padded r2c or c2r pass takes, which
-# bounds numpy's copy of an overlapping input
+# most bytes of spectrum one call of a plane pass takes, which bounds
+# numpy's copy of an overlapping input in the padded layout
 _PADDED_CHUNK_BYTES = 1 << 18
 # smallest sweep split over threads: with every sweep split, a Strang step
 # at 2 workers took 0.97-1.02 of the 1-worker time from 16^3 to 40^3 (under
@@ -174,15 +174,10 @@ def irfft_planes(spec: np.ndarray, n: int, out: np.ndarray, workers: int) -> np.
     return out
 
 
-def rfftn(a: np.ndarray, workers: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum, shape (nx, ny, nz // 2 + 1), of the real 3-D array a, into out.
-
-    a may be out's padded real view out.view(float)[:, :, :nz], which makes
-    the transform in place.
-    """
+def rfftn(a: np.ndarray, workers: int = 1) -> np.ndarray:
+    """Half spectrum, shape (nx, ny, nz // 2 + 1), of the real 3-D array a."""
     nx, ny, nz = a.shape
-    out = np.empty((nx, ny, nz // 2 + 1), dtype=complex) if out is None else out
-    rfft_planes(a, out, workers)
+    out = rfft_planes(a, np.empty((nx, ny, nz // 2 + 1), dtype=complex), workers)
 
     def forward(block: np.ndarray, s: slice) -> None:
         np.fft.fft(block, axis=0, out=block)
