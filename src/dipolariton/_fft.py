@@ -119,12 +119,12 @@ def sweep(task, n: int, unit_bytes: int, workers: int, chunk_bytes: int = CHUNK_
 def new_scratch(shape: tuple[int, int, int], workers: int) -> np.ndarray:
     """Complex scratch, one row per thread slot, for the sweeps of a complex array of shape.
 
-    A row holds two of the largest chunks of axis-0 planes or axis-1 slabs
-    of that array, or of its half spectrum; x_lines uses the first.
+    A row holds the largest chunk of axis-0 planes or axis-1 slabs of that
+    array, or of its half spectrum.
     """
     nx, ny, nz = shape
-    chunk = min(nx * ny * nz, max(CHUNK_BYTES // 16, ny * nz, nx * nz))
-    return np.empty((workers, 2 * chunk), dtype=complex)
+    row = min(nx * ny * nz, max(CHUNK_BYTES // 16, ny * nz, nx * nz))
+    return np.empty((workers, row), dtype=complex)
 
 
 def x_lines(a: np.ndarray, task, workers: int, scratch: np.ndarray | None = None) -> None:
