@@ -19,7 +19,8 @@ and does all its work on the chunk while it is in cache:
 
 kernel.convolve_density is rfft_planes, one x_lines sweep that transforms
 forward, multiplies by the table and transforms back, and irfft_planes;
-gpe composes the Strang step from sweep and x_lines the same way.
+gpe composes the Strang step and observables from sweep and x_lines the
+same way.
 
 The chunks depend on the array's shape only, never on the worker count:
 the calling thread and a persistent pool of workers - 1 threads each take a
@@ -51,6 +52,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
+from .errors import ParameterDomainError
+
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 
 # bytes of array one sweep task takes at once
@@ -64,34 +67,11 @@ _PADDED_CHUNK_BYTES = 1 << 18
 _THREADED_BYTES = 1 << 20
 
 
-def in_slabs(task, n: int, workers: int) -> None:
-    """Call task(w, s) for w < min(workers, n) and contiguous slices s of range(n) at once."""
-    count = min(workers, n)
-    if count == 1:
-        with np.errstate(invalid="ignore"):
-            task(0, slice(None))
-        return
-    edges = [n * i // count for i in range(count + 1)]
-    slabs = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-    def quiet(w: int, s: slice) -> None:
-        with np.errstate(invalid="ignore"):
-            task(w, s)
-
-    pool = _POOLS.get(workers)
-    if pool is None:
-        # setdefault is atomic: a pool that loses a race is never submitted
-        # to, so it never starts a thread
-        pool = _POOLS.setdefault(
-            workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="dipolariton-fft")
-        )
-    futures = [pool.submit(quiet, w, s) for w, s in enumerate(slabs) if w > 0]
-    try:
-        quiet(0, slabs[0])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+def worker_count(workers) -> int:
+    """workers as an int; ParameterDomainError unless it is an integer >= 1."""
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ParameterDomainError(f"worker count must be an integer >= 1, got {workers!r}")
+    return int(workers)
 
 
 def chunks(n: int, unit_bytes: int, chunk_bytes: int = CHUNK_BYTES) -> list[slice]:
@@ -108,12 +88,31 @@ def sweep(task, n: int, unit_bytes: int, workers: int, chunk_bytes: int = CHUNK_
     contiguous run of them, in order.
     """
     cs = chunks(n, unit_bytes, chunk_bytes)
+    count = min(workers if n * unit_bytes >= _THREADED_BYTES else 1, len(cs))
+    edges = [len(cs) * i // count for i in range(count + 1)]
 
-    def run(w: int, s: slice) -> None:
-        for c in cs[s]:
-            task(w, c)
+    def run(w: int) -> None:
+        with np.errstate(invalid="ignore"):
+            for c in cs[edges[w] : edges[w + 1]]:
+                task(w, c)
 
-    in_slabs(run, len(cs), workers if n * unit_bytes >= _THREADED_BYTES else 1)
+    if count == 1:
+        run(0)
+        return
+    pool = _POOLS.get(workers)
+    if pool is None:
+        # setdefault is atomic: a pool that loses a race is never submitted
+        # to, so it never starts a thread
+        pool = _POOLS.setdefault(
+            workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="dipolariton-fft")
+        )
+    futures = [pool.submit(run, w) for w in range(1, count)]
+    try:
+        run(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def new_scratch(shape: tuple[int, int, int], workers: int) -> np.ndarray:

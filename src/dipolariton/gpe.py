@@ -53,20 +53,18 @@ J. Comput. Phys. 187, 318 (2003)). The chunks of a sweep split over the
 propagator's worker threads, elementwise work included, and do not depend
 on their number, so results are bit-identical for every worker count.
 
-The visitor of SplitStep.run sees a CondensateState over a read-only view of
-the field buffer, valid only during its call; it copies what it keeps.
-observables(state, propagator) takes the dipolar energy from the
-propagator's kept convolution: evolve hands it its propagator, so the
-observation at t = 0 makes the convolution step 1 opens with, each later
-one reads the convolution of the step it follows, and n steps with any
-number of observations cost n + 1 convolutions. Called without a
-propagator, observables builds a throwaway SplitStep of the state's params.
-It recomputes |phi|^2 one chunk of axis-0 planes at a time and reduces it
-against the convolution to sum(rho (eps conv rho)), and to the peak and the
-per-axis marginals; the spectral weight goes to per-axis marginals by
-Parseval from the sweeps of steps A and B, transforming into the scratch.
-So the energies, centre of mass and variances follow without full-grid
-meshes, a full-grid density or a full-grid spectrum.
+The visitor of SplitStep.run is the one way to observe a run. run convolves
+the state it starts from and visits it as step 0, then visits after every
+every-th step and the last; the visitor sees a CondensateState over a
+read-only view of the field buffer, valid only during its call, and copies
+what it keeps. observables(state, propagator) accepts a propagator only for
+the state its run is visiting, whose convolution the buffer holds, so n
+steps with any number of observations cost n + 1 convolutions; without one
+it convolves on a throwaway SplitStep. It reduces |phi|^2 and the (y, z)
+transform of each chunk of axis-0 planes to per-plane rows in one sweep,
+and the x transform in one sweep of axis-1 slabs, so the energies, centre
+of mass and variances follow without full-grid meshes, a full-grid density
+or a full-grid spectrum.
 
 An accuracy guard rejects steps whose maximal potential phase per half step
 exceeds MAX_POTENTIAL_PHASE = pi/4.
@@ -286,32 +284,28 @@ class SplitStep:
 
     Holds the kinetic phase (as per-axis factors), the kernel factor
     -dt sin^2(theta) / 2 that turns eps conv |phi|^2 into the half-step
-    angle, and the FFT worker count. It owns a complex field buffer, a
-    convolution buffer, the half spectrum of the kernel table's shape, and
-    one chunk scratch per worker that every sweep shares, the last two
-    allocated at its first convolution (a run whose final state took the
-    field buffer allocates a new one). The padded real view of the
-    convolution buffer holds eps conv |phi|^2 of one state, with its
-    largest |angle|; run and observables reuse it when handed that state
-    again. run steps the field buffer in place and
-    fuses the closing half-step of one step with the opening half-step of
-    the next into one rotation by twice the angle, except where a visitor
-    reads the state or the run ends. Negative dt steps backwards and
-    exactly inverts the corresponding forward step.
+    angle, and the FFT worker count, an integer >= 1. It owns a complex
+    field buffer, a convolution buffer, the half spectrum of the kernel
+    table's shape, and one chunk scratch per worker that every sweep
+    shares, the last two allocated at its first convolution (a run whose
+    final state took the field buffer allocates a new one). During a run,
+    the padded real view of the convolution buffer holds eps conv |phi|^2
+    of the field buffer, with its largest |angle|. run steps the field
+    buffer in place and fuses the closing half-step of one step with the
+    opening half-step of the next into one rotation by twice the angle,
+    except where a visitor reads the state or the run ends. Negative dt
+    steps backwards and exactly inverts the corresponding forward step.
     """
 
     def __init__(self, params: GpeParams, dt: float, workers: int = 1):
         if dt == 0 or not np.isfinite(dt):
             raise ParameterDomainError(f"dt must be nonzero and finite, got {dt}")
-        if int(workers) < 1:
-            raise ParameterDomainError(f"worker count must be >= 1, got {workers}")
+        self.workers = _fft.worker_count(workers)
         self.params = params
         self.dt = float(dt)
-        self.workers = int(workers)
         self._kinetic = _kinetic_factors(params, self.dt)
         self._kernel_factor = -0.5 * self.dt * params.sin2_theta
-        self._phi = self._buf = self._conv = self._scratch = None
-        self._held: CondensateState | None = None
+        self._phi = self._buf = self._conv = self._scratch = self._visited = None
         self._max_phase = 0.0
 
     def _density(self, phi: np.ndarray) -> np.ndarray:
@@ -337,14 +331,6 @@ class SplitStep:
         self._conv = conv = convolve_density(self.params.table, rho, self.workers,
                                              buffer=self._buf, scratch=self._scratch)
         self._max_phase = abs(self._kernel_factor) * max(float(conv.max()), -float(conv.min()))
-
-    def _hold(self, state: CondensateState) -> None:
-        """Make the convolution buffer hold the convolution of state, unless it does."""
-        if state.params is not self.params:
-            raise ParameterDomainError("state and propagator were built from different params")
-        if state is not self._held:
-            self._convolve(self._density(state.phi))
-            self._held = state
 
     def _rotate(self, w: int, s: slice, turns: float) -> None:
         """Multiply the planes s of the field by exp(i turns angle), in scratch row w.
@@ -418,23 +404,39 @@ class SplitStep:
         return self.run(state, 1)
 
     def run(self, state: CondensateState, n_steps: int, visit=None, every: int = 1) -> CondensateState:
-        """Take n_steps from state, calling visit(i, current) after every every-th step and the last.
+        """Take n_steps from state, calling visit(i, current) at step 0, every every-th step and the last.
 
-        The stepping loop of the module. current is a CondensateState over a
-        read-only view of the field buffer, valid only during the call. A
-        tripped potential-phase guard (StepSizeError) or a non-finite field
-        (NonFiniteStateError) is reported with the step index and time.
-        Finiteness is read from the largest |angle| of the closing
-        convolution, so the samples are counted only when one is bad.
+        The stepping loop of the module. It convolves the state it starts
+        from, visits it as step 0 at state.t, and convolves once per step.
+        current is a CondensateState over a read-only view of the field
+        buffer, valid only during the call; observables(current, self) reads
+        the convolution the run holds for it. A tripped potential-phase
+        guard (StepSizeError) or a non-finite field (NonFiniteStateError) is
+        reported with the step index and time. Finiteness is read from the
+        largest |angle| of the closing convolution, so the samples are
+        counted only when one is bad.
         """
         if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (n_steps, every)):
             raise ParameterDomainError(f"n_steps, every must be integers >= 1: {n_steps!r}, {every!r}")
-        self._hold(state)
+        if state.params is not self.params:
+            raise ParameterDomainError("state and propagator were built from different params")
         if self._phi is None:
             self._phi = np.empty(state.phi.shape, dtype=complex)
-        phi, t = self._phi, state.t
+        phi, t, turns = self._phi, state.t, 1.0
         np.copyto(phi, state.phi)
-        self._held, turns = None, 1.0
+        self._convolve(self._density(phi))
+        view = phi.view()
+        view.flags.writeable = False
+
+        def show(i: int, t: float) -> None:
+            if visit is not None:
+                self._visited = current = CondensateState(view, t, self.params)
+                try:
+                    visit(i, current)
+                finally:
+                    self._visited = None
+
+        show(0, t)
         self._check_guard(1, t)
         for i in range(1, n_steps + 1):
             self._advance(turns)
@@ -450,15 +452,7 @@ class SplitStep:
             if i == n_steps or (visit is not None and i % every == 0):
                 self._close()
                 turns = 1.0
-                if visit is not None:
-                    view = phi.view()
-                    view.flags.writeable = False
-                    self._held = current = CondensateState(view, t, self.params)
-                    visit(i, current)
-                    if self._held is not current:
-                        # the visitor convolved another state
-                        self._convolve(self._density(phi))
-                    self._held = None
+                show(i, t)
         self._phi = None
         return CondensateState(phi, t, self.params)
 
@@ -478,83 +472,69 @@ class Observables:
     variance: tuple[float, float, float]
 
 
-def _kinetic_sums(phi: np.ndarray, qs, workers: int, scratch: np.ndarray) -> tuple[float, float, float]:
-    """sum(q_a^2 |fftn(phi)|^2) for each axis a, without a full-grid spectrum.
+def observables(state: CondensateState, propagator: SplitStep | None = None) -> Observables:
+    """Norm, energies, peak density, centre of mass and variances of state.
 
-    By Parseval, the spectral weight summed over kx is nx times the squares
-    of the (y, z) transforms summed over x, and summed over (ky, kz) it is
-    ny nz times the squares of the x transforms summed over (y, z). The
-    first comes from fftn over axes (1, 2) of each chunk of axis-0 planes,
-    the second from fft over axis 0 of each chunk of axis-1 slabs, both
-    into scratch (_fft.new_scratch). Each plane or slab sums into a row of
-    its own and the rows are added in order, so the result is the same for
-    every worker count. |.|^2 is read off (re, im) float pairs.
+    The dipolar energy is hbar sin^2(theta) / 2 * sum(rho (eps conv rho)) dV,
+    against the convolution that propagator holds while its run visits
+    state; any other state is refused with ParameterDomainError. Without a
+    propagator, a throwaway SplitStep on one FFT worker convolves state.
+    One sweep of axis-0 planes writes rho = |phi|^2 into the thread's
+    scratch row and reduces it to per-plane rows (the peak, the convolution
+    sum and the y and z marginals), then transforms the planes over axes
+    (1, 2) into the same row. The spectral weight summed over kx is nx
+    times the squares of those transforms summed over x, and summed over
+    (ky, kz) it is ny nz times the squares of the transforms over axis 0 of
+    the axis-1 slabs, by Parseval. The rows are added in plane order, so the
+    result is the same for every worker count. |.|^2 is read off (re, im)
+    float pairs.
     """
+    p = state.params
+    grid = p.grid
+    dv = grid.cell_volume
+    phi = state.phi
+    if propagator is None:
+        # the sum does not depend on dt, so a throwaway of any step size serves
+        propagator = SplitStep(p, 1.0)
+        propagator._convolve(propagator._density(phi))
+    elif state is not propagator._visited:
+        raise ParameterDomainError("a propagator serves observables only of the state its run is "
+                                   "visiting; call observables(state) for any other state")
+    conv, scratch, workers = propagator._conv, propagator._scratch, propagator.workers
     nx, ny, nz = phi.shape
+    peaks, conv_sums = np.empty(nx), np.empty(nx)
+    rho_y, rho_z = np.empty((nx, ny)), np.empty((nx, nz))
     w_y, w_z, w_x = np.empty((nx, ny)), np.empty((nx, 2 * nz)), np.empty((ny, nx))
 
-    def yz(w: int, s: slice) -> None:
-        block = scratch[w, : phi[s].size].reshape(phi[s].shape)
-        pairs = np.fft.fftn(phi[s], axes=(1, 2), out=block).view(float)
+    def planes(w: int, s: slice) -> None:
+        row, shape = scratch[w, : phi[s].size], phi[s].shape
+        rho = row.view(float)[: row.size].reshape(shape)
+        np.square(np.abs(phi[s], out=rho), out=rho)
+        # numpy reductions, since Python's max drops a NaN; einsum stays on
+        # one thread, where a BLAS dot would start a second
+        rho.max(axis=(1, 2), out=peaks[s])
+        np.einsum("ijk,ijk->i", rho, conv[s], out=conv_sums[s])
+        rho.sum(axis=2, out=rho_y[s])
+        rho.sum(axis=1, out=rho_z[s])
+        pairs = np.fft.fftn(phi[s], axes=(1, 2), out=row.reshape(shape)).view(float)
         w_y[s], w_z[s] = (np.einsum(f"ijk,ijk->i{a}", pairs, pairs) for a in "jk")
 
     def x(block: np.ndarray, s: slice) -> None:
         pairs = np.fft.fft(block, axis=0, out=block).view(float)
         w_x[s] = np.einsum("ijk,ijk->ji", pairs, pairs)
 
-    _fft.sweep(yz, nx, phi[0].nbytes, workers)
+    _fft.sweep(planes, nx, phi[0].nbytes, workers)
     _fft.x_lines(phi, x, workers, scratch)
-    marginals = (ny * nz * w_x.sum(axis=0), nx * w_y.sum(axis=0),
-                 nx * w_z.sum(axis=0).reshape(-1, 2).sum(axis=1))
-    # a non-finite field gives 0 * inf at q = 0; the caller reports the NaNs
-    with np.errstate(invalid="ignore"):
-        return tuple(float(np.sum(q**2 * w)) for q, w in zip(qs, marginals))
-
-
-def observables(state: CondensateState, propagator: SplitStep | None = None) -> Observables:
-    """Norm, energies, peak density, centre of mass and variances of state.
-
-    The dipolar energy is hbar sin^2(theta) / 2 * sum(rho (eps conv rho)) dV,
-    against the convolution of the propagator built from state.params if
-    given (its kept one when it holds state's, else one it makes and keeps
-    for its next run of state), otherwise of a throwaway SplitStep on one
-    FFT worker. rho = |phi|^2 is recomputed one chunk of axis-0 planes at a
-    time and reduced to that sum, its peak and its per-axis marginals, which
-    give the centre of mass and variances; the kinetic energies reduce the
-    spectral weight to per-axis marginals. The slab transforms use the
-    propagator's worker count, or one worker.
-    """
-    p = state.params
-    grid = p.grid
-    dv = grid.cell_volume
-    phi = state.phi
-    # the sum does not depend on dt, so a throwaway of any step size serves
-    prop = SplitStep(p, 1.0) if propagator is None else propagator
-    prop._hold(state)
-    nx, ny, nz = phi.shape
-    chunks = _fft.chunks(nx, phi[0].nbytes)
-    # (x, y) rows of rho one chunk at a time, after a row that carries the
-    # running z marginal: numpy adds the rows of a sum over axis 0 in order,
-    # so the marginal has the bits of one sum over the whole grid
-    rows = np.zeros((chunks[0].stop * ny + 1, nz))
-    rho_xy = np.empty((nx, ny))
-    peaks, conv_sums = np.empty(len(chunks)), np.empty(len(chunks))
-    for c, s in enumerate(chunks):
-        n = (s.stop - s.start) * ny
-        r = rows[1 : n + 1].reshape(-1, ny, nz)
-        np.square(np.abs(phi[s], out=r), out=r)
-        # numpy reductions, since Python's max drops a NaN; einsum stays on
-        # one thread, where a BLAS dot would start a second
-        peaks[c] = r.max()
-        conv_sums[c] = np.einsum("ijk,ijk->", r, prop._conv[s])
-        r.sum(axis=2, out=rho_xy[s])
-        rows[0] = rows[: n + 1].sum(axis=0)
     e_dip = 0.5 * p.hbar * p.sin2_theta * float(conv_sums.sum()) * dv
     peak = float(peaks.max())
-    rho_axes = (rho_xy.sum(axis=1), rho_xy.sum(axis=0), rows[0])
+    rho_axes = (rho_y.sum(axis=1), rho_y.sum(axis=0), rho_z.sum(axis=0))
     norm = float(rho_axes[0].sum()) * dv
 
-    sum_x, sum_y, sum_z = _kinetic_sums(phi, grid.wavenumbers(), prop.workers, prop._scratch)
+    weights = (ny * nz * w_x.sum(axis=0), nx * w_y.sum(axis=0),
+               nx * w_z.sum(axis=0).reshape(-1, 2).sum(axis=1))
+    # a non-finite field gives 0 * inf at q = 0; the NaNs are reported as they are
+    with np.errstate(invalid="ignore"):
+        sum_x, sum_y, sum_z = (float(np.sum(q**2 * w)) for q, w in zip(grid.wavenumbers(), weights))
     scale = p.hbar**2 * dv / phi.size
     kin_perp = scale / (2.0 * p.m_perp) * (sum_x + sum_y)
     # kinetic weight along z uses the real part of 1/m_par so it reduces to the
@@ -617,16 +597,15 @@ def evolve(
     otherwise ParameterDomainError. Aborts with StepSizeError or
     NonFiniteStateError, each carrying the step index and time, when the
     potential-phase guard trips or the field develops NaN or Inf. workers is
-    the FFT worker count of the propagator, whose convolutions and worker
+    the FFT worker count of the propagator, whose run visits state.t, every
+    observer_stride-th step and the last, and whose convolutions and worker
     count the observables use too.
     """
     prop = SplitStep(state.params, dt, workers)
     n_steps = _whole_steps(t_final - state.t, dt, f"t_final = {t_final} (from t = {state.t})")
     if observer_stride < 1:
         raise ParameterDomainError(f"observer_stride must be >= 1, got {observer_stride}")
-    # the t = 0 record makes the convolution step 1 opens with, and each
-    # later record reads the convolution of the step it follows
-    obs = [observables(state, prop)]
+    obs = []
     final = prop.run(state, n_steps, lambda i, current: obs.append(observables(current, prop)),
                      every=observer_stride)
     return EvolveResult(final=final, observables=tuple(obs))
@@ -805,7 +784,6 @@ def linear_response_experiment(
     dv = grid.cell_volume
     times = np.arange(n_steps + 1) * dt
     amps = np.empty(n_steps + 1, dtype=complex)
-    amps[0] = _density_mode_amplitude(state.phi, waves, dv)
 
     def record(i: int, current: CondensateState):
         amps[i] = _density_mode_amplitude(current.phi, waves, dv)

@@ -186,8 +186,9 @@ def kernel_table_fourier(
     samples inside the truncation sphere, so FFT convolution matches the
     direct lattice sum to roundoff. method="analytic" samples the truncated
     continuum transform instead. See the module docstring for the trade-off.
-    workers is the FFT worker count of the lattice transform.
+    workers is the FFT worker count of the lattice transform, an integer >= 1.
     """
+    workers = _fft.worker_count(workers)
     r_c = _resolve_sphere_radius(grid, spec)
     ax, ay, az = spec.orientation
     if method == "lattice":
@@ -244,8 +245,9 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
     (a new one if None). The transforms and the product run in place in the
     buffer, and rho may be that view itself. The transforms along x and the
     product are one sweep of axis-1 slabs through scratch (from
-    _fft.new_scratch; a new one if None).
+    _fft.new_scratch; a new one if None), on workers threads, an integer >= 1.
     """
+    workers = _fft.worker_count(workers)
     rho = np.asarray(rho)
     if rho.shape != table.grid.shape:
         raise GridMismatchError(

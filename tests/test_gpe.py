@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -316,9 +317,9 @@ def test_evolve_refuses_partial_last_step():
 
 
 def test_potential_is_reused_across_steps(monkeypatch):
-    # n steps with k observations make n + 1 convolutions in total: the t = 0
-    # observation makes the one step 1 opens with, each step one more, and
-    # the later observations read the convolution of the step they follow
+    # n steps with k observations make n + 1 convolutions in total, all in
+    # the run: one of the state it starts from and one per step; every
+    # observation, the t = 0 one included, reads the run's convolution
     p = make_params(grid16(), 0.5)
     st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
     calls = {"step": 0, "observables": 0}
@@ -340,10 +341,9 @@ def test_potential_is_reused_across_steps(monkeypatch):
     monkeypatch.setattr(gpe, "observables", marked_observables)
     n = 7
     res = evolve(st, 0.01, n * 0.01, observer_stride=3)
-    assert len(res.observables) == 4
-    assert calls["observables"] == 1
-    assert calls["step"] == n
-    assert calls["observables"] + calls["step"] == n + 1
+    assert [o.t for o in res.observables] == pytest.approx([0.0, 0.03, 0.06, 0.07])
+    assert calls["observables"] == 0
+    assert calls["step"] == n + 1
 
 
 OBSERVABLE_FIELDS = ("norm", "energy_total", "kinetic_perp", "kinetic_z", "dipolar",
@@ -410,8 +410,7 @@ def test_propagator_fed_observables_equal_standalone(make):
     # off the box centre by whole cells, so no marginal is symmetric about it
     st = CondensateState(np.roll(g0.phi, (-2, -3, -1), axis=(0, 1, 2)) * 3.0, 0.0, p)
     prop = gpe.SplitStep(p, 0.01)
-    fed = [observables(st, prop)]
-    fields = [st]
+    fed, fields = [], []
 
     def visit(i, current):
         fed.append(observables(current, prop))
@@ -421,23 +420,39 @@ def test_propagator_fed_observables_equal_standalone(make):
 
     prop.run(st, 4, visit)
     assert len(fed) == 5
+    # step 0 is the start state at its own time
+    assert np.array_equal(fields[0].phi, st.phi) and fed[0].t == st.t
     for got, state in zip(fed, fields):
         alone = observables(state)
         assert got.t == alone.t
         assert_observables_close(got, alone, 1e-12)
         # the per-axis marginals reproduce the broadcast-mesh sums
         assert_observables_close(alone, observables_oracle(state), 1e-12)
-    # a field the propagator has not convolved is convolved afresh
-    other = CondensateState(fields[2].phi * 0.5, 0.0, p)
-    assert_observables_close(observables(other, prop), observables(other), 1e-12)
 
 
 def test_observables_refuse_a_propagator_of_other_params():
+    # a propagator serves only the state its run is visiting: not a state of
+    # other params, not a copy of the visited state, not any state between runs
     p = make_params(grid16(), 0.5)
     st = init_state("uniform", p, n0=1.0)
     prop = gpe.SplitStep(make_params(grid16(), 0.5), 0.01)
-    with pytest.raises(ParameterDomainError, match="different params"):
+    with pytest.raises(ParameterDomainError, match="visiting"):
         observables(st, prop)
+    with pytest.raises(ParameterDomainError, match="different params"):
+        prop.run(st, 1)
+    own = init_state("uniform", prop.params, n0=1.0)
+    refused = []
+
+    def visit(i, current):
+        for other in (st, CondensateState(current.phi.copy(), current.t, prop.params)):
+            with pytest.raises(ParameterDomainError, match="visiting"):
+                observables(other, prop)
+            refused.append(i)
+
+    prop.run(own, 2, visit)
+    assert refused == [0, 0, 1, 1, 2, 2]
+    with pytest.raises(ParameterDomainError, match="visiting"):
+        observables(own, prop)
 
 
 def test_reused_potential_matches_fresh_steps():
@@ -471,17 +486,28 @@ def _counting_convolve(monkeypatch):
 @pytest.mark.parametrize("every", [1, 3, 7])
 def test_run_costs_n_plus_one_convolutions(monkeypatch, every):
     # with or without a visitor, and whatever its stride, a run of n steps
-    # convolves once for the state it starts from and once per step
+    # convolves once for the state it starts from and once per step; the
+    # visitor sees step 0, every every-th step and the last, and observing
+    # what it sees costs no convolution
     p = make_params(grid16(), 0.5)
     st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
     calls = _counting_convolve(monkeypatch)
     gpe.SplitStep(p, 0.01).run(st, 7)
     assert len(calls) == 8
-    calls.clear()
-    visited = []
-    gpe.SplitStep(p, 0.01).run(st, 7, lambda i, current: visited.append(i), every=every)
-    assert len(calls) == 8
-    assert visited == [i for i in range(1, 8) if i % every == 0 or i == 7]
+    prop = gpe.SplitStep(p, 0.01)
+    for observe in (False, True):
+        calls.clear()
+        visited = []
+
+        def visit(i, current):
+            visited.append((i, current.t))
+            if observe:
+                observables(current, prop)
+
+        prop.run(st, 7, visit, every=every)
+        assert len(calls) == 8
+        assert [i for i, _ in visited] == [0] + [i for i in range(1, 8) if i % every == 0 or i == 7]
+        assert [t for _, t in visited] == pytest.approx([0.01 * i for i, _ in visited])
 
 
 @pytest.mark.parametrize("n_steps, every", [(-3, 1), (0, 1), (2.5, 1), (3, 0)])
@@ -523,15 +549,22 @@ def test_fused_half_steps_match_visited_steps():
 
 
 def test_visitor_observing_another_state_leaves_the_run_unchanged():
-    # the visitor's observation of another state takes the propagator's
-    # convolution buffer; the run convolves its own field again before going on
+    # another state is observed on a throwaway propagator of its own, and
+    # the run's propagator refuses it, so the run's buffers are never touched
     p = make_params(grid16(), 0.5)
     st = CondensateState(init_state("gaussian", p, widths=(1.0, 1.1, 0.9)).phi * 3.0, 0.0, p)
     other = init_state("uniform", p, n0=1.0)
     prop = gpe.SplitStep(p, 0.02)
-    got = prop.run(st, 6, lambda i, current: observables(other, prop), every=2)
+    alone = observables(other)
+
+    def visit(i, current):
+        assert observables(other) == alone
+        with pytest.raises(ParameterDomainError, match="visiting"):
+            observables(other, prop)
+
+    got = prop.run(st, 6, visit, every=2)
     want = gpe.SplitStep(p, 0.02).run(st, 6, lambda i, current: None, every=2)
-    assert np.max(np.abs(got.phi - want.phi)) <= 1e-14 * np.max(np.abs(want.phi))
+    assert np.array_equal(got.phi, want.phi)
 
 
 def reference_step(phi, p, dt):
@@ -600,23 +633,35 @@ def test_a_step_makes_no_more_numpy_fft_calls_than_before(monkeypatch, n):
 
 
 def test_observables_do_not_depend_on_worker_count():
-    p = _offaxis_cutoff_params()
+    # 64^3 is 4 MiB of field: 4 chunks per sweep, which 2 and 3 threads
+    # split; the step-0 observables equal the standalone ones bit for bit
+    p = _offaxis_cutoff_params(GridSpec(dims=(64, 64, 64), spacings=(0.25, 0.25, 0.25)))
     st = CondensateState(random_complex(p.grid.shape, 5), 0.0, p)
-    one = observables(st, gpe.SplitStep(p, 0.01, workers=1))
-    assert observables(st, gpe.SplitStep(p, 0.01, workers=2)) == one
-    assert observables(st) == one
+    alone = observables(st)
+    for workers in (1, 2, 3):
+        prop = gpe.SplitStep(p, 0.01, workers)
+        seen = []
+        prop.run(st, 1, lambda i, current: seen.append(observables(current, prop)), every=1)
+        assert seen[0] == alone, workers
 
 
 @pytest.mark.parametrize("with_propagator", [False, True], ids=["alone", "propagator"])
 def test_observables_of_a_field_with_one_nan_sample_are_nan(with_propagator):
-    # the peak and the marginals are reduced chunk by chunk, two chunks of
+    # the peak and the marginals are reduced plane by plane, in two chunks of
     # 16 planes here; a NaN in the second must reach peak_density and norm
     p = make_params(GridSpec(dims=(32, 64, 64), spacings=(0.5, 0.5, 0.5)), 0.5)
     st = init_state("gaussian", p, widths=(1.0, 1.1, 0.9))
     phi = st.phi.copy()
     phi[20, 4, 5] = np.nan
     bad = CondensateState(phi, 0.0, p)
-    obs = observables(bad, gpe.SplitStep(p, 0.01) if with_propagator else None)
+    if with_propagator:
+        # the run visits the state it starts from, then refuses the NaN field
+        prop, seen = gpe.SplitStep(p, 0.01), []
+        with pytest.raises(NonFiniteStateError, match="after step 1"):
+            prop.run(bad, 1, lambda i, current: seen.append(observables(current, prop)))
+        (obs,) = seen
+    else:
+        obs = observables(bad)
     assert math.isnan(obs.peak_density)
     assert math.isnan(obs.norm)
 
@@ -921,6 +966,20 @@ def test_gpe_params_validation():
                 dict(sin2_theta=-0.1), dict(hbar=0.0)):
         with pytest.raises(ParameterDomainError):
             GpeParams(**{**good, **bad})
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, 2.7, 2.0, "2", True, None])
+@pytest.mark.parametrize("entry", ["SplitStep", "kernel_table_fourier", "convolve_density"])
+def test_worker_count_must_be_an_integer_of_at_least_one(entry, workers):
+    # refused with the value named, never rounded to a whole count
+    p = make_params(grid16(), 0.5)
+    call = {
+        "SplitStep": lambda: gpe.SplitStep(p, 0.01, workers),
+        "kernel_table_fourier": lambda: kernel_table_fourier(p.grid, p.table.spec, workers=workers),
+        "convolve_density": lambda: convolve_density(p.table, np.ones(p.grid.shape), workers),
+    }[entry]
+    with pytest.raises(ParameterDomainError, match=f"integer >= 1, got {re.escape(repr(workers))}$"):
+        call()
 
 
 def test_fft_worker_argument(tmp_path):
