@@ -39,11 +39,13 @@ spectrum it becomes. numpy copies an input that out= overlaps without
 being the same array, so the plane passes take chunks of at most
 _PADDED_CHUNK_BYTES, and each copy is one chunk.
 
-numpy's FFT checks floating-point flags: a non-finite field would warn
-("invalid value encountered in fft") before the caller reports it. The
-NaNs that follow are the caller's to report, so each thread runs its
-chunks under np.errstate(invalid="ignore"), set in its own thread, since
-threads do not inherit numpy's error state.
+numpy checks floating-point flags: a non-finite field would warn
+("invalid value encountered in fft") and a field that overflows would warn
+("overflow encountered in fft", "... in square") before the caller reports
+it. The NaNs and infinities that follow are the caller's to report, so
+each thread runs its chunks under np.errstate(invalid="ignore",
+over="ignore"), set in its own thread, since threads do not inherit
+numpy's error state.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import check_count
 
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 
@@ -69,9 +71,7 @@ _THREADED_BYTES = 1 << 20
 
 def worker_count(workers) -> int:
     """workers as an int; ParameterDomainError unless it is an integer >= 1."""
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ParameterDomainError(f"worker count must be an integer >= 1, got {workers!r}")
-    return int(workers)
+    return check_count(workers, "worker count")
 
 
 def chunks(n: int, unit_bytes: int, chunk_bytes: int = CHUNK_BYTES) -> list[slice]:
@@ -92,7 +92,7 @@ def sweep(task, n: int, unit_bytes: int, workers: int, chunk_bytes: int = CHUNK_
     edges = [len(cs) * i // count for i in range(count + 1)]
 
     def run(w: int) -> None:
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             for c in cs[edges[w] : edges[w + 1]]:
                 task(w, c)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eit import HBAR
-from .errors import EmptyInputError, ParameterDomainError
+from .errors import EmptyInputError, ParameterDomainError, check_count
 
 __all__ = [
     "CondensateParams",
@@ -131,8 +131,7 @@ def spherical_directions(n_polar: int, n_azimuth: int) -> np.ndarray:
 
     Polar-major: row i * n_azimuth + j has polar index i and azimuth index j.
     """
-    if n_polar < 1 or n_azimuth < 1:
-        raise ParameterDomainError("need at least one polar and one azimuthal sample")
+    n_polar, n_azimuth = check_count(n_polar, "n_polar"), check_count(n_azimuth, "n_azimuth")
     thetas = (np.arange(n_polar) + 0.5) / n_polar * np.pi
     phis = np.arange(n_azimuth) / n_azimuth * 2.0 * np.pi
     th, ph = np.meshgrid(thetas, phis, indexing="ij")

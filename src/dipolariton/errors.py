@@ -1,9 +1,11 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and the count check.
 
 Everything derives from DipolaritonError so callers can catch the package's
 failures with one except clause. Validation-style failures also subclass
 ValueError, runtime/numerical failures subclass RuntimeError.
 """
+
+import numpy as np
 
 __all__ = [
     "DipolaritonError",
@@ -18,6 +20,7 @@ __all__ = [
     "ConfigError",
     "UnitError",
     "GridCoarseWarning",
+    "check_count",
 ]
 
 
@@ -67,3 +70,10 @@ class UnitError(ConfigError):
 
 class GridCoarseWarning(UserWarning):
     """Spectral content near the Nyquist edge; results may be under-resolved."""
+
+
+def check_count(value, name: str) -> int:
+    """value as an int; ParameterDomainError naming name unless it is an integer (no bool) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ParameterDomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)

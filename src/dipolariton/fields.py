@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eit import DerivedQuantities
-from .errors import GridCoarseWarning, GridMismatchError, ParameterDomainError
+from .errors import GridCoarseWarning, GridMismatchError, ParameterDomainError, check_count
 from .grid import Grid1D
 
 __all__ = [
@@ -157,10 +157,8 @@ class LinearRunConfig:
         _check_field_on_grid(np.asarray(self.initial), self.grid)
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ParameterDomainError(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 1:
-            raise ParameterDomainError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.snapshot_stride < 1:
-            raise ParameterDomainError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+        for name in ("n_steps", "snapshot_stride"):
+            check_count(getattr(self, name), name)
         d = complex(self.diffusion)
         if not (np.isfinite(d.real) and np.isfinite(d.imag)) or d.real < 0:
             raise ParameterDomainError(f"diffusion must be finite with Re >= 0, got {d}")

@@ -27,9 +27,9 @@ every sweep shares. |phi|^2 goes into the padded real view of the
 convolution buffer, and the real-to-complex transform, the product with
 the kernel table and the complex-to-real transform all run in place there,
 so the view ends up holding eps conv |phi|^2, unscaled. SplitStep.run
-copies the caller's state into the field buffer, never writes the caller's
-state, and steps the field buffer in place; the returned final state takes
-it over. Because the potential phase leaves |phi|^2 unchanged, the
+copies the caller's state into a new field buffer, never writes the
+caller's state, and steps the field buffer in place; the returned final
+state takes it over. Because the potential phase leaves |phi|^2 unchanged, the
 convolution at the end of one step is the one the next step opens with: n
 steps cost n + 1 density convolutions instead of 2n, and when no visitor
 reads the state between two steps, the closing half of the first and the
@@ -66,8 +66,9 @@ and the x transform in one sweep of axis-1 slabs, so the energies, centre
 of mass and variances follow without full-grid meshes, a full-grid density
 or a full-grid spectrum.
 
-An accuracy guard rejects steps whose maximal potential phase per half step
-exceeds MAX_POTENTIAL_PHASE = pi/4.
+run checks each convolution once, before any visit: a non-finite potential
+raises NonFiniteStateError and a phase per half step past MAX_POTENTIAL_PHASE
+= pi/4 StepSizeError, naming step i and its time state.t + i dt.
 
 linear_response_experiment seeds a weak density wave on the uniform state,
 tracks its Fourier amplitude and reads nu off it in closed form (Prony's
@@ -97,6 +98,7 @@ from .errors import (
     OffLatticeError,
     ParameterDomainError,
     StepSizeError,
+    check_count,
 )
 from .grid import GridSpec
 from .kernel import FourierTable, convolve_density
@@ -284,11 +286,11 @@ class SplitStep:
 
     Holds the kinetic phase (as per-axis factors), the kernel factor
     -dt sin^2(theta) / 2 that turns eps conv |phi|^2 into the half-step
-    angle, and the FFT worker count, an integer >= 1. It owns a complex
-    field buffer, a convolution buffer, the half spectrum of the kernel
-    table's shape, and one chunk scratch per worker that every sweep
-    shares, the last two allocated at its first convolution (a run whose
-    final state took the field buffer allocates a new one). During a run,
+    angle, and the FFT worker count, an integer >= 1. It owns a
+    convolution buffer, the half spectrum of the kernel table's shape, and
+    one chunk scratch per worker that every sweep shares, both allocated at
+    its first convolution. A run binds a new field buffer, which its final
+    state takes over, for its duration only, and refuses re-entry. During a run,
     the padded real view of the convolution buffer holds eps conv |phi|^2
     of the field buffer, with its largest |angle|. run steps the field
     buffer in place and fuses the closing half-step of one step with the
@@ -354,11 +356,6 @@ class SplitStep:
             np.subtract(r, 1.0, out=f.real)
             phi *= f
 
-    def _close(self) -> None:
-        """The closing half-step: rotate the field by the kept angle, one sweep of planes."""
-        phi = self._phi
-        _fft.sweep(lambda w, s: self._rotate(w, s, 1.0), phi.shape[0], phi[0].nbytes, self.workers)
-
     def _advance(self, turns: float) -> None:
         """Rotate by turns times the kept angle, take the exact kinetic step, convolve the new density.
 
@@ -393,11 +390,16 @@ class SplitStep:
         _fft.sweep(inverse, phi.shape[0], phi[0].nbytes, workers)
         self._convolve(rho)
 
-    def _check_guard(self, i: int, t: float) -> None:
+    def _check(self, i: int, t0: float) -> None:
+        """Refuse the convolution after step i of a run from t0; the start state's (i = 0) opens step 1."""
+        if not math.isfinite(self._max_phase):
+            raise NonFiniteStateError(f"non-finite field at step {i} (t = {t0 + i * self.dt:.6e}): "
+                                      f"its potential phase per half step is {self._max_phase}")
         if self._max_phase > MAX_POTENTIAL_PHASE:
-            raise StepSizeError(f"step {i} (t = {t:.6e} -> {t + self.dt:.6e}): potential phase "
-                                f"per half step {self._max_phase:.3f} rad exceeds the accuracy "
-                                f"guard {MAX_POTENTIAL_PHASE:.3f} rad; reduce dt")
+            j = max(i, 1)
+            raise StepSizeError(f"step {j} (t = {t0 + (j - 1) * self.dt:.6e} -> {t0 + j * self.dt:.6e}): "
+                                f"potential phase per half step {self._max_phase:.3f} rad exceeds "
+                                f"the accuracy guard {MAX_POTENTIAL_PHASE:.3f} rad; reduce dt")
 
     def step(self, state: CondensateState) -> CondensateState:
         """One Strang step: half potential, exact kinetic in Fourier, half potential."""
@@ -406,55 +408,44 @@ class SplitStep:
     def run(self, state: CondensateState, n_steps: int, visit=None, every: int = 1) -> CondensateState:
         """Take n_steps from state, calling visit(i, current) at step 0, every every-th step and the last.
 
-        The stepping loop of the module. It convolves the state it starts
-        from, visits it as step 0 at state.t, and convolves once per step.
-        current is a CondensateState over a read-only view of the field
-        buffer, valid only during the call; observables(current, self) reads
-        the convolution the run holds for it. A tripped potential-phase
-        guard (StepSizeError) or a non-finite field (NonFiniteStateError) is
-        reported with the step index and time. Finiteness is read from the
-        largest |angle| of the closing convolution, so the samples are
-        counted only when one is bad.
+        The stepping loop of the module: pass i = 0 ... n_steps convolves (the
+        start state, then the field after step i), checks the convolution
+        (_check) and closes and visits the field on the schedule. current is
+        a CondensateState over a read-only view of the field buffer at
+        state.t + i dt, valid only during the call; observables(current,
+        self) reads the convolution the run holds for it. A run entered from
+        a visitor of this propagator's run is refused (ParameterDomainError).
         """
-        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (n_steps, every)):
-            raise ParameterDomainError(f"n_steps, every must be integers >= 1: {n_steps!r}, {every!r}")
+        n_steps, every = check_count(n_steps, "n_steps"), check_count(every, "every")
         if state.params is not self.params:
             raise ParameterDomainError("state and propagator were built from different params")
-        if self._phi is None:
-            self._phi = np.empty(state.phi.shape, dtype=complex)
-        phi, t, turns = self._phi, state.t, 1.0
-        np.copyto(phi, state.phi)
-        self._convolve(self._density(phi))
+        if self._phi is not None:
+            raise ParameterDomainError("a run of this propagator is in progress; use another SplitStep")
+        self._phi = phi = state.phi.copy()
         view = phi.view()
         view.flags.writeable = False
 
-        def show(i: int, t: float) -> None:
-            if visit is not None:
-                self._visited = current = CondensateState(view, t, self.params)
-                try:
-                    visit(i, current)
-                finally:
-                    self._visited = None
-
-        show(0, t)
-        self._check_guard(1, t)
-        for i in range(1, n_steps + 1):
-            self._advance(turns)
-            self._check_guard(i, t)
-            t += self.dt
-            if not math.isfinite(self._max_phase):
-                self._close()
-                bad = int(np.count_nonzero(~np.isfinite(phi)))
-                raise NonFiniteStateError(
-                    f"non-finite field after step {i} (t = {t:.6e}); {bad} bad samples of {phi.size}"
-                )
-            turns = 2.0
-            if i == n_steps or (visit is not None and i % every == 0):
-                self._close()
-                turns = 1.0
-                show(i, t)
-        self._phi = None
-        return CondensateState(phi, t, self.params)
+        try:
+            for i in range(n_steps + 1):
+                if i == 0:
+                    self._convolve(self._density(phi))
+                else:
+                    self._advance(turns)
+                self._check(i, state.t)
+                turns = 2.0
+                if i == 0 or i == n_steps or (visit is not None and i % every == 0):
+                    if i > 0:
+                        # the closing half-step
+                        _fft.sweep(lambda w, s: self._rotate(w, s, 1.0), phi.shape[0], phi[0].nbytes,
+                                   self.workers)
+                    turns = 1.0
+                    if visit is not None:
+                        self._visited = CondensateState(view, state.t + i * self.dt, self.params)
+                        visit(i, self._visited)
+                        self._visited = None
+        finally:
+            self._phi = self._visited = None
+        return CondensateState(phi, state.t + n_steps * self.dt, self.params)
 
 
 @dataclass(frozen=True)
@@ -596,15 +587,14 @@ def evolve(
     t_final must lie a whole number of steps from state.t (to 1e-9 relative);
     otherwise ParameterDomainError. Aborts with StepSizeError or
     NonFiniteStateError, each carrying the step index and time, when the
-    potential-phase guard trips or the field develops NaN or Inf. workers is
-    the FFT worker count of the propagator, whose run visits state.t, every
-    observer_stride-th step and the last, and whose convolutions and worker
-    count the observables use too.
+    potential-phase guard trips or the field develops NaN or Inf (at step 0
+    for the start state). workers is the FFT worker count of the propagator,
+    whose run visits state.t, every observer_stride-th step and the last,
+    and whose convolutions and worker count the observables use too.
     """
     prop = SplitStep(state.params, dt, workers)
     n_steps = _whole_steps(t_final - state.t, dt, f"t_final = {t_final} (from t = {state.t})")
-    if observer_stride < 1:
-        raise ParameterDomainError(f"observer_stride must be >= 1, got {observer_stride}")
+    check_count(observer_stride, "observer_stride")
     obs = []
     final = prop.run(state, n_steps, lambda i, current: obs.append(observables(current, prop)),
                      every=observer_stride)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, ParameterDomainError
+from .errors import GridTooSmallError, ParameterDomainError, check_count
 
 __all__ = ["GridSpec", "Grid1D"]
 
@@ -33,7 +33,7 @@ class GridSpec:
     def __post_init__(self):
         if len(self.dims) != 3 or len(self.spacings) != 3:
             raise ParameterDomainError("GridSpec takes three dims and three spacings")
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(check_count(n, "a point count in dims") for n in self.dims)
         spacings = tuple(float(d) for d in self.spacings)
         for n in dims:
             if n < 8:
@@ -93,7 +93,7 @@ class Grid1D:
     dz: float
 
     def __post_init__(self):
-        n = int(self.n)
+        n = check_count(self.n, "n")
         if n < 8:
             raise GridTooSmallError(f"need at least 8 points, got n={n}")
         if n % 2:

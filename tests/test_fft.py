@@ -1,5 +1,6 @@
 """Chunked numpy.fft sweeps, checked against scipy.fft as an independent oracle."""
 
+import re
 import threading
 import tracemalloc
 import warnings
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from dipolariton import GridSpec, NonFiniteStateError, evolve, init_state
+from dipolariton import (GpeParams, GridSpec, KernelSpec, NonFiniteStateError, evolve, init_state,
+                         kernel_table_fourier)
 from dipolariton import _fft
 from conftest import make_params, random_complex
 
@@ -230,12 +232,13 @@ def test_non_finite_input_transforms_without_warning(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_field_at_two_workers_is_reported_without_warning(bad):
+    # the start state's one convolution reads the bad sample: refused at step 0
     p = make_params(GridSpec(dims=(16, 16, 16), spacings=(0.5, 0.5, 0.5)), 0.5)
     st = init_state("uniform", p, n0=1.0)
     st.phi[3, 4, 5] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteStateError, match=r"after step 1 .* 4096 bad samples"):
+        with pytest.raises(NonFiniteStateError, match=r"at step 0 \(t = 0\.000000e\+00\)"):
             evolve(st, 0.01, 0.1, workers=2)
 
 
@@ -246,5 +249,21 @@ def test_non_finite_field_on_two_threads_is_reported_without_warning():
     st.phi[30, 4, 5] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteStateError, match=rf"after step 1 .* {48**3} bad samples"):
+        with pytest.raises(NonFiniteStateError, match=r"at step 0 \(t = 0\.000000e\+00\)"):
             evolve(st, 0.01, 0.02, workers=2)
+
+
+@pytest.mark.parametrize("n, step", [(16, 74), (48, 80)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_overflow_mid_run_is_reported_without_warning(n, step, workers):
+    # Im(1/m_par) > 0 grows the kinetic factor until the field overflows in
+    # the step sweeps; sin^2(theta) = 0 keeps the guard from tripping first.
+    # 48^3 sweeps run on two threads at 2 workers
+    grid = GridSpec(dims=(n, n, n), spacings=(0.5, 0.5, 0.5))
+    table = kernel_table_fourier(grid, KernelSpec(orientation=(0.0, 0.0, 1.0), strength=0.1))
+    p = GpeParams(m_perp=1.0, m_par=1.0 / (1.0 + 0.5j), sin2_theta=0.0, table=table, hbar=1.0)
+    st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError, match=re.escape(f"at step {step} (t = {step * 0.5:.6e})")):
+            evolve(st, 0.5, 50.0, workers=workers)

@@ -19,8 +19,10 @@ from dipolariton import (
     FitFailureError,
     GpeParams,
     GridMismatchError,
+    Grid1D,
     GridSpec,
     KernelSpec,
+    LinearRunConfig,
     NonFiniteStateError,
     OffLatticeError,
     ParameterDomainError,
@@ -34,6 +36,7 @@ from dipolariton import (
     observables,
     dispersion,
     predicted_mode_frequency,
+    spherical_directions,
 )
 from conftest import lattice_q, make_params, random_complex
 
@@ -281,16 +284,20 @@ def test_potential_phase_guard():
         evolve(st, 0.3, 0.6)
 
 
-def test_non_finite_field_is_reported():
-    # one bad sample spreads through the transforms to the whole field; the
-    # error names the step, its time and the bad samples of the field after it
+def test_non_finite_field_is_reported(monkeypatch):
+    # one bad sample spreads through the convolution to the whole potential,
+    # so a start state with one is refused at step 0, at its own time, after
+    # its one convolution and before any visit
     p = make_params(grid16(), 0.5)
+    calls = _counting_convolve(monkeypatch)
     for bad in (np.nan, np.inf):
         st = init_state("uniform", p, n0=1.0)
         st.phi[3, 4, 5] = bad
-        with pytest.raises(NonFiniteStateError,
-                           match=r"after step 1 \(t = 1\.000000e-02\); 4096 bad samples of 4096"):
-            evolve(st, 0.01, 0.1)
+        calls.clear()
+        visited = []
+        with pytest.raises(NonFiniteStateError, match=r"^non-finite field at step 0 \(t = 2\.500000e-01\)"):
+            gpe.SplitStep(p, 0.01).run(replace(st, t=0.25), 5, lambda i, current: visited.append(i))
+        assert len(calls) == 1 and visited == []
 
 
 def test_evolve_schedule_and_validation():
@@ -512,14 +519,60 @@ def test_run_costs_n_plus_one_convolutions(monkeypatch, every):
 
 @pytest.mark.parametrize("n_steps, every", [(-3, 1), (0, 1), (2.5, 1), (3, 0)])
 def test_run_refuses_step_counts_it_cannot_honour(monkeypatch, n_steps, every):
-    # refused before the first convolution, with or without a visitor
+    # refused before the first convolution, with or without a visitor, by
+    # the name and value of the count at fault
     p = make_params(grid16(), 0.5)
     st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
     calls = _counting_convolve(monkeypatch)
+    name, value = ("every", every) if n_steps == 3 else ("n_steps", n_steps)
     for visit in (None, lambda i, current: None):
-        with pytest.raises(ParameterDomainError, match="must be integers >= 1"):
+        with pytest.raises(ParameterDomainError, match=rf"^{name} must be an integer >= 1, got {value}$"):
             gpe.SplitStep(p, 0.01).run(st, n_steps, visit, every=every)
     assert calls == []
+
+
+def test_run_times_are_computed_not_summed():
+    # 1000 steps of 2.5e-3 summed from 0 end at 2.499999999999958; computed,
+    # every visited time is state.t + i dt bit for bit, and so is the final one
+    p = make_params(grid16(), 0.5)
+    st = replace(init_state("gaussian", p, widths=(1.0, 1.0, 1.0)), t=0.125)
+    visited = []
+    final = gpe.SplitStep(p, 2.5e-3).run(st, 1000, lambda i, current: visited.append((i, current.t)),
+                                         every=7)
+    assert final.t == 0.125 + 1000 * 2.5e-3
+    assert len(visited) == 144 and all(t == 0.125 + i * 2.5e-3 for i, t in visited)
+    assert evolve(replace(st, t=0.0), 2.5e-3, 2.5, observer_stride=500).final.t == 2.5
+
+
+def test_a_run_from_a_visitor_of_the_same_propagator_is_refused():
+    # refused before it touches the field buffer; the outer run fails with
+    # that refusal and leaves the propagator as good as a fresh one
+    p = make_params(grid16(), 0.5)
+    st = CondensateState(init_state("gaussian", p, widths=(1.0, 1.1, 0.9)).phi * 3.0, 0.0, p)
+    prop = gpe.SplitStep(p, 0.02)
+    inner = []
+
+    def visit(i, current):
+        if i == 2:
+            prop.run(current, 1)
+        inner.append(observables(current, prop))
+
+    with pytest.raises(ParameterDomainError, match="in progress"):
+        prop.run(st, 4, visit)
+    # a visitor that catches the refusal leaves the outer run unchanged
+    seen = []
+
+    def catching(i, current):
+        with pytest.raises(ParameterDomainError, match="in progress"):
+            prop.step(current)
+        seen.append(observables(current, prop))
+
+    got = prop.run(st, 4, catching)
+    fresh = gpe.SplitStep(p, 0.02)
+    want = []
+    assert np.array_equal(got.phi, fresh.run(st, 4, lambda i, c: want.append(observables(c, fresh))).phi)
+    assert seen == want and inner == want[:2]
+    assert np.array_equal(prop.run(st, 3).phi, gpe.SplitStep(p, 0.02).run(st, 3).phi)
 
 
 def test_visitor_state_is_read_only_and_the_callers_state_is_kept():
@@ -645,23 +698,15 @@ def test_observables_do_not_depend_on_worker_count():
         assert seen[0] == alone, workers
 
 
-@pytest.mark.parametrize("with_propagator", [False, True], ids=["alone", "propagator"])
-def test_observables_of_a_field_with_one_nan_sample_are_nan(with_propagator):
+def test_observables_of_a_field_with_one_nan_sample_are_nan():
     # the peak and the marginals are reduced plane by plane, in two chunks of
-    # 16 planes here; a NaN in the second must reach peak_density and norm
+    # 16 planes here; a NaN in the second must reach peak_density and norm.
+    # A run never visits such a field: it refuses it at step 0
     p = make_params(GridSpec(dims=(32, 64, 64), spacings=(0.5, 0.5, 0.5)), 0.5)
     st = init_state("gaussian", p, widths=(1.0, 1.1, 0.9))
     phi = st.phi.copy()
     phi[20, 4, 5] = np.nan
-    bad = CondensateState(phi, 0.0, p)
-    if with_propagator:
-        # the run visits the state it starts from, then refuses the NaN field
-        prop, seen = gpe.SplitStep(p, 0.01), []
-        with pytest.raises(NonFiniteStateError, match="after step 1"):
-            prop.run(bad, 1, lambda i, current: seen.append(observables(current, prop)))
-        (obs,) = seen
-    else:
-        obs = observables(bad)
+    obs = observables(CondensateState(phi, 0.0, p))
     assert math.isnan(obs.peak_density)
     assert math.isnan(obs.norm)
 
@@ -979,6 +1024,32 @@ def test_worker_count_must_be_an_integer_of_at_least_one(entry, workers):
         "convolve_density": lambda: convolve_density(p.table, np.ones(p.grid.shape), workers),
     }[entry]
     with pytest.raises(ParameterDomainError, match=f"integer >= 1, got {re.escape(repr(workers))}$"):
+        call()
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("a point count in dims", 16.7), ("a point count in dims", "16"), ("a point count in dims", True),
+    ("n", 64.9), ("n_polar", 2.5), ("n_azimuth", 3.0), ("n_steps", 20.0), ("snapshot_stride", 2.5),
+    ("observer_stride", 2.5), ("observer_stride", 0), ("every", np.float64(2.0)),
+])
+def test_counts_that_are_not_integers_are_refused_by_name(entry, value):
+    # refused with the caller's own parameter and value named, never rounded
+    p = make_params(grid16(), 0.5)
+    st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
+    line = Grid1D(n=32, dz=0.1)
+    run = dict(grid=line, initial=np.ones(32, complex), diffusion=0.1, dt=1e-3, n_steps=10)
+    call = {
+        "a point count in dims": lambda: GridSpec(dims=(value, 16, 16), spacings=(0.5, 0.5, 0.5)),
+        "n": lambda: Grid1D(n=value, dz=0.1),
+        "n_polar": lambda: spherical_directions(value, 3),
+        "n_azimuth": lambda: spherical_directions(2, value),
+        "n_steps": lambda: LinearRunConfig(**{**run, "n_steps": value}),
+        "snapshot_stride": lambda: LinearRunConfig(**run, snapshot_stride=value),
+        "observer_stride": lambda: evolve(st, 0.01, 0.05, observer_stride=value),
+        "every": lambda: gpe.SplitStep(p, 0.01).run(st, 4, lambda i, current: None, every=value),
+    }[entry]
+    with pytest.raises(ParameterDomainError, match=f"^{entry} must be an integer >= 1, got "
+                                                   f"{re.escape(repr(value))}$"):
         call()
 
 
