@@ -54,7 +54,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .errors import check_count
 
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 
@@ -67,11 +66,6 @@ _PADDED_CHUNK_BYTES = 1 << 18
 # at 2 workers took 0.97-1.02 of the 1-worker time from 16^3 to 40^3 (under
 # 1 MiB of field) and 0.69 at 48^3 (1.7 MiB), on a 2-vCPU x86-64 host
 _THREADED_BYTES = 1 << 20
-
-
-def worker_count(workers) -> int:
-    """workers as an int; ParameterDomainError unless it is an integer >= 1."""
-    return check_count(workers, "worker count")
 
 
 def chunks(n: int, unit_bytes: int, chunk_bytes: int = CHUNK_BYTES) -> list[slice]:

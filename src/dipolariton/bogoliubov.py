@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eit import HBAR
-from .errors import EmptyInputError, ParameterDomainError, check_count
+from .errors import (EmptyInputError, ParameterDomainError, check_complex, check_count,
+                     check_positive, check_real, check_vector)
 
 __all__ = [
     "CondensateParams",
@@ -69,19 +70,11 @@ class CondensateParams:
     hbar: float = HBAR
 
     def __post_init__(self):
-        if not (np.isfinite(self.m_perp) and self.m_perp > 0):
-            raise ParameterDomainError(f"m_perp must be positive, got {self.m_perp}")
-        m_par = complex(self.m_par)
-        if not (np.isfinite(m_par.real) and np.isfinite(m_par.imag)) or m_par == 0:
-            raise ParameterDomainError(f"m_par must be finite and nonzero, got {m_par}")
-        if not np.isfinite(self.c_dd):
-            raise ParameterDomainError("c_dd must be finite")
-        axis = np.asarray(self.orientation, dtype=float)
-        if axis.shape != (3,) or abs(float(np.linalg.norm(axis)) - 1.0) > 1e-12:
-            raise ParameterDomainError(f"orientation must be a unit 3-vector, got {self.orientation}")
-        if not (np.isfinite(self.hbar) and self.hbar > 0):
-            raise ParameterDomainError(f"hbar must be positive, got {self.hbar}")
-        object.__setattr__(self, "m_par", m_par)
+        _check_masses(self)
+        object.__setattr__(self, "c_dd", check_real(self.c_dd, "c_dd"))
+        axis = check_vector(self.orientation, "orientation", single=True)
+        if abs(float(np.linalg.norm(axis)) - 1.0) > 1e-12:
+            raise ParameterDomainError(f"orientation must be a unit vector, got {self.orientation}")
         object.__setattr__(self, "orientation", tuple(float(v) for v in axis))
 
     @property
@@ -94,11 +87,14 @@ class CondensateParams:
         return self.m_par / self.m_perp
 
 
-def _check_q(q) -> np.ndarray:
-    arr = np.asarray(q, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != 3 or not np.all(np.isfinite(arr)):
-        raise ParameterDomainError(f"q must hold finite 3-vectors, got shape {arr.shape}")
-    return arr
+def _check_masses(params) -> None:
+    """Check and store m_perp, m_par (nonzero complex) and hbar of CondensateParams or GpeParams."""
+    object.__setattr__(params, "m_perp", check_positive(params.m_perp, "m_perp"))
+    m_par = check_complex(params.m_par, "m_par")
+    if m_par == 0:
+        raise ParameterDomainError(f"m_par must be nonzero, got {m_par}")
+    object.__setattr__(params, "m_par", m_par)
+    object.__setattr__(params, "hbar", check_positive(params.hbar, "hbar"))
 
 
 def _energies(q: np.ndarray, p: CondensateParams, m_par: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +112,7 @@ def dispersion(q, p: CondensateParams) -> np.ndarray:
     nu has shape q.shape[:-1], so a single 3-vector gives a complex scalar.
     A real m_par (zero imaginary part) enters as a float, a complex one as is.
     """
-    e_free, e_int = _energies(_check_q(q), p, p.m_par.real if p.m_par.imag == 0 else p.m_par)
+    e_free, e_int = _energies(check_vector(q, "q"), p, p.m_par.real if p.m_par.imag == 0 else p.m_par)
     e_re = np.real(e_free)
     radicand = e_re * (e_re + e_int)
     re = np.sqrt(np.maximum(radicand, 0.0))
@@ -180,12 +176,10 @@ class StabilityMap:
 
 def stability_map(p: CondensateParams, directions, magnitudes) -> StabilityMap:
     """Evaluate the dispersion over directions (outer) and magnitudes (inner)."""
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    dirs = check_vector(directions, "directions").reshape(-1, 3)
     mags = np.asarray(magnitudes, dtype=float).ravel()
     if dirs.size == 0 or mags.size == 0:
         raise EmptyInputError("directions and magnitudes must be non-empty")
-    if dirs.shape[1] != 3:
-        raise ParameterDomainError(f"directions must be (n, 3), got {dirs.shape}")
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ParameterDomainError("directions must be unit vectors")
@@ -202,9 +196,9 @@ def critical_wavenumber(direction, p: CondensateParams) -> float | None:
     Returns None when the ray is stable at every magnitude. Uses the real part
     of the longitudinal mass.
     """
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (3,) or abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
-        raise ParameterDomainError(f"direction must be a unit 3-vector, got {direction}")
+    d = check_vector(direction, "direction", single=True)
+    if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
+        raise ParameterDomainError(f"direction must be a unit vector, got {direction}")
     if p.m_par.real == 0:
         raise ParameterDomainError("Re(m_par) is zero")
     c2, a_int = (float(v) for v in _energies(d, p, p.m_par.real))

@@ -50,7 +50,7 @@ from .eit import (
     derive_eit,
     phase_mismatch,
 )
-from .errors import ConfigError, DipolaritonError
+from .errors import ConfigError, DipolaritonError, check_vector
 from .fields import (
     LinearRunConfig,
     eliminate_difference,
@@ -225,11 +225,11 @@ def _cmd_kernel(run: _Run) -> int:
 
 
 def _ray_directions(run: _Run) -> np.ndarray:
-    arr = np.asarray(run.require("run.directions"), dtype=float)
-    if arr.size == 0 or arr.size % 3 != 0:
+    flat = run.require("run.directions")
+    if len(flat) % 3 != 0:
         raise ConfigError(f"run.directions must hold 3 components per direction, "
-                          f"got {arr.size} numbers")
-    dirs = arr.reshape(-1, 3)
+                          f"got {len(flat)} numbers")
+    dirs = check_vector(np.reshape(flat, (-1, 3)), "run.directions")
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0):
         raise ConfigError("run.directions contains a zero vector")

@@ -15,11 +15,11 @@ C_LIGHT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, check_positive, check_real, check_vector
 
 __all__ = [
     "HBAR",
@@ -68,19 +68,9 @@ class MediumParams:
     k: float
 
     def __post_init__(self):
-        positive = {
-            "g": self.g,
-            "n_atoms": self.n_atoms,
-            "v_t": self.v_t,
-            "gamma": self.gamma,
-            "omega": self.omega,
-            "k": self.k,
-        }
-        for name, value in positive.items():
-            if not (np.isfinite(value) and value > 0):
-                raise ParameterDomainError(f"{name} must be positive and finite, got {value}")
-        if not np.isfinite(self.delta):
-            raise ParameterDomainError(f"delta must be finite, got {self.delta}")
+        for f in fields(self):
+            check = check_real if f.name == "delta" else check_positive
+            object.__setattr__(self, f.name, check(getattr(self, f.name), f.name))
 
 
 @dataclass(frozen=True)
@@ -145,14 +135,10 @@ def phase_mismatch(k_plus, k_minus, k_c_plus, k_c_minus) -> np.ndarray:
     exchange that converts one stationary-light component into the other is
     phase matched.
     """
-    vecs = []
-    for name, v in (("k_plus", k_plus), ("k_minus", k_minus),
-                    ("k_c_plus", k_c_plus), ("k_c_minus", k_c_minus)):
-        arr = np.asarray(v, dtype=float)
-        if arr.shape != (3,) or not np.all(np.isfinite(arr)):
-            raise ParameterDomainError(f"{name} must be a finite 3-vector, got {v}")
-        vecs.append(arr)
-    kp, km, kcp, kcm = vecs
+    kp = check_vector(k_plus, "k_plus", single=True)
+    km = check_vector(k_minus, "k_minus", single=True)
+    kcp = check_vector(k_c_plus, "k_c_plus", single=True)
+    kcm = check_vector(k_c_minus, "k_c_minus", single=True)
     return kp + kcm - (km + kcp)
 
 
@@ -170,14 +156,12 @@ class PulseSpec:
     delta_rr_avg: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.T) and self.T > 0):
-            raise ParameterDomainError(f"pulse time T must be positive, got {self.T}")
-        if not (np.isfinite(self.l_pulse) and self.l_pulse > 0):
-            raise ParameterDomainError(f"l_pulse must be positive, got {self.l_pulse}")
-        if not (np.isfinite(self.delta_rr_avg) and self.delta_rr_avg >= 0):
-            raise ParameterDomainError(
-                f"delta_rr_avg must be non-negative, got {self.delta_rr_avg}"
-            )
+        object.__setattr__(self, "T", check_positive(self.T, "T"))
+        object.__setattr__(self, "l_pulse", check_positive(self.l_pulse, "l_pulse"))
+        shift = check_real(self.delta_rr_avg, "delta_rr_avg")
+        if shift < 0:
+            raise ParameterDomainError(f"delta_rr_avg must be non-negative, got {shift}")
+        object.__setattr__(self, "delta_rr_avg", shift)
 
 
 @dataclass(frozen=True)
@@ -222,8 +206,7 @@ def adiabaticity_margins(
     The last ratio is +inf (trivially passing) when the sampled dipolar shift
     is zero.
     """
-    if not (np.isfinite(margin) and margin > 0):
-        raise ParameterDomainError(f"margin must be positive, got {margin}")
+    margin = check_positive(margin, "margin")
     abs_gamma = abs(derived.gamma_complex)
     r1 = abs_gamma * pulse.T
     diffusion_scale = math.sqrt((abs_gamma / params.gamma) * derived.l_abs / params.k)
@@ -237,7 +220,7 @@ def adiabaticity_margins(
         MarginRatio("drive_bandwidth", r3, r3 >= margin),
         MarginRatio("drive_vs_shift", r4, r4 >= margin),
     )
-    return MarginReport(ratios=ratios, margin=float(margin))
+    return MarginReport(ratios=ratios, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -253,9 +236,7 @@ class UnitScales:
 
     def __post_init__(self):
         for name in ("length", "time"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ParameterDomainError(f"scale {name} must be positive, got {v}")
+            object.__setattr__(self, name, check_positive(getattr(self, name), name))
 
     @classmethod
     def from_derived(cls, derived: DerivedQuantities) -> "UnitScales":

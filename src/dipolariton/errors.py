@@ -1,9 +1,17 @@
-"""Exception and warning types shared across the package, and the count check.
+"""Exception and warning types shared across the package, and one check per parameter kind.
 
 Everything derives from DipolaritonError so callers can catch the package's
 failures with one except clause. Validation-style failures also subclass
 ValueError, runtime/numerical failures subclass RuntimeError.
+
+check_count, check_real, check_positive, check_complex and check_vector
+return the value they pass (no bool or string passes) and refuse with a
+ParameterDomainError whose message begins with the parameter's name, which
+config.parse_config reads to name the `medium.*` key a refusal is about.
+Any further bound is tested where the parameter is used.
 """
+
+import math
 
 import numpy as np
 
@@ -21,6 +29,10 @@ __all__ = [
     "UnitError",
     "GridCoarseWarning",
     "check_count",
+    "check_real",
+    "check_positive",
+    "check_complex",
+    "check_vector",
 ]
 
 
@@ -77,3 +89,41 @@ def check_count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ParameterDomainError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+_REAL = (int, float, np.integer, np.floating)
+_NUMBER = (*_REAL, complex, np.complexfloating)
+
+
+def check_real(value, name: str) -> float:
+    """value as a float; ParameterDomainError naming name unless it is a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, _REAL) or not math.isfinite(value):
+        raise ParameterDomainError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def check_positive(value, name: str) -> float:
+    """value as a float; ParameterDomainError naming name unless it is a finite real number > 0."""
+    if isinstance(value, bool) or not isinstance(value, _REAL) or not math.isfinite(value) or value <= 0:
+        raise ParameterDomainError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def check_complex(value, name: str) -> complex:
+    """value as a complex; ParameterDomainError naming name unless it is a finite number."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBER) or not np.isfinite(value):
+        raise ParameterDomainError(f"{name} must be a finite number, got {value!r}")
+    return complex(value)
+
+
+def check_vector(value, name: str, *, single: bool = False) -> np.ndarray:
+    """value as a float array; ParameterDomainError naming name unless it is an array of
+    int or float dtype, of shape (3,) if single and (..., 3) otherwise, with finite components."""
+    arr = np.asarray(value)
+    shaped = arr.shape == (3,) if single else arr.ndim > 0 and arr.shape[-1] == 3
+    if not (shaped and arr.dtype.kind in "iuf" and np.isfinite(arr).all()):
+        if single:
+            raise ParameterDomainError(f"{name} must be a finite real 3-vector, got {value!r}")
+        raise ParameterDomainError(f"{name} must hold finite real 3-vectors, got shape {arr.shape} "
+                                   f"and dtype {arr.dtype}")
+    return arr.astype(float, copy=False)

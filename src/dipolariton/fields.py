@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eit import DerivedQuantities
-from .errors import GridCoarseWarning, GridMismatchError, ParameterDomainError, check_count
+from .errors import (GridCoarseWarning, GridMismatchError, ParameterDomainError, check_complex,
+                     check_count, check_positive, check_real)
 from .grid import Grid1D
 
 __all__ = [
@@ -155,13 +156,13 @@ class LinearRunConfig:
 
     def __post_init__(self):
         _check_field_on_grid(np.asarray(self.initial), self.grid)
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ParameterDomainError(f"dt must be positive, got {self.dt}")
+        object.__setattr__(self, "dt", check_positive(self.dt, "dt"))
         for name in ("n_steps", "snapshot_stride"):
-            check_count(getattr(self, name), name)
-        d = complex(self.diffusion)
-        if not (np.isfinite(d.real) and np.isfinite(d.imag)) or d.real < 0:
-            raise ParameterDomainError(f"diffusion must be finite with Re >= 0, got {d}")
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
+        d = check_complex(self.diffusion, "diffusion")
+        if d.real < 0:
+            raise ParameterDomainError(f"diffusion must have Re >= 0, got {d}")
+        object.__setattr__(self, "diffusion", d)
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ def simulate_linear_1d(cfg: LinearRunConfig) -> LinearRunResult:
     variance s0^2 the analytic law is s^2(t) = s0^2 + 2 Re(D) t at zero
     detuning.
     """
-    grid, d = cfg.grid, complex(cfg.diffusion)
+    grid, d = cfg.grid, cfg.diffusion
     psi = np.array(cfg.initial, dtype=complex)
     z = grid.z()
     q2 = grid.wavenumbers() ** 2
@@ -223,8 +224,7 @@ def simulate_linear_1d(cfg: LinearRunConfig) -> LinearRunResult:
 
 def gaussian_profile(grid: Grid1D, sigma: float, center: float | None = None) -> np.ndarray:
     """Real Gaussian amplitude profile of given variance sigma^2, unit peak."""
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ParameterDomainError(f"sigma must be positive, got {sigma}")
-    z0 = 0.5 * grid.length if center is None else float(center)
+    sigma = check_positive(sigma, "sigma")
+    z0 = 0.5 * grid.length if center is None else check_real(center, "center")
     z = grid.z()
     return np.exp(-((z - z0) ** 2) / (2.0 * sigma**2)).astype(complex)

@@ -99,6 +99,9 @@ from .errors import (
     ParameterDomainError,
     StepSizeError,
     check_count,
+    check_positive,
+    check_real,
+    check_vector,
 )
 from .grid import GridSpec
 from .kernel import FourierTable, convolve_density
@@ -142,16 +145,11 @@ class GpeParams:
     hbar: float = HBAR
 
     def __post_init__(self):
-        if not (np.isfinite(self.m_perp) and self.m_perp > 0):
-            raise ParameterDomainError(f"m_perp must be positive, got {self.m_perp}")
-        m_par = complex(self.m_par)
-        if m_par == 0 or not (np.isfinite(m_par.real) and np.isfinite(m_par.imag)):
-            raise ParameterDomainError(f"m_par must be finite and nonzero, got {m_par}")
-        if not (0.0 <= self.sin2_theta <= 1.0):
-            raise ParameterDomainError(f"sin2_theta must lie in [0, 1], got {self.sin2_theta}")
-        if not (np.isfinite(self.hbar) and self.hbar > 0):
-            raise ParameterDomainError(f"hbar must be positive, got {self.hbar}")
-        object.__setattr__(self, "m_par", m_par)
+        bogoliubov._check_masses(self)
+        sin2 = check_real(self.sin2_theta, "sin2_theta")
+        if not 0.0 <= sin2 <= 1.0:
+            raise ParameterDomainError(f"sin2_theta must lie in [0, 1], got {sin2}")
+        object.__setattr__(self, "sin2_theta", sin2)
 
     @property
     def grid(self) -> GridSpec:
@@ -181,9 +179,7 @@ class CondensateState:
 
 def _lattice_index(q, grid: GridSpec) -> tuple[int, int, int]:
     """Indices of a reciprocal-lattice vector; OffLatticeError if q is off it by 1e-9 relative."""
-    qv = np.asarray(q, dtype=float)
-    if qv.shape != (3,) or not np.all(np.isfinite(qv)):
-        raise ParameterDomainError(f"q must be a finite 3-vector, got {q}")
+    qv = check_vector(q, "q", single=True)
     idx = []
     for comp, n, length in zip(qv, grid.dims, grid.box_lengths):
         steps = comp * length / (2.0 * math.pi)
@@ -217,17 +213,17 @@ def init_state(
                      delta <= 1e-3 and q on the reciprocal lattice.
     """
     grid = params.grid
+    if kind not in ("uniform", "gaussian", "perturbed_plane_wave"):
+        raise ParameterDomainError(f"unknown state kind '{kind}'")
+    if n0 is not None or kind != "gaussian":
+        n0 = check_positive(n0, "n0")
     if kind == "uniform":
-        if n0 is None or not (np.isfinite(n0) and n0 > 0):
-            raise ParameterDomainError(f"uniform state needs n0 > 0, got {n0}")
         phi = np.full(grid.shape, math.sqrt(n0), dtype=complex)
         return CondensateState(phi, 0.0, params)
     if kind == "gaussian":
-        w = np.asarray(widths, dtype=float) if widths is not None else None
-        if w is None or w.shape != (3,) or np.any(~np.isfinite(w)) or np.any(w <= 0):
-            raise ParameterDomainError(f"gaussian state needs three positive widths, got {widths}")
-        if n0 is not None and not (np.isfinite(n0) and n0 > 0):
-            raise ParameterDomainError(f"gaussian state needs n0 > 0 when given, got {n0}")
+        w = check_vector(widths, "widths", single=True)
+        if np.any(w <= 0):
+            raise ParameterDomainError(f"widths must be positive, got {widths}")
         # one factor per axis; widths are density standard deviations,
         # |phi|^2 ~ exp(-x^2 / (2 w^2)), and the norm is the product of per-axis sums
         fx, fy, fz = (np.exp(-((c - 0.5 * length) ** 2) / (4.0 * wi**2))
@@ -240,20 +236,15 @@ def init_state(
         phi = np.zeros(grid.shape, dtype=complex)
         np.multiply(np.multiply.outer(fx * lift, fy)[:, :, None], fz, out=phi.real)
         return CondensateState(phi, 0.0, params)
-    if kind == "perturbed_plane_wave":
-        if n0 is None or not (np.isfinite(n0) and n0 > 0):
-            raise ParameterDomainError(f"perturbed state needs n0 > 0, got {n0}")
-        if delta is None or not (0.0 < delta <= 1e-3):
-            raise ParameterDomainError(
-                f"perturbation amplitude must lie in (0, 1e-3], got {delta}"
-            )
-        _lattice_index(q, grid)
-        qv = np.asarray(q, dtype=float)
-        xm, ym, zm = grid.meshgrid()
-        phase = qv[0] * xm + qv[1] * ym + qv[2] * zm
-        phi = math.sqrt(n0) * (1.0 + delta * np.cos(phase)).astype(complex)
-        return CondensateState(phi, 0.0, params)
-    raise ParameterDomainError(f"unknown state kind '{kind}'")
+    delta = check_real(delta, "delta")
+    if not 0.0 < delta <= 1e-3:
+        raise ParameterDomainError(f"delta must lie in (0, 1e-3], got {delta}")
+    _lattice_index(q, grid)
+    qv = np.asarray(q, dtype=float)
+    xm, ym, zm = grid.meshgrid()
+    phase = qv[0] * xm + qv[1] * ym + qv[2] * zm
+    phi = math.sqrt(n0) * (1.0 + delta * np.cos(phase)).astype(complex)
+    return CondensateState(phi, 0.0, params)
 
 
 def _kinetic_factors(params: GpeParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -290,49 +281,49 @@ class SplitStep:
     convolution buffer, the half spectrum of the kernel table's shape, and
     one chunk scratch per worker that every sweep shares, both allocated at
     its first convolution. A run binds a new field buffer, which its final
-    state takes over, for its duration only, and refuses re-entry. During a run,
-    the padded real view of the convolution buffer holds eps conv |phi|^2
-    of the field buffer, with its largest |angle|. run steps the field
-    buffer in place and fuses the closing half-step of one step with the
-    opening half-step of the next into one rotation by twice the angle,
-    except where a visitor reads the state or the run ends. Negative dt
+    state takes over, for its duration only, and refuses re-entry. _conv,
+    the padded real view of the convolution buffer, is bound once with the
+    buffer; during a run it holds eps conv |phi|^2 of the field buffer.
+    run steps the field buffer in place and fuses the closing half-step of
+    one step with the opening half-step of the next into one rotation by
+    twice the angle, except where a visitor reads the state or the run
+    ends. Negative dt
     steps backwards and exactly inverts the corresponding forward step.
     """
 
     def __init__(self, params: GpeParams, dt: float, workers: int = 1):
-        if dt == 0 or not np.isfinite(dt):
-            raise ParameterDomainError(f"dt must be nonzero and finite, got {dt}")
-        self.workers = _fft.worker_count(workers)
+        dt = check_real(dt, "dt")
+        if dt == 0:
+            raise ParameterDomainError(f"dt must be nonzero, got {dt}")
+        self.workers = check_count(workers, "worker count")
         self.params = params
-        self.dt = float(dt)
-        self._kinetic = _kinetic_factors(params, self.dt)
-        self._kernel_factor = -0.5 * self.dt * params.sin2_theta
+        self.dt = dt
+        self._kinetic = _kinetic_factors(params, dt)
+        self._kernel_factor = -0.5 * dt * params.sin2_theta
         self._phi = self._buf = self._conv = self._scratch = self._visited = None
-        self._max_phase = 0.0
 
-    def _density(self, phi: np.ndarray) -> np.ndarray:
-        """|phi|^2 into the convolution buffer's padded real view, allocating the buffers on first use."""
+    def _density(self, phi: np.ndarray) -> None:
+        """|phi|^2 into _conv, allocating the convolution buffer, its view _conv and the scratch on first use."""
         if self._buf is None:
             self._buf = np.empty(self.params.table.coeffs.shape, dtype=complex)
+            self._conv = self._buf.view(float)[:, :, : phi.shape[2]]
             self._scratch = _fft.new_scratch(phi.shape, self.workers)
-        rho = self._buf.view(float)[:, :, : phi.shape[2]]
+        rho = self._conv
 
         def square(w: int, s: slice) -> None:
             np.square(np.abs(phi[s], out=rho[s]), out=rho[s])
 
         _fft.sweep(square, phi.shape[0], phi[0].nbytes, self.workers)
-        return rho
 
-    def _convolve(self, rho: np.ndarray) -> None:
-        """Convolve rho, the padded real view of the convolution buffer, in place there.
+    def _convolve(self) -> float:
+        """Convolve the density in _conv in place there; returns the largest |angle|.
 
-        Keeps eps conv rho in the view and the largest |angle|, |kernel
-        factor| max|eps conv rho|, which is NaN or inf when rho is not
-        finite, since one bad sample spreads to every convolved one.
+        That is |kernel factor| max|eps conv rho|, which is NaN or inf when
+        rho is not finite, since one bad sample spreads to every convolved one.
         """
-        self._conv = conv = convolve_density(self.params.table, rho, self.workers,
-                                             buffer=self._buf, scratch=self._scratch)
-        self._max_phase = abs(self._kernel_factor) * max(float(conv.max()), -float(conv.min()))
+        conv = convolve_density(self.params.table, self._conv, self.workers,
+                                buffer=self._buf, scratch=self._scratch)
+        return abs(self._kernel_factor) * max(float(conv.max()), -float(conv.min()))
 
     def _rotate(self, w: int, s: slice, turns: float) -> None:
         """Multiply the planes s of the field by exp(i turns angle), in scratch row w.
@@ -357,17 +348,16 @@ class SplitStep:
             phi *= f
 
     def _advance(self, turns: float) -> None:
-        """Rotate by turns times the kept angle, take the exact kinetic step, convolve the new density.
+        """Rotate by turns times the kept angle, take the exact kinetic step, write the new density.
 
-        Three sweeps of the field and the convolution's: per chunk of axis-0
-        planes the rotation and fftn over axes (1, 2); per chunk of axis-1
-        slabs fft over axis 0, the kinetic factor and ifft over axis 0; per
-        chunk of axis-0 planes ifftn over axes (1, 2) and |phi|^2 into the
+        Three sweeps of the field: per chunk of axis-0 planes the rotation
+        and fftn over axes (1, 2); per chunk of axis-1 slabs fft over axis
+        0, the kinetic factor and ifft over axis 0; per chunk of axis-0
+        planes ifftn over axes (1, 2) and |phi|^2 into _conv, the
         convolution buffer's padded real view.
         """
-        phi, workers = self._phi, self.workers
+        phi, workers, rho = self._phi, self.workers, self._conv
         kin_perp, kin_z = self._kinetic
-        rho = self._buf.view(float)[:, :, : phi.shape[2]]
 
         def forward(w: int, s: slice) -> None:
             self._rotate(w, s, turns)
@@ -388,17 +378,16 @@ class SplitStep:
         _fft.sweep(forward, phi.shape[0], phi[0].nbytes, workers)
         _fft.x_lines(phi, kinetic, workers, self._scratch)
         _fft.sweep(inverse, phi.shape[0], phi[0].nbytes, workers)
-        self._convolve(rho)
 
-    def _check(self, i: int, t0: float) -> None:
-        """Refuse the convolution after step i of a run from t0; the start state's (i = 0) opens step 1."""
-        if not math.isfinite(self._max_phase):
+    def _check(self, i: int, t0: float, phase: float) -> None:
+        """Refuse phase, the largest |angle| after step i of a run from t0 (i = 0: the start state)."""
+        if not math.isfinite(phase):
             raise NonFiniteStateError(f"non-finite field at step {i} (t = {t0 + i * self.dt:.6e}): "
-                                      f"its potential phase per half step is {self._max_phase}")
-        if self._max_phase > MAX_POTENTIAL_PHASE:
+                                      f"its potential phase per half step is {phase}")
+        if phase > MAX_POTENTIAL_PHASE:
             j = max(i, 1)
             raise StepSizeError(f"step {j} (t = {t0 + (j - 1) * self.dt:.6e} -> {t0 + j * self.dt:.6e}): "
-                                f"potential phase per half step {self._max_phase:.3f} rad exceeds "
+                                f"potential phase per half step {phase:.3f} rad exceeds "
                                 f"the accuracy guard {MAX_POTENTIAL_PHASE:.3f} rad; reduce dt")
 
     def step(self, state: CondensateState) -> CondensateState:
@@ -428,10 +417,10 @@ class SplitStep:
         try:
             for i in range(n_steps + 1):
                 if i == 0:
-                    self._convolve(self._density(phi))
+                    self._density(phi)
                 else:
                     self._advance(turns)
-                self._check(i, state.t)
+                self._check(i, state.t, self._convolve())
                 turns = 2.0
                 if i == 0 or i == n_steps or (visit is not None and i % every == 0):
                     if i > 0:
@@ -487,7 +476,8 @@ def observables(state: CondensateState, propagator: SplitStep | None = None) -> 
     if propagator is None:
         # the sum does not depend on dt, so a throwaway of any step size serves
         propagator = SplitStep(p, 1.0)
-        propagator._convolve(propagator._density(phi))
+        propagator._density(phi)
+        propagator._convolve()
     elif state is not propagator._visited:
         raise ParameterDomainError("a propagator serves observables only of the state its run is "
                                    "visiting; call observables(state) for any other state")
@@ -593,7 +583,8 @@ def evolve(
     and whose convolutions and worker count the observables use too.
     """
     prop = SplitStep(state.params, dt, workers)
-    n_steps = _whole_steps(t_final - state.t, dt, f"t_final = {t_final} (from t = {state.t})")
+    span = check_real(t_final, "t_final") - state.t
+    n_steps = _whole_steps(span, dt, f"t_final = {t_final} (from t = {state.t})")
     check_count(observer_stride, "observer_stride")
     obs = []
     final = prop.run(state, n_steps, lambda i, current: obs.append(observables(current, prop)),
@@ -610,8 +601,7 @@ def effective_dipolar_coupling(params: GpeParams, q, n0: float) -> float:
     gives the coupling to hand to the bogoliubov module; at the magic angle
     (vanishing factor) zero is returned since the interaction decouples.
     """
-    if not (np.isfinite(n0) and n0 > 0):
-        raise ParameterDomainError(f"n0 must be positive, got {n0}")
+    n0 = check_positive(n0, "n0")
     idx = _lattice_index(q, params.grid)
     if idx[2] > params.grid.dims[2] // 2:  # the half table holds T(-q) = T(q)
         idx = tuple((-i) % n for i, n in zip(idx, params.grid.dims))
@@ -737,8 +727,8 @@ def linear_response_experiment(
             "the response fit models an undamped mode and needs a real mass; "
             f"got m_par = {params.m_par}"
         )
-    if dt is not None and not (math.isfinite(dt) and dt > 0):
-        raise ParameterDomainError(f"dt must be positive and finite, got {dt}")
+    dt = None if dt is None else check_positive(dt, "dt")
+    duration = None if duration is None else check_positive(duration, "duration")
     grid = params.grid
     idx = _lattice_index(q, grid)
     nu_pred = predicted_mode_frequency(params, q, n0)
@@ -757,8 +747,6 @@ def linear_response_experiment(
         dt = dt_cap if dt is None else dt
         n_steps = max(int(round(duration / dt)), _MIN_RESPONSE_STEPS)
     elif dt is None:
-        if not (math.isfinite(duration) and duration > 0):
-            raise ParameterDomainError(f"duration must be positive, got {duration}")
         n_steps = max(math.ceil(duration / dt_cap), _MIN_RESPONSE_STEPS)
         dt = duration / n_steps
     else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, ParameterDomainError, check_count
+from .errors import GridTooSmallError, ParameterDomainError, check_count, check_positive
 
 __all__ = ["GridSpec", "Grid1D"]
 
@@ -34,15 +34,12 @@ class GridSpec:
         if len(self.dims) != 3 or len(self.spacings) != 3:
             raise ParameterDomainError("GridSpec takes three dims and three spacings")
         dims = tuple(check_count(n, "a point count in dims") for n in self.dims)
-        spacings = tuple(float(d) for d in self.spacings)
+        spacings = tuple(check_positive(d, "a spacing in spacings") for d in self.spacings)
         for n in dims:
             if n < 8:
                 raise GridTooSmallError(f"need at least 8 points per axis, got dims={dims}")
             if n % 2:
                 raise ParameterDomainError(f"point counts must be even, got dims={dims}")
-        for d in spacings:
-            if not (np.isfinite(d) and d > 0):
-                raise ParameterDomainError(f"spacings must be positive and finite, got {spacings}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacings", spacings)
 
@@ -98,10 +95,8 @@ class Grid1D:
             raise GridTooSmallError(f"need at least 8 points, got n={n}")
         if n % 2:
             raise ParameterDomainError(f"point count must be even, got n={n}")
-        if not (np.isfinite(self.dz) and self.dz > 0):
-            raise ParameterDomainError(f"dz must be positive and finite, got {self.dz}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dz", float(self.dz))
+        object.__setattr__(self, "dz", check_positive(self.dz, "dz"))
 
     @property
     def length(self) -> float:

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .errors import GridMismatchError, ParameterDomainError
+from .errors import (GridMismatchError, ParameterDomainError, check_count, check_positive,
+                     check_real, check_vector)
 from .grid import GridSpec
 
 __all__ = [
@@ -76,21 +77,19 @@ class KernelSpec:
     sphere_radius: float | None = None
 
     def __post_init__(self):
-        axis = np.asarray(self.orientation, dtype=float)
-        if axis.shape != (3,) or not np.all(np.isfinite(axis)):
-            raise ParameterDomainError(f"orientation must be a finite 3-vector, got {self.orientation}")
+        axis = check_vector(self.orientation, "orientation", single=True)
         norm = float(np.linalg.norm(axis))
         if abs(norm - 1.0) > 1e-12:
             raise ParameterDomainError(f"orientation must be a unit vector, |axis| = {norm}")
-        if not np.isfinite(self.strength):
-            raise ParameterDomainError("strength must be finite")
-        if not (np.isfinite(self.cutoff_radius) and self.cutoff_radius >= 0):
-            raise ParameterDomainError(f"cutoff_radius must be >= 0, got {self.cutoff_radius}")
-        if self.sphere_radius is not None and not (
-            np.isfinite(self.sphere_radius) and self.sphere_radius > 0
-        ):
-            raise ParameterDomainError(f"sphere_radius must be positive, got {self.sphere_radius}")
         object.__setattr__(self, "orientation", tuple(float(v) for v in axis))
+        object.__setattr__(self, "strength", check_real(self.strength, "strength"))
+        cutoff = check_real(self.cutoff_radius, "cutoff_radius")
+        if cutoff < 0:
+            raise ParameterDomainError(f"cutoff_radius must be >= 0, got {cutoff}")
+        object.__setattr__(self, "cutoff_radius", cutoff)
+        if self.sphere_radius is not None:
+            radius = check_positive(self.sphere_radius, "sphere_radius")
+            object.__setattr__(self, "sphere_radius", radius)
 
     @property
     def axis(self) -> np.ndarray:
@@ -103,9 +102,7 @@ def kernel_value(r, spec: KernelSpec) -> np.ndarray:
     Points with |r| < cutoff_radius return 0. With a zero cutoff the origin is
     a genuine singularity and raises.
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape[-1] != 3:
-        raise ParameterDomainError(f"displacements must have a trailing axis of 3, got shape {r.shape}")
+    r = check_vector(r, "r")
     rn = np.linalg.norm(r, axis=-1)
     if spec.cutoff_radius == 0.0 and np.any(rn == 0.0):
         raise ParameterDomainError("kernel diverges at r = 0; set a positive cutoff_radius")
@@ -122,9 +119,7 @@ def kernel_fourier_analytic(q, spec: KernelSpec) -> np.ndarray:
     Returns (4 pi / 3) * strength * (3 cos^2 beta - 1); the q = 0 value is 0
     by the zero-angular-average convention.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1] != 3:
-        raise ParameterDomainError(f"wavevectors must have a trailing axis of 3, got shape {q.shape}")
+    q = check_vector(q, "q")
     qn = np.linalg.norm(q, axis=-1)
     safe = np.where(qn > 0, qn, 1.0)
     cos_beta = (q @ spec.axis) / safe
@@ -173,7 +168,7 @@ class FourierTable:
 
 def _resolve_sphere_radius(grid: GridSpec, spec: KernelSpec) -> float:
     if spec.sphere_radius is not None:
-        return float(spec.sphere_radius)
+        return spec.sphere_radius
     return 0.5 * min(grid.box_lengths)
 
 
@@ -188,7 +183,7 @@ def kernel_table_fourier(
     continuum transform instead. See the module docstring for the trade-off.
     workers is the FFT worker count of the lattice transform, an integer >= 1.
     """
-    workers = _fft.worker_count(workers)
+    workers = check_count(workers, "worker count")
     r_c = _resolve_sphere_radius(grid, spec)
     ax, ay, az = spec.orientation
     if method == "lattice":
@@ -247,7 +242,7 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
     product are one sweep of axis-1 slabs through scratch (from
     _fft.new_scratch; a new one if None), on workers threads, an integer >= 1.
     """
-    workers = _fft.worker_count(workers)
+    workers = check_count(workers, "worker count")
     rho = np.asarray(rho)
     if rho.shape != table.grid.shape:
         raise GridMismatchError(

@@ -272,6 +272,27 @@ def test_dispersion_rejects_negative_magnitudes_like_the_map(tmp_path, capsys):
         assert "magnitudes must be finite and non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, cfg", [("dispersion", "dispersion.cfg"),
+                                          ("stability-map", "stability.cfg")])
+def test_a_nan_dipole_axis_is_refused_before_any_write(tmp_path, capsys, command, cfg):
+    # it used to pass the unit-norm test and give a map of NaN with "0 unstable"
+    text = (CONFIGS / cfg).read_text() + "kernel.orientation = nan 0 0\n"
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: orientation must be a finite real 3-vector, got (nan, 0.0, 0.0)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dispersion", "stability-map"])
+def test_a_nan_ray_direction_is_refused_by_its_key(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, disp_cfg(1e-15).replace("1 0 0 0 0 1", "1 0 0 nan 0 1"))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: run.directions must hold finite real 3-vectors")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ stability-map
 
 def test_stability_map_scan(tmp_path, capsys):
@@ -415,7 +436,7 @@ def test_evolve_refuses_a_gaussian_n0_that_is_not_positive(tmp_path, capsys):
     text = (CONFIGS / "evolve.cfg").read_text() + "run.n0 = -1e21\n"
     out = tmp_path / "o"
     assert main(["evolve", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
-    assert "gaussian state needs n0 > 0 when given, got -1e+21" in capsys.readouterr().err
+    assert "n0 must be positive and finite, got -1e+21" in capsys.readouterr().err
     assert not out.exists()
 
 

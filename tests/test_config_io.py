@@ -181,6 +181,17 @@ def test_domain_errors_carry_config_context():
         parse_config(bad_grid)
 
 
+@pytest.mark.parametrize("key, bad", [("medium.g", "-2.5e5"), ("medium.n_atoms", "0"),
+                                      ("medium.v_t", "nan"), ("medium.gamma", "inf"),
+                                      ("medium.delta", "nan"), ("medium.omega", "-inf"),
+                                      ("medium.k", "-1")])
+def test_every_medium_refusal_names_its_key(key, bad):
+    # parse_config reads the key off the first word of the MediumParams refusal
+    text = "".join(f"{k} = {bad if k == key else 1.0}\n" for k in MEDIUM_KEYS)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: {key[7:]} must be .*, got {re.escape(repr(float(bad)))}$"):
+        parse_config(text)
+
+
 # ------------------------------------------------------------------ file IO
 
 def test_write_table_layout(tmp_path):

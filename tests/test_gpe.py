@@ -87,7 +87,7 @@ def test_gaussian_n0_lifts_the_unit_norm_state():
 @pytest.mark.parametrize("n0", [0.0, -1.0, math.nan, math.inf])
 def test_gaussian_n0_must_be_positive_and_finite(n0):
     p = make_params(grid16(), 0.5)
-    with pytest.raises(ParameterDomainError, match="gaussian state needs n0 > 0"):
+    with pytest.raises(ParameterDomainError, match=rf"^n0 must be positive and finite, got {re.escape(repr(n0))}$"):
         init_state("gaussian", p, widths=(1.0, 1.0, 1.0), n0=n0)
 
 
