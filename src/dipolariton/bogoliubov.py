@@ -41,7 +41,7 @@ import numpy as np
 
 from .eit import HBAR
 from .errors import (EmptyInputError, ParameterDomainError, check_complex, check_count,
-                     check_positive, check_real, check_vector)
+                     check_positive, check_real, check_real_array, check_unit_vector, check_vector)
 
 __all__ = [
     "CondensateParams",
@@ -72,9 +72,7 @@ class CondensateParams:
     def __post_init__(self):
         _check_masses(self)
         object.__setattr__(self, "c_dd", check_real(self.c_dd, "c_dd"))
-        axis = check_vector(self.orientation, "orientation", single=True)
-        if abs(float(np.linalg.norm(axis)) - 1.0) > 1e-12:
-            raise ParameterDomainError(f"orientation must be a unit vector, got {self.orientation}")
+        axis = check_unit_vector(self.orientation, "orientation", single=True)
         object.__setattr__(self, "orientation", tuple(float(v) for v in axis))
 
     @property
@@ -176,14 +174,11 @@ class StabilityMap:
 
 def stability_map(p: CondensateParams, directions, magnitudes) -> StabilityMap:
     """Evaluate the dispersion over directions (outer) and magnitudes (inner)."""
-    dirs = check_vector(directions, "directions").reshape(-1, 3)
-    mags = np.asarray(magnitudes, dtype=float).ravel()
+    dirs = check_unit_vector(directions, "directions", tol=1e-9).reshape(-1, 3)
+    mags = check_real_array(magnitudes, "magnitudes").ravel()
     if dirs.size == 0 or mags.size == 0:
         raise EmptyInputError("directions and magnitudes must be non-empty")
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ParameterDomainError("directions must be unit vectors")
-    if np.any(~np.isfinite(mags)) or np.any(mags < 0):
+    if np.any(mags < 0):
         raise ParameterDomainError("magnitudes must be finite and non-negative")
     q = dirs[:, None, :] * mags[None, :, None]
     nu = dispersion(q, p)
@@ -196,9 +191,7 @@ def critical_wavenumber(direction, p: CondensateParams) -> float | None:
     Returns None when the ray is stable at every magnitude. Uses the real part
     of the longitudinal mass.
     """
-    d = check_vector(direction, "direction", single=True)
-    if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
-        raise ParameterDomainError(f"direction must be a unit vector, got {direction}")
+    d = check_unit_vector(direction, "direction", single=True, tol=1e-9)
     if p.m_par.real == 0:
         raise ParameterDomainError("Re(m_par) is zero")
     c2, a_int = (float(v) for v in _energies(d, p, p.m_par.real))

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eit import DerivedQuantities
-from .errors import (GridCoarseWarning, GridMismatchError, ParameterDomainError, check_complex,
-                     check_count, check_positive, check_real)
+from .errors import (GridCoarseWarning, ParameterDomainError, check_complex, check_count,
+                     check_positive, check_real, check_shape)
 from .grid import Grid1D
 
 __all__ = [
@@ -50,16 +50,18 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str):
-    if a.shape != b.shape:
-        raise GridMismatchError(f"{what}: shapes {a.shape} and {b.shape} differ")
-
-
-def _check_field_on_grid(arr: np.ndarray, grid: Grid1D):
+def _check_grid(grid: Grid1D) -> tuple[int]:
+    """The field shape (n,) of grid; ParameterDomainError unless grid is a Grid1D."""
     if not isinstance(grid, Grid1D):
         raise ParameterDomainError(f"grid must be a Grid1D, got {type(grid)!r}")
-    if arr.shape != (grid.n,):
-        raise GridMismatchError(f"field shape {arr.shape} does not match 1D grid ({grid.n},)")
+    return (grid.n,)
+
+
+def _check_fields(pair, *names: str) -> None:
+    """Store the fields names of pair as arrays; GridMismatchError unless each lies on its grid."""
+    shape = _check_grid(pair.grid)
+    for name in names:
+        object.__setattr__(pair, name, check_shape(getattr(pair, name), shape, name))
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,7 @@ class FieldPair:
     grid: Grid1D
 
     def __post_init__(self):
-        _check_same_shape(self.e_plus, self.e_minus, "FieldPair")
-        _check_field_on_grid(self.e_plus, self.grid)
+        _check_fields(self, "e_plus", "e_minus")
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,7 @@ class ModePair:
     grid: Grid1D
 
     def __post_init__(self):
-        _check_same_shape(self.e_sum, self.e_diff, "ModePair")
-        _check_field_on_grid(self.e_sum, self.grid)
+        _check_fields(self, "e_sum", "e_diff")
 
 
 def to_sum_difference(pair: FieldPair) -> ModePair:
@@ -124,8 +124,7 @@ def _warn_if_nyquist_heavy(d_spec: np.ndarray):
 
 def eliminate_difference(e_sum: np.ndarray, grid: Grid1D, derived: DerivedQuantities) -> np.ndarray:
     """Difference mode slaved to the sum mode: E_D = -L_abs (1 + i delta/gamma) dE_S/dz."""
-    e_sum = np.asarray(e_sum, dtype=complex)
-    _check_field_on_grid(e_sum, grid)
+    e_sum = check_shape(e_sum, _check_grid(grid), "e_sum", dtype=complex)
     d_spec = 1j * grid.wavenumbers() * np.fft.fft(e_sum)
     _warn_if_nyquist_heavy(d_spec)
     chi = 1.0 + 1j * derived.detuning_ratio
@@ -155,7 +154,7 @@ class LinearRunConfig:
     snapshot_stride: int = 10
 
     def __post_init__(self):
-        _check_field_on_grid(np.asarray(self.initial), self.grid)
+        check_shape(self.initial, _check_grid(self.grid), "initial")
         object.__setattr__(self, "dt", check_positive(self.dt, "dt"))
         for name in ("n_steps", "snapshot_stride"):
             object.__setattr__(self, name, check_count(getattr(self, name), name))

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_shape
 from .grid import GridSpec
 from .kernel import FourierTable, KernelSpec
 
@@ -140,11 +140,10 @@ def write_field(path: str, field: np.ndarray, grid: GridSpec, t: float = 0.0) ->
     """Binary complex field: text header line, then '<c16' in C order.
 
     A C-ordered little-endian complex128 field is written from its own
-    buffer, without a copy.
+    buffer, without a copy; a field of another shape than the grid raises
+    GridMismatchError.
     """
-    arr = np.ascontiguousarray(field, dtype="<c16")
-    if arr.shape != grid.shape:
-        raise ConfigError(f"field shape {arr.shape} does not match grid {grid.shape}")
+    arr = np.ascontiguousarray(check_shape(field, grid.shape, "field", "<c16"))
     nx, ny, nz = grid.dims
     dx, dy, dz = grid.spacings
     header = (f"{_FIELD_MAGIC} {nx} {ny} {nz} "

@@ -93,7 +93,6 @@ from . import _fft, bogoliubov
 from .eit import HBAR
 from .errors import (
     FitFailureError,
-    GridMismatchError,
     NonFiniteStateError,
     OffLatticeError,
     ParameterDomainError,
@@ -101,6 +100,7 @@ from .errors import (
     check_count,
     check_positive,
     check_real,
+    check_shape,
     check_vector,
 )
 from .grid import GridSpec
@@ -165,20 +165,17 @@ class CondensateState:
     params: GpeParams
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=complex)
-        if phi.shape != self.params.grid.shape:
-            raise GridMismatchError(
-                f"phi shape {phi.shape} does not match grid {self.params.grid.shape}"
-            )
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", check_shape(self.phi, self.params.grid.shape, "phi", complex))
+        object.__setattr__(self, "t", check_real(self.t, "t"))
 
     @property
     def grid(self) -> GridSpec:
         return self.params.grid
 
 
-def _lattice_index(q, grid: GridSpec) -> tuple[int, int, int]:
-    """Indices of a reciprocal-lattice vector; OffLatticeError if q is off it by 1e-9 relative."""
+def _lattice_index(q, grid: GridSpec) -> tuple[tuple[int, int, int], np.ndarray]:
+    """Indices of a reciprocal-lattice vector and q as a float vector; OffLatticeError if q is
+    off the lattice by 1e-9 relative."""
     qv = check_vector(q, "q", single=True)
     idx = []
     for comp, n, length in zip(qv, grid.dims, grid.box_lengths):
@@ -191,7 +188,7 @@ def _lattice_index(q, grid: GridSpec) -> tuple[int, int, int]:
                 f"{steps} lattice steps)"
             )
         idx.append(int(nearest) % n)
-    return tuple(idx)
+    return tuple(idx), qv
 
 
 def init_state(
@@ -239,8 +236,7 @@ def init_state(
     delta = check_real(delta, "delta")
     if not 0.0 < delta <= 1e-3:
         raise ParameterDomainError(f"delta must lie in (0, 1e-3], got {delta}")
-    _lattice_index(q, grid)
-    qv = np.asarray(q, dtype=float)
+    qv = _lattice_index(q, grid)[1]
     xm, ym, zm = grid.meshgrid()
     phase = qv[0] * xm + qv[1] * ym + qv[2] * zm
     phi = math.sqrt(n0) * (1.0 + delta * np.cos(phase)).astype(complex)
@@ -602,12 +598,11 @@ def effective_dipolar_coupling(params: GpeParams, q, n0: float) -> float:
     (vanishing factor) zero is returned since the interaction decouples.
     """
     n0 = check_positive(n0, "n0")
-    idx = _lattice_index(q, params.grid)
+    idx, qv = _lattice_index(q, params.grid)
     if idx[2] > params.grid.dims[2] // 2:  # the half table holds T(-q) = T(q)
         idx = tuple((-i) % n for i, n in zip(idx, params.grid.dims))
     t_q = float(params.table.coeffs[idx])
     e_int = 2.0 * n0 * params.hbar * params.sin2_theta * t_q
-    qv = np.asarray(q, dtype=float)
     q2 = float(qv @ qv)
     if q2 == 0.0:
         return 0.0
@@ -730,7 +725,7 @@ def linear_response_experiment(
     dt = None if dt is None else check_positive(dt, "dt")
     duration = None if duration is None else check_positive(duration, "duration")
     grid = params.grid
-    idx = _lattice_index(q, grid)
+    idx, qv = _lattice_index(q, grid)
     nu_pred = predicted_mode_frequency(params, q, n0)
     scale = abs(nu_pred)
     if scale == 0.0:
@@ -773,10 +768,10 @@ def linear_response_experiment(
     if rel_resid > 0.10:
         raise FitFailureError(
             f"fit residual {rel_resid:.1%} exceeds 10% of the signal at "
-            f"q = ({', '.join(f'{v:.6g}' for v in np.asarray(q, float))})"
+            f"q = ({', '.join(f'{v:.6g}' for v in qv)})"
         )
     return ResponseResult(
-        q=tuple(np.asarray(q, dtype=float)),
+        q=tuple(qv),
         nu_fit=nu_fit,
         residual=rel_resid,
         nu_predicted=nu_pred,

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .errors import (GridMismatchError, ParameterDomainError, check_count, check_positive,
-                     check_real, check_vector)
+from .errors import (ParameterDomainError, check_count, check_positive, check_real, check_shape,
+                     check_unit_vector, check_vector)
 from .grid import GridSpec
 
 __all__ = [
@@ -77,10 +77,7 @@ class KernelSpec:
     sphere_radius: float | None = None
 
     def __post_init__(self):
-        axis = check_vector(self.orientation, "orientation", single=True)
-        norm = float(np.linalg.norm(axis))
-        if abs(norm - 1.0) > 1e-12:
-            raise ParameterDomainError(f"orientation must be a unit vector, |axis| = {norm}")
+        axis = check_unit_vector(self.orientation, "orientation", single=True)
         object.__setattr__(self, "orientation", tuple(float(v) for v in axis))
         object.__setattr__(self, "strength", check_real(self.strength, "strength"))
         cutoff = check_real(self.cutoff_radius, "cutoff_radius")
@@ -161,9 +158,7 @@ class FourierTable:
 
     def __post_init__(self):
         nx, ny, nz = self.grid.dims
-        if self.coeffs.shape != (nx, ny, nz // 2 + 1):
-            raise GridMismatchError(f"coefficient shape {self.coeffs.shape} is not the half "
-                                    f"spectrum {(nx, ny, nz // 2 + 1)} of grid {self.grid.shape}")
+        object.__setattr__(self, "coeffs", check_shape(self.coeffs, (nx, ny, nz // 2 + 1), "coeffs"))
 
 
 def _resolve_sphere_radius(grid: GridSpec, spec: KernelSpec) -> float:
@@ -243,15 +238,10 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
     _fft.new_scratch; a new one if None), on workers threads, an integer >= 1.
     """
     workers = check_count(workers, "worker count")
-    rho = np.asarray(rho)
-    if rho.shape != table.grid.shape:
-        raise GridMismatchError(
-            f"density shape {rho.shape} does not match table grid {table.grid.shape}"
-        )
+    rho = check_shape(rho, table.grid.shape, "rho")
     if buffer is None:
         buffer = np.empty(table.coeffs.shape, dtype=complex)
-    elif buffer.shape != table.coeffs.shape:
-        raise GridMismatchError(f"buffer shape {buffer.shape} is not the table's {table.coeffs.shape}")
+    check_shape(buffer, table.coeffs.shape, "buffer")
     _fft.rfft_planes(rho, buffer, workers)
 
     # a non-finite density gives inf * 0 at the table's zeros; the NaNs that
@@ -275,9 +265,7 @@ def direct_convolution_reference(grid: GridSpec, spec: KernelSpec, rho: np.ndarr
     displacement inside the sphere and accumulates kernel weight times shifted
     density times cell volume.
     """
-    rho = np.asarray(rho)
-    if rho.shape != grid.shape:
-        raise GridMismatchError(f"density shape {rho.shape} does not match grid {grid.shape}")
+    rho = check_shape(rho, grid.shape, "rho")
     r_c = _resolve_sphere_radius(grid, spec)
     d = np.stack(np.meshgrid(*grid.displacements(), indexing="ij"), axis=-1).reshape(-1, 3)
     rn = np.linalg.norm(d, axis=-1)

@@ -12,6 +12,7 @@ import pytest
 
 from dipolariton import (
     ConfigError,
+    GridMismatchError,
     GridSpec,
     KernelSpec,
     MediumParams,
@@ -347,9 +348,11 @@ def test_field_header_time_defaults_to_zero(tmp_path):
 
 
 def test_field_shape_mismatch_rejected(tmp_path):
+    # a caller's field of the wrong shape is a grid mismatch, not a config error
     grid = GridSpec(dims=(8, 8, 8), spacings=(1.0, 1.0, 1.0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(GridMismatchError, match=r"^field shape \(8, 8, 10\) does not match \(8, 8, 8\)"):
         write_field(str(tmp_path / "f.bin"), np.zeros((8, 8, 10), complex), grid)
+    assert not (tmp_path / "f.bin").exists()
 
 
 def test_magic_mismatch_rejected(tmp_path):

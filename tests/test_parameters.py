@@ -1,9 +1,13 @@
-"""One rule per parameter kind: every scalar and 3-vector parameter is refused by name.
+"""One rule per parameter kind: every scalar, 3-vector and array parameter is refused by name.
 
 Each parameter is tried with a bool, a numeric string, a complex number,
 NaN, inf, zero and -1, and every value outside its domain must raise
 ParameterDomainError whose message begins with the parameter's name. A bool
-is not a number and a string is not parsed, whatever its text.
+is not a number and a string is not parsed, whatever its text. Arrays go
+through errors.check_real_array (int or float entries, all finite),
+check_unit_vector (check_vector, then unit norm within a tolerance) and
+check_shape (a grid's shape, else GridMismatchError; no entry is read), and
+a ragged nesting of lists is refused by name wherever an array is due.
 """
 
 import math
@@ -12,7 +16,9 @@ import numpy as np
 import pytest
 
 from dipolariton import (
+    CondensateState,
     GpeParams,
+    GridMismatchError,
     Grid1D,
     GridSpec,
     KernelSpec,
@@ -37,7 +43,7 @@ from dipolariton import (
     stability_map,
 )
 from dipolariton.bogoliubov import CondensateParams, critical_wavenumber
-from dipolariton.errors import check_vector
+from dipolariton.errors import check_shape, check_unit_vector, check_vector
 from conftest import lattice_q
 
 NAN, INF = math.nan, math.inf
@@ -139,10 +145,12 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("call, name, value", [
-    pytest.param(call, name, value, id=f"{case}={value!r}")
-    for case, call, name, values in CASES for value in values
-])
+def _refusals(cases):
+    return [pytest.param(call, name, value, id=f"{case}={value!r}")
+            for case, call, name, values in cases for value in values]
+
+
+@pytest.mark.parametrize("call, name, value", _refusals(CASES))
 def test_scalar_parameter_is_refused_by_name(call, name, value):
     with pytest.raises(ParameterDomainError) as info:
         call(value)
@@ -174,8 +182,9 @@ def test_real_parameters_are_stored_as_floats():
 
 # ------------------------------------------------------------------ vectors
 
+RAGGED_VECTORS = [[0.0, 0.0, 1.0], [0.0, 1.0]]
 BAD_VECTORS = [(NAN, 0.0, 0.0), (0.0, INF, 1.0), (True, False, False), ("0", "0", "1"),
-               (0.0, 0.0, 1 + 0j), (0.0, 1.0), None]
+               (0.0, 0.0, 1 + 0j), (0.0, 1.0), None, RAGGED_VECTORS]
 
 
 VECTOR_CASES = [
@@ -223,3 +232,63 @@ def test_an_array_of_vectors_keeps_its_leading_shape():
     assert dispersion(q, CondensateParams(**CONDENSATE)).shape == (2, 4)
     with pytest.raises(ParameterDomainError, match=r"^q must be a finite real 3-vector"):
         check_vector(q, "q", single=True)
+
+
+# ------------------------------------------------------------------ arrays
+
+OFF_UNIT = (0.0, 0.0, 1.0 + 1e-8)
+
+
+def _map(directions=((0.0, 0.0, 1.0),), magnitudes=(1.0,)):
+    return stability_map(CondensateParams(**CONDENSATE), directions, magnitudes)
+
+
+def _condensate_state(t):
+    return CondensateState(np.zeros(GRID.shape, complex), t, GpeParams(**GPE))
+
+
+# (case id, call taking the value, what the message begins with, values refused)
+ARRAY_CASES = [
+    ("stability_map.magnitudes", lambda v: _map(magnitudes=v), "magnitudes must hold finite real numbers",
+     ([True, False], ["1e4"], [1 + 1j], [NAN])),
+    ("stability_map.magnitudes", lambda v: _map(magnitudes=v), "magnitudes must be a regular array",
+     ([[1.0, 2.0], [3.0]],)),
+    ("CondensateState.t", _condensate_state, "t must be a finite real number", (True, NAN, "0", 1j)),
+    ("stability_map.directions", lambda v: _map(directions=[v]),
+     "directions must hold unit vectors within 1e-09", (OFF_UNIT,)),
+    ("critical_wavenumber.direction", lambda v: critical_wavenumber(v, CondensateParams(**CONDENSATE)),
+     "direction must be a unit vector within 1e-09", (OFF_UNIT,)),
+]
+
+
+@pytest.mark.parametrize("call, message, value", _refusals(ARRAY_CASES))
+def test_array_parameter_is_refused_by_name(call, message, value):
+    with pytest.raises(ParameterDomainError) as info:
+        call(value)
+    assert str(info.value).startswith(message)
+
+
+def test_unit_tolerances_stay_at_their_sites():
+    near = (0.0, 0.0, 1.0 + 1e-10)
+    assert _map(directions=[near]).nu.shape == (1, 1)
+    assert critical_wavenumber(near, CondensateParams(**CONDENSATE)) is None
+    for call in (lambda: _kernel(orientation=near), lambda: CondensateParams(**CONDENSATE, orientation=near)):
+        with pytest.raises(ParameterDomainError, match=r"^orientation must be a unit vector within 1e-12"):
+            call()
+    assert check_unit_vector([(0, 0, 1), (0, 1, 0)], "d").dtype == float
+
+
+def test_int_magnitudes_and_times_are_stored_as_floats():
+    smap = _map(magnitudes=[0, 2])
+    assert smap.magnitudes.dtype == float and smap.magnitudes.tolist() == [0.0, 2.0]
+    assert type(_condensate_state(np.int64(3)).t) is float
+    with pytest.raises(ParameterDomainError, match=r"^magnitudes must be finite and non-negative"):
+        _map(magnitudes=[1.0, -1.0])
+
+
+def test_check_shape_hands_back_the_array_it_checks_without_reading_it():
+    phi = np.full(GRID.shape, NAN, complex)
+    assert check_shape(phi, GRID.shape, "phi", complex) is phi
+    assert check_shape(phi[:, :, :4], (8, 8, 4), "phi").base is phi
+    with pytest.raises(GridMismatchError, match=r"^phi shape \(8, 8, 4\) does not match \(8, 8, 8\)"):
+        check_shape(phi[:, :, :4], GRID.shape, "phi")
