@@ -153,15 +153,20 @@ def rfft_planes(a: np.ndarray, out: np.ndarray, workers: int) -> np.ndarray:
     return out
 
 
-def irfft_planes(spec: np.ndarray, n: int, out: np.ndarray, workers: int) -> np.ndarray:
+def irfft_planes(spec: np.ndarray, n: int, out: np.ndarray, workers: int,
+                 peaks: np.ndarray | None = None) -> np.ndarray:
     """ifft over axis 1 and irfft to last-axis length n of spec, into the real out; overwrites spec.
 
     out may be spec's padded real view spec.view(float)[:, :, :n], which
-    makes the pass in place.
+    makes the pass in place. peaks, if given, a float array of one entry
+    per axis-0 plane, receives max |out| of each plane, reduced while the
+    chunk is in cache; a plane with a NaN gets NaN.
     """
     def planes(w: int, s: slice) -> None:
         np.fft.ifft(spec[s], axis=1, out=spec[s])
         np.fft.irfft(spec[s], n=n, axis=2, out=out[s])
+        if peaks is not None:
+            np.abs(out[s]).max(axis=(1, 2), out=peaks[s])
 
     sweep(planes, spec.shape[0], spec[0].nbytes, workers, _PADDED_CHUNK_BYTES)
     return out

@@ -314,9 +314,10 @@ def _cmd_evolve(run: _Run) -> int:
     params = _gpe_params(run)
     dt = run.require("run.dt")
     t_final = run.require("run.t_final")
-    state = _initial_state(run, params)
-    result = evolve(state, dt, t_final,
-                    observer_stride=run.cfg.get("run.observer_stride"), workers=run.threads)
+    # the initial state is built for this run alone, so the run steps in it
+    result = evolve(_initial_state(run, params), dt, t_final,
+                    observer_stride=run.cfg.get("run.observer_stride"), workers=run.threads,
+                    consume=True)
 
     rows = [(o.t, o.norm, o.energy_total, o.kinetic_perp, o.kinetic_z, o.dipolar,
              o.peak_density, *o.center_of_mass, *o.variance) for o in result.observables]
@@ -462,9 +463,9 @@ def _check_free_spreading(workers: int = 1) -> tuple[str, float, bool]:
     spec = KernelSpec(orientation=(0.0, 0.0, 1.0), strength=1.0)
     table = kernel_table_fourier(grid, spec, workers=workers)
     params = GpeParams(m_perp=1.0, m_par=1.0, sin2_theta=0.0, table=table, hbar=1.0)
-    state = init_state("gaussian", params, widths=(1.0, 1.0, 1.0))
     t_final = 0.5
-    result = evolve(state, 0.01, t_final, observer_stride=50, workers=workers)
+    result = evolve(init_state("gaussian", params, widths=(1.0, 1.0, 1.0)), 0.01, t_final,
+                    observer_stride=50, workers=workers, consume=True)
     measured = result.observables[-1].variance[0]
     expected = 1.0 + (t_final / 2.0) ** 2
     err = abs(measured - expected) / expected

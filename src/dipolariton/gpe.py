@@ -26,14 +26,21 @@ its first convolution, together with one chunk scratch per worker that
 every sweep shares. |phi|^2 goes into the padded real view of the
 convolution buffer, and the real-to-complex transform, the product with
 the kernel table and the complex-to-real transform all run in place there,
-so the view ends up holding eps conv |phi|^2, unscaled. SplitStep.run
-copies the caller's state into a new field buffer, never writes the
-caller's state, and steps the field buffer in place; the returned final
-state takes it over. Because the potential phase leaves |phi|^2 unchanged, the
-convolution at the end of one step is the one the next step opens with: n
-steps cost n + 1 density convolutions instead of 2n, and when no visitor
-reads the state between two steps, the closing half of the first and the
-opening half of the second are one rotation by twice the angle.
+so the view ends up holding eps conv |phi|^2, unscaled; the
+complex-to-real pass also leaves the largest |eps conv |phi|^2| of each x
+plane, which the step-size guard reads. SplitStep.run copies the caller's
+state into a new field buffer, never writes the caller's state, and steps
+the field buffer in place; the returned final state takes it over. A
+caller that drops its state anyway hands it over with consume=True: a
+C-contiguous writable field is then the field buffer itself, stepped in
+place, so the run holds one complex grid where the copy holds two. The
+CLI, the self-test and linear_response_experiment build their start
+states for the run alone and hand them over. Because the potential phase
+leaves |phi|^2 unchanged, the convolution at the end of one step is the
+one the next step opens with: n steps cost n + 1 density convolutions
+instead of 2n, and when no visitor reads the state between two steps, the
+closing half of the first and the opening half of the second are one
+rotation by twice the angle.
 
 A step is a few sweeps (dipolariton._fft), each of which reads a chunk of
 about 1 MiB once and does all its work on it while it is in cache:
@@ -276,10 +283,13 @@ class SplitStep:
     angle, and the FFT worker count, an integer >= 1. It owns a
     convolution buffer, the half spectrum of the kernel table's shape, and
     one chunk scratch per worker that every sweep shares, both allocated at
-    its first convolution. A run binds a new field buffer, which its final
-    state takes over, for its duration only, and refuses re-entry. _conv,
-    the padded real view of the convolution buffer, is bound once with the
-    buffer; during a run it holds eps conv |phi|^2 of the field buffer.
+    its first convolution. A run binds a field buffer, which its final
+    state takes over, for its duration only, and refuses re-entry: a new
+    copy of the start field, or with consume=True the start field itself
+    when it is C-contiguous and writable. _conv, the padded real view of
+    the convolution buffer, and _peaks, one entry per x plane, are bound
+    once with the buffer; during a run _conv holds eps conv |phi|^2 of the
+    field buffer and _peaks its largest |value| in each plane.
     run steps the field buffer in place and fuses the closing half-step of
     one step with the opening half-step of the next into one rotation by
     twice the angle, except where a visitor reads the state or the run
@@ -296,13 +306,15 @@ class SplitStep:
         self.dt = dt
         self._kinetic = _kinetic_factors(params, dt)
         self._kernel_factor = -0.5 * dt * params.sin2_theta
-        self._phi = self._buf = self._conv = self._scratch = self._visited = None
+        self._phi = self._buf = self._conv = self._peaks = self._scratch = self._visited = None
 
     def _density(self, phi: np.ndarray) -> None:
-        """|phi|^2 into _conv, allocating the convolution buffer, its view _conv and the scratch on first use."""
+        """|phi|^2 into _conv, allocating the convolution buffer, its view _conv, the per-plane
+        peaks of the convolution and the scratch on first use."""
         if self._buf is None:
             self._buf = np.empty(self.params.table.coeffs.shape, dtype=complex)
             self._conv = self._buf.view(float)[:, :, : phi.shape[2]]
+            self._peaks = np.empty(phi.shape[0])
             self._scratch = _fft.new_scratch(phi.shape, self.workers)
         rho = self._conv
 
@@ -316,10 +328,13 @@ class SplitStep:
 
         That is |kernel factor| max|eps conv rho|, which is NaN or inf when
         rho is not finite, since one bad sample spreads to every convolved one.
+        The complex-to-real pass of the convolution reduces max|eps conv rho|
+        per x plane into _peaks; numpy's max of those keeps a NaN, where
+        Python's max would drop it.
         """
-        conv = convolve_density(self.params.table, self._conv, self.workers,
-                                buffer=self._buf, scratch=self._scratch)
-        return abs(self._kernel_factor) * max(float(conv.max()), -float(conv.min()))
+        convolve_density(self.params.table, self._conv, self.workers,
+                         buffer=self._buf, scratch=self._scratch, peaks=self._peaks)
+        return abs(self._kernel_factor) * float(self._peaks.max())
 
     def _rotate(self, w: int, s: slice, turns: float) -> None:
         """Multiply the planes s of the field by exp(i turns angle), in scratch row w.
@@ -390,7 +405,8 @@ class SplitStep:
         """One Strang step: half potential, exact kinetic in Fourier, half potential."""
         return self.run(state, 1)
 
-    def run(self, state: CondensateState, n_steps: int, visit=None, every: int = 1) -> CondensateState:
+    def run(self, state: CondensateState, n_steps: int, visit=None, every: int = 1, *,
+            consume: bool = False) -> CondensateState:
         """Take n_steps from state, calling visit(i, current) at step 0, every every-th step and the last.
 
         The stepping loop of the module: pass i = 0 ... n_steps convolves (the
@@ -399,14 +415,25 @@ class SplitStep:
         a CondensateState over a read-only view of the field buffer at
         state.t + i dt, valid only during the call; observables(current,
         self) reads the convolution the run holds for it. A run entered from
-        a visitor of this propagator's run is refused (ParameterDomainError).
+        a visitor of this propagator's run is refused (ParameterDomainError)
+        before it touches either state.
+
+        The field buffer is a copy of state.phi, and state is left as it
+        was. With consume=True a state.phi that is C-contiguous and
+        writable is the field buffer itself, which saves a field-sized copy:
+        it ends as the final field, or partly stepped if run raises. Any
+        other state.phi is copied as without consume. The returned state
+        wraps the field buffer.
         """
         n_steps, every = check_count(n_steps, "n_steps"), check_count(every, "every")
         if state.params is not self.params:
             raise ParameterDomainError("state and propagator were built from different params")
         if self._phi is not None:
             raise ParameterDomainError("a run of this propagator is in progress; use another SplitStep")
-        self._phi = phi = state.phi.copy()
+        phi = state.phi
+        if not (consume and phi.flags.c_contiguous and phi.flags.writeable):
+            phi = phi.copy()
+        self._phi = phi
         view = phi.view()
         view.flags.writeable = False
 
@@ -567,6 +594,7 @@ def evolve(
     observer_stride: int = 10,
     *,
     workers: int = 1,
+    consume: bool = False,
 ) -> EvolveResult:
     """Step until t_final, recording observables every observer_stride steps.
 
@@ -577,6 +605,9 @@ def evolve(
     for the start state). workers is the FFT worker count of the propagator,
     whose run visits state.t, every observer_stride-th step and the last,
     and whose convolutions and worker count the observables use too.
+    consume goes to SplitStep.run: with True, a C-contiguous writable
+    state.phi is stepped in place and ends as the final field (partly
+    stepped if the run raises); by default state is left as it was.
     """
     prop = SplitStep(state.params, dt, workers)
     span = check_real(t_final, "t_final") - state.t
@@ -584,7 +615,7 @@ def evolve(
     check_count(observer_stride, "observer_stride")
     obs = []
     final = prop.run(state, n_steps, lambda i, current: obs.append(observables(current, prop)),
-                     every=observer_stride)
+                     every=observer_stride, consume=consume)
     return EvolveResult(final=final, observables=tuple(obs))
 
 
@@ -751,7 +782,6 @@ def linear_response_experiment(
                 f"duration = {duration} is {n_steps} steps dt = {dt}; "
                 f"the response fit needs at least {_MIN_RESPONSE_STEPS}"
             )
-    state = init_state("perturbed_plane_wave", params, n0=n0, delta=delta, q=q)
     prop = SplitStep(params, dt, workers)
     waves = _plane_waves(idx, grid)
     dv = grid.cell_volume
@@ -761,7 +791,8 @@ def linear_response_experiment(
     def record(i: int, current: CondensateState):
         amps[i] = _density_mode_amplitude(current.phi, waves, dv)
 
-    prop.run(state, n_steps, record)
+    prop.run(init_state("perturbed_plane_wave", params, n0=n0, delta=delta, q=q), n_steps, record,
+             consume=True)
     if amps[0] == 0.0:
         raise FitFailureError("seeded mode has zero initial amplitude")
     nu_fit, rel_resid = _fit_mode(times, np.real(amps))

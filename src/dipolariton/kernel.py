@@ -226,7 +226,8 @@ def kernel_table_fourier(
 
 def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
                      buffer: np.ndarray | None = None,
-                     scratch: np.ndarray | None = None) -> np.ndarray:
+                     scratch: np.ndarray | None = None,
+                     peaks: np.ndarray | None = None) -> np.ndarray:
     """Convolve a real density with the kernel through the Fourier table.
 
     Returns the frequency-shift field sum_r' eps(r - r') rho(r') dV,
@@ -236,12 +237,18 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
     buffer, and rho may be that view itself. The transforms along x and the
     product are one sweep of axis-1 slabs through scratch (from
     _fft.new_scratch; a new one if None), on workers threads, an integer >= 1.
+    peaks, if given, a float array of one entry per x plane, receives the
+    largest |convolution| of each plane from the complex-to-real pass, so
+    that a guard on the potential needs no pass of its own; a plane with a
+    NaN gets NaN.
     """
     workers = check_count(workers, "worker count")
     rho = check_shape(rho, table.grid.shape, "rho")
     if buffer is None:
         buffer = np.empty(table.coeffs.shape, dtype=complex)
     check_shape(buffer, table.coeffs.shape, "buffer")
+    if peaks is not None:
+        check_shape(peaks, rho.shape[:1], "peaks")
     _fft.rfft_planes(rho, buffer, workers)
 
     # a non-finite density gives inf * 0 at the table's zeros; the NaNs that
@@ -254,7 +261,7 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
 
     _fft.x_lines(buffer, product, workers, scratch)
     nz = rho.shape[-1]
-    return _fft.irfft_planes(buffer, nz, buffer.view(float)[:, :, :nz], workers)
+    return _fft.irfft_planes(buffer, nz, buffer.view(float)[:, :, :nz], workers, peaks)
 
 
 def direct_convolution_reference(grid: GridSpec, spec: KernelSpec, rho: np.ndarray) -> np.ndarray:

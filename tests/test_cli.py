@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +456,26 @@ def test_evolve_records_the_library_observables_of_the_config_as_given(tmp_path,
     expected = (o.t, o.norm, o.energy_total, o.kinetic_perp, o.kinetic_z, o.dipolar,
                 o.peak_density, *o.center_of_mass, *o.variance)
     assert rows[0] == [fmt(v) for v in expected]
+
+
+def test_evolve_keeps_no_copy_of_the_initial_state(tmp_path, capsys):
+    # a 64^3 variant of the shipped example; in field sizes the run holds the
+    # field (1), the convolution buffer (0.51), the kernel table (0.26) and a
+    # 1 MiB scratch row (0.25), plus chunk-sized temporaries. A copy of the
+    # initial state kept beside the field buffer would add 1
+    text = (CONFIGS / "evolve.cfg").read_text()
+    for key, value in (("grid.dims", "64 64 64"), ("run.gaussian_widths", "4e-7 4e-7 4e-7"),
+                       ("run.t_final", "4e-9 s"), ("run.observer_stride", "2")):
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+    cfg, out = write_cfg(tmp_path, text), str(tmp_path / "o")
+    tracemalloc.start()
+    try:
+        assert main(["evolve", "--config", cfg, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 64**3 * 16
+    assert read_field(out + "/final_field.bin")[1].dims == (64, 64, 64)
 
 
 # ------------------------------------------------------------------ respond

@@ -589,6 +589,67 @@ def test_visitor_state_is_read_only_and_the_callers_state_is_kept():
     assert final.phi.flags.writeable and not np.shares_memory(final.phi, st.phi)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("every", [1, 5], ids=["unfused", "fused"])
+def test_a_consumed_run_steps_in_the_callers_array(workers, every):
+    # 32 x 64 x 64 is 2 MiB of field: two chunks per sweep, which 2 threads
+    # split; every = 5 fuses the half-steps between visits, every = 1 does not
+    p = _offaxis_cutoff_params(GridSpec(dims=(32, 64, 64), spacings=(0.25, 0.25, 0.25)))
+    st = CondensateState(random_complex(p.grid.shape, 4) * 0.5, 0.0, p)
+    ignore = lambda i, current: None
+    want = gpe.SplitStep(p, 0.01, workers).run(st, 10, ignore, every=every)
+    phi = st.phi.copy()
+    got = gpe.SplitStep(p, 0.01, workers).run(CondensateState(phi, 0.0, p), 10, ignore,
+                                              every=every, consume=True)
+    assert got.phi is phi
+    assert np.array_equal(got.phi, want.phi) and got.t == want.t
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided", "visited"])
+def test_a_consumed_run_copies_a_field_it_cannot_step_in(layout):
+    # only a C-contiguous writable field is stepped in place; any other is
+    # copied, as without consume, and left as it was
+    p = make_params(grid16(), 0.5)
+    g = init_state("gaussian", p, widths=(1.0, 1.1, 0.9)).phi * 3.0
+    want = gpe.SplitStep(p, 0.02).run(CondensateState(g, 0.0, p), 4).phi
+    got = []
+
+    def consume(state):
+        before = state.phi.copy()
+        final = gpe.SplitStep(p, 0.02).run(state, 4, consume=True)
+        assert np.array_equal(state.phi, before) and not np.shares_memory(final.phi, state.phi)
+        got.append(final.phi)
+
+    if layout == "visited":
+        # a visitor's current is a read-only view of another run's field buffer
+        gpe.SplitStep(p, 0.02).run(CondensateState(g, 0.0, p), 1,
+                                   lambda i, current: consume(current) if i == 0 else None)
+    elif layout == "fortran":
+        consume(CondensateState(np.asfortranarray(g), 0.0, p))
+    else:
+        wide = np.zeros((16, 16, 32), dtype=complex)
+        wide[:, :, ::2] = g
+        consume(CondensateState(wide[:, :, ::2], 0.0, p))
+    assert len(got) == 1 and np.array_equal(got[0], want)
+
+
+def test_a_consumed_run_from_a_visitor_of_the_same_propagator_is_refused_before_any_write():
+    p = make_params(grid16(), 0.5)
+    g = init_state("gaussian", p, widths=(1.0, 1.1, 0.9)).phi * 3.0
+    other = init_state("gaussian", p, widths=(0.9, 1.0, 1.1))
+    before = other.phi.copy()
+    prop = gpe.SplitStep(p, 0.02)
+
+    def visit(i, current):
+        with pytest.raises(ParameterDomainError, match="in progress"):
+            prop.run(other, 1, consume=True)
+        assert np.array_equal(other.phi, before)
+
+    got = prop.run(CondensateState(g.copy(), 0.0, p), 4, visit, consume=True)
+    want = gpe.SplitStep(p, 0.02).run(CondensateState(g, 0.0, p), 4, lambda i, current: None)
+    assert np.array_equal(got.phi, want.phi)
+
+
 def test_fused_half_steps_match_visited_steps():
     # every = 5 fuses the half-steps between visits, every = 1 rotates twice
     p = _offaxis_cutoff_params()
@@ -726,20 +787,22 @@ def test_separable_gaussian_matches_the_full_grid_formula():
     assert not np.any(got.imag)
 
 
-def test_evolve_peak_memory_above_the_held_state():
-    # in field sizes: the propagator's field buffer (1) and its padded half
-    # spectrum (about 0.51), which holds |phi|^2 and then its convolution,
-    # plus chunk-sized temporaries
+@pytest.mark.parametrize("consume, bound", [(False, 2.0), (True, 1.0)], ids=["copy", "consume"])
+def test_evolve_peak_memory_above_the_held_state(consume, bound):
+    # in field sizes: the propagator's field buffer (1, none when the run
+    # consumes the held state) and its padded half spectrum (about 0.51),
+    # which holds |phi|^2 and then its convolution, plus chunk-sized
+    # temporaries
     grid = GridSpec(dims=(96, 96, 96), spacings=(0.5, 0.5, 0.5))
     p = make_params(grid, 0.5)
     st = init_state("gaussian", p, widths=(4.0, 4.0, 4.0))
     tracemalloc.start()
     try:
-        evolve(st, 0.01, 0.04, observer_stride=4)
+        evolve(st, 0.01, 0.04, observer_stride=4, consume=consume)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * st.phi.nbytes
+    assert peak <= bound * st.phi.nbytes
 
 
 def test_kinetic_phase_is_the_largest_on_the_grid():

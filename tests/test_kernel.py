@@ -207,6 +207,25 @@ def test_convolution_in_a_given_buffer(method):
         convolve_density(table, rho, buffer=np.empty(grid.shape, dtype=complex))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_convolution_reports_the_largest_magnitude_of_each_plane(workers):
+    # the complex-to-real pass reduces max |conv| per x plane, over 2 MiB of
+    # half spectrum that 2 threads split, and leaves the convolution as it is
+    grid = GridSpec(dims=(64, 64, 64), spacings=(0.4, 0.4, 0.4))
+    table = kernel_table_fourier(grid, KernelSpec(orientation=Z_AXIS, strength=1.1))
+    rho = np.random.default_rng(12).random(grid.shape)
+    peaks = np.empty(64)
+    got = convolve_density(table, rho, workers, peaks=peaks)
+    assert np.array_equal(got, convolve_density(table, rho))
+    assert np.array_equal(peaks, np.abs(got).max(axis=(1, 2)))
+    # one bad sample spreads to every convolved one, and numpy's max keeps the NaN
+    rho[40, 3, 5] = np.nan
+    convolve_density(table, rho, workers, peaks=peaks)
+    assert np.all(np.isnan(peaks))
+    with pytest.raises(GridMismatchError):
+        convolve_density(table, rho, peaks=np.empty(63))
+
+
 def test_lattice_table_matches_direct_summation_with_cutoff():
     grid = GridSpec(dims=(12, 12, 12), spacings=(0.4, 0.4, 0.4))
     spec = KernelSpec(orientation=Z_AXIS, strength=1.1, cutoff_radius=0.6)
