@@ -79,11 +79,6 @@ class CondensateParams:
     def axis(self) -> np.ndarray:
         return np.asarray(self.orientation)
 
-    @property
-    def alpha(self) -> complex:
-        """Longitudinal-to-transverse mass ratio."""
-        return self.m_par / self.m_perp
-
 
 def _check_masses(params) -> None:
     """Check and store m_perp, m_par (nonzero complex) and hbar of CondensateParams or GpeParams."""

@@ -4,10 +4,13 @@ One assignment per line; `#` starts a comment. Values are numbers, vectors
 (whitespace-separated components) or words, optionally followed by one unit
 token. Every key carries a dimension from the table below; a bare number
 means the canonical SI unit of that dimension, and any other accepted unit of
-the same dimension converts on read. A unit token outside the key's dimension
-is a hard error naming the key, as are unknown keys (with a nearest-key
-suggestion), duplicate keys and malformed lines, all reported with line
-numbers.
+the same dimension converts on read. Every key also has a value kind, and
+one rule reads all kinds from a table of token count and token type: a
+unit outside the key's dimension (or any unit on a key that takes none), a
+missing value, a wrong count, a word outside the key's choices and a token
+of the wrong type are each a hard error naming the key, as are unknown keys
+(with a nearest-key suggestion), duplicate keys and malformed lines, all
+reported with line numbers.
 
 Sections: medium (the EIT parameters, one key per MediumParams field),
 kernel (dipole axis, coupling strength and cutoffs), grid (lattice), run
@@ -46,7 +49,7 @@ UNIT_TABLE: dict[str, dict[str, float]] = {
 
 @dataclass(frozen=True)
 class _Key:
-    kind: str  # float | int | word | vec3 | ivec3 | floats
+    kind: str  # a key of _KINDS
     dimension: str = "none"
     default: Any = None  # None: the key has no default
     choices: tuple[str, ...] | None = None
@@ -106,59 +109,44 @@ def _is_number(token: str) -> bool:
         return False
 
 
+# per kind: token count (None: any), what the count refusal calls that count, token type
+_KINDS: dict[str, tuple[int | None, str, type]] = {
+    "float": (1, "one number", float),
+    "int": (1, "one integer", int),
+    "word": (1, "one word", str),
+    "vec3": (3, "3 components", float),
+    "ivec3": (3, "3 components", int),
+    "floats": (None, "", float),
+}
+_TOKEN_NOUN = {float: "a number", int: "an integer"}
+
+
 def _convert(key: str, info: _Key, tokens: list[str], line_no: int) -> Any:
+    count, counted, kind = _KINDS[info.kind]
+    where = f"line {line_no}: {key}"
     unit_factor = 1.0
-    if tokens and not _is_number(tokens[-1]) and info.kind not in ("word",):
+    if kind is not str and tokens and not _is_number(tokens[-1]):
         unit = tokens.pop()
         allowed = UNIT_TABLE[info.dimension]
+        if not allowed:
+            raise UnitError(f"{where}: takes no unit, got '{unit}'")
         if unit not in allowed:
-            options = ", ".join(sorted(allowed)) if allowed else "no unit"
-            raise UnitError(
-                f"line {line_no}: {key}: unit '{unit}' is not a {info.dimension} unit "
-                f"(accepted: {options})"
-            )
+            raise UnitError(f"{where}: unit '{unit}' is not a {info.dimension} unit "
+                            f"(accepted: {', '.join(sorted(allowed))})")
         unit_factor = allowed[unit]
     if not tokens:
-        raise ConfigError(f"line {line_no}: {key}: missing value")
-
-    def as_float(tok: str) -> float:
+        raise ConfigError(f"{where}: missing value")
+    if count is not None and len(tokens) != count:
+        raise ConfigError(f"{where}: expected {counted}, got {len(tokens)}")
+    if info.choices and tokens[0] not in info.choices:
+        raise ConfigError(f"{where}: '{tokens[0]}' is not one of {', '.join(info.choices)}")
+    values = []
+    for tok in tokens:
         try:
-            return float(tok) * unit_factor
+            values.append(kind(tok) * unit_factor if kind is float else kind(tok))
         except ValueError:
-            raise ConfigError(f"line {line_no}: {key}: '{tok}' is not a number") from None
-
-    def as_int(tok: str) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise ConfigError(f"line {line_no}: {key}: '{tok}' is not an integer") from None
-
-    if info.kind == "float":
-        if len(tokens) != 1:
-            raise ConfigError(f"line {line_no}: {key}: expected one number, got {len(tokens)}")
-        return as_float(tokens[0])
-    if info.kind == "int":
-        if len(tokens) != 1:
-            raise ConfigError(f"line {line_no}: {key}: expected one integer")
-        return as_int(tokens[0])
-    if info.kind == "word":
-        if len(tokens) != 1:
-            raise ConfigError(f"line {line_no}: {key}: expected one word")
-        word = tokens[0]
-        if info.choices and word not in info.choices:
-            raise ConfigError(
-                f"line {line_no}: {key}: '{word}' is not one of {', '.join(info.choices)}"
-            )
-        return word
-    if info.kind in ("vec3", "ivec3"):
-        if len(tokens) != 3:
-            raise ConfigError(f"line {line_no}: {key}: expected 3 components, got {len(tokens)}")
-        if info.kind == "ivec3":
-            return tuple(as_int(t) for t in tokens)
-        return tuple(as_float(t) for t in tokens)
-    if info.kind == "floats":
-        return tuple(as_float(t) for t in tokens)
-    raise ConfigError(f"line {line_no}: {key}: unhandled kind {info.kind}")
+            raise ConfigError(f"{where}: '{tok}' is not {_TOKEN_NOUN[kind]}") from None
+    return values[0] if count == 1 else tuple(values)
 
 
 @dataclass(frozen=True)

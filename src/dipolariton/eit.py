@@ -180,12 +180,6 @@ class MarginReport:
     def all_pass(self) -> bool:
         return all(r.passed for r in self.ratios)
 
-    def __getitem__(self, name: str) -> MarginRatio:
-        for r in self.ratios:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
 
 def adiabaticity_margins(
     params: MediumParams,

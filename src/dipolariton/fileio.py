@@ -8,6 +8,8 @@ plus os.replace, so readers never observe a half-written file.
 
 Complex 3-d fields use a one-line text header followed by little-endian
 complex128; kernel coefficient tables the same with their float64 half spectrum.
+One writer and one reader handle that header for both: the magic word, the
+grid, then the format's own words.
 """
 
 from __future__ import annotations
@@ -136,6 +138,12 @@ def _read_binary(path: str, magic: str, what: str, dtype: str, fields: Sequence[
     return parts, grid, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
+def _write_binary(path: str, magic: str, grid: GridSpec, words: Sequence, payload) -> None:
+    """Header line magic, nx ny nz dx dy dz, words (each through _g), as _read_binary reads; payload."""
+    header = _g((magic, *grid.dims, *grid.spacings, *words)) + "\n"
+    _atomic_write(path, header.encode(), payload)
+
+
 def write_field(path: str, field: np.ndarray, grid: GridSpec, t: float = 0.0) -> None:
     """Binary complex field: text header line, then '<c16' in C order.
 
@@ -144,11 +152,7 @@ def write_field(path: str, field: np.ndarray, grid: GridSpec, t: float = 0.0) ->
     GridMismatchError.
     """
     arr = np.ascontiguousarray(check_shape(field, grid.shape, "field", "<c16"))
-    nx, ny, nz = grid.dims
-    dx, dy, dz = grid.spacings
-    header = (f"{_FIELD_MAGIC} {nx} {ny} {nz} "
-              f"{_g(dx)} {_g(dy)} {_g(dz)} {_g(t)}\n")
-    _atomic_write(path, header.encode(), arr)
+    _write_binary(path, _FIELD_MAGIC, grid, (t,), arr)
 
 
 def read_field(path: str) -> tuple[np.ndarray, GridSpec, float]:
@@ -161,17 +165,10 @@ def read_field(path: str) -> tuple[np.ndarray, GridSpec, float]:
 
 def write_kernel_table(path: str, table: FourierTable) -> None:
     """Binary kernel coefficients: text header line, then the half spectrum as '<f8' in C order."""
-    grid = table.grid
     spec = table.spec
-    nx, ny, nz = grid.dims
-    dx, dy, dz = grid.spacings
-    ox, oy, oz = spec.orientation
-    header = (f"{_KERNEL_MAGIC} {nx} {ny} {nz} "
-              f"{_g(dx)} {_g(dy)} {_g(dz)} "
-              f"{_g(ox)} {_g(oy)} {_g(oz)} "
-              f"{_g(spec.strength)} {_g(spec.cutoff_radius)} "
-              f"{_g(table.sphere_radius)} {table.method}\n")
-    _atomic_write(path, header.encode(), np.ascontiguousarray(table.coeffs, dtype="<f8"))
+    words = (*spec.orientation, spec.strength, spec.cutoff_radius, table.sphere_radius, table.method)
+    _write_binary(path, _KERNEL_MAGIC, table.grid, words,
+                  np.ascontiguousarray(table.coeffs, dtype="<f8"))
 
 
 def read_kernel_table(path: str) -> FourierTable:

@@ -28,13 +28,10 @@ convolution buffer, and the real-to-complex transform, the product with
 the kernel table and the complex-to-real transform all run in place there,
 so the view ends up holding eps conv |phi|^2, unscaled; the
 complex-to-real pass also leaves the largest |eps conv |phi|^2| of each x
-plane, which the step-size guard reads. SplitStep.run copies the caller's
-state into a new field buffer, never writes the caller's state, and steps
-the field buffer in place; the returned final state takes it over. A
-caller that drops its state anyway hands it over with consume=True: a
-C-contiguous writable field is then the field buffer itself, stepped in
-place, so the run holds one complex grid where the copy holds two. The
-CLI, the self-test and linear_response_experiment build their start
+plane, which the step-size guard reads. SplitStep.run steps its field
+buffer in place, and the returned final state takes it over; its
+docstring states when that buffer is the caller's own array (consume).
+The CLI, the self-test and linear_response_experiment build their start
 states for the run alone and hand them over. Because the potential phase
 leaves |phi|^2 unchanged, the convolution at the end of one step is the
 one the next step opens with: n steps cost n + 1 density convolutions
@@ -283,13 +280,12 @@ class SplitStep:
     angle, and the FFT worker count, an integer >= 1. It owns a
     convolution buffer, the half spectrum of the kernel table's shape, and
     one chunk scratch per worker that every sweep shares, both allocated at
-    its first convolution. A run binds a field buffer, which its final
-    state takes over, for its duration only, and refuses re-entry: a new
-    copy of the start field, or with consume=True the start field itself
-    when it is C-contiguous and writable. _conv, the padded real view of
-    the convolution buffer, and _peaks, one entry per x plane, are bound
-    once with the buffer; during a run _conv holds eps conv |phi|^2 of the
-    field buffer and _peaks its largest |value| in each plane.
+    its first convolution. A run binds a field buffer (see run), which its
+    final state takes over, for its duration only, and refuses re-entry.
+    _conv, the padded real view of the convolution buffer, and _peaks, one
+    entry per x plane, are bound once with the buffer; during a run _conv
+    holds eps conv |phi|^2 of the field buffer and _peaks its largest
+    |value| in each plane.
     run steps the field buffer in place and fuses the closing half-step of
     one step with the opening half-step of the next into one rotation by
     twice the angle, except where a visitor reads the state or the run
@@ -605,9 +601,7 @@ def evolve(
     for the start state). workers is the FFT worker count of the propagator,
     whose run visits state.t, every observer_stride-th step and the last,
     and whose convolutions and worker count the observables use too.
-    consume goes to SplitStep.run: with True, a C-contiguous writable
-    state.phi is stepped in place and ends as the final field (partly
-    stepped if the run raises); by default state is left as it was.
+    consume goes to SplitStep.run, which states what it does.
     """
     prop = SplitStep(state.params, dt, workers)
     span = check_real(t_final, "t_final") - state.t

@@ -103,7 +103,7 @@ def kernel_value(r, spec: KernelSpec) -> np.ndarray:
     rn = np.linalg.norm(r, axis=-1)
     if spec.cutoff_radius == 0.0 and np.any(rn == 0.0):
         raise ParameterDomainError("kernel diverges at r = 0; set a positive cutoff_radius")
-    inside = rn >= spec.cutoff_radius if spec.cutoff_radius > 0 else np.ones_like(rn, bool)
+    inside = rn >= spec.cutoff_radius
     safe = np.where(rn > 0, rn, 1.0)
     cos_phi = (r @ spec.axis) / safe
     out = spec.strength * (1.0 - 3.0 * cos_phi**2) / safe**3

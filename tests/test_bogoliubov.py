@@ -450,4 +450,4 @@ def test_condensate_params_validation():
         CondensateParams(m_perp=1.0, m_par=1.0, c_dd=0.5,
                          orientation=(0.0, 0.0, 1.0 + 1e-11))
     p = CondensateParams(m_perp=2.0, m_par=0.5 + 0.25j, c_dd=0.5, hbar=1.0)
-    assert p.alpha == (0.5 + 0.25j) / 2.0
+    assert (p.m_perp, p.m_par) == (2.0, 0.5 + 0.25j)

@@ -163,14 +163,67 @@ def test_malformed_lines_rejected():
         parse_config("run.dt 0.5\n")
     with pytest.raises(ConfigError, match="missing value"):
         parse_config("run.dt =\n")
-    with pytest.raises(ConfigError, match="expected 3 components, got 2"):
-        parse_config("grid.dims = 16 16\n")
-    with pytest.raises(ConfigError, match="'aa' is not an integer"):
-        parse_config("grid.dims = aa 16 16\n")
-    with pytest.raises(ConfigError, match="'aa' is not a number"):
-        parse_config("grid.spacings = aa 0.5 0.5\n")
-    with pytest.raises(ConfigError, match="is not one of uniform, gaussian"):
-        parse_config("run.init = vortex\n")
+
+
+_NO_UNIT = (UnitError, "takes no unit, got '{}'")
+# per value kind: a good value, a wrong count, a bad token, a unit on a unit-less key and an
+# unknown unit; words take no unit token, so a trailing one is a second word
+VALUE_RULE = {
+    "float": [("medium.gamma = 1e7 1/s", 1e7),
+              ("medium.gamma = 1 2", (ConfigError, "expected one number, got 2")),
+              ("medium.gamma = aa 1/s", (ConfigError, "'aa' is not a number")),
+              ("medium.n_atoms = 1e10 m", _NO_UNIT),
+              ("medium.gamma = 1e7 um",
+               (UnitError, "unit 'um' is not a frequency unit (accepted: 1/s, rad/s)"))],
+    "int": [("run.n_polar = 7", 7),
+            ("run.n_polar = 7 8", (ConfigError, "expected one integer, got 2")),
+            ("run.n_polar = 7.5", (ConfigError, "'7.5' is not an integer")),
+            ("run.observer_stride = 5 m", _NO_UNIT),
+            ("run.n_polar = 7 furlong", _NO_UNIT)],
+    "word": [("run.init = uniform", "uniform"),
+             ("run.init = uniform gaussian", (ConfigError, "expected one word, got 2")),
+             ("run.init = vortex", (ConfigError,
+                                    "'vortex' is not one of uniform, gaussian, perturbed_plane_wave")),
+             ("kernel.method = analytic m", (ConfigError, "expected one word, got 2")),
+             ("kernel.method = analytic furlong", (ConfigError, "expected one word, got 2"))],
+    "vec3": [("grid.spacings = 1 2 4 mm", (1e-3, 2e-3, 4e-3)),
+             ("grid.spacings = 1 2", (ConfigError, "expected 3 components, got 2")),
+             ("grid.spacings = aa 0.5 0.5", (ConfigError, "'aa' is not a number")),
+             ("kernel.orientation = 0 0 1 m", _NO_UNIT),
+             ("grid.spacings = 1 1 1 s",
+              (UnitError, "unit 's' is not a length unit (accepted: m, mm, nm, um)"))],
+    "ivec3": [("grid.dims = 16 8 12", (16, 8, 12)),
+              ("grid.dims = 16 16", (ConfigError, "expected 3 components, got 2")),
+              ("grid.dims = aa 16 16", (ConfigError, "'aa' is not an integer")),
+              ("grid.dims = 8 8 8 m", _NO_UNIT),
+              ("grid.dims = 8 8 8 furlong", _NO_UNIT)],
+    # any count goes, so the count refusal is the empty value
+    "floats": [("run.q_magnitudes = 1 2 3 1/mm", (1e3, 2e3, 3e3)),
+               ("run.q_magnitudes = 1/mm", (ConfigError, "missing value")),
+               ("run.directions = 1 aa 2", (ConfigError, "'aa' is not a number")),
+               ("run.directions = 1 2 m", _NO_UNIT),
+               ("run.q_magnitudes = 1 2 s", (UnitError, "unit 's' is not a inv_length unit "
+                                                         "(accepted: 1/cm, 1/m, 1/mm, 1/um)"))],
+}
+VALUE_CASES = ("good", "count", "token", "unit_on_unitless", "unknown_unit")
+
+
+@pytest.mark.parametrize("line, expected", [
+    pytest.param(line, expected, id=f"{kind}-{case}")
+    for kind, rows in VALUE_RULE.items() for case, (line, expected) in zip(VALUE_CASES, rows)])
+def test_every_value_kind_goes_through_one_rule(line, expected):
+    key = line.split(" = ")[0]
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        error, message = expected
+        unit = line.split()[-1]
+        with pytest.raises(error, match=f"^{re.escape(f'line 1: {key}: ' + message.format(unit))}$"):
+            parse_config(line + "\n")
+        return
+    assert repr(parse_config(line + "\n").values[key]) == repr(expected)  # 7 is not 7.0
+
+
+def test_every_kind_has_its_rule():
+    assert {info.kind for info in KEY_TABLE.values()} == set(VALUE_RULE)
 
 
 def test_domain_errors_carry_config_context():
@@ -336,6 +389,25 @@ def test_kernel_table_bytes_equal_the_copying_writer(tmp_path):
         fh.write(header.replace(b"-v2 ", b"-v1 ") + payload)
     with pytest.raises(ConfigError, match="missing 'dipolariton-kernel-v2' header"):
         read_kernel_table(path)
+
+
+HEADER_GRID = GridSpec(dims=(8, 8, 10), spacings=(0.4, 0.4, 0.3))
+
+
+@pytest.mark.parametrize("write, header", [
+    (lambda path: write_field(path, np.zeros(HEADER_GRID.shape, complex), HEADER_GRID, t=2.5e-8),
+     b"dipolariton-field-v1 8 8 10 0.40000000000000002 0.40000000000000002 0.29999999999999999 "
+     b"2.4999999999999999e-08\n"),
+    (lambda path: write_kernel_table(path, kernel_table_fourier(
+        HEADER_GRID, KernelSpec(orientation=(0.0, 0.6, 0.8), strength=-1.7, cutoff_radius=0.1))),
+     b"dipolariton-kernel-v2 8 8 10 0.40000000000000002 0.40000000000000002 0.29999999999999999 "
+     b"0 0.59999999999999998 0.80000000000000004 -1.7 0.10000000000000001 1.5 lattice\n"),
+], ids=["field", "kernel"])
+def test_header_line_bytes_are_fixed(tmp_path, write, header):
+    path = str(tmp_path / "h.bin")
+    write(path)
+    with open(path, "rb") as fh:
+        assert fh.readline() == header
 
 
 def test_field_header_time_defaults_to_zero(tmp_path):

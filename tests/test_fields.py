@@ -170,7 +170,7 @@ def test_plane_wave_mode_decay_is_exact(d):
                           dt=0.01, n_steps=40, snapshot_stride=40)
     run = simulate_linear_1d(cfg)
     expected = np.exp(-d * q**2 * 0.4) * initial
-    assert np.allclose(run.final, expected, rtol=1e-12, atol=1e-12)
+    assert np.allclose(run.snapshots[-1], expected, rtol=1e-12, atol=1e-12)
 
 
 def test_norm_decays_monotonically_under_real_diffusion():
@@ -188,7 +188,45 @@ def test_snapshot_schedule():
     run = simulate_linear_1d(cfg)
     assert np.allclose(run.times, [0.0, 0.01, 0.02, 0.025], rtol=1e-15)
     assert run.snapshots.shape == (4, 32)
-    assert np.array_equal(run.final, run.snapshots[-1])
+
+
+def _stepped_snapshots(cfg):
+    # the per-step form: one exact factor exp(-D q^2 dt) per FFT round trip
+    decay = np.exp(-cfg.diffusion * cfg.grid.wavenumbers() ** 2 * cfg.dt)
+    psi = np.array(cfg.initial, dtype=complex)
+    snaps = [psi]
+    for step in range(1, cfg.n_steps + 1):
+        psi = np.fft.ifft(decay * np.fft.fft(psi))
+        if step % cfg.snapshot_stride == 0 or step == cfg.n_steps:
+            snaps.append(psi)
+    return np.asarray(snaps)
+
+
+@pytest.mark.parametrize("d", [0.3, 0.3 + 0.2j])
+@pytest.mark.parametrize("n_steps, stride", [(30, 10), (25, 10), (7, 20)])
+def test_run_matches_the_stepped_exact_factor(d, n_steps, stride):
+    grid = Grid1D(n=64, dz=0.1)
+    initial = gaussian_profile(grid, 0.5) * np.exp(0.7j * grid.z())
+    cfg = LinearRunConfig(grid=grid, initial=initial, diffusion=d, dt=0.002,
+                          n_steps=n_steps, snapshot_stride=stride)
+    run = simulate_linear_1d(cfg)
+    ref = _stepped_snapshots(cfg)
+    assert run.snapshots.shape == ref.shape
+    assert run.snapshots[0].tobytes() == initial.tobytes()
+    scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+    assert np.max(np.abs(run.snapshots - ref) / scale) <= 1e-12
+    steps = [*range(0, n_steps, stride), n_steps]
+    assert run.times.tolist() == [s * cfg.dt for s in steps]
+    assert run.norms == pytest.approx(np.sum(np.abs(ref) ** 2, axis=-1) * grid.dz, rel=1e-12)
+
+
+def test_all_zero_profile_has_no_spread():
+    grid = Grid1D(n=32, dz=0.1)
+    cfg = LinearRunConfig(grid=grid, initial=np.zeros(32), diffusion=0.1, dt=0.01,
+                          n_steps=5, snapshot_stride=2)
+    run = simulate_linear_1d(cfg)
+    assert np.isnan(run.variances).all()
+    assert np.all(run.norms == 0.0)
 
 
 def test_run_config_validation():

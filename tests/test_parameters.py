@@ -141,7 +141,6 @@ CASES = [
     ("LinearRunConfig.diffusion", lambda v: _linear_run(diffusion=v), "diffusion",
      NOT_COMPLEX + (-1,)),
     ("gaussian_profile.sigma", lambda v: gaussian_profile(Z1, v), "sigma", POSITIVE),
-    ("gaussian_profile.center", lambda v: gaussian_profile(Z1, 1.0, v), "center", NOT_REAL),
 ]
 
 
@@ -167,7 +166,6 @@ def test_signed_and_boundary_values_still_pass():
     assert SplitStep(GpeParams(**GPE), -0.25).dt == -0.25
     for diffusion in (0, 0.3 + 1j):
         _linear_run(diffusion=diffusion)
-    gaussian_profile(Z1, 1.0, -2)
     _state("perturbed_plane_wave", delta=1e-3)
 
 
