@@ -18,9 +18,12 @@ and does all its work on the chunk while it is in cache:
     rfftn         rfft_planes, then fft over axis 0 in x_lines
 
 kernel.convolve_density is rfft_planes, one x_lines sweep that transforms
-forward, multiplies by the table and transforms back, and irfft_planes;
-gpe composes the Strang step and observables from sweep and x_lines the
-same way.
+forward, multiplies by the table and transforms back, and irfft_planes.
+Between the forward transform and the product the sweep's slab holds
+rfftn of the density, which is where a caller's density mode is read, and
+irfft_planes reduces the peaks of each plane, so neither takes a pass of
+its own. gpe composes the Strang step and observables from sweep and
+x_lines the same way.
 
 The chunks depend on the array's shape only, never on the worker count:
 the calling thread and a persistent pool of workers - 1 threads each take a

@@ -45,6 +45,12 @@ UNIT_TABLE: dict[str, dict[str, float]] = {
     "coupling": {"rad/s*m^3": 1.0, "1/s*m^3": 1.0},
     "none": {},
 }
+# what the unknown-unit refusal calls a unit of each dimension but "none"
+_UNIT_NOUN = {"frequency": "a frequency", "length": "a length", "inv_length": "an inverse-length",
+              "time": "a time", "volume": "a volume", "density": "a density",
+              "energy": "an energy", "coupling": "a coupling"}
+# every unit of any dimension: a lone token is read as a unit only if it is one
+_UNITS = frozenset(unit for units in UNIT_TABLE.values() for unit in units)
 
 
 @dataclass(frozen=True)
@@ -125,13 +131,15 @@ def _convert(key: str, info: _Key, tokens: list[str], line_no: int) -> Any:
     count, counted, kind = _KINDS[info.kind]
     where = f"line {line_no}: {key}"
     unit_factor = 1.0
-    if kind is not str and tokens and not _is_number(tokens[-1]):
+    # a lone token that names no unit is a value, and is refused as one below
+    if (kind is not str and tokens and not _is_number(tokens[-1])
+            and (len(tokens) > 1 or tokens[0] in _UNITS)):
         unit = tokens.pop()
         allowed = UNIT_TABLE[info.dimension]
         if not allowed:
             raise UnitError(f"{where}: takes no unit, got '{unit}'")
         if unit not in allowed:
-            raise UnitError(f"{where}: unit '{unit}' is not a {info.dimension} unit "
+            raise UnitError(f"{where}: unit '{unit}' is not {_UNIT_NOUN[info.dimension]} unit "
                             f"(accepted: {', '.join(sorted(allowed))})")
         unit_factor = allowed[unit]
     if not tokens:

@@ -57,11 +57,11 @@ J. Comput. Phys. 187, 318 (2003)). The chunks of a sweep split over the
 propagator's worker threads, elementwise work included, and do not depend
 on their number, so results are bit-identical for every worker count.
 
-The visitor of SplitStep.run is the one way to observe a run. run convolves
-the state it starts from and visits it as step 0, then visits after every
-every-th step and the last; the visitor sees a CondensateState over a
-read-only view of the field buffer, valid only during its call, and copies
-what it keeps. observables(state, propagator) accepts a propagator only for
+The visitor of SplitStep.run is the public way to observe a run. run
+convolves the state it starts from and visits it as step 0, then visits
+after every every-th step and the last; the visitor sees a
+CondensateState over a read-only view of the field buffer, valid only
+during its call, and copies what it keeps. observables(state, propagator) accepts a propagator only for
 the state its run is visiting, whose convolution the buffer holds, so n
 steps with any number of observations cost n + 1 convolutions; without one
 it convolves on a throwaway SplitStep. It reduces |phi|^2 and the (y, z)
@@ -76,9 +76,13 @@ raises NonFiniteStateError and a phase per half step past MAX_POTENTIAL_PHASE
 
 linear_response_experiment seeds a weak density wave on the uniform state,
 tracks its Fourier amplitude and reads nu off it in closed form (Prony's
-method): the stepped linear mode obeys s[n+1] + s[n-1] = 2 c s[n], with
-c = cos(nu dt) for an oscillation and cosh(g dt) for growth, so one linear
-fit serves both laws without a model, initial guess or iteration. The
+method). The amplitude comes off the run's own convolutions, not through a
+visitor: the forward transform of each holds the spectrum of |phi|^2, and
+the private SplitStep._mode has it write the entry at q
+(kernel.convolve_density's mode), so the run's half-steps fuse. The
+stepped linear mode obeys s[n+1] + s[n-1] = 2 c s[n], with c = cos(nu dt)
+for an oscillation and cosh(g dt) for growth, so one linear fit serves
+both laws without a model, initial guess or iteration. The
 prediction it is compared against calibrates the dipolar coupling from the
 same Fourier table the stepping uses, closing the loop with the bogoliubov
 module. When physical (infinite box) numbers are wanted instead, the box
@@ -89,7 +93,7 @@ probed, so the truncated kernel has converged at the probe wavevector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -289,8 +293,12 @@ class SplitStep:
     run steps the field buffer in place and fuses the closing half-step of
     one step with the opening half-step of the next into one rotation by
     twice the angle, except where a visitor reads the state or the run
-    ends. Negative dt
-    steps backwards and exactly inverts the corresponding forward step.
+    ends: n steps with no visitor take n + 1 rotation sweeps, and 2n when
+    a visitor reads every step. _mode, None unless linear_response_experiment
+    sets it to (idx, amplitudes), has the convolution of step i write
+    fftn(|phi|^2)[idx] into amplitudes[i], so that run reads its mode with
+    no visitor and its half-steps fuse. Negative dt steps backwards and
+    exactly inverts the corresponding forward step.
     """
 
     def __init__(self, params: GpeParams, dt: float, workers: int = 1):
@@ -303,6 +311,7 @@ class SplitStep:
         self._kinetic = _kinetic_factors(params, dt)
         self._kernel_factor = -0.5 * dt * params.sin2_theta
         self._phi = self._buf = self._conv = self._peaks = self._scratch = self._visited = None
+        self._mode = None
 
     def _density(self, phi: np.ndarray) -> None:
         """|phi|^2 into _conv, allocating the convolution buffer, its view _conv, the per-plane
@@ -319,17 +328,19 @@ class SplitStep:
 
         _fft.sweep(square, phi.shape[0], phi[0].nbytes, self.workers)
 
-    def _convolve(self) -> float:
-        """Convolve the density in _conv in place there; returns the largest |angle|.
+    def _convolve(self, i: int = 0) -> float:
+        """Convolve the density in _conv, that of step i, in place there; returns the largest |angle|.
 
         That is |kernel factor| max|eps conv rho|, which is NaN or inf when
         rho is not finite, since one bad sample spreads to every convolved one.
         The complex-to-real pass of the convolution reduces max|eps conv rho|
         per x plane into _peaks; numpy's max of those keeps a NaN, where
-        Python's max would drop it.
+        Python's max would drop it. With _mode = (idx, amplitudes) set, the
+        x pass writes fftn(rho)[idx] into amplitudes[i].
         """
+        mode = None if self._mode is None else (self._mode[0], self._mode[1][i : i + 1])
         convolve_density(self.params.table, self._conv, self.workers,
-                         buffer=self._buf, scratch=self._scratch, peaks=self._peaks)
+                         buffer=self._buf, scratch=self._scratch, peaks=self._peaks, mode=mode)
         return abs(self._kernel_factor) * float(self._peaks.max())
 
     def _rotate(self, w: int, s: slice, turns: float) -> None:
@@ -439,7 +450,7 @@ class SplitStep:
                     self._density(phi)
                 else:
                     self._advance(turns)
-                self._check(i, state.t, self._convolve())
+                self._check(i, state.t, self._convolve(i))
                 turns = 2.0
                 if i == 0 or i == n_steps or (visit is not None and i % every == 0):
                     if i > 0:
@@ -595,7 +606,8 @@ def evolve(
     """Step until t_final, recording observables every observer_stride steps.
 
     t_final must lie a whole number of steps from state.t (to 1e-9 relative);
-    otherwise ParameterDomainError. Aborts with StepSizeError or
+    otherwise ParameterDomainError. The final state and the last observables
+    are at t_final itself, the earlier ones at state.t + i dt. Aborts with StepSizeError or
     NonFiniteStateError, each carrying the step index and time, when the
     potential-phase guard trips or the field develops NaN or Inf (at step 0
     for the start state). workers is the FFT worker count of the propagator,
@@ -604,13 +616,18 @@ def evolve(
     consume goes to SplitStep.run, which states what it does.
     """
     prop = SplitStep(state.params, dt, workers)
-    span = check_real(t_final, "t_final") - state.t
-    n_steps = _whole_steps(span, dt, f"t_final = {t_final} (from t = {state.t})")
+    t_final = check_real(t_final, "t_final")
+    n_steps = _whole_steps(t_final - state.t, dt, f"t_final = {t_final} (from t = {state.t})")
     check_count(observer_stride, "observer_stride")
     obs = []
-    final = prop.run(state, n_steps, lambda i, current: obs.append(observables(current, prop)),
-                     every=observer_stride, consume=consume)
-    return EvolveResult(final=final, observables=tuple(obs))
+
+    def record(i: int, current: CondensateState) -> None:
+        o = observables(current, prop)
+        # the run ends at t_final, which n_steps dt may miss by a rounding
+        obs.append(o if i < n_steps else replace(o, t=t_final))
+
+    final = prop.run(state, n_steps, record, every=observer_stride, consume=consume)
+    return EvolveResult(final=replace(final, t=t_final), observables=tuple(obs))
 
 
 def effective_dipolar_coupling(params: GpeParams, q, n0: float) -> float:
@@ -662,20 +679,6 @@ class ResponseResult:
     effective_c_dd: float
     times: np.ndarray
     amplitudes: np.ndarray
-
-
-def _plane_waves(idx: tuple[int, int, int], grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Per-axis factors exp(-2 pi i k j / n) of the DFT coefficient at index idx."""
-    return tuple(
-        np.exp(-2j * math.pi * ((k * np.arange(n)) % n) / n) for k, n in zip(idx, grid.dims)
-    )
-
-
-def _density_mode_amplitude(phi: np.ndarray, waves: tuple[np.ndarray, ...], dv: float) -> complex:
-    """fftn(|phi|^2)[idx] * dv as an O(N) projection on the separable plane wave."""
-    ex, ey, ez = waves
-    rho = np.abs(phi) ** 2
-    return complex((rho @ ez) @ ey @ ex * dv)
 
 
 def _fit_mode(times: np.ndarray, signal: np.ndarray) -> tuple[complex, float]:
@@ -733,10 +736,13 @@ def linear_response_experiment(
     so a complex m_par is refused with ParameterDomainError before stepping,
     and so is a given dt that is not positive and finite.
     The returned prediction uses the table-calibrated coupling at the same
-    q. The mode amplitude is read by an O(N) projection on the plane wave at
-    q; workers is the FFT worker count of the stepping.
+    q. The mode amplitude fftn(|phi|^2)[q] dV is read off each of the run's
+    n + 1 density convolutions, between their forward transform and the
+    product with the table (kernel.convolve_density's mode), so the run
+    takes no visitor, fuses its half-steps and costs what a bare run of as
+    many steps costs; workers is the FFT worker count of the stepping.
 
-    Without duration the run lasts four periods (3.5 / g for a growing mode).
+    Without duration the run lasts one period (0.875 / g for a growing mode).
     A given duration is met exactly: with dt it must be a whole number of at
     least 8 steps, otherwise ParameterDomainError; without dt the run takes
     the fewest steps, at least 8, that end at duration and are no longer than
@@ -763,7 +769,12 @@ def linear_response_experiment(
         # modes pump up from round-off and bury the tracked mode
         dt_cap = min(dt_cap, 0.5 * math.pi / _kinetic_phase(params, 1.0))
     if duration is None:
-        duration = (2.0 * math.pi * 4.0 / scale) if nu_pred.imag == 0 else (3.5 / scale)
+        # one period, or 0.875 / g of growth (a quarter of the four periods
+        # and 3.5 / g this used to be): Prony's fit reads three-term
+        # products, and on the five rays of acceptance criterion 5 one
+        # period deviates at worst 1.14e-5 against 1.28e-5 for four, dt's
+        # error being the floor of both
+        duration = (2.0 * math.pi / scale) if nu_pred.imag == 0 else (0.875 / scale)
         dt = dt_cap if dt is None else dt
         n_steps = max(int(round(duration / dt)), _MIN_RESPONSE_STEPS)
     elif dt is None:
@@ -777,16 +788,13 @@ def linear_response_experiment(
                 f"the response fit needs at least {_MIN_RESPONSE_STEPS}"
             )
     prop = SplitStep(params, dt, workers)
-    waves = _plane_waves(idx, grid)
-    dv = grid.cell_volume
     times = np.arange(n_steps + 1) * dt
     amps = np.empty(n_steps + 1, dtype=complex)
-
-    def record(i: int, current: CondensateState):
-        amps[i] = _density_mode_amplitude(current.phi, waves, dv)
-
-    prop.run(init_state("perturbed_plane_wave", params, n0=n0, delta=delta, q=q), n_steps, record,
+    # every convolution of the run writes its density's mode at idx into amps
+    prop._mode = (idx, amps)
+    prop.run(init_state("perturbed_plane_wave", params, n0=n0, delta=delta, q=q), n_steps,
              consume=True)
+    amps *= grid.cell_volume
     if amps[0] == 0.0:
         raise FitFailureError("seeded mode has zero initial amplitude")
     nu_fit, rel_resid = _fit_mode(times, np.real(amps))

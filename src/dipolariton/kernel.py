@@ -227,7 +227,8 @@ def kernel_table_fourier(
 def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
                      buffer: np.ndarray | None = None,
                      scratch: np.ndarray | None = None,
-                     peaks: np.ndarray | None = None) -> np.ndarray:
+                     peaks: np.ndarray | None = None,
+                     mode: tuple[tuple[int, int, int], np.ndarray] | None = None) -> np.ndarray:
     """Convolve a real density with the kernel through the Fourier table.
 
     Returns the frequency-shift field sum_r' eps(r - r') rho(r') dV,
@@ -241,6 +242,13 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
     largest |convolution| of each plane from the complex-to-real pass, so
     that a guard on the potential needs no pass of its own; a plane with a
     NaN gets NaN.
+    mode, if given, a pair (idx, out) of a lattice index 0 <= idx < dims
+    and a complex array of one entry, receives fftn(rho)[idx] in out, read
+    off the spectrum the sweep holds between the forward x transform and
+    the product, so that a density mode costs no pass of its own. Above
+    the half spectrum, idx[2] > nz // 2, it is the conjugate of the entry
+    at -idx. The product cannot stand in for it: the table vanishes on
+    some q, the magic-angle cone among them.
     """
     workers = check_count(workers, "worker count")
     rho = check_shape(rho, table.grid.shape, "rho")
@@ -249,12 +257,24 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
     check_shape(buffer, table.coeffs.shape, "buffer")
     if peaks is not None:
         check_shape(peaks, rho.shape[:1], "peaks")
+    if mode is not None:
+        idx, out = mode
+        if len(idx) != 3 or not all(0 <= i < n for i, n in zip(idx, rho.shape)):
+            raise ParameterDomainError(f"mode index {idx} is not in [0, {rho.shape})")
+        if check_shape(out, (1,), "mode output").dtype != complex:
+            raise ParameterDomainError(f"mode output must be complex, got {out.dtype}")
+        mirrored = idx[2] > rho.shape[2] // 2
+        if mirrored:  # rho is real, so fftn(rho)[idx] = conj(fftn(rho)[-idx])
+            idx = tuple((-i) % n for i, n in zip(idx, rho.shape))
     _fft.rfft_planes(rho, buffer, workers)
 
     # a non-finite density gives inf * 0 at the table's zeros; the NaNs that
     # follow are the caller's to report, and the sweep keeps numpy quiet
     def product(block: np.ndarray, s: slice) -> None:
         np.fft.fft(block, axis=0, out=block)
+        if mode is not None and s.start <= idx[1] < s.stop:
+            entry = block[idx[0], idx[1] - s.start, idx[2]]
+            out[0] = entry.conjugate() if mirrored else entry
         block *= table.coeffs[:, s]
         np.fft.ifft(block, axis=0, out=block)
         buffer[:, s] = block

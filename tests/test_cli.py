@@ -421,6 +421,17 @@ def test_evolve_refuses_a_t_final_it_cannot_meet(tmp_path, capsys):
     assert not (out / "observables.csv").exists()
 
 
+def test_evolve_ends_at_the_t_final_it_was_given(tmp_path):
+    # 25 steps of 1e-9 s add up to 2.5000000000000002e-08 s; the shipped
+    # config asks for 2.5e-8 s, and that is where the run is recorded to end
+    assert 0.0 + 25 * 1e-9 != 2.5e-8
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(CONFIGS / "evolve.cfg"), "--out", str(out)]) == 0
+    assert read_field(out / "final_field.bin")[2] == 2.5e-8
+    last = (out / "observables.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == 2.5e-8
+
+
 def si_gpe_params(cfg, command):
     """GpeParams of a config as the library takes it: SI masses on the config's grid."""
     derived = derive_eit(cfg.medium).real_mass()

@@ -20,7 +20,7 @@ from dipolariton import (
     kernel_table_fourier,
     parse_config,
 )
-from dipolariton.config import KEY_TABLE, MEDIUM_KEYS
+from dipolariton.config import KEY_TABLE, MEDIUM_KEYS, UNIT_TABLE
 from dipolariton.fileio import (
     provenance_lines,
     read_field,
@@ -202,7 +202,7 @@ VALUE_RULE = {
                ("run.q_magnitudes = 1/mm", (ConfigError, "missing value")),
                ("run.directions = 1 aa 2", (ConfigError, "'aa' is not a number")),
                ("run.directions = 1 2 m", _NO_UNIT),
-               ("run.q_magnitudes = 1 2 s", (UnitError, "unit 's' is not a inv_length unit "
+               ("run.q_magnitudes = 1 2 s", (UnitError, "unit 's' is not an inverse-length unit "
                                                          "(accepted: 1/cm, 1/m, 1/mm, 1/um)"))],
 }
 VALUE_CASES = ("good", "count", "token", "unit_on_unitless", "unknown_unit")
@@ -220,6 +220,33 @@ def test_every_value_kind_goes_through_one_rule(line, expected):
             parse_config(line + "\n")
         return
     assert repr(parse_config(line + "\n").values[key]) == repr(expected)  # 7 is not 7.0
+
+
+@pytest.mark.parametrize("line, message", [
+    ("run.dt = abc", "'abc' is not a number"),
+    ("run.n_polar = abc", "'abc' is not an integer"),
+    ("grid.dims = abc", "expected 3 components, got 1"),
+    # a lone unit is still a unit: of the wrong dimension, or with no value
+    ("run.dt = um", "unit 'um' is not a time unit (accepted: ms, ns, s, us)"),
+    ("run.n_polar = m", "takes no unit, got 'm'"),
+    ("run.dt = s", "missing value"),
+])
+def test_a_lone_token_is_refused_as_what_it_is(line, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'line 1: {line.split()[0]}: {message}')}$"):
+        parse_config(line + "\n")
+
+
+def test_every_dimension_has_a_word_for_its_units():
+    # a word with its article, never the table key
+    for dimension, units in UNIT_TABLE.items():
+        if not units:
+            continue
+        key = next(k for k, info in KEY_TABLE.items() if info.dimension == dimension)
+        with pytest.raises(UnitError) as info:
+            parse_config(f"{key} = 1 furlong\n")
+        article, noun = re.search(r"is not (an?) ([a-z-]+) unit \(accepted", str(info.value)).groups()
+        assert noun.replace("-", "_") in (dimension, "inverse_length"), dimension
+        assert article == ("an" if noun[0] in "aeiou" else "a"), noun
 
 
 def test_every_kind_has_its_rule():

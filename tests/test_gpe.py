@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dipolariton import gpe
+from dipolariton import _fft, gpe
 from dipolariton import (
     CondensateParams,
     CondensateState,
@@ -927,15 +927,83 @@ def test_linear_response_unstable_mode():
     assert dev <= 0.05
 
 
-def test_mode_amplitude_projection_matches_fft():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_convolution_reads_the_density_mode_off_its_spectrum(workers):
+    # the readout the response run takes; (5, 7, 9) lies above the half
+    # spectrum (9 > 10 // 2) and is read as the conjugate of (11, 5, 1)
     grid = GridSpec(dims=(16, 12, 10), spacings=(0.3, 0.5, 0.7))
-    phi = random_complex(grid.shape, 3)
-    spectrum = np.fft.fftn(np.abs(phi) ** 2)
+    table = make_params(grid, 0.5).table
+    rho = np.abs(random_complex(grid.shape, 3)) ** 2
+    spectrum = np.fft.fftn(rho)
     dv = grid.cell_volume
+    plain_peaks, peaks, out = np.empty(16), np.empty(16), np.empty(1, dtype=complex)
+    plain = convolve_density(table, rho, workers, peaks=plain_peaks).copy()
     for idx in [(0, 0, 1), (3, 0, 0), (5, 7, 9), (15, 11, 5), (8, 6, 0)]:
-        got = gpe._density_mode_amplitude(phi, gpe._plane_waves(idx, grid), dv)
+        got = convolve_density(table, rho, workers, peaks=peaks, mode=(idx, out))
         expected = spectrum[idx] * dv
-        assert abs(got - expected) <= 1e-12 * abs(expected)
+        assert abs(out[0] * dv - expected) <= 1e-12 * abs(expected), idx
+        # reading the mode changes neither the convolution nor its peaks
+        assert np.array_equal(got, plain) and np.array_equal(peaks, plain_peaks)
+    # the table's zeros do not hide the mode: it is read before the product
+    blind = table.coeffs.copy()
+    blind[5, 7, 1] = blind[11, 5, 1] = 0.0
+    blind_table = replace(table, coeffs=blind)
+    for idx in [(5, 7, 1), (11, 5, 9)]:
+        convolve_density(blind_table, rho, workers, mode=(idx, out))
+        assert abs(out[0] - spectrum[idx]) <= 1e-12 * abs(spectrum[idx]), idx
+    with pytest.raises(ParameterDomainError, match="not in"):
+        convolve_density(table, rho, mode=((16, 0, 0), out))
+    with pytest.raises(ParameterDomainError, match="complex"):
+        convolve_density(table, rho, mode=((1, 0, 0), np.empty(1)))
+
+
+def test_a_response_run_costs_what_a_bare_run_costs(monkeypatch):
+    # the mode is read off the run's own convolutions: n + 1 of them, no
+    # visitor, so the half-steps fuse into n + 1 rotation sweeps, and not
+    # one numpy FFT call more than a bare run of n steps makes
+    grid = grid16()
+    p = make_params(grid, 0.5)
+    q = lattice_q(grid, 0, 0, 1)
+    # a 16^3 field is one chunk per sweep, so one _rotate call per rotation sweep
+    assert len(_fft.chunks(16, grid.shape[1] * grid.shape[2] * 16)) == 1
+    counts = {"convolve": 0, "rotate": 0, "fft": 0}
+    visits = []
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(gpe, "convolve_density", counting("convolve", gpe.convolve_density))
+    monkeypatch.setattr(gpe.SplitStep, "_rotate", counting("rotate", gpe.SplitStep._rotate))
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting("fft", getattr(np.fft, name)))
+    run = gpe.SplitStep.run
+
+    def spying_run(self, state, n_steps, visit=None, **kwargs):
+        visits.append(visit)
+        return run(self, state, n_steps, visit, **kwargs)
+
+    monkeypatch.setattr(gpe.SplitStep, "run", spying_run)
+    res = linear_response_experiment(p, q, 1e-4)
+    n = len(res.times) - 1
+    assert visits == [None]
+    assert counts["convolve"] == n + 1 and counts["rotate"] == n + 1
+    response_ffts = counts["fft"]
+    counts["fft"] = 0
+    gpe.SplitStep(p, res.times[1]).run(init_state("perturbed_plane_wave", p, n0=1.0, delta=1e-4, q=q), n)
+    assert response_ffts == counts["fft"]
+
+
+def test_response_default_length_is_one_period_or_0_875_over_g():
+    grid = grid16()
+    q = lattice_q(grid, 0, 0, 1)
+    for c_dd, span in ((0.5, lambda nu: 2.0 * math.pi / nu.real), (-0.5, lambda nu: 0.875 / nu.imag)):
+        p = make_params(grid, c_dd)
+        res = linear_response_experiment(p, q, 1e-4)
+        dt = res.times[1]
+        assert len(res.times) - 1 == round(span(res.nu_predicted) / dt)
 
 
 def test_linear_response_refuses_a_complex_mass(monkeypatch):
@@ -1050,9 +1118,20 @@ def test_fit_failure_names_q_in_plain_floats(monkeypatch):
     q = lattice_q(grid16(), 0, 0, 1)
     # a readout of noise leaves most of the signal as residual
     noise = iter(np.random.default_rng(7).standard_normal(10_000))
-    monkeypatch.setattr(gpe, "_density_mode_amplitude", lambda phi, waves, dv: next(noise))
+    convolve = gpe.convolve_density
+
+    def noisy_readout(*args, mode=None, **kwargs):
+        conv = convolve(*args, mode=mode, **kwargs)
+        mode[1][0] = next(noise)
+        return conv
+
+    monkeypatch.setattr(gpe, "convolve_density", noisy_readout)
+    # the residual of noise is 99.96% of it over four periods (about 1 700
+    # samples), but 99.86% over the default one period (427 samples), which
+    # the message would print as 99.9%
+    four_periods = 8.0 * math.pi / predicted_mode_frequency(p, q, 1.0).real
     with pytest.raises(FitFailureError) as info:
-        linear_response_experiment(p, q, 1e-4)
+        linear_response_experiment(p, q, 1e-4, duration=four_periods)
     assert str(info.value) == (
         "fit residual 100.0% exceeds 10% of the signal at q = (0, 0, 0.785398)"
     )
