@@ -61,10 +61,11 @@ The visitor of SplitStep.run is the public way to observe a run. run
 convolves the state it starts from and visits it as step 0, then visits
 after every every-th step and the last; the visitor sees a
 CondensateState over a read-only view of the field buffer, valid only
-during its call, and copies what it keeps. observables(state, propagator) accepts a propagator only for
-the state its run is visiting, whose convolution the buffer holds, so n
-steps with any number of observations cost n + 1 convolutions; without one
-it convolves on a throwaway SplitStep. It reduces |phi|^2 and the (y, z)
+during its call, and copies what it keeps. observables(state, propagator)
+accepts a propagator only for the state its run is visiting, whose
+convolution the buffer holds, so n steps with any number of observations
+cost n + 1 convolutions; without one it convolves on a throwaway
+SplitStep. It reduces |phi|^2 and the (y, z)
 transform of each chunk of axis-0 planes to per-plane rows in one sweep,
 and the x transform in one sweep of axis-1 slabs, so the energies, centre
 of mass and variances follow without full-grid meshes, a full-grid density
@@ -607,10 +608,10 @@ def evolve(
 
     t_final must lie a whole number of steps from state.t (to 1e-9 relative);
     otherwise ParameterDomainError. The final state and the last observables
-    are at t_final itself, the earlier ones at state.t + i dt. Aborts with StepSizeError or
-    NonFiniteStateError, each carrying the step index and time, when the
-    potential-phase guard trips or the field develops NaN or Inf (at step 0
-    for the start state). workers is the FFT worker count of the propagator,
+    are at t_final itself, the earlier ones at state.t + i dt. Aborts with
+    StepSizeError or NonFiniteStateError, each carrying the step index and
+    time, when the potential-phase guard trips or the field develops NaN or
+    Inf (at step 0 for the start state). workers is the FFT worker count of the propagator,
     whose run visits state.t, every observer_stride-th step and the last,
     and whose convolutions and worker count the observables use too.
     consume goes to SplitStep.run, which states what it does.
@@ -769,8 +770,7 @@ def linear_response_experiment(
         # modes pump up from round-off and bury the tracked mode
         dt_cap = min(dt_cap, 0.5 * math.pi / _kinetic_phase(params, 1.0))
     if duration is None:
-        # one period, or 0.875 / g of growth (a quarter of the four periods
-        # and 3.5 / g this used to be): Prony's fit reads three-term
+        # one period, or 0.875 / g of growth: Prony's fit reads three-term
         # products, and on the five rays of acceptance criterion 5 one
         # period deviates at worst 1.14e-5 against 1.28e-5 for four, dt's
         # error being the floor of both
