@@ -30,8 +30,8 @@ the calling thread and a persistent pool of workers - 1 threads each take a
 contiguous run of them. Every line goes through the same call whichever
 chunk holds it, so results are bit-identical for every worker count, and
 rfftn takes numpy's own axis order and equals numpy.fft.rfftn bit for bit.
-A sweep of fewer than _THREADED_BYTES runs whole on the calling thread,
-where waking a second thread costs more than it gains. One pool per worker
+A sweep of fewer than CHUNK_BYTES runs whole on the calling thread, where
+waking a second thread costs more than it gains. One pool per worker
 count is kept for the life of the process, so the many steps of a small
 grid do not start threads on every call.
 
@@ -60,15 +60,14 @@ import numpy as np
 
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 
-# bytes of array one sweep task takes at once
+# bytes of array one sweep task takes at once, and the smallest sweep split
+# over threads: with every sweep split, a Strang step at 2 workers took
+# 0.97-1.02 of the 1-worker time from 16^3 to 40^3 (under 1 MiB of field)
+# and 0.69 at 48^3 (1.7 MiB), on a 2-vCPU x86-64 host
 CHUNK_BYTES = 1 << 20
 # most bytes of spectrum one call of a plane pass takes, which bounds
 # numpy's copy of an overlapping input in the padded layout
 _PADDED_CHUNK_BYTES = 1 << 18
-# smallest sweep split over threads: with every sweep split, a Strang step
-# at 2 workers took 0.97-1.02 of the 1-worker time from 16^3 to 40^3 (under
-# 1 MiB of field) and 0.69 at 48^3 (1.7 MiB), on a 2-vCPU x86-64 host
-_THREADED_BYTES = 1 << 20
 
 
 def chunks(n: int, unit_bytes: int, chunk_bytes: int = CHUNK_BYTES) -> list[slice]:
@@ -85,7 +84,7 @@ def sweep(task, n: int, unit_bytes: int, workers: int, chunk_bytes: int = CHUNK_
     contiguous run of them, in order.
     """
     cs = chunks(n, unit_bytes, chunk_bytes)
-    count = min(workers if n * unit_bytes >= _THREADED_BYTES else 1, len(cs))
+    count = min(workers if n * unit_bytes >= CHUNK_BYTES else 1, len(cs))
     edges = [len(cs) * i // count for i in range(count + 1)]
 
     def run(w: int) -> None:

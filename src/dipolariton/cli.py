@@ -74,6 +74,7 @@ from .gpe import (
 )
 from .grid import Grid1D, GridSpec
 from .kernel import (
+    FourierTable,
     KernelSpec,
     _truncated_radial_factor,
     convolve_density,
@@ -153,12 +154,15 @@ class _Run:
         write_table(self.path(name), header, rows, comments=comments + list(extra_comments))
 
 
-def _kernel_spec(run: _Run) -> KernelSpec:
+def _table(run: _Run) -> FourierTable:
+    """Kernel Fourier table of the config's grid, which is required before the kernel."""
     cfg = run.cfg
-    return KernelSpec(orientation=cfg.get("kernel.orientation"),
+    grid = cfg.require_grid(run.command)
+    spec = KernelSpec(orientation=cfg.get("kernel.orientation"),
                       strength=run.require("kernel.strength"),
                       cutoff_radius=cfg.get("kernel.cutoff_radius"),
                       sphere_radius=cfg.get("kernel.sphere_radius"))
+    return kernel_table_fourier(grid, spec, method=cfg.get("kernel.method"), workers=run.threads)
 
 
 def _derived(run: _Run) -> DerivedQuantities:
@@ -198,10 +202,8 @@ def _cmd_derive(run: _Run) -> int:
 
 
 def _cmd_kernel(run: _Run) -> int:
-    grid = run.cfg.require_grid(run.command)
-    spec = _kernel_spec(run)
-    table = kernel_table_fourier(grid, spec, method=run.cfg.get("kernel.method"),
-                                 workers=run.threads)
+    table = _table(run)
+    grid, spec = table.grid, table.spec
 
     rvec = np.stack(np.meshgrid(*grid.displacements(), indexing="ij"), axis=-1)
     vals = np.zeros(grid.shape)
@@ -292,10 +294,8 @@ def _cmd_stability_map(run: _Run) -> int:
 def _gpe_params(run: _Run) -> GpeParams:
     """Masses, mixing angle and kernel table of the split-step solver, in SI."""
     derived = _derived(run)
-    table = kernel_table_fourier(run.cfg.require_grid(run.command), _kernel_spec(run),
-                                 method=run.cfg.get("kernel.method"), workers=run.threads)
     return GpeParams(m_perp=derived.m_perp, m_par=derived.m_par,
-                     sin2_theta=math.sin(derived.theta) ** 2, table=table)
+                     sin2_theta=math.sin(derived.theta) ** 2, table=_table(run))
 
 
 def _initial_state(run: _Run, params: GpeParams) -> CondensateState:

@@ -179,8 +179,7 @@ def read_kernel_table(path: str) -> FourierTable:
         strength, cutoff, sphere = map(float, parts[10:13])
         spec = KernelSpec(orientation=tuple(map(float, parts[7:10])), strength=strength,
                           cutoff_radius=cutoff, sphere_radius=sphere)
-    except ValueError as exc:  # as for the grid: not a number, or a spec KernelSpec refuses
+        return FourierTable(grid=grid, spec=spec, coeffs=coeffs, method=parts[13],
+                            sphere_radius=sphere)
+    except ValueError as exc:  # not a number, or what KernelSpec or FourierTable refuses
         raise ConfigError(f"{path}: bad kernel spec in header: {exc}") from None
-    if parts[13] not in ("lattice", "analytic"):
-        raise ConfigError(f"{path}: bad kernel spec in header: unknown table method '{parts[13]}'")
-    return FourierTable(grid=grid, spec=spec, coeffs=coeffs, method=parts[13], sphere_radius=sphere)

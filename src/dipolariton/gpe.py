@@ -21,8 +21,8 @@ SplitStep is the propagator, built once per (params, dt, workers). It holds
 the kinetic phase, the kernel factor that turns the convolved density into
 the half-step potential angle, and the FFT worker count. It works in two
 grids: a complex field buffer and one convolution buffer, the complex half
-spectrum (nx, ny, nz // 2 + 1) of kernel.convolve_density, allocated at
-its first convolution, together with one chunk scratch per worker that
+spectrum (nx, ny, nz // 2 + 1) of kernel.convolve_density, allocated when
+the propagator is built, together with one chunk scratch per worker that
 every sweep shares. |phi|^2 goes into the padded real view of the
 convolution buffer, and the real-to-complex transform, the product with
 the kernel table and the complex-to-real transform all run in place there,
@@ -284,11 +284,11 @@ class SplitStep:
     -dt sin^2(theta) / 2 that turns eps conv |phi|^2 into the half-step
     angle, and the FFT worker count, an integer >= 1. It owns a
     convolution buffer, the half spectrum of the kernel table's shape, and
-    one chunk scratch per worker that every sweep shares, both allocated at
-    its first convolution. A run binds a field buffer (see run), which its
+    one chunk scratch per worker that every sweep shares, both allocated
+    when it is built. A run binds a field buffer (see run), which its
     final state takes over, for its duration only, and refuses re-entry.
     _conv, the padded real view of the convolution buffer, and _peaks, one
-    entry per x plane, are bound once with the buffer; during a run _conv
+    entry per x plane, are bound with the buffer; during a run _conv
     holds eps conv |phi|^2 of the field buffer and _peaks its largest
     |value| in each plane.
     run steps the field buffer in place and fuses the closing half-step of
@@ -311,21 +311,16 @@ class SplitStep:
         self.dt = dt
         self._kinetic = _kinetic_factors(params, dt)
         self._kernel_factor = -0.5 * dt * params.sin2_theta
-        self._phi = self._buf = self._conv = self._peaks = self._scratch = self._visited = None
-        self._mode = None
+        self._buf = np.empty(params.table.coeffs.shape, dtype=complex)
+        self._conv = self._buf.view(float)[:, :, : params.grid.dims[2]]
+        self._peaks = np.empty(params.grid.dims[0])
+        self._scratch = _fft.new_scratch(params.grid.shape, self.workers)
+        self._phi = self._visited = self._mode = None
 
     def _density(self, phi: np.ndarray) -> None:
-        """|phi|^2 into _conv, allocating the convolution buffer, its view _conv, the per-plane
-        peaks of the convolution and the scratch on first use."""
-        if self._buf is None:
-            self._buf = np.empty(self.params.table.coeffs.shape, dtype=complex)
-            self._conv = self._buf.view(float)[:, :, : phi.shape[2]]
-            self._peaks = np.empty(phi.shape[0])
-            self._scratch = _fft.new_scratch(phi.shape, self.workers)
-        rho = self._conv
-
+        """|phi|^2 into _conv."""
         def square(w: int, s: slice) -> None:
-            np.square(np.abs(phi[s], out=rho[s]), out=rho[s])
+            np.square(np.abs(phi[s], out=self._conv[s]), out=self._conv[s])
 
         _fft.sweep(square, phi.shape[0], phi[0].nbytes, self.workers)
 
@@ -408,10 +403,6 @@ class SplitStep:
             raise StepSizeError(f"step {j} (t = {t0 + (j - 1) * self.dt:.6e} -> {t0 + j * self.dt:.6e}): "
                                 f"potential phase per half step {phase:.3f} rad exceeds "
                                 f"the accuracy guard {MAX_POTENTIAL_PHASE:.3f} rad; reduce dt")
-
-    def step(self, state: CondensateState) -> CondensateState:
-        """One Strang step: half potential, exact kinetic in Fourier, half potential."""
-        return self.run(state, 1)
 
     def run(self, state: CondensateState, n_steps: int, visit=None, every: int = 1, *,
             consume: bool = False) -> CondensateState:
@@ -787,13 +778,14 @@ def linear_response_experiment(
                 f"duration = {duration} is {n_steps} steps dt = {dt}; "
                 f"the response fit needs at least {_MIN_RESPONSE_STEPS}"
             )
+    # built before the propagator, so that its meshes are freed before the buffer exists
+    start = init_state("perturbed_plane_wave", params, n0=n0, delta=delta, q=q)
     prop = SplitStep(params, dt, workers)
     times = np.arange(n_steps + 1) * dt
     amps = np.empty(n_steps + 1, dtype=complex)
     # every convolution of the run writes its density's mode at idx into amps
     prop._mode = (idx, amps)
-    prop.run(init_state("perturbed_plane_wave", params, n0=n0, delta=delta, q=q), n_steps,
-             consume=True)
+    prop.run(start, n_steps, consume=True)
     amps *= grid.cell_volume
     if amps[0] == 0.0:
         raise FitFailureError("seeded mode has zero initial amplitude")

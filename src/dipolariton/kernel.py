@@ -147,7 +147,8 @@ class FourierTable:
     ordering: the truncated kernel is even, so the index (-i, -j, -k) mod n
     holds what (i, j, k) holds. It carries the physical normalization:
     irfftn(rfftn(rho) * coeffs) approximates the continuum integral of eps
-    against rho.
+    against rho. method is one of the two constructions and sphere_radius
+    a positive finite radius, so that a kernel table file can hold them.
     """
 
     grid: GridSpec
@@ -159,6 +160,13 @@ class FourierTable:
     def __post_init__(self):
         nx, ny, nz = self.grid.dims
         object.__setattr__(self, "coeffs", check_shape(self.coeffs, (nx, ny, nz // 2 + 1), "coeffs"))
+        _check_method(self.method)
+        object.__setattr__(self, "sphere_radius", check_positive(self.sphere_radius, "sphere_radius"))
+
+
+def _check_method(method) -> None:
+    if method not in ("lattice", "analytic"):
+        raise ParameterDomainError(f"unknown table method '{method}' (use 'lattice' or 'analytic')")
 
 
 def _resolve_sphere_radius(grid: GridSpec, spec: KernelSpec) -> float:
@@ -179,6 +187,7 @@ def kernel_table_fourier(
     workers is the FFT worker count of the lattice transform, an integer >= 1.
     """
     workers = check_count(workers, "worker count")
+    _check_method(method)
     r_c = _resolve_sphere_radius(grid, spec)
     ax, ay, az = spec.orientation
     if method == "lattice":
@@ -203,7 +212,7 @@ def kernel_table_fourier(
         vals[outside] = 0.0
         # the kernel is real and even, so its spectrum is real
         coeffs = _fft.rfftn(vals, workers).real * grid.cell_volume
-    elif method == "analytic":
+    else:
         qx, qy, qz = grid.wavenumbers()
         qx, qy, qz = np.meshgrid(qx, qy, qz[: grid.dims[2] // 2 + 1], indexing="ij", sparse=True)
         qn = np.sqrt(qx**2 + qy**2 + qz**2)
@@ -218,8 +227,6 @@ def kernel_table_fourier(
             for q, n in zip((qx, qy, qz), grid.dims):
                 q.flat[n // 2] *= -1.0
         coeffs = 0.5 * (samples[0] + samples[1])
-    else:
-        raise ParameterDomainError(f"unknown table method '{method}' (use 'lattice' or 'analytic')")
     coeffs[0, 0, 0] = 0.0
     return FourierTable(grid=grid, spec=spec, coeffs=coeffs, method=method, sphere_radius=r_c)
 

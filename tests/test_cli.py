@@ -760,6 +760,35 @@ def test_every_command_lists_its_files_and_opens_each_csv_alike(tmp_path, capsys
         assert not head[-1].startswith(("# param ", "# config ", "# dipolariton ")), path
 
 
+_DIGEST = re.compile(rb"^# config sha256 [0-9a-f]{64}\n", re.M)
+
+
+@pytest.mark.parametrize("command,cfg_name", _SHIPPED[:-1], ids=[c for c, _ in _SHIPPED[:-1]])
+def test_param_lines_rerun_as_a_config_reproduce_every_file(tmp_path, capsys, command, cfg_name):
+    # the `# param` lines of a run's first CSV are its effective config:
+    # written back as a config, they reproduce every file byte for byte,
+    # the binary ones too, apart from the digest of the config file itself
+    def run(cfg, out):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        *stdout, wrote = capsys.readouterr().out.splitlines()
+        first_csv = wrote[len("wrote "):].split(", ")[0]
+        return {path.name: path.read_bytes() for path in out.iterdir()}, stdout, first_csv
+
+    shipped, stdout, first_csv = run(CONFIGS / f"{cfg_name}.cfg", tmp_path / "shipped")
+    params = [line[len("# param "):] for line in Path(first_csv).read_text().splitlines()
+              if line.startswith("# param ")]
+    echoed, echoed_stdout, _ = run(write_cfg(tmp_path, "\n".join(params) + "\n"),
+                                   tmp_path / "echoed")
+    assert echoed_stdout == stdout
+    assert sorted(echoed) == sorted(shipped)
+    for name, data in shipped.items():
+        if name.endswith(".csv"):
+            assert echoed[name] != data, name
+            assert _DIGEST.sub(b"", echoed[name]) == _DIGEST.sub(b"", data), name
+        else:
+            assert echoed[name] == data, name
+
+
 def test_closed_stdout_ends_without_traceback(tmp_path):
     # the reader closes the pipe before anything is written, as `| head` may
     src = Path(__file__).resolve().parents[1] / "src"

@@ -126,8 +126,8 @@ def test_sweep_chunks_by_bytes_whatever_the_worker_count(n, unit, workers):
 def test_small_sweep_runs_on_the_calling_thread():
     threads = set()
     record = lambda w, c: threads.add((w, threading.get_ident()))
-    # 8 chunks of one unit, under _THREADED_BYTES in all
-    unit = _fft._THREADED_BYTES // 8 - 1
+    # 8 chunks of one unit, under CHUNK_BYTES in all
+    unit = _fft.CHUNK_BYTES // 8 - 1
     _fft.sweep(record, 8, unit, 2, chunk_bytes=unit)
     assert threads == {(0, threading.get_ident())}
     threads.clear()

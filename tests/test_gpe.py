@@ -187,7 +187,7 @@ def test_state_shape_validation():
 def test_uniform_state_is_stationary():
     p = make_params(grid16(), 0.7)
     st = init_state("uniform", p, n0=1.3)
-    after = gpe.SplitStep(p, 0.05).step(st)
+    after = gpe.SplitStep(p, 0.05).run(st, 1)
     assert np.max(np.abs(after.phi - st.phi)) <= 1e-13 * math.sqrt(1.3)
     assert after.t == pytest.approx(0.05)
 
@@ -262,7 +262,7 @@ def test_strang_splitting_is_second_order():
     dts = [0.3, 0.15, 0.075, 0.0375, 0.01875]
     errs = []
     for dt in dts:
-        one = gpe.SplitStep(p, dt).step(st)
+        one = gpe.SplitStep(p, dt).run(st, 1)
         ref = gpe.SplitStep(p, dt / 64.0).run(st, 64)
         errs.append(np.sqrt(np.sum(np.abs(one.phi - ref.phi) ** 2)
                             / np.sum(np.abs(ref.phi) ** 2)))
@@ -275,10 +275,10 @@ def test_potential_phase_guard():
     # step, inside the pi/4 guard; twice the amplitude takes four times that
     p = make_params(grid16(), 0.5)
     g0 = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
-    gpe.SplitStep(p, 0.3).step(CondensateState(g0.phi * 20.0, 0.0, p))
+    gpe.SplitStep(p, 0.3).run(CondensateState(g0.phi * 20.0, 0.0, p), 1)
     st = CondensateState(g0.phi * 40.0, 0.0, p)
     with pytest.raises(StepSizeError, match=r"guard 0\.785 rad"):
-        gpe.SplitStep(p, 0.3).step(st)
+        gpe.SplitStep(p, 0.3).run(st, 1)
     # the stepping loop names where the guard tripped
     with pytest.raises(StepSizeError, match="step 1"):
         evolve(st, 0.3, 0.6)
@@ -472,7 +472,7 @@ def test_reused_potential_matches_fresh_steps():
     fused = gpe.SplitStep(p, 0.02).run(st, 5)
     fresh = st
     for _ in range(5):
-        fresh = gpe.SplitStep(p, 0.02).step(fresh)
+        fresh = gpe.SplitStep(p, 0.02).run(fresh, 1)
     err = np.max(np.abs(fused.phi - fresh.phi)) / np.max(np.abs(fresh.phi))
     assert err <= 1e-14
     assert fused.t == pytest.approx(fresh.t, rel=1e-15)
@@ -564,7 +564,7 @@ def test_a_run_from_a_visitor_of_the_same_propagator_is_refused():
 
     def catching(i, current):
         with pytest.raises(ParameterDomainError, match="in progress"):
-            prop.step(current)
+            prop.run(current, 1)
         seen.append(observables(current, prop))
 
     got = prop.run(st, 4, catching)
@@ -803,6 +803,23 @@ def test_evolve_peak_memory_above_the_held_state(consume, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * st.phi.nbytes
+
+
+def test_response_peak_memory_holds_one_field_and_the_convolution():
+    # in field sizes: building the start state peaks at about 2 with its
+    # meshes; the run then holds that state, which it steps in (1), the
+    # convolution buffer (about 0.51) and a 1 MiB scratch row (0.25). Built
+    # after the propagator, the state's meshes would sit beside its buffer
+    # and the peak would read about 2.8. The kernel table is built untraced
+    grid = GridSpec(dims=(64, 64, 64), spacings=(0.5, 0.5, 0.5))
+    p = make_params(grid, 0.5)
+    tracemalloc.start()
+    try:
+        linear_response_experiment(p, lattice_q(grid, 0, 0, 1), 1e-4, duration=0.08, dt=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 64**3 * 16
 
 
 def test_kinetic_phase_is_the_largest_on_the_grid():

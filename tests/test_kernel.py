@@ -1,6 +1,7 @@
 """Anisotropic interaction kernel: point values, Fourier tables, convolution."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -426,6 +427,20 @@ def test_table_shape_mismatch_raises():
     with pytest.raises(GridMismatchError):
         FourierTable(grid=grid, spec=spec, coeffs=np.zeros((4, 4, 4)),
                      method="lattice", sphere_radius=2.0)
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("method", "bogus", "unknown table method 'bogus'"),
+    ("sphere_radius", math.nan, "sphere_radius must be positive and finite"),
+    ("sphere_radius", -1.0, "sphere_radius must be positive and finite"),
+])
+def test_table_refuses_what_its_file_cannot_hold(field, value, reason):
+    # read_kernel_table refuses each of these, so a table that held one
+    # would write a file that does not read back
+    grid = GridSpec(dims=(8, 8, 8), spacings=(0.5, 0.5, 0.5))
+    table = kernel_table_fourier(grid, KernelSpec(orientation=Z_AXIS, strength=1.0))
+    with pytest.raises(ParameterDomainError, match=reason):
+        replace(table, **{field: value})
 
 
 def test_uniform_density_feels_no_mean_field():
