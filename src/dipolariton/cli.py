@@ -202,6 +202,8 @@ def _cmd_derive(run: _Run) -> int:
 
 
 def _cmd_kernel(run: _Run) -> int:
+    """kernel_real.csv holds the bare kernel at every minimum-image displacement, the tables
+    only what lies inside the truncation sphere; so the DFT of the CSV is not the table."""
     table = _table(run)
     grid, spec = table.grid, table.spec
 

@@ -150,7 +150,7 @@ def compare_text(old: str, new: str, csv: bool = False) -> list[str]:
                     worst[label] = (diff, name, x, y)
     for label, (diff, name, x, y) in worst.items():
         differ, total = count[label]
-        where = "" if name.startswith("'") or label.startswith("'") else f" at {name}"
+        where = "" if label.startswith("'") else f" at {name}"
         report.append(f"{label}: largest difference {_relative(diff, scale[label])}{where}, "
                       f"{x} -> {y} ({differ} of {total} values differ)")
     return report
@@ -223,8 +223,8 @@ def print_report(title: str, report: dict[str, list[str]]) -> bool:
 # ---------------------------------------------------------------------- run
 
 def stdout_record(stdout: str, stderr: str, returncode: int, paths: dict[str, str]) -> str:
-    """stdout with each path in paths replaced by its placeholder, then stderr and the exit status
-    when they are not empty and 0."""
+    """stdout, then any stderr lines and a non-zero exit status, each path in paths replaced by
+    its placeholder."""
     text = stdout + "".join(f"stderr: {line}\n" for line in stderr.splitlines())
     if returncode:
         text += f"exit {returncode}\n"
@@ -253,7 +253,8 @@ def _evolve_128(tree: Path) -> str | None:
 
 
 def runs(tree: Path, out: Path) -> list[tuple[list[str], Path]]:
-    """(argv after the interpreter, output directory) of every run of tree, into out."""
+    """(argv after the interpreter, output directory) of every run of tree, into out, where the
+    evolve-128 config is written."""
     todo = []
     cfgs = [(stem, command, tree / "configs" / f"{stem}.cfg") for stem, command in SHIPPED]
     text = _evolve_128(tree)
