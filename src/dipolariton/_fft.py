@@ -32,8 +32,8 @@ chunk holds it, so results are bit-identical for every worker count, and
 rfftn takes numpy's own axis order and equals numpy.fft.rfftn bit for bit.
 A sweep of fewer than CHUNK_BYTES runs whole on the calling thread, where
 waking a second thread costs more than it gains. One pool per worker
-count is kept for the life of the process, so the many steps of a small
-grid do not start threads on every call.
+count is kept for the life of the process, and only the sweeps of at
+least CHUNK_BYTES at 2 or more workers reach it.
 
 The plane passes also run in place in FFTW's padded layout: a complex half
 spectrum buf of shape (nx, ny, nz // 2 + 1) holds the real array in its

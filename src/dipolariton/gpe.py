@@ -29,15 +29,15 @@ the kernel table and the complex-to-real transform all run in place there,
 so the view ends up holding eps conv |phi|^2, unscaled; the
 complex-to-real pass also leaves the largest |eps conv |phi|^2| of each x
 plane, which the step-size guard reads. SplitStep.run steps its field
-buffer in place, and the returned final state takes it over; its
-docstring states when that buffer is the caller's own array (consume).
-The CLI, the self-test and linear_response_experiment build their start
-states for the run alone and hand them over. Because the potential phase
-leaves |phi|^2 unchanged, the convolution at the end of one step is the
-one the next step opens with: n steps cost n + 1 density convolutions
-instead of 2n, and when no visitor reads the state between two steps, the
-closing half of the first and the opening half of the second are one
-rotation by twice the angle.
+buffer in place, and the returned final state takes it over; its docstring
+states when that buffer is the caller's own array (consume). The CLI, the
+self-test and linear_response_experiment build their start states for the
+run alone and hand them over; init_state writes each in the one field it
+returns. Because the potential phase leaves |phi|^2 unchanged, the
+convolution at the end of one step is the one the next step opens with: n
+steps cost n + 1 density convolutions instead of 2n, and when no visitor
+reads the state between two steps, the closing half of the first and the
+opening half of the second are one rotation by twice the angle.
 
 A step is a few sweeps (dipolariton._fft), each of which reads a chunk of
 about 1 MiB once and does all its work on it while it is in cache:
@@ -177,10 +177,6 @@ class CondensateState:
         object.__setattr__(self, "phi", check_shape(self.phi, self.params.grid.shape, "phi", complex))
         object.__setattr__(self, "t", check_real(self.t, "t"))
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.params.grid
-
 
 def _lattice_index(q, grid: GridSpec) -> tuple[tuple[int, int, int], np.ndarray]:
     """Indices of a reciprocal-lattice vector and q as a float vector; OffLatticeError if q is
@@ -217,6 +213,7 @@ def init_state(
                      n0 if given (scaled by sqrt(n0 (2 pi)^(3/2) wx wy wz)).
     kind="perturbed_plane_wave": phi = sqrt(n0) (1 + delta cos(q . r)) with
                      delta <= 1e-3 and q on the reciprocal lattice.
+    Each is written into the one field returned, from per-axis factors.
     """
     grid = params.grid
     if kind not in ("uniform", "gaussian", "perturbed_plane_wave"):
@@ -246,9 +243,15 @@ def init_state(
     if not 0.0 < delta <= 1e-3:
         raise ParameterDomainError(f"delta must lie in (0, 1e-3], got {delta}")
     qv = _lattice_index(q, grid)[1]
-    xm, ym, zm = grid.meshgrid()
-    phase = qv[0] * xm + qv[1] * ym + qv[2] * zm
-    phi = math.sqrt(n0) * (1.0 + delta * np.cos(phase)).astype(complex)
+    # e^{i q.r} as the product of one exponential per axis, written into phi
+    ex, ey, ez = (np.exp(1j * qi * c) for qi, c in zip(qv, grid.axes()))
+    phi = np.empty(grid.shape, dtype=complex)
+    np.multiply(np.multiply.outer(ex, ey)[:, :, None], ez, out=phi)
+    re = phi.real  # cos(q.r), made sqrt(n0) (1 + delta cos(q.r)) in place
+    re *= delta
+    re += 1.0
+    re *= math.sqrt(n0)
+    phi.imag = 0.0
     return CondensateState(phi, 0.0, params)
 
 
@@ -778,7 +781,6 @@ def linear_response_experiment(
                 f"duration = {duration} is {n_steps} steps dt = {dt}; "
                 f"the response fit needs at least {_MIN_RESPONSE_STEPS}"
             )
-    # built before the propagator, so that its meshes are freed before the buffer exists
     start = init_state("perturbed_plane_wave", params, n0=n0, delta=delta, q=q)
     prop = SplitStep(params, dt, workers)
     times = np.arange(n_steps + 1) * dt

@@ -60,11 +60,6 @@ class GridSpec:
         """Real-space coordinates per axis, 0 .. (n-1)*dx."""
         return tuple(np.arange(n) * d for n, d in zip(self.dims, self.spacings))
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcastable (open) real-space coordinate mesh."""
-        x, y, z = self.axes()
-        return np.meshgrid(x, y, z, indexing="ij", sparse=True)
-
     def wavenumbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Angular wavenumbers per axis in FFT ordering."""
         return tuple(

@@ -294,6 +294,19 @@ def test_a_nan_ray_direction_is_refused_by_its_key(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["dispersion", "stability-map"])
+@pytest.mark.parametrize("directions, message", [
+    ("0 0 1 1", "run.directions must hold 3 components per direction, got 4 numbers"),
+    ("0 0 0 0 0 1", "run.directions contains a zero vector"),
+], ids=["four-numbers", "zero-vector"])
+def test_a_malformed_ray_list_is_refused_by_its_key(tmp_path, capsys, command, directions, message):
+    cfg = write_cfg(tmp_path, disp_cfg(1e-15).replace("1 0 0 0 0 1", directions))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ stability-map
 
 def test_stability_map_scan(tmp_path, capsys):

@@ -22,6 +22,7 @@ from dipolariton import (
 )
 from dipolariton.config import KEY_TABLE, MEDIUM_KEYS, UNIT_TABLE
 from dipolariton.fileio import (
+    _atomic_write,
     provenance_lines,
     read_field,
     read_kernel_table,
@@ -357,6 +358,15 @@ def test_write_table_refuses_a_complex_cell(tmp_path, cell):
     with pytest.raises(TypeError, match="is complex"):
         write_table(str(path), ["a", "b"], [(1.0, 2.0), ("x", cell)])
     assert not path.exists()
+
+
+def test_a_failed_write_leaves_no_temp_file_and_the_target_unchanged(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(TypeError):
+        _atomic_write(str(path), b"partial\n", object())
+    assert path.read_bytes() == b"kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
 def test_write_text_uses_lf(tmp_path):

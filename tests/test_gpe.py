@@ -232,7 +232,7 @@ def test_momentum_conservation_with_interaction():
     grid = grid16()
     p = make_params(grid, 0.4)
     g0 = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
-    xm, _, zm = grid.meshgrid()
+    xm, _, zm = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
     kick = lattice_q(grid, 1, 0, 2)
     st = CondensateState(g0.phi * 2.0 * np.exp(1j * (kick[0] * xm + kick[2] * zm)),
                          0.0, p)
@@ -376,7 +376,7 @@ def observables_oracle(state):
     kin_perp = float(np.sum(p.hbar**2 * (qx**2 + qy**2) / (2.0 * p.m_perp) * weight))
     kin_z = float(np.sum(p.hbar**2 * qz**2 * 0.5 * (1.0 / p.m_par).real * weight))
     dip = 0.5 * float(np.sum(dipolar_potential(state) * rho)) * dv
-    mesh = grid.meshgrid()
+    mesh = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
     com = tuple(float(np.sum(c * rho)) * dv / norm for c in mesh)
     var = tuple(float(np.sum((c - m) ** 2 * rho)) * dv / norm for c, m in zip(mesh, com))
     return dict(norm=norm, energy_total=kin_perp + kin_z + dip, kinetic_perp=kin_perp,
@@ -776,7 +776,7 @@ def test_separable_gaussian_matches_the_full_grid_formula():
     grid = GridSpec(dims=(16, 12, 10), spacings=(0.3, 0.5, 0.7))
     p = make_params(grid, 0.5)
     w = (0.9, 1.3, 1.1)
-    xm, ym, zm = grid.meshgrid()
+    xm, ym, zm = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
     ctr = [0.5 * length for length in grid.box_lengths]
     envelope = np.exp(-((xm - ctr[0]) ** 2) / (4.0 * w[0] ** 2)
                       - ((ym - ctr[1]) ** 2) / (4.0 * w[1] ** 2)
@@ -805,12 +805,35 @@ def test_evolve_peak_memory_above_the_held_state(consume, bound):
     assert peak <= bound * st.phi.nbytes
 
 
+@pytest.mark.parametrize("kind, kw", [
+    ("uniform", dict(n0=2.0)),
+    ("gaussian", dict(widths=(4.0, 5.0, 6.0))),
+    ("gaussian", dict(widths=(4.0, 5.0, 6.0), n0=2.0)),
+    ("perturbed_plane_wave", dict(n0=2.0, delta=1e-4, q=(0, 0, 3))),
+    ("perturbed_plane_wave", dict(n0=2.0, delta=1e-4, q=(1, 2, 3))),
+], ids=["uniform", "gaussian", "gaussian-n0", "plane-wave-axis", "plane-wave-oblique"])
+def test_init_state_peak_memory_is_one_field(kind, kw):
+    # in field sizes: the returned field (1) and per-axis factors; a
+    # full-grid coordinate or phase array would add at least 0.5. q is
+    # given by its lattice index
+    grid = GridSpec(dims=(64, 64, 64), spacings=(0.5, 0.5, 0.5))
+    p = make_params(grid, 0.5)
+    if "q" in kw:
+        kw = dict(kw, q=lattice_q(grid, *kw["q"]))
+    tracemalloc.start()
+    try:
+        st = init_state(kind, p, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * st.phi.nbytes
+
+
 def test_response_peak_memory_holds_one_field_and_the_convolution():
-    # in field sizes: building the start state peaks at about 2 with its
-    # meshes; the run then holds that state, which it steps in (1), the
-    # convolution buffer (about 0.51) and a 1 MiB scratch row (0.25). Built
-    # after the propagator, the state's meshes would sit beside its buffer
-    # and the peak would read about 2.8. The kernel table is built untraced
+    # in field sizes: the run holds the start state, which it steps in (1),
+    # the convolution buffer (about 0.51) and a 1 MiB scratch row (0.25),
+    # whichever of the state and the propagator is built first. The
+    # kernel table is built untraced
     grid = GridSpec(dims=(64, 64, 64), spacings=(0.5, 0.5, 0.5))
     p = make_params(grid, 0.5)
     tracemalloc.start()
@@ -819,7 +842,7 @@ def test_response_peak_memory_holds_one_field_and_the_convolution():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 64**3 * 16
+    assert peak <= 1.95 * 64**3 * 16
 
 
 def test_kinetic_phase_is_the_largest_on_the_grid():
@@ -853,7 +876,7 @@ def test_dipolar_potential_single_cosine_mode():
     p = make_params(grid, 0.6)
     n0, a = 2.0, 0.01
     q = lattice_q(grid, 0, 0, 3)
-    _, _, zm = grid.meshgrid()
+    _, _, zm = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
     mode = np.cos(q[2] * zm) * np.ones(grid.shape)
     st = CondensateState(np.sqrt(n0 * (1.0 + a * mode)).astype(complex), 0.0, p)
     v = dipolar_potential(st)

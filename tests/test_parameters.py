@@ -19,6 +19,7 @@ from dipolariton import (
     CondensateState,
     GpeParams,
     GridMismatchError,
+    GridTooSmallError,
     Grid1D,
     GridSpec,
     KernelSpec,
@@ -256,6 +257,11 @@ ARRAY_CASES = [
      "directions must hold unit vectors within 1e-09", (OFF_UNIT,)),
     ("critical_wavenumber.direction", lambda v: critical_wavenumber(v, CondensateParams(**CONDENSATE)),
      "direction must be a unit vector within 1e-09", (OFF_UNIT,)),
+    ("critical_wavenumber.m_par", lambda v: critical_wavenumber(
+        (0.0, 0.0, 1.0), CondensateParams(**{**CONDENSATE, "m_par": v})), "Re(m_par) is zero", (1j,)),
+    ("GridSpec.dims", lambda v: GridSpec(dims=v, spacings=(0.5, 0.5, 0.5)),
+     "GridSpec takes three dims and three spacings", ((8, 8),)),
+    ("Grid1D.n", lambda v: Grid1D(n=v, dz=0.5), "point count must be even, got n=9", (9,)),
 ]
 
 
@@ -264,6 +270,11 @@ def test_array_parameter_is_refused_by_name(call, message, value):
     with pytest.raises(ParameterDomainError) as info:
         call(value)
     assert str(info.value).startswith(message)
+
+
+def test_a_grid1d_below_eight_points_is_refused():
+    with pytest.raises(GridTooSmallError, match=r"^need at least 8 points, got n=6$"):
+        Grid1D(n=6, dz=0.5)
 
 
 def test_unit_tolerances_stay_at_their_sites():

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dipolariton.cli import _COMMANDS
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 _spec = importlib.util.spec_from_file_location("parity", _PATH)
 parity = importlib.util.module_from_spec(_spec)
@@ -130,3 +132,10 @@ def test_stdout_record_drops_the_paths_and_keeps_failures():
     assert parity.stdout_record("", "error: /w/head/tree/configs/x.cfg bad\n", 2, paths) == (
         "stderr: error: <tree>/configs/x.cfg bad\nexit 2\n"
     )
+
+
+def test_the_run_list_names_every_shipped_config_once_with_a_command():
+    stems = [stem for stem, _ in parity.SHIPPED]
+    shipped = sorted(p.stem for p in (_PATH.parents[1] / "configs").glob("*.cfg"))
+    assert sorted(stems) == shipped
+    assert all(command in _COMMANDS for _, command in parity.SHIPPED)
