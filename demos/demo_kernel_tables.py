@@ -44,7 +44,7 @@ def main():
     lattice = kernel_table_fourier(grid, spec, method="lattice")
     analytic = kernel_table_fourier(grid, spec, method="analytic")
     print(f" grid {grid.dims}, spacing {grid.spacings}, "
-          f"truncation radius R = {lattice.sphere_radius:g}")
+          f"truncation radius R = {lattice.spec.sphere_radius:g}")
     diff = np.abs(lattice.coeffs - analytic.coeffs)
     scale = np.abs(analytic.coeffs).max()
     low = max(abs(lattice.coeffs[i] - analytic.coeffs[i]) / scale

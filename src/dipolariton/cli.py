@@ -215,15 +215,15 @@ def _cmd_kernel(run: _Run) -> int:
               np.column_stack((rvec.reshape(-1, 3), vals.ravel())),
               "# origin sample set to 0 (self-interaction excluded)")
 
-    qmesh = np.stack(np.broadcast_arrays(*grid.wavenumber_mesh()), axis=-1)
+    qx, qy, qz = grid.wavenumbers()
+    qmesh = np.meshgrid(qx, qy, qz[: table.coeffs.shape[2]], indexing="ij")
     run.table("kernel_fourier.csv", ("qx", "qy", "qz", "coefficient"),
-              np.column_stack((qmesh[:, :, : table.coeffs.shape[2]].reshape(-1, 3),
-                               table.coeffs.ravel())),
-              f"# method {table.method}", f"# sphere_radius {_g(table.sphere_radius)}",
+              np.column_stack([*(q.ravel() for q in qmesh), table.coeffs.ravel()]),
+              f"# method {table.method}", f"# sphere_radius {_g(spec.sphere_radius)}",
               "# half spectrum, z index 0 .. nz/2 in rfftn order; coefficient(-q) = coefficient(q)")
     write_kernel_table(run.path("kernel_table.bin"), table)
     print(f"tabulated {table.coeffs.size} coefficients (half spectrum, {table.method} method, "
-          f"truncation radius {table.sphere_radius:.6g} m)")
+          f"truncation radius {spec.sphere_radius:.6g} m)")
     print(f"coefficient range [{table.coeffs.min():.6g}, {table.coeffs.max():.6g}]")
     return 0
 

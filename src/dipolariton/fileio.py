@@ -3,7 +3,9 @@
 Text outputs are CSV with LF line endings and %.17g floats (lossless for
 float64), preceded by '#' provenance comments: tool version, config digest,
 effective parameter echo. No timestamps anywhere, so identical inputs give
-byte-identical files. Writes go through a temp file in the target directory
+byte-identical files. Each line goes to disk as it is formatted, so no copy
+of a file is held in memory. Writes go through a temp file in the target
+directory, created as open() would create it (the umask sets its mode),
 plus os.replace, so readers never observe a half-written file.
 
 Complex 3-d fields use a one-line text header followed by little-endian
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +28,6 @@ from .grid import GridSpec
 from .kernel import FourierTable, KernelSpec
 
 __all__ = [
-    "write_text",
     "write_table",
     "write_field",
     "read_field",
@@ -38,22 +39,17 @@ _FIELD_MAGIC = "dipolariton-field-v1"
 _KERNEL_MAGIC = "dipolariton-kernel-v2"
 
 
-def _atomic_write(path: str, *chunks) -> None:
-    """Write the bytes-like chunks in order to a temp file, then move it to path."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _atomic_write(path: str, chunks: Iterable) -> None:
+    """Write each bytes-like chunk to a temp file as it arrives, then move the file to path."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")  # O_CREAT | O_EXCL, mode 0o666 less the umask
     try:
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -77,11 +73,6 @@ def provenance_lines(version: str, config_sha: str | None,
     return lines
 
 
-def write_text(path: str, lines: Iterable[str]) -> None:
-    body = "\n".join(lines) + "\n"
-    _atomic_write(path, body.encode())
-
-
 def _cell(c) -> str:
     """A str as is, a real as %.17g; a complex cell, numpy's too, raises TypeError."""
     if isinstance(c, (complex, np.complexfloating)):
@@ -92,17 +83,17 @@ def _cell(c) -> str:
 def write_table(path: str, header: Sequence[str], rows, comments: Sequence[str] = ()) -> None:
     """CSV table: comment block, one header row, then the rows.
 
-    rows is a 2-D real array, or rows of str and real cells; reals are
-    written as %.17g, and a complex cell raises TypeError.
+    rows is a 2-D real array, or an iterable of rows of str and real cells;
+    reals are written as %.17g, and a complex cell raises TypeError. Each
+    line is written as it is formatted, so the table is never held as text.
     """
-    lines = [*comments, ",".join(header)]
     if isinstance(rows, np.ndarray):
         fmt = ",".join(["%.17g"] * rows.shape[1])
-        # a row at a time: a whole .tolist() would hold every cell at once
-        lines.extend(fmt % tuple(row.tolist()) for row in rows)
+        body = (fmt % tuple(row.tolist()) for row in rows)
     else:
-        lines.extend(",".join(map(_cell, row)) for row in rows)
-    write_text(path, lines)
+        body = (",".join(map(_cell, row)) for row in rows)
+    lines = chain(comments, [",".join(header)], body)
+    _atomic_write(path, (f"{line}\n".encode() for line in lines))
 
 
 def _read_binary(path: str, magic: str, what: str, dtype: str, fields: Sequence[str] = (),
@@ -141,7 +132,7 @@ def _read_binary(path: str, magic: str, what: str, dtype: str, fields: Sequence[
 def _write_binary(path: str, magic: str, grid: GridSpec, words: Sequence, payload) -> None:
     """Header line magic, nx ny nz dx dy dz, words (each through _g), as _read_binary reads; payload."""
     header = _g((magic, *grid.dims, *grid.spacings, *words)) + "\n"
-    _atomic_write(path, header.encode(), payload)
+    _atomic_write(path, (header.encode(), payload))
 
 
 def write_field(path: str, field: np.ndarray, grid: GridSpec, t: float = 0.0) -> None:
@@ -166,7 +157,7 @@ def read_field(path: str) -> tuple[np.ndarray, GridSpec, float]:
 def write_kernel_table(path: str, table: FourierTable) -> None:
     """Binary kernel coefficients: text header line, then the half spectrum as '<f8' in C order."""
     spec = table.spec
-    words = (*spec.orientation, spec.strength, spec.cutoff_radius, table.sphere_radius, table.method)
+    words = (*spec.orientation, spec.strength, spec.cutoff_radius, spec.sphere_radius, table.method)
     _write_binary(path, _KERNEL_MAGIC, table.grid, words,
                   np.ascontiguousarray(table.coeffs, dtype="<f8"))
 
@@ -179,7 +170,6 @@ def read_kernel_table(path: str) -> FourierTable:
         strength, cutoff, sphere = map(float, parts[10:13])
         spec = KernelSpec(orientation=tuple(map(float, parts[7:10])), strength=strength,
                           cutoff_radius=cutoff, sphere_radius=sphere)
-        return FourierTable(grid=grid, spec=spec, coeffs=coeffs, method=parts[13],
-                            sphere_radius=sphere)
+        return FourierTable(grid=grid, spec=spec, coeffs=coeffs, method=parts[13])
     except ValueError as exc:  # not a number, or what KernelSpec or FourierTable refuses
         raise ConfigError(f"{path}: bad kernel spec in header: {exc}") from None

@@ -31,7 +31,7 @@ class GridSpec:
     spacings: tuple[float, float, float]
 
     def __post_init__(self):
-        if len(self.dims) != 3 or len(self.spacings) != 3:
+        if any(not hasattr(v, "__len__") or len(v) != 3 for v in (self.dims, self.spacings)):
             raise ParameterDomainError("GridSpec takes three dims and three spacings")
         dims = tuple(check_count(n, "a point count in dims") for n in self.dims)
         spacings = tuple(check_positive(d, "a spacing in spacings") for d in self.spacings)
@@ -65,10 +65,6 @@ class GridSpec:
         return tuple(
             2.0 * np.pi * np.fft.fftfreq(n, d=d) for n, d in zip(self.dims, self.spacings)
         )
-
-    def wavenumber_mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        qx, qy, qz = self.wavenumbers()
-        return np.meshgrid(qx, qy, qz, indexing="ij", sparse=True)
 
     def displacements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Minimum-image displacement coordinates per axis, FFT ordering."""

@@ -38,7 +38,7 @@ reads; transforms run in chunked numpy.fft sweeps over `workers` threads
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,21 +147,22 @@ class FourierTable:
     ordering: the truncated kernel is even, so the index (-i, -j, -k) mod n
     holds what (i, j, k) holds. It carries the physical normalization:
     irfftn(rfftn(rho) * coeffs) approximates the continuum integral of eps
-    against rho. method is one of the two constructions and sphere_radius
-    a positive finite radius, so that a kernel table file can hold them.
+    against rho. method is one of the two constructions, and spec carries
+    the truncation radius the table was built with, never None, so that a
+    kernel table file holds the table whole.
     """
 
     grid: GridSpec
     spec: KernelSpec
     coeffs: np.ndarray
     method: str
-    sphere_radius: float
 
     def __post_init__(self):
         nx, ny, nz = self.grid.dims
         object.__setattr__(self, "coeffs", check_shape(self.coeffs, (nx, ny, nz // 2 + 1), "coeffs"))
         _check_method(self.method)
-        object.__setattr__(self, "sphere_radius", check_positive(self.sphere_radius, "sphere_radius"))
+        if self.spec.sphere_radius is None:
+            raise ParameterDomainError("sphere_radius must be set in a table's spec, got None")
 
 
 def _check_method(method) -> None:
@@ -228,7 +229,7 @@ def kernel_table_fourier(
                 q.flat[n // 2] *= -1.0
         coeffs = 0.5 * (samples[0] + samples[1])
     coeffs[0, 0, 0] = 0.0
-    return FourierTable(grid=grid, spec=spec, coeffs=coeffs, method=method, sphere_radius=r_c)
+    return FourierTable(grid=grid, spec=replace(spec, sphere_radius=r_c), coeffs=coeffs, method=method)
 
 
 def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,

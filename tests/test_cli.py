@@ -197,7 +197,7 @@ def test_kernel_csv_rows_in_index_order(tmp_path):
     grid = GridSpec(dims=(12, 10, 8), spacings=(0.5, 0.7, 0.9))
     spec = KernelSpec(orientation=(0.6, 0.0, 0.8), strength=1.25)
     xs, ys, zs = grid.displacements()
-    qx, qy, qz = grid.wavenumber_mesh()
+    qx, qy, qz = np.meshgrid(*grid.wavenumbers(), indexing="ij", sparse=True)
     coeffs = kernel_table_fourier(grid, spec).coeffs
     real_rows, fourier_rows = [], []
     for i, j, k in np.ndindex(grid.shape):
@@ -208,7 +208,7 @@ def test_kernel_csv_rows_in_index_order(tmp_path):
             fourier_rows.append(",".join(fmt(v) for v in (qx[i, 0, 0], qy[0, j, 0], qz[0, 0, k],
                                                           coeffs[i, j, k])))
     for name, expected in (("kernel_real.csv", real_rows), ("kernel_fourier.csv", fourier_rows)):
-        body = [ln for ln in open(os.path.join(out, name)).read().splitlines()
+        body = [ln for ln in Path(out, name).read_text().splitlines()
                 if not ln.startswith("#")][1:]
         assert body == expected, name
 
@@ -399,7 +399,7 @@ def test_evolve_reports_the_kinetic_phase_per_step(tmp_path, capsys):
     phase = re.search(r"^kinetic phase per step (\S+) pi$", capsys.readouterr().out, re.M)
     cfg = parse_config((CONFIGS / "evolve.cfg").read_text())
     derived = derive_eit(cfg.medium)
-    qx, qy, qz = cfg.grid.wavenumber_mesh()
+    qx, qy, qz = np.meshgrid(*cfg.grid.wavenumbers(), indexing="ij", sparse=True)
     omega = (qx**2 + qy**2) / (2.0 * derived.m_perp) + qz**2 * 0.5 * (1.0 / derived.m_par).real
     expected = cfg.get("run.dt") * dipolariton.eit.HBAR * np.max(np.abs(omega)) / math.pi
     assert float(phase.group(1)) == pytest.approx(expected, rel=5e-3)  # 3 digits
@@ -708,7 +708,7 @@ def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys):
         assert main(["derive", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: --out {out} cannot be used as the output directory")
-    assert open(afile).read() == "not a directory\n"
+    assert Path(afile).read_text() == "not a directory\n"
 
 
 def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):

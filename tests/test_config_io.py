@@ -6,6 +6,7 @@ import math
 import os
 import re
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from dipolariton.fileio import (
     write_field,
     write_kernel_table,
     write_table,
-    write_text,
 )
 from conftest import random_complex
 
@@ -364,14 +364,14 @@ def test_a_failed_write_leaves_no_temp_file_and_the_target_unchanged(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"kept\n")
     with pytest.raises(TypeError):
-        _atomic_write(str(path), b"partial\n", object())
+        _atomic_write(str(path), [b"partial\n", object()])
     assert path.read_bytes() == b"kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
-def test_write_text_uses_lf(tmp_path):
+def test_write_table_uses_lf(tmp_path):
     path = str(tmp_path / "lines.txt")
-    write_text(path, ["alpha", "beta"])
+    write_table(path, ["alpha"], [["beta"]])
     with open(path, "rb") as fh:
         assert fh.read() == b"alpha\nbeta\n"
 
@@ -592,8 +592,20 @@ def test_kernel_table_round_trip(tmp_path):
     assert back.spec.orientation == pytest.approx(spec.orientation, rel=1e-16)
     assert back.spec.strength == 1.7
     assert back.spec.cutoff_radius == 0.3
-    assert back.sphere_radius == 1.25
+    assert back.spec.sphere_radius == 1.25
     assert back.method == "lattice"
+
+
+def test_a_default_spec_table_round_trips_equal_in_every_field(tmp_path):
+    # the table's spec carries the radius it was built with, so the file reproduces it
+    grid = GridSpec(dims=(16, 16, 16), spacings=(1.0, 1.0, 1.0))
+    table = kernel_table_fourier(grid, KernelSpec(orientation=(0.6, 0.0, 0.8), strength=1.7))
+    path = str(tmp_path / "k.bin")
+    write_kernel_table(path, table)
+    back = read_kernel_table(path)
+    for field in dataclasses.fields(table):
+        got, want = getattr(back, field.name), getattr(table, field.name)
+        assert np.array_equal(got, want) if field.name == "coeffs" else got == want, field.name
 
 
 def test_provenance_lines_layout():
@@ -610,7 +622,8 @@ def test_provenance_lines_layout():
 def test_writes_leave_no_temp_files(tmp_path):
     grid = GridSpec(dims=(8, 8, 8), spacings=(1.0, 1.0, 1.0))
     write_field(str(tmp_path / "f.bin"), np.zeros(grid.shape, complex), grid)
-    write_text(str(tmp_path / "t.txt"), ["x"])
+    write_kernel_table(str(tmp_path / "k.bin"),
+                       kernel_table_fourier(grid, KernelSpec(orientation=(0.0, 0.0, 1.0), strength=1.0)))
     write_table(str(tmp_path / "t.csv"), ["a"], [[1.0]])
     leftovers = [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
     assert leftovers == []
@@ -618,11 +631,62 @@ def test_writes_leave_no_temp_files(tmp_path):
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
 def test_written_files_respect_the_umask(tmp_path, umask):
-    # the atomic temp file starts 0600; the output gets the mode open() would give it
+    # the output gets the mode open() would give it
     path = tmp_path / "t.txt"
     old = os.umask(umask)
     try:
-        write_text(str(path), ["x"])
+        write_table(str(path), ["x"], [])
     finally:
         os.umask(old)
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+
+
+def test_writers_leave_the_umask_alone(tmp_path, monkeypatch):
+    # setting the process umask, even for a moment, races other threads' file creation
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    grid = GridSpec(dims=(8, 8, 8), spacings=(1.0, 1.0, 1.0))
+    write_table(str(tmp_path / "t.csv"), ["a"], [[1.0]])
+    write_field(str(tmp_path / "f.bin"), np.zeros(grid.shape, complex), grid)
+    write_kernel_table(str(tmp_path / "k.bin"),
+                       kernel_table_fourier(grid, KernelSpec(orientation=(0.0, 0.0, 1.0), strength=1.0)))
+    assert sorted(os.listdir(tmp_path)) == ["f.bin", "k.bin", "t.csv"]
+
+
+@pytest.mark.parametrize("make_rows", [
+    lambda: np.linspace(-1.0, 1.0, 800_000).reshape(200_000, 4),
+    lambda: [(f"row{i}", i * 0.1, -i * 0.2, i * 1e-300, 1.0 / (i + 1)) for i in range(50_000)],
+], ids=["float-array", "string-and-float-rows"])
+def test_write_table_holds_no_copy_of_the_file(tmp_path, make_rows):
+    rows = make_rows()
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_table(str(path), ["a", "b", "c", "d", "e"][-len(rows[0]):], rows, comments=["# c"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 4_000_000
+    assert peak <= 1_000_000
+
+
+def test_a_complex_cell_deep_in_a_table_leaves_the_target_and_no_temp_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"kept\n")
+    temp_files = []
+
+    def rows():
+        for i in range(2_000):
+            if i == 1_000:
+                # the rows before this one have gone to the temp file as they were formatted
+                temp_files.extend(p.name for p in tmp_path.iterdir() if p.name != "t.csv")
+                yield (i * 0.1, 1j)
+            yield (i * 0.1, 1.0)
+
+    with pytest.raises(TypeError, match="is complex"):
+        write_table(str(path), ["a", "b"], rows())
+    assert len(temp_files) == 1
+    assert path.read_bytes() == b"kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]

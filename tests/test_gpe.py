@@ -239,7 +239,7 @@ def test_momentum_conservation_with_interaction():
 
     def momentum(phi):
         spec = np.abs(np.fft.fftn(phi)) ** 2 * (grid.cell_volume / phi.size)
-        qx, qy, qz = grid.wavenumber_mesh()
+        qx, qy, qz = np.meshgrid(*grid.wavenumbers(), indexing="ij", sparse=True)
         return np.array([np.sum(q * spec) for q in (qx, qy, qz)])
 
     p0 = momentum(st.phi)
@@ -372,7 +372,7 @@ def observables_oracle(state):
     rho = np.abs(phi) ** 2
     norm = float(np.sum(rho)) * dv
     weight = np.abs(np.fft.fftn(phi)) ** 2 * (dv / phi.size)
-    qx, qy, qz = grid.wavenumber_mesh()
+    qx, qy, qz = np.meshgrid(*grid.wavenumbers(), indexing="ij", sparse=True)
     kin_perp = float(np.sum(p.hbar**2 * (qx**2 + qy**2) / (2.0 * p.m_perp) * weight))
     kin_z = float(np.sum(p.hbar**2 * qz**2 * 0.5 * (1.0 / p.m_par).real * weight))
     dip = 0.5 * float(np.sum(dipolar_potential(state) * rho)) * dv
@@ -687,7 +687,7 @@ def reference_step(phi, p, dt):
         conv = np.fft.irfftn(np.fft.rfftn(np.abs(phi) ** 2) * p.table.coeffs, s=phi.shape, axes=(0, 1, 2))
         return np.exp(-0.5j * dt * p.sin2_theta * conv) * phi
 
-    qx, qy, qz = p.grid.wavenumber_mesh()
+    qx, qy, qz = np.meshgrid(*p.grid.wavenumbers(), indexing="ij", sparse=True)
     omega = p.hbar * ((qx**2 + qy**2) / (2.0 * p.m_perp) + qz**2 / (2.0 * p.m_par))
     phi = half_potential(phi)
     phi = np.fft.ifftn(np.exp(-1j * dt * omega) * np.fft.fftn(phi))
@@ -849,7 +849,7 @@ def test_kinetic_phase_is_the_largest_on_the_grid():
     grid = GridSpec(dims=(16, 12, 10), spacings=(0.3, 0.5, 0.7))
     for m_par in (1.7, 0.4 + 0.3j):
         p = make_params(grid, 0.5, m_perp=1.3, m_par=m_par)
-        qx, qy, qz = grid.wavenumber_mesh()
+        qx, qy, qz = np.meshgrid(*grid.wavenumbers(), indexing="ij", sparse=True)
         omega = (qx**2 + qy**2) / (2.0 * p.m_perp) + qz**2 * 0.5 * (1.0 / p.m_par).real
         assert gpe._kinetic_phase(p, -0.05) == pytest.approx(0.05 * np.max(omega), rel=1e-14)
 

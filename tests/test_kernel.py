@@ -315,7 +315,7 @@ def test_table_coefficients_real_and_even():
 def analytic_full_coeffs(grid, spec):
     """The analytic table of a spec without cutoff or sphere radius over the full grid,
     each sample averaged with the one at the mirrored index."""
-    qx, qy, qz = grid.wavenumber_mesh()
+    qx, qy, qz = np.meshgrid(*grid.wavenumbers(), indexing="ij", sparse=True)
     q = np.stack(np.broadcast_arrays(qx, qy, qz), axis=-1)
     envelope = _truncated_radial_factor(np.linalg.norm(q, axis=-1) * 0.5 * min(grid.box_lengths))
     coeffs = kernel_fourier_analytic(q, spec) * envelope
@@ -334,9 +334,9 @@ def test_analytic_table_is_even_on_nyquist_planes():
     assert _is_even(reference) <= 1e-14
     assert np.max(np.abs(coeffs - _half(reference))) <= 1e-14 * np.max(np.abs(reference))
     # off the Nyquist planes the samples are the continuum transform itself
-    qx, qy, qz = grid.wavenumber_mesh()
+    qx, qy, qz = np.meshgrid(*grid.wavenumbers(), indexing="ij", sparse=True)
     q = np.stack(np.broadcast_arrays(qx, qy, qz), axis=-1)[1:8, 1:4, 1:6]
-    envelope = _truncated_radial_factor(np.linalg.norm(q, axis=-1) * table.sphere_radius)
+    envelope = _truncated_radial_factor(np.linalg.norm(q, axis=-1) * table.spec.sphere_radius)
     expected = kernel_fourier_analytic(q, spec) * envelope
     assert coeffs[1:8, 1:4, 1:6] == pytest.approx(expected, rel=1e-12)
 
@@ -425,22 +425,25 @@ def test_table_shape_mismatch_raises():
     with pytest.raises(GridMismatchError):
         convolve_density(table, np.zeros((8, 8, 10)))
     with pytest.raises(GridMismatchError):
-        FourierTable(grid=grid, spec=spec, coeffs=np.zeros((4, 4, 4)),
-                     method="lattice", sphere_radius=2.0)
+        FourierTable(grid=grid, spec=table.spec, coeffs=np.zeros((4, 4, 4)), method="lattice")
 
 
 @pytest.mark.parametrize("field, value, reason", [
     ("method", "bogus", "unknown table method 'bogus'"),
     ("sphere_radius", math.nan, "sphere_radius must be positive and finite"),
     ("sphere_radius", -1.0, "sphere_radius must be positive and finite"),
+    ("sphere_radius", None, "sphere_radius must be set in a table's spec, got None"),
 ])
 def test_table_refuses_what_its_file_cannot_hold(field, value, reason):
     # read_kernel_table refuses each of these, so a table that held one
-    # would write a file that does not read back
+    # would write a file that does not read back; the radius lives on the spec
     grid = GridSpec(dims=(8, 8, 8), spacings=(0.5, 0.5, 0.5))
     table = kernel_table_fourier(grid, KernelSpec(orientation=Z_AXIS, strength=1.0))
     with pytest.raises(ParameterDomainError, match=reason):
-        replace(table, **{field: value})
+        if field == "method":
+            replace(table, method=value)
+        else:
+            replace(table, spec=replace(table.spec, sphere_radius=value))
 
 
 def test_uniform_density_feels_no_mean_field():
@@ -454,11 +457,11 @@ def test_uniform_density_feels_no_mean_field():
 def test_sphere_radius_default_and_override():
     grid = GridSpec(dims=(16, 8, 12), spacings=(0.3, 0.5, 0.7))
     table = kernel_table_fourier(grid, KernelSpec(orientation=Z_AXIS, strength=1.0))
-    assert table.sphere_radius == 0.5 * min(grid.box_lengths)
+    assert table.spec.sphere_radius == 0.5 * min(grid.box_lengths)
     custom = kernel_table_fourier(
         grid, KernelSpec(orientation=Z_AXIS, strength=1.0, sphere_radius=1.25)
     )
-    assert custom.sphere_radius == 1.25
+    assert custom.spec.sphere_radius == 1.25
 
 
 def test_unknown_table_method_raises():

@@ -260,7 +260,9 @@ ARRAY_CASES = [
     ("critical_wavenumber.m_par", lambda v: critical_wavenumber(
         (0.0, 0.0, 1.0), CondensateParams(**{**CONDENSATE, "m_par": v})), "Re(m_par) is zero", (1j,)),
     ("GridSpec.dims", lambda v: GridSpec(dims=v, spacings=(0.5, 0.5, 0.5)),
-     "GridSpec takes three dims and three spacings", ((8, 8),)),
+     "GridSpec takes three dims and three spacings", ((8, 8), 16, None)),
+    ("GridSpec.spacings", lambda v: GridSpec(dims=(8, 8, 8), spacings=v),
+     "GridSpec takes three dims and three spacings", ((0.5, 0.5), 1.0, None)),
     ("Grid1D.n", lambda v: Grid1D(n=v, dz=0.5), "point count must be even, got n=9", (9,)),
 ]
 
