@@ -76,11 +76,11 @@ from .grid import Grid1D, GridSpec
 from .kernel import (
     FourierTable,
     KernelSpec,
+    _samples,
     _truncated_radial_factor,
     convolve_density,
     direct_convolution_reference,
     kernel_table_fourier,
-    kernel_value,
 )
 
 __all__ = ["main"]
@@ -201,24 +201,28 @@ def _cmd_derive(run: _Run) -> int:
     return 0
 
 
+def _mesh_rows(mesh, values: np.ndarray) -> np.ndarray:
+    """Rows (a, b, c, value) at every point of an open mesh, in C order, filled by column."""
+    rows = np.empty((*values.shape, 4))
+    for j, column in enumerate((*mesh, values)):
+        rows[..., j] = column
+    return rows.reshape(-1, 4)
+
+
 def _cmd_kernel(run: _Run) -> int:
-    """kernel_real.csv holds the bare kernel at every minimum-image displacement, the tables
-    only what lies inside the truncation sphere; so the DFT of the CSV is not the table."""
+    """kernel_real.csv holds the bare kernel, sampled on the open meshes, at every minimum-image
+    displacement, the tables only what lies inside the sphere; so its DFT is not the table."""
     table = _table(run)
     grid, spec = table.grid, table.spec
-
-    rvec = np.stack(np.meshgrid(*grid.displacements(), indexing="ij"), axis=-1)
-    vals = np.zeros(grid.shape)
-    mask = np.linalg.norm(rvec, axis=-1) > 0
-    vals[mask] = kernel_value(rvec[mask], spec)
+    mesh = np.meshgrid(*grid.displacements(), indexing="ij", sparse=True)
     run.table("kernel_real.csv", ("x", "y", "z", "epsilon"),
-              np.column_stack((rvec.reshape(-1, 3), vals.ravel())),
+              _mesh_rows(mesh, _samples(*mesh, spec, math.inf)),
               "# origin sample set to 0 (self-interaction excluded)")
 
     qx, qy, qz = grid.wavenumbers()
-    qmesh = np.meshgrid(qx, qy, qz[: table.coeffs.shape[2]], indexing="ij")
+    qmesh = np.meshgrid(qx, qy, qz[: table.coeffs.shape[2]], indexing="ij", sparse=True)
     run.table("kernel_fourier.csv", ("qx", "qy", "qz", "coefficient"),
-              np.column_stack([*(q.ravel() for q in qmesh), table.coeffs.ravel()]),
+              _mesh_rows(qmesh, table.coeffs),
               f"# method {table.method}", f"# sphere_radius {_g(spec.sphere_radius)}",
               "# half spectrum, z index 0 .. nz/2 in rfftn order; coefficient(-q) = coefficient(q)")
     write_kernel_table(run.path("kernel_table.bin"), table)

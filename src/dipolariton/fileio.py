@@ -107,26 +107,27 @@ def _read_binary(path: str, magic: str, what: str, dtype: str, fields: Sequence[
     """
     with open(path, "rb") as fh:
         header = fh.readline()
-        payload = fh.read()
-    try:
-        parts = header.decode().split()
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: {what} header is not UTF-8 text") from None
-    if not parts or parts[0] != magic:
-        raise ConfigError(f"{path}: not a {what} file (missing '{magic}' header)")
-    fields = ("nx", "ny", "nz", "dx", "dy", "dz", *fields)
-    if len(parts) <= len(fields):
-        raise ConfigError(f"{path}: {what} header lacks {', '.join(fields[len(parts) - 1:])}")
-    try:
-        grid = GridSpec(dims=tuple(map(int, parts[1:4])), spacings=tuple(map(float, parts[4:7])))
-    except ValueError as exc:  # a word that is not a number, or a grid GridSpec refuses
-        raise ConfigError(f"{path}: bad {what} grid in header: {exc}") from None
-    shape = (*grid.dims[:2], grid.dims[2] // 2 + 1) if half else grid.shape
-    expected = math.prod(shape) * np.dtype(dtype).itemsize
-    if len(payload) != expected:
-        raise ConfigError(f"{path}: payload is {len(payload)} bytes, expected {expected} "
-                          f"for {'x'.join(map(str, shape))} values of '{dtype}'")
-    return parts, grid, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        try:
+            parts = header.decode().split()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: {what} header is not UTF-8 text") from None
+        if not parts or parts[0] != magic:
+            raise ConfigError(f"{path}: not a {what} file (missing '{magic}' header)")
+        fields = ("nx", "ny", "nz", "dx", "dy", "dz", *fields)
+        if len(parts) <= len(fields):
+            raise ConfigError(f"{path}: {what} header lacks {', '.join(fields[len(parts) - 1:])}")
+        try:
+            grid = GridSpec(dims=tuple(map(int, parts[1:4])), spacings=tuple(map(float, parts[4:7])))
+        except ValueError as exc:  # a word that is not a number, or a grid GridSpec refuses
+            raise ConfigError(f"{path}: bad {what} grid in header: {exc}") from None
+        shape = (*grid.dims[:2], grid.dims[2] // 2 + 1) if half else grid.shape
+        expected = math.prod(shape) * np.dtype(dtype).itemsize
+        payload = np.empty(shape, dtype=dtype) if size == expected else None
+        if payload is None or fh.readinto(payload) != size:
+            raise ConfigError(f"{path}: payload is {size} bytes, expected {expected} "
+                              f"for {'x'.join(map(str, shape))} values of '{dtype}'")
+    return parts, grid, payload
 
 
 def _write_binary(path: str, magic: str, grid: GridSpec, words: Sequence, payload) -> None:

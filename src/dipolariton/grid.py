@@ -18,11 +18,6 @@ from .errors import GridTooSmallError, ParameterDomainError, check_count, check_
 __all__ = ["GridSpec", "Grid1D"]
 
 
-def _signed_indices(n: int) -> np.ndarray:
-    # FFT-ordered signed sample indices: 0, 1, ..., n/2-1, -n/2, ..., -1
-    return np.fft.fftfreq(n) * n
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic 3D grid. Axis order is (x, y, z); z is the last axis."""
@@ -67,10 +62,8 @@ class GridSpec:
         )
 
     def displacements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Minimum-image displacement coordinates per axis, FFT ordering."""
-        return tuple(
-            _signed_indices(n) * d for n, d in zip(self.dims, self.spacings)
-        )
+        """Minimum-image displacement coordinates per axis in FFT ordering: 0, d, ..., -d."""
+        return tuple(np.fft.fftfreq(n) * n * d for n, d in zip(self.dims, self.spacings))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ with phi the angle between the separation r and the dipole axis. The kernel
 value is a frequency shift; multiplying a convolved density by hbar gives the
 mean-field potential. Its full-space Fourier transform is the bounded
 anisotropic function (4 pi / 3) * strength * (3 cos^2 beta - 1), with beta the
-angle between the wavevector and the dipole axis.
+angle between the wavevector and the dipole axis. Each formula is written once,
+in a sampler of broadcastable components that every caller goes through:
+_samples for eps, _fourier_samples for its transform.
 
 For periodic grids the kernel is truncated on a sphere of radius R_c (default
 half the shortest box edge) so periodic images do not alias the long 1/r^3
@@ -88,9 +90,35 @@ class KernelSpec:
             radius = check_positive(self.sphere_radius, "sphere_radius")
             object.__setattr__(self, "sphere_radius", radius)
 
-    @property
-    def axis(self) -> np.ndarray:
-        return np.asarray(self.orientation)
+
+def _samples(x, y, z, spec: KernelSpec, radius: float) -> np.ndarray:
+    """strength (1 - 3 cos^2 phi) / r^3 at broadcast (x, y, z); 0 at 0, below cutoff, beyond radius."""
+    ax, ay, az = spec.orientation
+    rn = np.asarray(np.sqrt(x**2 + y**2 + z**2))  # an array, also for a single point
+    outside = (rn == 0) | (rn > radius) | (rn < spec.cutoff_radius)
+    vals = np.asarray(x * ax + y * ay + z * az)
+    rn[outside] = 1.0
+    vals /= rn  # cos phi
+    np.square(vals, out=vals)
+    vals *= 3.0
+    np.subtract(1.0, vals, out=vals)
+    vals *= spec.strength
+    rn **= 3
+    vals /= rn
+    vals[outside] = 0.0
+    return vals
+
+
+def _fourier_samples(qx, qy, qz, spec: KernelSpec) -> np.ndarray:
+    """(4 pi / 3) strength (3 cos^2 beta - 1) at broadcast q = (qx, qy, qz); 0 at q = 0."""
+    ax, ay, az = spec.orientation
+    qn = np.asarray(np.sqrt(qx**2 + qy**2 + qz**2))
+    origin = qn == 0
+    qn[origin] = 1.0
+    cos_beta = (qx * ax + qy * ay + qz * az) / qn
+    vals = np.asarray(FULL_SPACE_PREFACTOR * spec.strength * (3.0 * cos_beta**2 - 1.0))
+    vals[origin] = 0.0
+    return vals
 
 
 def kernel_value(r, spec: KernelSpec) -> np.ndarray:
@@ -100,14 +128,9 @@ def kernel_value(r, spec: KernelSpec) -> np.ndarray:
     a genuine singularity and raises.
     """
     r = check_vector(r, "r")
-    rn = np.linalg.norm(r, axis=-1)
-    if spec.cutoff_radius == 0.0 and np.any(rn == 0.0):
+    if spec.cutoff_radius == 0.0 and np.any(np.linalg.norm(r, axis=-1) == 0.0):
         raise ParameterDomainError("kernel diverges at r = 0; set a positive cutoff_radius")
-    inside = rn >= spec.cutoff_radius
-    safe = np.where(rn > 0, rn, 1.0)
-    cos_phi = (r @ spec.axis) / safe
-    out = spec.strength * (1.0 - 3.0 * cos_phi**2) / safe**3
-    return np.where(inside & (rn > 0), out, 0.0)
+    return _samples(r[..., 0], r[..., 1], r[..., 2], spec, np.inf)
 
 
 def kernel_fourier_analytic(q, spec: KernelSpec) -> np.ndarray:
@@ -117,11 +140,7 @@ def kernel_fourier_analytic(q, spec: KernelSpec) -> np.ndarray:
     by the zero-angular-average convention.
     """
     q = check_vector(q, "q")
-    qn = np.linalg.norm(q, axis=-1)
-    safe = np.where(qn > 0, qn, 1.0)
-    cos_beta = (q @ spec.axis) / safe
-    out = FULL_SPACE_PREFACTOR * spec.strength * (3.0 * cos_beta**2 - 1.0)
-    return np.where(qn > 0, out, 0.0)
+    return _fourier_samples(q[..., 0], q[..., 1], q[..., 2], spec)
 
 
 def _truncated_radial_factor(x: np.ndarray) -> np.ndarray:
@@ -143,13 +162,13 @@ def _truncated_radial_factor(x: np.ndarray) -> np.ndarray:
 class FourierTable:
     """Kernel Fourier coefficients on a grid's reciprocal lattice.
 
-    coeffs is the real half spectrum, shape (nx, ny, nz // 2 + 1) in rfftn
-    ordering: the truncated kernel is even, so the index (-i, -j, -k) mod n
-    holds what (i, j, k) holds. It carries the physical normalization:
-    irfftn(rfftn(rho) * coeffs) approximates the continuum integral of eps
-    against rho. method is one of the two constructions, and spec carries
-    the truncation radius the table was built with, never None, so that a
-    kernel table file holds the table whole.
+    coeffs is the real half spectrum, shape (nx, ny, nz // 2 + 1) in rfftn ordering:
+    the truncated kernel is even, so the index (-i, -j, -k) mod n holds what (i, j, k)
+    holds. It carries the physical normalization: irfftn(rfftn(rho) * coeffs)
+    approximates the continuum integral of eps against rho. method is one of the two
+    constructions, and spec carries the truncation radius the table was built with,
+    never None, so that a kernel table file holds the table whole; for the same
+    reason coeffs of complex dtype are refused.
     """
 
     grid: GridSpec
@@ -160,6 +179,8 @@ class FourierTable:
     def __post_init__(self):
         nx, ny, nz = self.grid.dims
         object.__setattr__(self, "coeffs", check_shape(self.coeffs, (nx, ny, nz // 2 + 1), "coeffs"))
+        if self.coeffs.dtype.kind not in "iuf":
+            raise ParameterDomainError(f"coeffs must be real, got dtype {self.coeffs.dtype}")
         _check_method(self.method)
         if self.spec.sphere_radius is None:
             raise ParameterDomainError("sphere_radius must be set in a table's spec, got None")
@@ -190,27 +211,8 @@ def kernel_table_fourier(
     workers = check_count(workers, "worker count")
     _check_method(method)
     r_c = _resolve_sphere_radius(grid, spec)
-    ax, ay, az = spec.orientation
     if method == "lattice":
-        # |r| and r . axis from open per-axis meshes: one full-grid array each
-        x, y, z = np.meshgrid(*grid.displacements(), indexing="ij", sparse=True)
-        rn = np.sqrt(x**2 + y**2 + z**2)
-        # evaluate on the punctured lattice; the origin cell never contributes
-        outside = (rn == 0) | (rn > r_c)
-        if spec.cutoff_radius > 0:
-            outside |= rn < spec.cutoff_radius
-        cos_phi = x * ax + y * ay + z * az
-        rn[outside] = 1.0
-        cos_phi /= rn
-        # kernel_value's strength * (1 - 3 cos^2 phi) / |r|^3, in place
-        vals = np.square(cos_phi, out=cos_phi)
-        vals *= 3.0
-        np.subtract(1.0, vals, out=vals)
-        vals *= spec.strength
-        rn **= 3
-        vals /= rn
-        del rn
-        vals[outside] = 0.0
+        vals = _samples(*np.meshgrid(*grid.displacements(), indexing="ij", sparse=True), spec, r_c)
         # the kernel is real and even, so its spectrum is real
         coeffs = _fft.rfftn(vals, workers).real * grid.cell_volume
     else:
@@ -222,8 +224,7 @@ def kernel_table_fourier(
             envelope = envelope - _truncated_radial_factor(qn * spec.cutoff_radius)
         samples = []
         for _ in range(2):
-            cos_beta = (qx * ax + qy * ay + qz * az) / np.where(qn > 0, qn, 1.0)
-            samples.append(FULL_SPACE_PREFACTOR * spec.strength * (3.0 * cos_beta**2 - 1.0) * envelope)
+            samples.append(_fourier_samples(qx, qy, qz, spec) * envelope)
             # the second sample takes +q_N on each Nyquist plane, the mode fftfreq calls -q_N
             for q, n in zip((qx, qy, qz), grid.dims):
                 q.flat[n // 2] *= -1.0
@@ -295,10 +296,10 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
 def direct_convolution_reference(grid: GridSpec, spec: KernelSpec, rho: np.ndarray) -> np.ndarray:
     """Brute-force periodic convolution by summation over the truncation sphere.
 
-    O(N^2) reference used by the self-test and the acceptance suite; it shares
-    no code path with the FFT route. Shifts the density by every minimum-image
-    displacement inside the sphere and accumulates kernel weight times shifted
-    density times cell volume.
+    O(N^2) reference used by the self-test and the acceptance suite. Its weights
+    are kernel_value's, the point formula the lattice table shares and the
+    closed-form tests pin; it shifts the density by every minimum-image displacement
+    inside the sphere and sums weight times shifted density times cell volume.
     """
     rho = check_shape(rho, grid.shape, "rho")
     r_c = _resolve_sphere_radius(grid, spec)

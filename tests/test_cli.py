@@ -165,6 +165,23 @@ def test_kernel_outputs_do_not_depend_on_threads(tmp_path):
     assert outputs["2"] == outputs["1"]
 
 
+def test_kernel_builds_no_stacked_displacement_mesh(tmp_path, capsys):
+    # a 64^3 variant of the shipped example; in real grids the command holds
+    # the table (0.5), the kernel_real.csv rows (4) and the samples they are
+    # filled from (1). A stacked (nx, ny, nz, 3) mesh, its norm and its masked
+    # copy took it to 13
+    text = re.sub(r"^grid\.dims = .*$", "grid.dims = 64 64 64", _shipped("kernel"), flags=re.M)
+    cfg, out = write_cfg(tmp_path, text), str(tmp_path / "o")
+    tracemalloc.start()
+    try:
+        assert main(["kernel", "--config", cfg, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 64**3 * 8
+    assert read_kernel_table(out + "/kernel_table.bin").grid.dims == (64, 64, 64)
+
+
 def test_threads_reach_every_kernel_table_build(tmp_path, monkeypatch):
     seen = []
     build = cli.kernel_table_fourier

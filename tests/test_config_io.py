@@ -504,6 +504,22 @@ def test_payload_of_the_wrong_size_rejected(tmp_path, kind, size, change):
         _READERS[kind](path)
 
 
+def test_read_field_holds_the_payload_once(tmp_path):
+    # the payload is read into the array returned, not into bytes copied after
+    grid = GridSpec(dims=(64, 64, 64), spacings=(1.0, 1.0, 1.0))
+    field = random_complex(grid.shape, 5)
+    path = str(tmp_path / "f.bin")
+    write_field(path, field, grid)
+    tracemalloc.start()
+    try:
+        back = read_field(path)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, field) and back.flags.writeable
+    assert peak <= 1.1 * field.nbytes
+
+
 @pytest.mark.parametrize("kind, keep, missing", [
     ("field", 4, "dx, dy, dz"),
     ("kernel", 10, "strength, cutoff_radius, sphere_radius, method"),

@@ -260,18 +260,14 @@ def _per_displacement_direct_sum(grid, spec, rho):
 @pytest.mark.parametrize("orientation, cutoff", [(Z_AXIS, 0.0), (Z_AXIS, 0.9),
                                                  ((1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0), 0.0)])
 def test_direct_reference_matches_per_displacement_sum(orientation, cutoff):
-    # the weights come from one batched kernel_value call; on the z axis the
-    # arithmetic is the per-displacement one, off axis the batched r . axis
-    # may round differently in the last bits of each weight
+    # the weights come from one batched kernel_value call, which evaluates
+    # each displacement elementwise, so it matches the per-displacement sum
     grid = GridSpec(dims=(8, 8, 10), spacings=(0.5, 0.7, 0.4))
     spec = KernelSpec(orientation=orientation, strength=0.8, cutoff_radius=cutoff)
     rho = np.random.default_rng(7).random(grid.shape)
     batched = direct_convolution_reference(grid, spec, rho)
     looped = _per_displacement_direct_sum(grid, spec, rho)
-    if orientation == Z_AXIS:
-        assert np.array_equal(batched, looped)
-    else:
-        assert np.max(np.abs(batched - looped)) <= 1e-14 * np.max(np.abs(looped))
+    assert np.array_equal(batched, looped)
 
 
 @pytest.mark.parametrize("method", ["lattice", "analytic"])
@@ -433,15 +429,19 @@ def test_table_shape_mismatch_raises():
     ("sphere_radius", math.nan, "sphere_radius must be positive and finite"),
     ("sphere_radius", -1.0, "sphere_radius must be positive and finite"),
     ("sphere_radius", None, "sphere_radius must be set in a table's spec, got None"),
+    ("coeffs", 1j, "coeffs must be real, got dtype complex128"),
 ])
 def test_table_refuses_what_its_file_cannot_hold(field, value, reason):
-    # read_kernel_table refuses each of these, so a table that held one
-    # would write a file that does not read back; the radius lives on the spec
+    # read_kernel_table refuses each of these, or for complex coefficients
+    # reads back only the real part, so a table that held one would write a
+    # file that does not read back; the radius lives on the spec
     grid = GridSpec(dims=(8, 8, 8), spacings=(0.5, 0.5, 0.5))
     table = kernel_table_fourier(grid, KernelSpec(orientation=Z_AXIS, strength=1.0))
     with pytest.raises(ParameterDomainError, match=reason):
         if field == "method":
             replace(table, method=value)
+        elif field == "coeffs":
+            replace(table, coeffs=table.coeffs + value)
         else:
             replace(table, spec=replace(table.spec, sphere_radius=value))
 

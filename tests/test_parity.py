@@ -1,6 +1,7 @@
 """Output comparison of tools/parity.py, on small synthetic output trees (no git)."""
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from dipolariton.cli import _COMMANDS
+from dipolariton.config import parse_config
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 _spec = importlib.util.spec_from_file_location("parity", _PATH)
@@ -134,8 +136,23 @@ def test_stdout_record_drops_the_paths_and_keeps_failures():
     )
 
 
-def test_the_run_list_names_every_shipped_config_once_with_a_command():
+def test_the_run_list_names_every_shipped_config_once_with_a_command(tmp_path):
     stems = [stem for stem, _ in parity.SHIPPED]
     shipped = sorted(p.stem for p in (_PATH.parents[1] / "configs").glob("*.cfg"))
     assert sorted(stems) == shipped
     assert all(command in _COMMANDS for _, command in parity.SHIPPED)
+    # a tree of the shipped configs alone: no benchmark, no demos
+    tree = tmp_path / "tree"
+    shutil.copytree(_PATH.parents[1] / "configs", tree / "configs")
+    todo = parity.runs(tree, tmp_path / "out")
+    for threads in parity.THREADS:
+        names = [out.name for _, out in todo if out.parent.name == f"threads-{threads}"]
+        assert sorted(names) == sorted([*stems, "kernel-off-axis", "selftest"])
+    # the kernel config runs once more with its dipoles off the z axis, at each thread count
+    off_axis = [argv for argv, out in todo if out.name == "kernel-off-axis"]
+    assert [argv[argv.index("--threads") + 1] for argv in off_axis] == [str(t) for t in parity.THREADS]
+    assert all(argv[2] == "kernel" for argv in off_axis)
+    text = Path(off_axis[0][off_axis[0].index("--config") + 1]).read_text()
+    assert parse_config(text).get("kernel.orientation") == (0.0, 0.6, 0.8)
+    assert text == (tree / "configs" / "kernel.cfg").read_text().replace(
+        "kernel.orientation = 0 0 1", "kernel.orientation = 0 0.6 0.8")

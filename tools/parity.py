@@ -7,6 +7,8 @@ committed files take part. Each tree runs, at --threads 1 and 2:
 
     the 7 shipped configs, each through its command;
     selftest;
+    the shipped kernel config once more with kernel.orientation = 0 0.6 0.8,
+    since no shipped config points its dipoles off the z axis;
     the evolve-128 benchmark config at seed 3, rendered by the tree's own
     bench/workloads.py, which is read and never changed.
 
@@ -52,6 +54,8 @@ SHIPPED = (("derive", "derive"), ("kernel", "kernel"), ("dispersion", "dispersio
            ("validate", "validate"))
 THREADS = (1, 2)
 EVOLVE_128_SEED = 3
+# the dipole axis of the off-axis kernel run
+OFF_AXIS = "0 0.6 0.8"
 # binary outputs: a text header line whose first word names the payload's dtype
 PAYLOADS = {"dipolariton-field": "<c16", "dipolariton-kernel": "<f8"}
 # most added or dropped lines shown per block
@@ -252,16 +256,27 @@ def _evolve_128(tree: Path) -> str | None:
                           text=True, check=True).stdout
 
 
+def _kernel_off_axis(tree: Path) -> str | None:
+    """The tree's kernel config text with its dipoles along OFF_AXIS; None if it has none."""
+    path = tree / "configs" / "kernel.cfg"
+    if not path.is_file():
+        return None
+    line = f"kernel.orientation = {OFF_AXIS}"
+    text, n = re.subn(r"^kernel\.orientation\s*=.*$", line, path.read_text(), flags=re.M)
+    return text if n else f"{text}\n{line}\n"
+
+
 def runs(tree: Path, out: Path) -> list[tuple[list[str], Path]]:
     """(argv after the interpreter, output directory) of every run of tree, into out, where the
-    evolve-128 config is written."""
+    off-axis kernel and evolve-128 configs are written."""
     todo = []
     cfgs = [(stem, command, tree / "configs" / f"{stem}.cfg") for stem, command in SHIPPED]
-    text = _evolve_128(tree)
-    if text is not None:
-        cfgs.append(("evolve-128", "evolve", out / "evolve-128.cfg"))
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "evolve-128.cfg").write_text(text)
+    for name, command, text in (("kernel-off-axis", "kernel", _kernel_off_axis(tree)),
+                                ("evolve-128", "evolve", _evolve_128(tree))):
+        if text is not None:
+            cfgs.append((name, command, out / f"{name}.cfg"))
+            out.mkdir(parents=True, exist_ok=True)
+            (out / f"{name}.cfg").write_text(text)
     for threads in THREADS:
         base = out / f"threads-{threads}"
         for name, command, cfg in [*cfgs, ("selftest", "selftest", None)]:
