@@ -33,7 +33,9 @@ rfftn takes numpy's own axis order and equals numpy.fft.rfftn bit for bit.
 A sweep of fewer than CHUNK_BYTES runs whole on the calling thread, where
 waking a second thread costs more than it gains. One pool per worker
 count is kept for the life of the process, and only the sweeps of at
-least CHUNK_BYTES at 2 or more workers reach it.
+least CHUNK_BYTES at 2 or more workers reach it. concurrent.futures, and
+the logging it imports, load at the first such sweep, so a process that
+never reaches a pool never loads them.
 
 The plane passes also run in place in FFTW's padded layout: a complex half
 spectrum buf of shape (nx, ny, nz // 2 + 1) holds the real array in its
@@ -53,10 +55,12 @@ numpy's error state.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 
@@ -95,6 +99,8 @@ def sweep(task, n: int, unit_bytes: int, workers: int, chunk_bytes: int = CHUNK_
     if count == 1:
         run(0)
         return
+    from concurrent.futures import ThreadPoolExecutor, wait
+
     pool = _POOLS.get(workers)
     if pool is None:
         # setdefault is atomic: a pool that loses a race is never submitted

@@ -16,15 +16,25 @@ Sections: medium (the EIT parameters, one key per MediumParams field),
 kernel (dipole axis, coupling strength and cutoffs), grid (lattice), run
 (per-command numbers). parse_config returns the typed values plus an echo
 of every effective value, defaults included, so outputs can embed the exact
-parameter set they were produced from.
+parameter set they were produced from. SimConfig.sha256 is the SHA-256 of
+the UTF-8 text as given, line ends included; it is taken with CPython's
+built-in _sha2 (3.12+) or _sha256 (3.10-3.11) module, and with hashlib only
+where neither exists, so that no command loads OpenSSL for one digest. The
+nearest-key suggestion loads difflib only when a key is unknown.
 """
 
 from __future__ import annotations
 
-import difflib
-import hashlib
 from dataclasses import dataclass
 from typing import Any
+
+try:  # CPython's own SHA-256, as random.py takes its SHA-512: hashlib maps OpenSSL on import
+    from _sha2 import sha256 as _sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .eit import MediumParams
 from .errors import ConfigError, GridTooSmallError, ParameterDomainError, UnitError
@@ -201,6 +211,8 @@ def parse_config(text: str) -> SimConfig:
         key, _, rhs = line.partition("=")
         key = key.strip()
         if key not in KEY_TABLE:
+            import difflib  # only a refusal needs it
+
             near = difflib.get_close_matches(key, KEY_TABLE.keys(), n=1)
             hint = f" (did you mean '{near[0]}'?)" if near else ""
             raise ConfigError(f"line {line_no}: unknown key '{key}'{hint}")
@@ -229,5 +241,5 @@ def parse_config(text: str) -> SimConfig:
             raise ConfigError(f"grid: {exc}") from exc
 
     effective = {k: _g(values[k]) for k in sorted(values)}
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = _sha256(text.encode()).hexdigest()
     return SimConfig(values=values, effective=effective, sha256=digest, medium=medium, grid=grid)

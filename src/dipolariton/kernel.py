@@ -109,10 +109,13 @@ def _samples(x, y, z, spec: KernelSpec, radius: float) -> np.ndarray:
     return vals
 
 
-def _fourier_samples(qx, qy, qz, spec: KernelSpec) -> np.ndarray:
-    """(4 pi / 3) strength (3 cos^2 beta - 1) at broadcast q = (qx, qy, qz); 0 at q = 0."""
+def _fourier_samples(qx, qy, qz, spec: KernelSpec, qn: np.ndarray | None = None) -> np.ndarray:
+    """(4 pi / 3) strength (3 cos^2 beta - 1) at broadcast q = (qx, qy, qz); 0 at q = 0.
+
+    qn, if given, is |q| at those points, an array that the call overwrites.
+    """
     ax, ay, az = spec.orientation
-    qn = np.asarray(np.sqrt(qx**2 + qy**2 + qz**2))
+    qn = np.asarray(np.sqrt(qx**2 + qy**2 + qz**2)) if qn is None else qn
     origin = qn == 0
     qn[origin] = 1.0
     cos_beta = (qx * ax + qy * ay + qz * az) / qn
@@ -222,13 +225,19 @@ def kernel_table_fourier(
         envelope = _truncated_radial_factor(qn * r_c)
         if spec.cutoff_radius > 0:
             envelope = envelope - _truncated_radial_factor(qn * spec.cutoff_radius)
-        samples = []
-        for _ in range(2):
-            samples.append(_fourier_samples(qx, qy, qz, spec) * envelope)
-            # the second sample takes +q_N on each Nyquist plane, the mode fftfreq calls -q_N
-            for q, n in zip((qx, qy, qz), grid.dims):
-                q.flat[n // 2] *= -1.0
-        coeffs = 0.5 * (samples[0] + samples[1])
+        coeffs = _fourier_samples(qx, qy, qz, spec, qn) * envelope
+        # a Nyquist plane's mode is -q_N, as fftfreq has it, and +q_N: there the
+        # table takes the mean of both samples, and off the planes they are one
+        q = [qx, qy, qz]
+        for f, n in zip(q, grid.dims):
+            f.flat[n // 2] *= -1.0
+        means = []
+        for axis, n in enumerate(grid.dims):
+            plane = (slice(None),) * axis + (slice(n // 2, n // 2 + 1),)
+            at = [f[plane] if i == axis else f for i, f in enumerate(q)]
+            means.append((plane, 0.5 * (coeffs[plane] + _fourier_samples(*at, spec) * envelope[plane])))
+        for plane, mean in means:  # after all three, so each averages the first sample
+            coeffs[plane] = mean
     coeffs[0, 0, 0] = 0.0
     return FourierTable(grid=grid, spec=replace(spec, sphere_radius=r_c), coeffs=coeffs, method=method)
 

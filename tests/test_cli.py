@@ -910,38 +910,90 @@ def test_exit_code_follows_the_error_hierarchy(tmp_path, capsys, monkeypatch, cl
     assert err == ("numerical failure: boom\n" if numerical else "error: boom\n")
 
 
-_SCIPY_AFTER_EACH_STAGE = """
+_LOADED_AFTER_EACH_STAGE = """
 import json, sys
-loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+# scipy, and what a command that neither pools nor refuses a key does not
+# need: OpenSSL's hashlib backend, the thread-pool stack, difflib, numpy.random
+HEAVY = ("_hashlib", "concurrent.futures", "difflib", "numpy.random")
+scipy = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+heavy = lambda: [m for m in HEAVY if m in sys.modules]
 import dipolariton
-report = {"import": loaded()}
+report = {"import": (scipy(), heavy())}
 from dipolariton.cli import main
 configs, out = sys.argv[1], sys.argv[2]
 for command, cfg in (("derive", "derive"), ("validate", "validate"),
                      ("dispersion", "dispersion"), ("stability-map", "stability"),
                      ("respond", "respond"), ("kernel", "kernel"), ("evolve", "evolve"),
                      ("selftest", None)):
-    argv = [command, "--out", out] + (["--config", f"{configs}/{cfg}.cfg"] if cfg else [])
+    argv = [command, "--out", out, "--threads", "1"]
+    argv += ["--config", f"{configs}/{cfg}.cfg"] if cfg else []
     assert main(argv) == 0
-    report[command] = loaded()
+    report[command] = (scipy(), heavy())
 print(json.dumps(report))
 """
 
+_STAGES = ("import", "derive", "validate", "dispersion", "stability-map", "respond", "kernel",
+           "evolve", "selftest")
 
-def test_no_command_loads_scipy(tmp_path):
-    # one fresh process, so nothing else has imported scipy: the package and
-    # every shipped command transform through numpy.fft and leave scipy unloaded
+
+def _fresh_python(script: str, *args: str) -> str:
+    """Stdout of script run with args in a fresh interpreter that imports the package from src."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_AFTER_EACH_STAGE, str(CONFIGS), str(tmp_path)],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {
-        stage: [] for stage in ("import", "derive", "validate", "dispersion", "stability-map",
-                                "respond", "kernel", "evolve", "selftest")
-    }
+    return proc.stdout
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # one fresh process, so nothing else has imported these modules: the
+    # package and every shipped command transform through numpy.fft and
+    # leave scipy unloaded, and at --threads 1 none loads OpenSSL for the
+    # config digest, a thread pool, difflib or numpy.random
+    report = json.loads(_fresh_python(_LOADED_AFTER_EACH_STAGE, str(CONFIGS), str(tmp_path))
+                        .splitlines()[-1])
+    assert report == {stage: [[], []] for stage in _STAGES}
+
+
+_POOL_AT_64 = """
+import json, sys
+import dipolariton
+from dipolariton import GridSpec, KernelSpec, kernel_table_fourier
+before = "concurrent.futures" in sys.modules
+grid = GridSpec(dims=(64, 64, 64), spacings=(1.0, 1.0, 1.0))
+kernel_table_fourier(grid, KernelSpec(orientation=(0.0, 0.0, 1.0), strength=1.0), workers=2)
+print(json.dumps([before, "concurrent.futures" in sys.modules]))
+"""
+
+
+def test_a_pooled_sweep_loads_the_thread_pool_when_it_first_runs():
+    # a 64^3 transform sweeps 2.2 MB at 2 workers, above _fft.CHUNK_BYTES, so
+    # it reaches the pool; the shipped 12^3 configs never do
+    assert json.loads(_fresh_python(_POOL_AT_64).splitlines()[-1]) == [False, True]
+
+
+_DIGEST_WITHOUT_BUILTIN_SHA256 = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from dipolariton import config
+texts = [open(path, "rb").read().decode() for path in sys.argv[1:]]
+print(json.dumps({
+    "fallback": config._sha256 is hashlib.sha256,
+    "equal": [config.parse_config(t).sha256 == hashlib.sha256(t.encode()).hexdigest()
+              for t in texts],
+}))
+"""
+
+
+def test_config_digest_falls_back_to_hashlib_without_the_builtin_module(tmp_path):
+    crlf = tmp_path / "crlf.cfg"
+    crlf.write_bytes("# \u00e9t\u00e9 \u2014 \u03c9 = 2\u03c0 f\r\nrun.dt = 1 ns\r\n".encode())
+    paths = [*sorted(str(p) for p in CONFIGS.glob("*.cfg")), str(crlf)]
+    report = json.loads(_fresh_python(_DIGEST_WITHOUT_BUILTIN_SHA256, *paths).splitlines()[-1])
+    assert report == {"fallback": True, "equal": [True] * len(paths)}
 
 
 def test_argparse_rejections():

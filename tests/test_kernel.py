@@ -337,6 +337,28 @@ def test_analytic_table_is_even_on_nyquist_planes():
     assert coeffs[1:8, 1:4, 1:6] == pytest.approx(expected, rel=1e-12)
 
 
+def test_analytic_table_is_the_two_sample_mean_bit_for_bit():
+    # the table samples +q_N on the Nyquist planes only; everywhere else the
+    # mean of two equal samples is the sample, so the whole half spectrum
+    # equals the mean of the fftfreq sample and the one at +q_N, bit for bit
+    grid = GridSpec(dims=(12, 8, 10), spacings=(0.7, 1.3, 0.9))
+    spec = KernelSpec(orientation=(0.48, 0.6, 0.64), strength=-1.7, cutoff_radius=0.9)
+    table = kernel_table_fourier(grid, spec, method="analytic")
+    qx, qy, qz = grid.wavenumbers()
+    q = np.stack(np.meshgrid(qx, qy, qz[:6], indexing="ij"), axis=-1)
+    qn = np.sqrt(q[..., 0] ** 2 + q[..., 1] ** 2 + q[..., 2] ** 2)
+    envelope = (_truncated_radial_factor(qn * table.spec.sphere_radius)
+                - _truncated_radial_factor(qn * spec.cutoff_radius))
+    first = kernel_fourier_analytic(q, spec) * envelope
+    q[6, :, :, 0] *= -1.0
+    q[:, 4, :, 1] *= -1.0
+    q[:, :, 5, 2] *= -1.0
+    expected = 0.5 * (first + kernel_fourier_analytic(q, spec) * envelope)
+    expected[0, 0, 0] = 0.0
+    assert table.coeffs.tobytes() == expected.tobytes()
+    assert not np.array_equal(expected[6], first[6])  # the planes are averaged
+
+
 def test_analytic_table_converges_with_truncation_radius():
     """At fixed q the truncated transform approaches the full-space value.
 
