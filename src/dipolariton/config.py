@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-try:  # CPython's own SHA-256, as random.py takes its SHA-512: hashlib maps OpenSSL on import
+try:  # the built-in module first, as random.py does: hashlib maps OpenSSL's libcrypto
     from _sha2 import sha256 as _sha256  # 3.12 and later
 except ImportError:
     try:
