@@ -971,7 +971,7 @@ print(json.dumps([before, "concurrent.futures" in sys.modules]))
 
 def test_a_pooled_sweep_loads_the_thread_pool_when_it_first_runs():
     # a 64^3 transform sweeps 2.2 MB at 2 workers, above _fft.CHUNK_BYTES, so
-    # it reaches the pool; the shipped 12^3 configs never do
+    # it reaches the pool; the shipped configs, at most 16^3, never do
     assert json.loads(_fresh_python(_POOL_AT_64).splitlines()[-1]) == [False, True]
 
 
