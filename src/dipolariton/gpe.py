@@ -20,7 +20,7 @@ absorptive part of the medium.
 SplitStep is the propagator, built once per (params, dt, workers). It holds
 the kinetic phase, the kernel factor that turns the convolved density into
 the half-step potential angle, and the FFT worker count. It works in two
-grids: a complex field buffer and one convolution buffer, the complex half
+grids: the field a run steps and one convolution buffer, the complex half
 spectrum (nx, ny, nz // 2 + 1) of kernel.convolve_density, allocated when
 the propagator is built, together with one chunk scratch per worker that
 every sweep shares. |phi|^2 goes into the padded real view of the
@@ -28,15 +28,15 @@ convolution buffer, and the real-to-complex transform, the product with
 the kernel table and the complex-to-real transform all run in place there,
 so the view ends up holding eps conv |phi|^2, unscaled; the
 complex-to-real pass also leaves the largest |eps conv |phi|^2| of each x
-plane, which the step-size guard reads. SplitStep.run steps its field
-buffer in place, and the returned final state takes it over; its docstring
-states when that buffer is the caller's own array (consume). The CLI, the
+plane, which the step-size guard reads. SplitStep.run steps its field in
+place, and the returned final state takes it over; its docstring states
+when that field is the caller's own array (consume). The CLI, the
 self-test and linear_response_experiment build their start states for the
 run alone and hand them over; init_state writes each in the one field it
 returns. Because the potential phase leaves |phi|^2 unchanged, the
 convolution at the end of one step is the one the next step opens with: n
-steps cost n + 1 density convolutions instead of 2n, and when no visitor
-reads the state between two steps, the closing half of the first and the
+steps cost n + 1 density convolutions instead of 2n, and when the run
+records nothing between two steps, the closing half of the first and the
 opening half of the second are one rotation by twice the angle.
 
 A step is a few sweeps (dipolariton._fft), each of which reads a chunk of
@@ -57,30 +57,29 @@ J. Comput. Phys. 187, 318 (2003)). The chunks of a sweep split over the
 propagator's worker threads, elementwise work included, and do not depend
 on their number, so results are bit-identical for every worker count.
 
-The visitor of SplitStep.run is the public way to observe a run. run
-convolves the state it starts from and visits it as step 0, then visits
-after every every-th step and the last; the visitor sees a
-CondensateState over a read-only view of the field buffer, valid only
-during its call, and copies what it keeps. observables(state, propagator)
-accepts a propagator only for the state its run is visiting, whose
-convolution the buffer holds, so n steps with any number of observations
-cost n + 1 convolutions; without one it convolves on a throwaway
-SplitStep. It reduces |phi|^2 and the (y, z)
+SplitStep.run returns what it observed: the final state, and with a stride
+every the Observables of the start state, of every every-th step and of
+the last, each taken while the convolution buffer holds that field's
+convolution, so n steps with any number of records cost n + 1
+convolutions. observables(state) reads that convolution off the private
+state type run hands it; for any other state it convolves in a buffer of
+its own, on one FFT worker. It reduces |phi|^2 and the (y, z)
 transform of each chunk of axis-0 planes to per-plane rows in one sweep,
 and the x transform in one sweep of axis-1 slabs, so the energies, centre
 of mass and variances follow without full-grid meshes, a full-grid density
 or a full-grid spectrum.
 
-run checks each convolution once, before any visit: a non-finite potential
-raises NonFiniteStateError and a phase per half step past MAX_POTENTIAL_PHASE
-= pi/4 StepSizeError, naming step i and its time state.t + i dt.
+run checks each convolution once, before it records anything: a non-finite
+potential raises NonFiniteStateError and a phase per half step past
+MAX_POTENTIAL_PHASE = pi/4 StepSizeError, naming step i and its time
+state.t + i dt.
 
 linear_response_experiment seeds a weak density wave on the uniform state,
 tracks its Fourier amplitude and reads nu off it in closed form (Prony's
-method). The amplitude comes off the run's own convolutions, not through a
-visitor: the forward transform of each holds the spectrum of |phi|^2, and
-the private SplitStep._mode has it write the entry at q
-(kernel.convolve_density's mode), so the run's half-steps fuse. The
+method). The amplitude comes off the run's own convolutions: the forward
+transform of each holds the spectrum of |phi|^2, and run's mode has it
+write the entry at q (kernel.convolve_density's mode), so the run records
+no Observables and its half-steps fuse. The
 stepped linear mode obeys s[n+1] + s[n-1] = 2 c s[n], with c = cos(nu dt)
 for an oscillation and cosh(g dt) for growth, so one linear fit serves
 both laws without a model, initial guess or iteration. The
@@ -178,6 +177,28 @@ class CondensateState:
         object.__setattr__(self, "t", check_real(self.t, "t"))
 
 
+@dataclass(frozen=True)
+class _Observed(CondensateState):
+    """A state SplitStep.run records, with eps conv |phi|^2 of phi and the run's scratch and workers."""
+
+    conv: np.ndarray
+    scratch: np.ndarray
+    workers: int
+
+
+def _plain(q) -> str:
+    """The components of q as plain numbers, for a message."""
+    return ", ".join(f"{v:.6g}" for v in q)
+
+
+def _density(phi: np.ndarray, rho: np.ndarray, workers: int) -> None:
+    """|phi|^2 into rho, one chunk of axis-0 planes at a time."""
+    def square(w: int, s: slice) -> None:
+        np.square(np.abs(phi[s], out=rho[s]), out=rho[s])
+
+    _fft.sweep(square, phi.shape[0], phi[0].nbytes, workers)
+
+
 def _lattice_index(q, grid: GridSpec) -> tuple[tuple[int, int, int], np.ndarray]:
     """Indices of a reciprocal-lattice vector and q as a float vector; OffLatticeError if q is
     off the lattice by 1e-9 relative."""
@@ -189,7 +210,7 @@ def _lattice_index(q, grid: GridSpec) -> tuple[tuple[int, int, int], np.ndarray]
         scale = max(abs(steps), 1.0)
         if abs(steps - nearest) > 1e-9 * scale:
             raise OffLatticeError(
-                f"q = {tuple(qv)} is off the reciprocal lattice (component {comp} is "
+                f"q = ({_plain(qv)}) is off the reciprocal lattice (component {comp} is "
                 f"{steps} lattice steps)"
             )
         idx.append(int(nearest) % n)
@@ -288,21 +309,15 @@ class SplitStep:
     angle, and the FFT worker count, an integer >= 1. It owns a
     convolution buffer, the half spectrum of the kernel table's shape, and
     one chunk scratch per worker that every sweep shares, both allocated
-    when it is built. A run binds a field buffer (see run), which its
-    final state takes over, for its duration only, and refuses re-entry.
-    _conv, the padded real view of the convolution buffer, and _peaks, one
-    entry per x plane, are bound with the buffer; during a run _conv
-    holds eps conv |phi|^2 of the field buffer and _peaks its largest
-    |value| in each plane.
-    run steps the field buffer in place and fuses the closing half-step of
-    one step with the opening half-step of the next into one rotation by
-    twice the angle, except where a visitor reads the state or the run
-    ends: n steps with no visitor take n + 1 rotation sweeps, and 2n when
-    a visitor reads every step. _mode, None unless linear_response_experiment
-    sets it to (idx, amplitudes), has the convolution of step i write
-    fftn(|phi|^2)[idx] into amplitudes[i], so that run reads its mode with
-    no visitor and its half-steps fuse. Negative dt steps backwards and
-    exactly inverts the corresponding forward step.
+    when it is built. _conv is the padded real view of the convolution
+    buffer and _peaks holds one entry per x plane; after each convolution
+    of a run _conv holds eps conv |phi|^2 of the run's field and _peaks its
+    largest |value| in each plane. run steps the field in place and fuses
+    the closing half-step of one step with the opening half-step of the
+    next into one rotation by twice the angle, except where it records
+    Observables or ends: n steps take n + 1 rotation sweeps unrecorded, and
+    2n recorded every step. Negative dt steps backwards and exactly inverts
+    the corresponding forward step.
     """
 
     def __init__(self, params: GpeParams, dt: float, workers: int = 1):
@@ -318,32 +333,9 @@ class SplitStep:
         self._conv = self._buf.view(float)[:, :, : params.grid.dims[2]]
         self._peaks = np.empty(params.grid.dims[0])
         self._scratch = _fft.new_scratch(params.grid.shape, self.workers)
-        self._phi = self._visited = self._mode = None
 
-    def _density(self, phi: np.ndarray) -> None:
-        """|phi|^2 into _conv."""
-        def square(w: int, s: slice) -> None:
-            np.square(np.abs(phi[s], out=self._conv[s]), out=self._conv[s])
-
-        _fft.sweep(square, phi.shape[0], phi[0].nbytes, self.workers)
-
-    def _convolve(self, i: int = 0) -> float:
-        """Convolve the density in _conv, that of step i, in place there; returns the largest |angle|.
-
-        That is |kernel factor| max|eps conv rho|, which is NaN or inf when
-        rho is not finite, since one bad sample spreads to every convolved one.
-        The complex-to-real pass of the convolution reduces max|eps conv rho|
-        per x plane into _peaks; numpy's max of those keeps a NaN, where
-        Python's max would drop it. With _mode = (idx, amplitudes) set, the
-        x pass writes fftn(rho)[idx] into amplitudes[i].
-        """
-        mode = None if self._mode is None else (self._mode[0], self._mode[1][i : i + 1])
-        convolve_density(self.params.table, self._conv, self.workers,
-                         buffer=self._buf, scratch=self._scratch, peaks=self._peaks, mode=mode)
-        return abs(self._kernel_factor) * float(self._peaks.max())
-
-    def _rotate(self, w: int, s: slice, turns: float) -> None:
-        """Multiply the planes s of the field by exp(i turns angle), in scratch row w.
+    def _rotate(self, phi: np.ndarray, w: int, s: slice, turns: float) -> None:
+        """Multiply the planes s of phi by exp(i turns angle), in scratch row w.
 
         cos a = 2 / (1 + t^2) - 1 and sin a = 2 t / (1 + t^2) with t = tan(a / 2):
         numpy 2.4 on x86-64 vectorises tan of a contiguous array but not sin
@@ -351,21 +343,21 @@ class SplitStep:
         and sin to 3.3e-16. Each half of the planes' y rows takes the row's
         first half for its factor and its second half for t and 2 / (1 + t^2).
         """
-        row, ny = self._scratch[w], self._phi.shape[1]
+        row, ny = self._scratch[w], phi.shape[1]
         for y in (slice(0, ny // 2), slice(ny // 2, ny)):
-            phi = self._phi[s, y]
-            f = row[: phi.size].reshape(phi.shape)
-            t, r = row[phi.size : 2 * phi.size].view(float).reshape(2, *phi.shape)
+            part = phi[s, y]
+            f = row[: part.size].reshape(part.shape)
+            t, r = row[part.size : 2 * part.size].view(float).reshape(2, *part.shape)
             # turns is 1 or 2, and scaling by a power of two commutes with
             # rounding, so a fused rotation has the bits of twice the angle
             np.tan(np.multiply(self._conv[s, y], 0.5 * turns * self._kernel_factor, out=t), out=t)
             np.divide(2.0, np.add(np.square(t, out=r), 1.0, out=r), out=r)
             np.multiply(t, r, out=f.imag)
             np.subtract(r, 1.0, out=f.real)
-            phi *= f
+            part *= f
 
-    def _advance(self, turns: float) -> None:
-        """Rotate by turns times the kept angle, take the exact kinetic step, write the new density.
+    def _advance(self, phi: np.ndarray, turns: float) -> None:
+        """Rotate phi by turns times the kept angle, take the exact kinetic step, write the new density.
 
         Three sweeps of the field: per chunk of axis-0 planes the rotation
         and fftn over axes (1, 2); per chunk of axis-1 slabs fft over axis
@@ -373,11 +365,11 @@ class SplitStep:
         planes ifftn over axes (1, 2) and |phi|^2 into _conv, the
         convolution buffer's padded real view.
         """
-        phi, workers, rho = self._phi, self.workers, self._conv
+        workers, rho = self.workers, self._conv
         kin_perp, kin_z = self._kinetic
 
         def forward(w: int, s: slice) -> None:
-            self._rotate(w, s, turns)
+            self._rotate(phi, w, s, turns)
             np.fft.fftn(phi[s], axes=(1, 2), out=phi[s])
 
         def kinetic(block: np.ndarray, s: slice) -> None:
@@ -396,8 +388,15 @@ class SplitStep:
         _fft.x_lines(phi, kinetic, workers, self._scratch)
         _fft.sweep(inverse, phi.shape[0], phi[0].nbytes, workers)
 
-    def _check(self, i: int, t0: float, phase: float) -> None:
-        """Refuse phase, the largest |angle| after step i of a run from t0 (i = 0: the start state)."""
+    def _check(self, i: int, t0: float) -> None:
+        """Refuse the convolution after step i of a run from t0 (i = 0: the start state).
+
+        The largest |angle| is |kernel factor| max|eps conv rho|, NaN or inf
+        when rho is not finite, since one bad sample spreads to every
+        convolved one; numpy's max of _peaks keeps a NaN, where Python's max
+        would drop it.
+        """
+        phase = abs(self._kernel_factor) * float(self._peaks.max())
         if not math.isfinite(phase):
             raise NonFiniteStateError(f"non-finite field at step {i} (t = {t0 + i * self.dt:.6e}): "
                                       f"its potential phase per half step is {phase}")
@@ -407,59 +406,60 @@ class SplitStep:
                                 f"potential phase per half step {phase:.3f} rad exceeds "
                                 f"the accuracy guard {MAX_POTENTIAL_PHASE:.3f} rad; reduce dt")
 
-    def run(self, state: CondensateState, n_steps: int, visit=None, every: int = 1, *,
-            consume: bool = False) -> CondensateState:
-        """Take n_steps from state, calling visit(i, current) at step 0, every every-th step and the last.
+    def run(self, state: CondensateState, n_steps: int, every: int | None = None, *,
+            mode: tuple[tuple[int, int, int], np.ndarray] | None = None,
+            consume: bool = False) -> EvolveResult:
+        """Take n_steps from state; returns the final state and the Observables recorded.
 
         The stepping loop of the module: pass i = 0 ... n_steps convolves (the
-        start state, then the field after step i), checks the convolution
-        (_check) and closes and visits the field on the schedule. current is
-        a CondensateState over a read-only view of the field buffer at
-        state.t + i dt, valid only during the call; observables(current,
-        self) reads the convolution the run holds for it. A run entered from
-        a visitor of this propagator's run is refused (ParameterDomainError)
-        before it touches either state.
+        start state, then the field after step i) and checks the convolution
+        (_check). With a stride every, an integer >= 1, it records
+        observables of the field at state.t + i dt at step 0, every every-th
+        step and the last, from the convolution it holds; without one it
+        records none. mode, a pair (idx, out) of a lattice index and a
+        complex array of n_steps + 1 entries, has convolution i write
+        fftn(|phi|^2)[idx] into out[i] (kernel.convolve_density's mode); any
+        other out is refused with ParameterDomainError before the first
+        convolution.
 
-        The field buffer is a copy of state.phi, and state is left as it
+        The field stepped is a copy of state.phi, and state is left as it
         was. With consume=True a state.phi that is C-contiguous and
-        writable is the field buffer itself, which saves a field-sized copy:
-        it ends as the final field, or partly stepped if run raises. Any
-        other state.phi is copied as without consume. The returned state
-        wraps the field buffer.
+        writable is that field itself, which saves a field-sized copy: it
+        ends as the final field, or partly stepped if run raises. Any other
+        state.phi is copied as without consume. The final state wraps the
+        field.
         """
-        n_steps, every = check_count(n_steps, "n_steps"), check_count(every, "every")
+        n_steps = check_count(n_steps, "n_steps")
+        every = None if every is None else check_count(every, "every")
         if state.params is not self.params:
             raise ParameterDomainError("state and propagator were built from different params")
-        if self._phi is not None:
-            raise ParameterDomainError("a run of this propagator is in progress; use another SplitStep")
+        out = None if mode is None else mode[1]
+        if mode is not None and (np.shape(out) != (n_steps + 1,) or getattr(out, "dtype", None) != complex):
+            raise ParameterDomainError(f"mode output must be a complex array of n_steps + 1 = {n_steps + 1} "
+                                       f"entries, got shape {np.shape(out)}, dtype {getattr(out, 'dtype', None)}")
         phi = state.phi
         if not (consume and phi.flags.c_contiguous and phi.flags.writeable):
             phi = phi.copy()
-        self._phi = phi
-        view = phi.view()
-        view.flags.writeable = False
-
-        try:
-            for i in range(n_steps + 1):
-                if i == 0:
-                    self._density(phi)
-                else:
-                    self._advance(turns)
-                self._check(i, state.t, self._convolve(i))
-                turns = 2.0
-                if i == 0 or i == n_steps or (visit is not None and i % every == 0):
-                    if i > 0:
-                        # the closing half-step
-                        _fft.sweep(lambda w, s: self._rotate(w, s, 1.0), phi.shape[0], phi[0].nbytes,
-                                   self.workers)
-                    turns = 1.0
-                    if visit is not None:
-                        self._visited = CondensateState(view, state.t + i * self.dt, self.params)
-                        visit(i, self._visited)
-                        self._visited = None
-        finally:
-            self._phi = self._visited = None
-        return CondensateState(phi, state.t + n_steps * self.dt, self.params)
+        records = []
+        _density(phi, self._conv, self.workers)
+        for i in range(n_steps + 1):
+            if i > 0:
+                self._advance(phi, turns)
+            convolve_density(self.params.table, self._conv, self.workers, buffer=self._buf,
+                             scratch=self._scratch, peaks=self._peaks,
+                             mode=None if mode is None else (mode[0], out[i : i + 1]))
+            self._check(i, state.t)
+            turns = 2.0
+            if i == 0 or i == n_steps or (every is not None and i % every == 0):
+                if i > 0:
+                    # the closing half-step
+                    _fft.sweep(lambda w, s: self._rotate(phi, w, s, 1.0), phi.shape[0], phi[0].nbytes,
+                               self.workers)
+                turns = 1.0
+                if every is not None:
+                    records.append(observables(_Observed(phi, state.t + i * self.dt, self.params,
+                                                         self._conv, self._scratch, self.workers)))
+        return EvolveResult(CondensateState(phi, state.t + n_steps * self.dt, self.params), tuple(records))
 
 
 @dataclass(frozen=True)
@@ -477,13 +477,12 @@ class Observables:
     variance: tuple[float, float, float]
 
 
-def observables(state: CondensateState, propagator: SplitStep | None = None) -> Observables:
+def observables(state: CondensateState) -> Observables:
     """Norm, energies, peak density, centre of mass and variances of state.
 
     The dipolar energy is hbar sin^2(theta) / 2 * sum(rho (eps conv rho)) dV,
-    against the convolution that propagator holds while its run visits
-    state; any other state is refused with ParameterDomainError. Without a
-    propagator, a throwaway SplitStep on one FFT worker convolves state.
+    against the convolution SplitStep.run holds for a state it records;
+    any other state is convolved in a buffer of its own on one FFT worker.
     One sweep of axis-0 planes writes rho = |phi|^2 into the thread's
     scratch row and reduces it to per-plane rows (the peak, the convolution
     sum and the y and z marginals), then transforms the planes over axes
@@ -498,15 +497,13 @@ def observables(state: CondensateState, propagator: SplitStep | None = None) -> 
     grid = p.grid
     dv = grid.cell_volume
     phi = state.phi
-    if propagator is None:
-        # the sum does not depend on dt, so a throwaway of any step size serves
-        propagator = SplitStep(p, 1.0)
-        propagator._density(phi)
-        propagator._convolve()
-    elif state is not propagator._visited:
-        raise ParameterDomainError("a propagator serves observables only of the state its run is "
-                                   "visiting; call observables(state) for any other state")
-    conv, scratch, workers = propagator._conv, propagator._scratch, propagator.workers
+    if isinstance(state, _Observed):
+        conv, scratch, workers = state.conv, state.scratch, state.workers
+    else:
+        buf = np.empty(p.table.coeffs.shape, dtype=complex)
+        conv, scratch, workers = buf.view(float)[:, :, : grid.dims[2]], _fft.new_scratch(phi.shape, 1), 1
+        _density(phi, conv, workers)
+        convolve_density(p.table, conv, buffer=buf, scratch=scratch)
     nx, ny, nz = phi.shape
     peaks, conv_sums = np.empty(nx), np.empty(nx)
     rho_y, rho_z = np.empty((nx, ny)), np.empty((nx, nz))
@@ -573,6 +570,8 @@ def observables(state: CondensateState, propagator: SplitStep | None = None) -> 
 
 @dataclass(frozen=True)
 class EvolveResult:
+    """The final state of a run and the Observables it recorded, in step order."""
+
     final: CondensateState
     observables: tuple[Observables, ...]
 
@@ -605,24 +604,17 @@ def evolve(
     are at t_final itself, the earlier ones at state.t + i dt. Aborts with
     StepSizeError or NonFiniteStateError, each carrying the step index and
     time, when the potential-phase guard trips or the field develops NaN or
-    Inf (at step 0 for the start state). workers is the FFT worker count of the propagator,
-    whose run visits state.t, every observer_stride-th step and the last,
-    and whose convolutions and worker count the observables use too.
-    consume goes to SplitStep.run, which states what it does.
+    Inf (at step 0 for the start state). This is one SplitStep.run of
+    workers FFT workers, which records state.t, every observer_stride-th
+    step and the last; consume goes to it as well.
     """
     prop = SplitStep(state.params, dt, workers)
     t_final = check_real(t_final, "t_final")
     n_steps = _whole_steps(t_final - state.t, dt, f"t_final = {t_final} (from t = {state.t})")
-    check_count(observer_stride, "observer_stride")
-    obs = []
-
-    def record(i: int, current: CondensateState) -> None:
-        o = observables(current, prop)
-        # the run ends at t_final, which n_steps dt may miss by a rounding
-        obs.append(o if i < n_steps else replace(o, t=t_final))
-
-    final = prop.run(state, n_steps, record, every=observer_stride, consume=consume)
-    return EvolveResult(final=replace(final, t=t_final), observables=tuple(obs))
+    run = prop.run(state, n_steps, check_count(observer_stride, "observer_stride"), consume=consume)
+    # the run ends at t_final, which n_steps dt may miss by a rounding
+    return EvolveResult(replace(run.final, t=t_final),
+                        (*run.observables[:-1], replace(run.observables[-1], t=t_final)))
 
 
 def effective_dipolar_coupling(params: GpeParams, q, n0: float) -> float:
@@ -733,9 +725,9 @@ def linear_response_experiment(
     The returned prediction uses the table-calibrated coupling at the same
     q. The mode amplitude fftn(|phi|^2)[q] dV is read off each of the run's
     n + 1 density convolutions, between their forward transform and the
-    product with the table (kernel.convolve_density's mode), so the run
-    takes no visitor, fuses its half-steps and costs what a bare run of as
-    many steps costs; workers is the FFT worker count of the stepping.
+    product with the table (SplitStep.run's mode), so the run records no
+    Observables, fuses its half-steps and costs what a bare run of as many
+    steps costs; workers is the FFT worker count of the stepping.
 
     Without duration the run lasts one period (0.875 / g for a growing mode).
     A given duration is met exactly: with dt it must be a whole number of at
@@ -782,12 +774,10 @@ def linear_response_experiment(
                 f"the response fit needs at least {_MIN_RESPONSE_STEPS}"
             )
     start = init_state("perturbed_plane_wave", params, n0=n0, delta=delta, q=q)
-    prop = SplitStep(params, dt, workers)
     times = np.arange(n_steps + 1) * dt
     amps = np.empty(n_steps + 1, dtype=complex)
     # every convolution of the run writes its density's mode at idx into amps
-    prop._mode = (idx, amps)
-    prop.run(start, n_steps, consume=True)
+    SplitStep(params, dt, workers).run(start, n_steps, mode=(idx, amps), consume=True)
     amps *= grid.cell_volume
     if amps[0] == 0.0:
         raise FitFailureError("seeded mode has zero initial amplitude")
@@ -795,7 +785,7 @@ def linear_response_experiment(
     if rel_resid > 0.10:
         raise FitFailureError(
             f"fit residual {rel_resid:.1%} exceeds 10% of the signal at "
-            f"q = ({', '.join(f'{v:.6g}' for v in qv)})"
+            f"q = ({_plain(qv)})"
         )
     return ResponseResult(
         q=tuple(qv),

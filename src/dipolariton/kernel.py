@@ -70,7 +70,8 @@ class KernelSpec:
     strength       signed coupling U * p_r^2 [rad/s * m^3]
     cutoff_radius  hard short-distance cutoff; kernel is zero below it [m]
     sphere_radius  truncation radius for periodic tables; None means half the
-                   shortest box edge at table-build time [m]
+                   shortest box edge at table-build time [m]; a cutoff at or
+                   beyond it, which leaves no interaction, is refused
     """
 
     orientation: tuple[float, float, float]
@@ -88,6 +89,9 @@ class KernelSpec:
         object.__setattr__(self, "cutoff_radius", cutoff)
         if self.sphere_radius is not None:
             radius = check_positive(self.sphere_radius, "sphere_radius")
+            if cutoff >= radius:
+                raise ParameterDomainError(f"cutoff_radius {cutoff} is at or beyond the truncation radius "
+                                           f"{radius}: the table would hold no interaction")
             object.__setattr__(self, "sphere_radius", radius)
 
 
@@ -210,10 +214,13 @@ def kernel_table_fourier(
     direct lattice sum to roundoff. method="analytic" samples the truncated
     continuum transform instead. See the module docstring for the trade-off.
     workers is the FFT worker count of the lattice transform, an integer >= 1.
+    A cutoff radius at or beyond the truncation radius is refused with
+    ParameterDomainError before anything is sampled.
     """
     workers = check_count(workers, "worker count")
     _check_method(method)
-    r_c = _resolve_sphere_radius(grid, spec)
+    spec = replace(spec, sphere_radius=_resolve_sphere_radius(grid, spec))
+    r_c = spec.sphere_radius
     if method == "lattice":
         vals = _samples(*np.meshgrid(*grid.displacements(), indexing="ij", sparse=True), spec, r_c)
         # the kernel is real and even, so its spectrum is real
@@ -239,7 +246,7 @@ def kernel_table_fourier(
         for plane, mean in means:  # after all three, so each averages the first sample
             coeffs[plane] = mean
     coeffs[0, 0, 0] = 0.0
-    return FourierTable(grid=grid, spec=replace(spec, sphere_radius=r_c), coeffs=coeffs, method=method)
+    return FourierTable(grid=grid, spec=spec, coeffs=coeffs, method=method)
 
 
 def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,

@@ -207,8 +207,8 @@ def test_criterion_8_strang_local_error_order():
     dts = [0.3, 0.15, 0.075, 0.0375, 0.01875]
     errs = []
     for dt in dts:
-        one = SplitStep(p, dt).run(st, 1)
-        ref = SplitStep(p, dt / 64.0).run(st, 64)
+        one = SplitStep(p, dt).run(st, 1).final
+        ref = SplitStep(p, dt / 64.0).run(st, 64).final
         errs.append(float(np.sqrt(np.sum(np.abs(one.phi - ref.phi) ** 2)
                                   / np.sum(np.abs(ref.phi) ** 2))))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])

@@ -143,6 +143,18 @@ def test_kernel_outputs(tmp_path):
     assert stored.method == "lattice"
 
 
+@pytest.mark.parametrize("method", ["lattice", "analytic"])
+def test_kernel_refuses_a_cutoff_beyond_the_truncation_radius(tmp_path, capsys, method):
+    # 16^3 x 5e-8 m truncates at 4e-7 m, inside the 1e-6 m cutoff
+    text = (CONFIGS / "kernel.cfg").read_text().replace("lattice ", f"{method} ")
+    cfg = write_cfg(tmp_path, text + "kernel.cutoff_radius = 1e-6 m\n")
+    out = tmp_path / "o"
+    assert main(["kernel", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: cutoff_radius 1e-06 is at or beyond the truncation "
+                                       "radius 4e-07: the table would hold no interaction\n")
+    assert not out.exists()
+
+
 def test_kernel_outputs_do_not_depend_on_threads(tmp_path):
     # --threads reaches the table's transform; the files stay byte-identical
     src = Path(__file__).resolve().parents[1] / "src"
@@ -864,6 +876,16 @@ _REQUIRED = {
     "validate": ("validate", _shipped("validate"),
                  MEDIUM_KEYS + ("run.pulse_t", "run.pulse_length")),
 }
+
+
+@pytest.mark.parametrize("case", ["respond", "evolve-plane-wave"])
+def test_an_off_lattice_q_is_named_in_plain_floats(tmp_path, capsys, case):
+    # 1e7 1/m is 0.95 steps of the 12^3 x 5e-8 m box's reciprocal lattice
+    command, text, _ = _REQUIRED[case]
+    text = re.sub(r"(?m)^run\.q_perturb = .*$", "run.q_perturb = 1e7 0 0", text)
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("error: q = (1e+07, 0, 0) is off the reciprocal lattice "
+                                       "(component 10000000.0 is 0.954929658551372 lattice steps)\n")
 
 
 @pytest.mark.parametrize("case", list(_REQUIRED))

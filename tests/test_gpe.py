@@ -187,7 +187,7 @@ def test_state_shape_validation():
 def test_uniform_state_is_stationary():
     p = make_params(grid16(), 0.7)
     st = init_state("uniform", p, n0=1.3)
-    after = gpe.SplitStep(p, 0.05).run(st, 1)
+    after = gpe.SplitStep(p, 0.05).run(st, 1).final
     assert np.max(np.abs(after.phi - st.phi)) <= 1e-13 * math.sqrt(1.3)
     assert after.t == pytest.approx(0.05)
 
@@ -262,8 +262,8 @@ def test_strang_splitting_is_second_order():
     dts = [0.3, 0.15, 0.075, 0.0375, 0.01875]
     errs = []
     for dt in dts:
-        one = gpe.SplitStep(p, dt).run(st, 1)
-        ref = gpe.SplitStep(p, dt / 64.0).run(st, 64)
+        one = gpe.SplitStep(p, dt).run(st, 1).final
+        ref = gpe.SplitStep(p, dt / 64.0).run(st, 64).final
         errs.append(np.sqrt(np.sum(np.abs(one.phi - ref.phi) ** 2)
                             / np.sum(np.abs(ref.phi) ** 2)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
@@ -287,17 +287,18 @@ def test_potential_phase_guard():
 def test_non_finite_field_is_reported(monkeypatch):
     # one bad sample spreads through the convolution to the whole potential,
     # so a start state with one is refused at step 0, at its own time, after
-    # its one convolution and before any visit
+    # its one convolution and before any record
     p = make_params(grid16(), 0.5)
     calls = _counting_convolve(monkeypatch)
+    recorded = []
+    monkeypatch.setattr(gpe, "observables", lambda state: recorded.append(state.t))
     for bad in (np.nan, np.inf):
         st = init_state("uniform", p, n0=1.0)
         st.phi[3, 4, 5] = bad
         calls.clear()
-        visited = []
         with pytest.raises(NonFiniteStateError, match=r"^non-finite field at step 0 \(t = 2\.500000e-01\)"):
-            gpe.SplitStep(p, 0.01).run(replace(st, t=0.25), 5, lambda i, current: visited.append(i))
-        assert len(calls) == 1 and visited == []
+            gpe.SplitStep(p, 0.01).run(replace(st, t=0.25), 5, every=1)
+        assert len(calls) == 1 and recorded == []
 
 
 def test_evolve_schedule_and_validation():
@@ -416,20 +417,13 @@ def test_propagator_fed_observables_equal_standalone(make):
     g0 = init_state("gaussian", p, widths=(1.0, 1.2, 0.9))
     # off the box centre by whole cells, so no marginal is symmetric about it
     st = CondensateState(np.roll(g0.phi, (-2, -3, -1), axis=(0, 1, 2)) * 3.0, 0.0, p)
-    prop = gpe.SplitStep(p, 0.01)
-    fed, fields = [], []
-
-    def visit(i, current):
-        fed.append(observables(current, prop))
-        # the visitor's state is a view of the propagator's buffer, valid
-        # only during the call
-        fields.append(CondensateState(current.phi.copy(), current.t, p))
-
-    prop.run(st, 4, visit)
+    fed = gpe.SplitStep(p, 0.01).run(st, 4, every=1).observables
     assert len(fed) == 5
-    # step 0 is the start state at its own time
-    assert np.array_equal(fields[0].phi, st.phi) and fed[0].t == st.t
-    for got, state in zip(fed, fields):
+    # step 0 is the start state at its own time; a run recorded every step
+    # takes the first i steps of a longer one bit for bit
+    fields = [gpe.SplitStep(p, 0.01).run(st, i, every=1).final for i in range(1, 5)]
+    assert fed[0].t == st.t and all(f.t == 0.01 * (i + 1) for i, f in enumerate(fields))
+    for got, state in zip(fed, [st, *fields]):
         alone = observables(state)
         assert got.t == alone.t
         assert_observables_close(got, alone, 1e-12)
@@ -437,29 +431,13 @@ def test_propagator_fed_observables_equal_standalone(make):
         assert_observables_close(alone, observables_oracle(state), 1e-12)
 
 
-def test_observables_refuse_a_propagator_of_other_params():
-    # a propagator serves only the state its run is visiting: not a state of
-    # other params, not a copy of the visited state, not any state between runs
+def test_a_run_refuses_a_state_of_other_params():
+    # a propagator steps only states of the params it was built from
     p = make_params(grid16(), 0.5)
     st = init_state("uniform", p, n0=1.0)
     prop = gpe.SplitStep(make_params(grid16(), 0.5), 0.01)
-    with pytest.raises(ParameterDomainError, match="visiting"):
-        observables(st, prop)
     with pytest.raises(ParameterDomainError, match="different params"):
         prop.run(st, 1)
-    own = init_state("uniform", prop.params, n0=1.0)
-    refused = []
-
-    def visit(i, current):
-        for other in (st, CondensateState(current.phi.copy(), current.t, prop.params)):
-            with pytest.raises(ParameterDomainError, match="visiting"):
-                observables(other, prop)
-            refused.append(i)
-
-    prop.run(own, 2, visit)
-    assert refused == [0, 0, 1, 1, 2, 2]
-    with pytest.raises(ParameterDomainError, match="visiting"):
-        observables(own, prop)
 
 
 def test_reused_potential_matches_fresh_steps():
@@ -469,10 +447,10 @@ def test_reused_potential_matches_fresh_steps():
     p = make_params(grid16(), 0.5)
     g0 = init_state("gaussian", p, widths=(1.0, 1.1, 0.9))
     st = CondensateState(g0.phi * 3.0, 0.0, p)
-    fused = gpe.SplitStep(p, 0.02).run(st, 5)
+    fused = gpe.SplitStep(p, 0.02).run(st, 5).final
     fresh = st
     for _ in range(5):
-        fresh = gpe.SplitStep(p, 0.02).run(fresh, 1)
+        fresh = gpe.SplitStep(p, 0.02).run(fresh, 1).final
     err = np.max(np.abs(fused.phi - fresh.phi)) / np.max(np.abs(fresh.phi))
     assert err <= 1e-14
     assert fused.t == pytest.approx(fresh.t, rel=1e-15)
@@ -492,99 +470,69 @@ def _counting_convolve(monkeypatch):
 
 @pytest.mark.parametrize("every", [1, 3, 7])
 def test_run_costs_n_plus_one_convolutions(monkeypatch, every):
-    # with or without a visitor, and whatever its stride, a run of n steps
-    # convolves once for the state it starts from and once per step; the
-    # visitor sees step 0, every every-th step and the last, and observing
-    # what it sees costs no convolution
+    # with or without records, and whatever their stride, a run of n steps
+    # convolves once for the state it starts from and once per step; it
+    # records step 0, every every-th step and the last, and each record
+    # costs no convolution
     p = make_params(grid16(), 0.5)
     st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
     calls = _counting_convolve(monkeypatch)
-    gpe.SplitStep(p, 0.01).run(st, 7)
+    assert gpe.SplitStep(p, 0.01).run(st, 7).observables == ()
     assert len(calls) == 8
-    prop = gpe.SplitStep(p, 0.01)
-    for observe in (False, True):
-        calls.clear()
-        visited = []
-
-        def visit(i, current):
-            visited.append((i, current.t))
-            if observe:
-                observables(current, prop)
-
-        prop.run(st, 7, visit, every=every)
-        assert len(calls) == 8
-        assert [i for i, _ in visited] == [0] + [i for i in range(1, 8) if i % every == 0 or i == 7]
-        assert [t for _, t in visited] == pytest.approx([0.01 * i for i, _ in visited])
+    calls.clear()
+    recorded = gpe.SplitStep(p, 0.01).run(st, 7, every).observables
+    assert len(calls) == 8
+    steps = [0] + [i for i in range(1, 8) if i % every == 0 or i == 7]
+    assert [o.t for o in recorded] == pytest.approx([0.01 * i for i in steps])
 
 
 @pytest.mark.parametrize("n_steps, every", [(-3, 1), (0, 1), (2.5, 1), (3, 0)])
 def test_run_refuses_step_counts_it_cannot_honour(monkeypatch, n_steps, every):
-    # refused before the first convolution, with or without a visitor, by
-    # the name and value of the count at fault
+    # refused before the first convolution, with or without a mode readout,
+    # by the name and value of the count at fault
     p = make_params(grid16(), 0.5)
     st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
     calls = _counting_convolve(monkeypatch)
     name, value = ("every", every) if n_steps == 3 else ("n_steps", n_steps)
-    for visit in (None, lambda i, current: None):
+    for mode in (None, ((0, 0, 1), np.empty(4, dtype=complex))):
         with pytest.raises(ParameterDomainError, match=rf"^{name} must be an integer >= 1, got {value}$"):
-            gpe.SplitStep(p, 0.01).run(st, n_steps, visit, every=every)
+            gpe.SplitStep(p, 0.01).run(st, n_steps, every, mode=mode)
+    assert calls == []
+
+
+@pytest.mark.parametrize("out", [np.empty(5, dtype=complex), np.empty(3, dtype=complex),
+                                 np.empty((4, 1), dtype=complex), np.empty(4), [0j] * 4],
+                         ids=["long", "short", "column", "real", "list"])
+def test_run_refuses_a_mode_output_it_cannot_fill(monkeypatch, out):
+    # one complex entry per convolution, n_steps + 1 of them, or refused
+    # before the first convolution
+    p = make_params(grid16(), 0.5)
+    st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
+    calls = _counting_convolve(monkeypatch)
+    with pytest.raises(ParameterDomainError, match=r"^mode output must be a complex array of "
+                                                   r"n_steps \+ 1 = 4 entries, got shape"):
+        gpe.SplitStep(p, 0.01).run(st, 3, mode=((0, 0, 1), out))
     assert calls == []
 
 
 def test_run_times_are_computed_not_summed():
     # 1000 steps of 2.5e-3 summed from 0 end at 2.499999999999958; computed,
-    # every visited time is state.t + i dt bit for bit, and so is the final one
+    # every recorded time is state.t + i dt bit for bit, and so is the final one
     p = make_params(grid16(), 0.5)
     st = replace(init_state("gaussian", p, widths=(1.0, 1.0, 1.0)), t=0.125)
-    visited = []
-    final = gpe.SplitStep(p, 2.5e-3).run(st, 1000, lambda i, current: visited.append((i, current.t)),
-                                         every=7)
-    assert final.t == 0.125 + 1000 * 2.5e-3
-    assert len(visited) == 144 and all(t == 0.125 + i * 2.5e-3 for i, t in visited)
+    run = gpe.SplitStep(p, 2.5e-3).run(st, 1000, every=7)
+    assert run.final.t == 0.125 + 1000 * 2.5e-3
+    steps = [*range(0, 1000, 7), 1000]
+    assert len(run.observables) == 144
+    assert [o.t for o in run.observables] == [0.125 + i * 2.5e-3 for i in steps]
     assert evolve(replace(st, t=0.0), 2.5e-3, 2.5, observer_stride=500).final.t == 2.5
 
 
-def test_a_run_from_a_visitor_of_the_same_propagator_is_refused():
-    # refused before it touches the field buffer; the outer run fails with
-    # that refusal and leaves the propagator as good as a fresh one
-    p = make_params(grid16(), 0.5)
-    st = CondensateState(init_state("gaussian", p, widths=(1.0, 1.1, 0.9)).phi * 3.0, 0.0, p)
-    prop = gpe.SplitStep(p, 0.02)
-    inner = []
-
-    def visit(i, current):
-        if i == 2:
-            prop.run(current, 1)
-        inner.append(observables(current, prop))
-
-    with pytest.raises(ParameterDomainError, match="in progress"):
-        prop.run(st, 4, visit)
-    # a visitor that catches the refusal leaves the outer run unchanged
-    seen = []
-
-    def catching(i, current):
-        with pytest.raises(ParameterDomainError, match="in progress"):
-            prop.run(current, 1)
-        seen.append(observables(current, prop))
-
-    got = prop.run(st, 4, catching)
-    fresh = gpe.SplitStep(p, 0.02)
-    want = []
-    assert np.array_equal(got.phi, fresh.run(st, 4, lambda i, c: want.append(observables(c, fresh))).phi)
-    assert seen == want and inner == want[:2]
-    assert np.array_equal(prop.run(st, 3).phi, gpe.SplitStep(p, 0.02).run(st, 3).phi)
-
-
-def test_visitor_state_is_read_only_and_the_callers_state_is_kept():
+def test_a_run_keeps_the_callers_state():
     p = make_params(grid16(), 0.5)
     st = init_state("gaussian", p, widths=(1.0, 1.1, 0.9))
     before = st.phi.copy()
-
-    def visit(i, current):
-        with pytest.raises(ValueError, match="read-only"):
-            current.phi[0, 0, 0] = 0.0
-
-    final = gpe.SplitStep(p, 0.01).run(st, 3, visit)
+    final = gpe.SplitStep(p, 0.01).run(st, 3, every=1).final
     assert np.array_equal(st.phi, before)
     assert final.phi.flags.writeable and not np.shares_memory(final.phi, st.phi)
 
@@ -593,37 +541,35 @@ def test_visitor_state_is_read_only_and_the_callers_state_is_kept():
 @pytest.mark.parametrize("every", [1, 5], ids=["unfused", "fused"])
 def test_a_consumed_run_steps_in_the_callers_array(workers, every):
     # 32 x 64 x 64 is 2 MiB of field: two chunks per sweep, which 2 threads
-    # split; every = 5 fuses the half-steps between visits, every = 1 does not
+    # split; every = 5 fuses the half-steps between records, every = 1 does not
     p = _offaxis_cutoff_params(GridSpec(dims=(32, 64, 64), spacings=(0.25, 0.25, 0.25)))
     st = CondensateState(random_complex(p.grid.shape, 4) * 0.5, 0.0, p)
-    ignore = lambda i, current: None
-    want = gpe.SplitStep(p, 0.01, workers).run(st, 10, ignore, every=every)
+    want = gpe.SplitStep(p, 0.01, workers).run(st, 10, every).final
     phi = st.phi.copy()
-    got = gpe.SplitStep(p, 0.01, workers).run(CondensateState(phi, 0.0, p), 10, ignore,
-                                              every=every, consume=True)
+    got = gpe.SplitStep(p, 0.01, workers).run(CondensateState(phi, 0.0, p), 10, every, consume=True).final
     assert got.phi is phi
     assert np.array_equal(got.phi, want.phi) and got.t == want.t
 
 
-@pytest.mark.parametrize("layout", ["fortran", "strided", "visited"])
+@pytest.mark.parametrize("layout", ["fortran", "strided", "read-only"])
 def test_a_consumed_run_copies_a_field_it_cannot_step_in(layout):
     # only a C-contiguous writable field is stepped in place; any other is
     # copied, as without consume, and left as it was
     p = make_params(grid16(), 0.5)
     g = init_state("gaussian", p, widths=(1.0, 1.1, 0.9)).phi * 3.0
-    want = gpe.SplitStep(p, 0.02).run(CondensateState(g, 0.0, p), 4).phi
+    want = gpe.SplitStep(p, 0.02).run(CondensateState(g, 0.0, p), 4).final.phi
     got = []
 
     def consume(state):
         before = state.phi.copy()
-        final = gpe.SplitStep(p, 0.02).run(state, 4, consume=True)
+        final = gpe.SplitStep(p, 0.02).run(state, 4, consume=True).final
         assert np.array_equal(state.phi, before) and not np.shares_memory(final.phi, state.phi)
         got.append(final.phi)
 
-    if layout == "visited":
-        # a visitor's current is a read-only view of another run's field buffer
-        gpe.SplitStep(p, 0.02).run(CondensateState(g, 0.0, p), 1,
-                                   lambda i, current: consume(current) if i == 0 else None)
+    if layout == "read-only":
+        frozen = g.copy()
+        frozen.flags.writeable = False
+        consume(CondensateState(frozen, 0.0, p))
     elif layout == "fortran":
         consume(CondensateState(np.asfortranarray(g), 0.0, p))
     else:
@@ -633,52 +579,15 @@ def test_a_consumed_run_copies_a_field_it_cannot_step_in(layout):
     assert len(got) == 1 and np.array_equal(got[0], want)
 
 
-def test_a_consumed_run_from_a_visitor_of_the_same_propagator_is_refused_before_any_write():
-    p = make_params(grid16(), 0.5)
-    g = init_state("gaussian", p, widths=(1.0, 1.1, 0.9)).phi * 3.0
-    other = init_state("gaussian", p, widths=(0.9, 1.0, 1.1))
-    before = other.phi.copy()
-    prop = gpe.SplitStep(p, 0.02)
-
-    def visit(i, current):
-        with pytest.raises(ParameterDomainError, match="in progress"):
-            prop.run(other, 1, consume=True)
-        assert np.array_equal(other.phi, before)
-
-    got = prop.run(CondensateState(g.copy(), 0.0, p), 4, visit, consume=True)
-    want = gpe.SplitStep(p, 0.02).run(CondensateState(g, 0.0, p), 4, lambda i, current: None)
-    assert np.array_equal(got.phi, want.phi)
-
-
 def test_fused_half_steps_match_visited_steps():
-    # every = 5 fuses the half-steps between visits, every = 1 rotates twice
+    # every = 5 fuses the half-steps between records, every = 1 rotates twice
     p = _offaxis_cutoff_params()
     g0 = init_state("gaussian", p, widths=(1.0, 1.2, 0.9))
     st = CondensateState(g0.phi * 3.0, 0.0, p)
-    ignore = lambda i, current: None
-    fused = gpe.SplitStep(p, 0.02).run(st, 10, ignore, every=5)
-    visited = gpe.SplitStep(p, 0.02).run(st, 10, ignore, every=1)
+    fused = gpe.SplitStep(p, 0.02).run(st, 10, every=5).final
+    visited = gpe.SplitStep(p, 0.02).run(st, 10, every=1).final
     assert np.max(np.abs(fused.phi - visited.phi)) <= 1e-14 * np.max(np.abs(visited.phi))
     assert fused.t == visited.t
-
-
-def test_visitor_observing_another_state_leaves_the_run_unchanged():
-    # another state is observed on a throwaway propagator of its own, and
-    # the run's propagator refuses it, so the run's buffers are never touched
-    p = make_params(grid16(), 0.5)
-    st = CondensateState(init_state("gaussian", p, widths=(1.0, 1.1, 0.9)).phi * 3.0, 0.0, p)
-    other = init_state("uniform", p, n0=1.0)
-    prop = gpe.SplitStep(p, 0.02)
-    alone = observables(other)
-
-    def visit(i, current):
-        assert observables(other) == alone
-        with pytest.raises(ParameterDomainError, match="visiting"):
-            observables(other, prop)
-
-    got = prop.run(st, 6, visit, every=2)
-    want = gpe.SplitStep(p, 0.02).run(st, 6, lambda i, current: None, every=2)
-    assert np.array_equal(got.phi, want.phi)
 
 
 def reference_step(phi, p, dt):
@@ -704,7 +613,7 @@ def test_swept_steps_match_a_whole_array_reference(dims, m_par):
     want = st.phi
     for n in (1, 2, 3):
         want = reference_step(want, p, 0.02)
-        got = gpe.SplitStep(p, 0.02).run(st, n).phi
+        got = gpe.SplitStep(p, 0.02).run(st, n).final.phi
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
 
 
@@ -714,10 +623,8 @@ def test_runs_on_one_two_and_three_workers_are_bit_identical():
     st = CondensateState(random_complex(p.grid.shape, 8) * 0.5, 0.0, p)
     runs = {}
     for workers in (1, 2, 3):
-        prop = gpe.SplitStep(p, 0.01, workers)
-        seen = []
-        final = prop.run(st, 3, lambda i, current: seen.append(observables(current, prop)), every=2)
-        runs[workers] = (final.phi, seen)
+        run = gpe.SplitStep(p, 0.01, workers).run(st, 3, every=2)
+        runs[workers] = (run.final.phi, run.observables)
     for workers in (2, 3):
         assert np.array_equal(runs[workers][0], runs[1][0]), workers
         assert runs[workers][1] == runs[1][1], workers
@@ -753,16 +660,13 @@ def test_observables_do_not_depend_on_worker_count():
     st = CondensateState(random_complex(p.grid.shape, 5), 0.0, p)
     alone = observables(st)
     for workers in (1, 2, 3):
-        prop = gpe.SplitStep(p, 0.01, workers)
-        seen = []
-        prop.run(st, 1, lambda i, current: seen.append(observables(current, prop)), every=1)
-        assert seen[0] == alone, workers
+        assert gpe.SplitStep(p, 0.01, workers).run(st, 1, every=1).observables[0] == alone, workers
 
 
 def test_observables_of_a_field_with_one_nan_sample_are_nan():
     # the peak and the marginals are reduced plane by plane, in two chunks of
     # 16 planes here; a NaN in the second must reach peak_density and norm.
-    # A run never visits such a field: it refuses it at step 0
+    # A run never records such a field: it refuses it at step 0
     p = make_params(GridSpec(dims=(32, 64, 64), spacings=(0.5, 0.5, 0.5)), 0.5)
     st = init_state("gaussian", p, widths=(1.0, 1.1, 0.9))
     phi = st.phi.copy()
@@ -999,7 +903,7 @@ def test_convolution_reads_the_density_mode_off_its_spectrum(workers):
 
 def test_a_response_run_costs_what_a_bare_run_costs(monkeypatch):
     # the mode is read off the run's own convolutions: n + 1 of them, no
-    # visitor, so the half-steps fuse into n + 1 rotation sweeps, and not
+    # records, so the half-steps fuse into n + 1 rotation sweeps, and not
     # one numpy FFT call more than a bare run of n steps makes
     grid = grid16()
     p = make_params(grid, 0.5)
@@ -1007,7 +911,7 @@ def test_a_response_run_costs_what_a_bare_run_costs(monkeypatch):
     # a 16^3 field is one chunk per sweep, so one _rotate call per rotation sweep
     assert len(_fft.chunks(16, grid.shape[1] * grid.shape[2] * 16)) == 1
     counts = {"convolve": 0, "rotate": 0, "fft": 0}
-    visits = []
+    strides = []
 
     def counting(name, f):
         def wrapped(*args, **kwargs):
@@ -1021,14 +925,14 @@ def test_a_response_run_costs_what_a_bare_run_costs(monkeypatch):
         monkeypatch.setattr(np.fft, name, counting("fft", getattr(np.fft, name)))
     run = gpe.SplitStep.run
 
-    def spying_run(self, state, n_steps, visit=None, **kwargs):
-        visits.append(visit)
-        return run(self, state, n_steps, visit, **kwargs)
+    def spying_run(self, state, n_steps, every=None, **kwargs):
+        strides.append(every)
+        return run(self, state, n_steps, every, **kwargs)
 
     monkeypatch.setattr(gpe.SplitStep, "run", spying_run)
     res = linear_response_experiment(p, q, 1e-4)
     n = len(res.times) - 1
-    assert visits == [None]
+    assert strides == [None]
     assert counts["convolve"] == n + 1 and counts["rotate"] == n + 1
     response_ffts = counts["fft"]
     counts["fft"] = 0
@@ -1228,7 +1132,7 @@ def test_counts_that_are_not_integers_are_refused_by_name(entry, value):
         "n_steps": lambda: LinearRunConfig(**{**run, "n_steps": value}),
         "snapshot_stride": lambda: LinearRunConfig(**run, snapshot_stride=value),
         "observer_stride": lambda: evolve(st, 0.01, 0.05, observer_stride=value),
-        "every": lambda: gpe.SplitStep(p, 0.01).run(st, 4, lambda i, current: None, every=value),
+        "every": lambda: gpe.SplitStep(p, 0.01).run(st, 4, every=value),
     }[entry]
     with pytest.raises(ParameterDomainError, match=f"^{entry} must be an integer >= 1, got "
                                                    f"{re.escape(repr(value))}$"):

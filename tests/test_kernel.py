@@ -23,6 +23,9 @@ from dipolariton import (
     kernel_table_fourier,
     kernel_value,
 )
+from dipolariton import kernel
+from dipolariton.errors import ConfigError
+from dipolariton.fileio import read_kernel_table, write_kernel_table
 from dipolariton.kernel import _truncated_radial_factor
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -466,6 +469,36 @@ def test_table_refuses_what_its_file_cannot_hold(field, value, reason):
             replace(table, coeffs=table.coeffs + value)
         else:
             replace(table, spec=replace(table.spec, sphere_radius=value))
+
+
+@pytest.mark.parametrize("method", ["lattice", "analytic"])
+def test_a_cutoff_at_or_beyond_the_truncation_radius_is_refused(monkeypatch, tmp_path, method):
+    # such a table holds no interaction: the lattice table was all zeros and
+    # the analytic one a negated shell, opposite in sign to the lattice one.
+    # Refused before anything is sampled, by a table and by a file of one
+    grid = GridSpec(dims=(12, 12, 12), spacings=(5e-8, 5e-8, 5e-8))  # R = 3e-7
+    table = kernel_table_fourier(grid, KernelSpec(orientation=Z_AXIS, strength=5.7e-16), method)
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(kernel, "_samples", no_sampling)
+    monkeypatch.setattr(kernel, "_fourier_samples", no_sampling)
+    for cutoff in (1e-6, 3e-7):
+        message = rf"cutoff_radius {cutoff} is at or beyond the truncation radius 3e-07: "
+        with pytest.raises(ParameterDomainError, match="^" + message):
+            kernel_table_fourier(grid, KernelSpec(orientation=Z_AXIS, strength=5.7e-16,
+                                                  cutoff_radius=cutoff), method)
+        with pytest.raises(ParameterDomainError, match="^" + message):
+            replace(table, spec=replace(table.spec, cutoff_radius=cutoff))
+    path = tmp_path / "k.bin"
+    write_kernel_table(str(path), table)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    words = header.split()
+    words[11] = b"1e-06"
+    path.write_bytes(b" ".join(words) + b"\n" + payload)
+    with pytest.raises(ConfigError, match="cutoff_radius 1e-06 is at or beyond the truncation radius"):
+        read_kernel_table(str(path))
 
 
 def test_uniform_density_feels_no_mean_field():

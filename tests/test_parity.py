@@ -145,9 +145,20 @@ def test_the_run_list_names_every_shipped_config_once_with_a_command(tmp_path):
     tree = tmp_path / "tree"
     shutil.copytree(_PATH.parents[1] / "configs", tree / "configs")
     todo = parity.runs(tree, tmp_path / "out")
+    complex_mass = [f"{stem}-complex-mass" for stem in parity.COMPLEX_MASS]
     for threads in parity.THREADS:
         names = [out.name for _, out in todo if out.parent.name == f"threads-{threads}"]
-        assert sorted(names) == sorted([*stems, "kernel-off-axis", "selftest"])
+        assert sorted(names) == sorted([*stems, *complex_mass, "kernel-off-axis", "selftest"])
+    # evolve and respond run once more with --complex-mass, on their shipped config, at each
+    # thread count; no other run takes the option
+    assert parity.COMPLEX_MASS == ("evolve", "respond")
+    for argv, out in todo:
+        assert ("--complex-mass" in argv) == (out.name in complex_mass), out.name
+        if out.name in complex_mass:
+            stem = out.name.removesuffix("-complex-mass")
+            assert argv[2] == stem and argv[argv.index("--config") + 1] == str(tree / "configs" / f"{stem}.cfg")
+    assert sorted(out.parent.name for _, out in todo if out.name in complex_mass) == sorted(
+        f"threads-{t}" for t in parity.THREADS for _ in complex_mass)
     # the kernel config runs once more with its dipoles off the z axis, at each thread count
     off_axis = [argv for argv, out in todo if out.name == "kernel-off-axis"]
     assert [argv[argv.index("--threads") + 1] for argv in off_axis] == [str(t) for t in parity.THREADS]

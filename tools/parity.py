@@ -6,6 +6,7 @@ Both commits (HEAD by default) are exported with `git archive`, so only
 committed files take part. Each tree runs, at --threads 1 and 2:
 
     the 7 shipped configs, each through its command;
+    the shipped evolve and respond configs once more with --complex-mass;
     selftest;
     the shipped kernel config once more with kernel.orientation = 0 0.6 0.8,
     since no shipped config points its dipoles off the z axis;
@@ -52,6 +53,8 @@ REPO = Path(__file__).resolve().parents[1]
 SHIPPED = (("derive", "derive"), ("kernel", "kernel"), ("dispersion", "dispersion"),
            ("stability", "stability-map"), ("evolve", "evolve"), ("respond", "respond"),
            ("validate", "validate"))
+# the shipped configs that also run with --complex-mass
+COMPLEX_MASS = ("evolve", "respond")
 THREADS = (1, 2)
 EVOLVE_128_SEED = 3
 # the dipole axis of the off-axis kernel run
@@ -270,18 +273,20 @@ def runs(tree: Path, out: Path) -> list[tuple[list[str], Path]]:
     """(argv after the interpreter, output directory) of every run of tree, into out, where the
     off-axis kernel and evolve-128 configs are written."""
     todo = []
-    cfgs = [(stem, command, tree / "configs" / f"{stem}.cfg") for stem, command in SHIPPED]
+    cfgs = [(stem, command, tree / "configs" / f"{stem}.cfg", []) for stem, command in SHIPPED]
+    cfgs += [(f"{stem}-complex-mass", stem, tree / "configs" / f"{stem}.cfg", ["--complex-mass"])
+             for stem in COMPLEX_MASS]
     for name, command, text in (("kernel-off-axis", "kernel", _kernel_off_axis(tree)),
                                 ("evolve-128", "evolve", _evolve_128(tree))):
         if text is not None:
-            cfgs.append((name, command, out / f"{name}.cfg"))
+            cfgs.append((name, command, out / f"{name}.cfg", []))
             out.mkdir(parents=True, exist_ok=True)
             (out / f"{name}.cfg").write_text(text)
     for threads in THREADS:
         base = out / f"threads-{threads}"
-        for name, command, cfg in [*cfgs, ("selftest", "selftest", None)]:
+        for name, command, cfg, options in [*cfgs, ("selftest", "selftest", None, [])]:
             argv = ["-m", "dipolariton.cli", command, "--out", str(base / name),
-                    "--threads", str(threads)]
+                    "--threads", str(threads), *options]
             todo.append((argv + (["--config", str(cfg)] if cfg else []), base / name))
     for demo in sorted((tree / "demos").glob("*.py")):
         todo.append(([str(demo)], out / "demos" / demo.stem))
