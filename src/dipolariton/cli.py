@@ -337,7 +337,8 @@ def _cmd_evolve(run: _Run) -> int:
     norm_drift = abs(last.norm - first.norm) / first.norm if first.norm else math.nan
     energy_drift = (abs(last.energy_total - first.energy_total) / abs(first.energy_total)
                     if first.energy_total else math.nan)
-    print(f"evolved to t = {last.t:.6g} s in {len(result.observables) - 1} records")
+    print(f"evolved to t = {last.t:.6g} s in {round((last.t - first.t) / dt)} steps, "
+          f"{len(result.observables)} records")
     print(f"relative norm drift {norm_drift:.3e}, energy drift {energy_drift:.3e}")
     print(f"kinetic phase per step {_kinetic_phase(params, dt) / math.pi:.3g} pi")
     return 0

@@ -154,9 +154,9 @@ def write_field(path: str, field: np.ndarray, grid: GridSpec, t: float = 0.0) ->
 
 
 def read_field(path: str) -> tuple[np.ndarray, GridSpec, float]:
-    parts, grid, field = _read_binary(path, _FIELD_MAGIC, "field", "<c16")
+    parts, grid, field = _read_binary(path, _FIELD_MAGIC, "field", "<c16", ("t",))
     try:
-        return field, grid, float(parts[7]) if len(parts) > 7 else 0.0
+        return field, grid, float(parts[7])
     except ValueError as exc:
         raise ConfigError(f"{path}: bad field time in header: {exc}") from None
 

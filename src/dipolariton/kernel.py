@@ -10,7 +10,9 @@ mean-field potential. Its full-space Fourier transform is the bounded
 anisotropic function (4 pi / 3) * strength * (3 cos^2 beta - 1), with beta the
 angle between the wavevector and the dipole axis. Each formula is written once,
 in a sampler of broadcastable components that every caller goes through:
-_samples for eps, _fourier_samples for its transform.
+_samples for eps, _fourier_samples for its transform. The lattice table and
+direct_convolution_reference take eps from one lattice sampler at one
+resolved radius, so the reference's weights are the table's own samples.
 
 For periodic grids the kernel is truncated on a sphere of radius R_c (default
 half the shortest box edge) so periodic images do not alias the long 1/r^3
@@ -198,10 +200,25 @@ def _check_method(method) -> None:
         raise ParameterDomainError(f"unknown table method '{method}' (use 'lattice' or 'analytic')")
 
 
-def _resolve_sphere_radius(grid: GridSpec, spec: KernelSpec) -> float:
-    if spec.sphere_radius is not None:
-        return spec.sphere_radius
-    return 0.5 * min(grid.box_lengths)
+def _resolved(grid: GridSpec, spec: KernelSpec) -> KernelSpec:
+    """spec with its truncation radius, half the shortest box edge if None; a
+    cutoff at or beyond that radius is refused by KernelSpec itself."""
+    radius = spec.sphere_radius if spec.sphere_radius is not None else 0.5 * min(grid.box_lengths)
+    return replace(spec, sphere_radius=radius)
+
+
+def _lattice_samples(grid: GridSpec, spec: KernelSpec) -> np.ndarray:
+    """The truncated kernel at every minimum-image displacement, on the grid's
+    shape in FFT ordering, for a spec with its radius resolved. A nonzero
+    strength whose every sample is zero is refused, since then no displacement
+    lies between the two radii."""
+    vals = _samples(*np.meshgrid(*grid.displacements(), indexing="ij", sparse=True), spec,
+                    spec.sphere_radius)
+    if spec.strength != 0.0 and not vals.any():
+        raise ParameterDomainError(f"no lattice displacement lies between cutoff_radius {spec.cutoff_radius} "
+                                   f"and the truncation radius {spec.sphere_radius}: the table would "
+                                   "hold no interaction")
+    return vals
 
 
 def kernel_table_fourier(
@@ -215,21 +232,20 @@ def kernel_table_fourier(
     continuum transform instead. See the module docstring for the trade-off.
     workers is the FFT worker count of the lattice transform, an integer >= 1.
     A cutoff radius at or beyond the truncation radius is refused with
-    ParameterDomainError before anything is sampled.
+    ParameterDomainError before anything is sampled; so is a lattice table
+    with no displacement between the two radii, once sampled.
     """
     workers = check_count(workers, "worker count")
     _check_method(method)
-    spec = replace(spec, sphere_radius=_resolve_sphere_radius(grid, spec))
-    r_c = spec.sphere_radius
+    spec = _resolved(grid, spec)
     if method == "lattice":
-        vals = _samples(*np.meshgrid(*grid.displacements(), indexing="ij", sparse=True), spec, r_c)
         # the kernel is real and even, so its spectrum is real
-        coeffs = _fft.rfftn(vals, workers).real * grid.cell_volume
+        coeffs = _fft.rfftn(_lattice_samples(grid, spec), workers).real * grid.cell_volume
     else:
         qx, qy, qz = grid.wavenumbers()
         qx, qy, qz = np.meshgrid(qx, qy, qz[: grid.dims[2] // 2 + 1], indexing="ij", sparse=True)
         qn = np.sqrt(qx**2 + qy**2 + qz**2)
-        envelope = _truncated_radial_factor(qn * r_c)
+        envelope = _truncated_radial_factor(qn * spec.sphere_radius)
         if spec.cutoff_radius > 0:
             envelope = envelope - _truncated_radial_factor(qn * spec.cutoff_radius)
         coeffs = _fourier_samples(qx, qy, qz, spec, qn) * envelope
@@ -312,23 +328,18 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
 def direct_convolution_reference(grid: GridSpec, spec: KernelSpec, rho: np.ndarray) -> np.ndarray:
     """Brute-force periodic convolution by summation over the truncation sphere.
 
-    O(N^2) reference used by the self-test and the acceptance suite. Its weights
-    are kernel_value's, the point formula the lattice table shares and the
-    closed-form tests pin; it shifts the density by every minimum-image displacement
-    inside the sphere and sums weight times shifted density times cell volume.
+    O(N^2) reference used by the self-test and the acceptance suite. Its
+    weights are the lattice table's own samples, from the same sampler and
+    the same radius, refused where the table is; it shifts the density by
+    every displacement of nonzero weight, in C order, and sums weight times
+    shifted density times cell volume.
     """
     rho = check_shape(rho, grid.shape, "rho")
-    r_c = _resolve_sphere_radius(grid, spec)
-    d = np.stack(np.meshgrid(*grid.displacements(), indexing="ij"), axis=-1).reshape(-1, 3)
-    rn = np.linalg.norm(d, axis=-1)
-    inside = (rn > 0.0) & (rn <= r_c) & (rn >= spec.cutoff_radius)
-    weights = kernel_value(d[inside], KernelSpec(spec.orientation, spec.strength, 0.0))
-    shifts = np.argwhere(inside.reshape(grid.shape))
+    vals = _lattice_samples(grid, _resolved(grid, spec))
+    shifts = np.nonzero(vals)
     out = np.zeros(grid.shape)
     weight_sum = 0.0
-    for shift, w in zip(shifts.tolist(), weights.tolist()):
-        if w == 0.0:
-            continue
+    for shift, w in zip(np.transpose(shifts).tolist(), vals[shifts].tolist()):
         weight_sum += w
         out += w * np.roll(rho, shift=shift, axis=(0, 1, 2))
     # the uniform response is zero by convention (the continuum angular

@@ -463,15 +463,32 @@ def test_evolve_refuses_a_t_final_it_cannot_meet(tmp_path, capsys):
     assert not (out / "observables.csv").exists()
 
 
-def test_evolve_ends_at_the_t_final_it_was_given(tmp_path):
+def test_evolve_ends_at_the_t_final_it_was_given(tmp_path, capsys):
     # 25 steps of 1e-9 s add up to 2.5000000000000002e-08 s; the shipped
     # config asks for 2.5e-8 s, and that is where the run is recorded to end
     assert 0.0 + 25 * 1e-9 != 2.5e-8
     out = tmp_path / "o"
     assert main(["evolve", "--config", str(CONFIGS / "evolve.cfg"), "--out", str(out)]) == 0
     assert read_field(out / "final_field.bin")[2] == 2.5e-8
-    last = (out / "observables.csv").read_text().splitlines()[-1]
-    assert float(last.split(",")[0]) == 2.5e-8
+    rows = [line for line in (out / "observables.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert float(rows[-1].split(",")[0]) == 2.5e-8
+    # the summary counts the steps and every record, t = 0 included: a row
+    # each below the header
+    assert len(rows) == 1 + 4
+    assert capsys.readouterr().out.splitlines()[0] == "evolved to t = 2.5e-08 s in 25 steps, 4 records"
+
+
+def test_evolve_refuses_a_truncation_radius_inside_the_lattice_spacing(tmp_path, capsys):
+    # no displacement of the 5e-8 m lattice lies within 2e-8 m: the table
+    # would hold no interaction, and the run would evolve without one
+    text = _shipped("evolve") + "kernel.sphere_radius = 2e-8 m\n"
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no lattice displacement lies between cutoff_radius 0.0 and the truncation radius "
+        "2e-08: the table would hold no interaction\n")
+    assert not out.exists()
 
 
 def si_gpe_params(cfg, command):

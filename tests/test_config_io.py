@@ -521,7 +521,8 @@ def test_read_field_holds_the_payload_once(tmp_path):
 
 
 @pytest.mark.parametrize("kind, keep, missing", [
-    ("field", 4, "dx, dy, dz"),
+    ("field", 4, "dx, dy, dz, t"),
+    ("field", 7, "t"),
     ("kernel", 10, "strength, cutoff_radius, sphere_radius, method"),
     ("kernel", 13, "method"),
 ])

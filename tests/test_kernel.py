@@ -263,7 +263,7 @@ def _per_displacement_direct_sum(grid, spec, rho):
 @pytest.mark.parametrize("orientation, cutoff", [(Z_AXIS, 0.0), (Z_AXIS, 0.9),
                                                  ((1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0), 0.0)])
 def test_direct_reference_matches_per_displacement_sum(orientation, cutoff):
-    # the weights come from one batched kernel_value call, which evaluates
+    # the weights come from one call of the lattice sampler, which evaluates
     # each displacement elementwise, so it matches the per-displacement sum
     grid = GridSpec(dims=(8, 8, 10), spacings=(0.5, 0.7, 0.4))
     spec = KernelSpec(orientation=orientation, strength=0.8, cutoff_radius=cutoff)
@@ -499,6 +499,37 @@ def test_a_cutoff_at_or_beyond_the_truncation_radius_is_refused(monkeypatch, tmp
     path.write_bytes(b" ".join(words) + b"\n" + payload)
     with pytest.raises(ConfigError, match="cutoff_radius 1e-06 is at or beyond the truncation radius"):
         read_kernel_table(str(path))
+
+
+def test_direct_reference_refuses_a_cutoff_beyond_the_default_radius():
+    # the reference resolves the radius as the table does, so it refuses what
+    # the table refuses, where it once summed nothing and returned zeros
+    grid = GridSpec(dims=(8, 8, 8), spacings=(0.5, 0.5, 0.5))  # R = 2
+    spec = KernelSpec(orientation=Z_AXIS, strength=1.0, cutoff_radius=5.0)
+    rho = np.random.default_rng(5).random(grid.shape)
+    with pytest.raises(ParameterDomainError, match=r"^cutoff_radius 5\.0 is at or beyond the "
+                                                   r"truncation radius 2\.0: "):
+        direct_convolution_reference(grid, spec, rho)
+
+
+@pytest.mark.parametrize("cutoff, radius", [(0.0, 0.5), (0.0, 0.99), (1.1, 1.2)])
+def test_an_empty_lattice_sum_is_refused(cutoff, radius):
+    # no displacement of the unit lattice lies between the two radii, so the
+    # lattice table and the direct sum would hold no interaction; the
+    # analytic table, sampled from the continuum transform, still holds one
+    grid = GridSpec(dims=(8, 8, 8), spacings=(1.0, 1.0, 1.0))
+    spec = KernelSpec(orientation=Z_AXIS, strength=1.0, cutoff_radius=cutoff, sphere_radius=radius)
+    message = (rf"^no lattice displacement lies between cutoff_radius {cutoff} and the truncation "
+               rf"radius {radius}: the table would hold no interaction$")
+    with pytest.raises(ParameterDomainError, match=message):
+        kernel_table_fourier(grid, spec)
+    with pytest.raises(ParameterDomainError, match=message):
+        direct_convolution_reference(grid, spec, np.ones(grid.shape))
+    assert np.max(np.abs(kernel_table_fourier(grid, spec, "analytic").coeffs)) > 0.0
+    # a zero strength holds no interaction by its own choice
+    zero = replace(spec, strength=0.0)
+    assert not kernel_table_fourier(grid, zero).coeffs.any()
+    assert not direct_convolution_reference(grid, zero, np.ones(grid.shape)).any()
 
 
 def test_uniform_density_feels_no_mean_field():
