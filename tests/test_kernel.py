@@ -503,7 +503,7 @@ def test_a_cutoff_at_or_beyond_the_truncation_radius_is_refused(monkeypatch, tmp
 
 def test_direct_reference_refuses_a_cutoff_beyond_the_default_radius():
     # the reference resolves the radius as the table does, so it refuses what
-    # the table refuses, where it once summed nothing and returned zeros
+    # the table refuses rather than sum nothing and return zeros
     grid = GridSpec(dims=(8, 8, 8), spacings=(0.5, 0.5, 0.5))  # R = 2
     spec = KernelSpec(orientation=Z_AXIS, strength=1.0, cutoff_radius=5.0)
     rho = np.random.default_rng(5).random(grid.shape)
