@@ -12,7 +12,6 @@ from dipolariton import (
     C_LIGHT,
     HBAR,
     MediumParams,
-    PulseSpec,
     UnitScales,
     adiabaticity_margins,
     derive_eit,
@@ -62,7 +61,7 @@ def main():
 
     print()
     print("=== 4. is a 10 us, 1 mm preparation pulse adiabatic? ===")
-    report = adiabaticity_margins(medium, d, PulseSpec(T=1e-5, l_pulse=1e-3))
+    report = adiabaticity_margins(medium, d, T=1e-5, l_pulse=1e-3)
     for r in report.ratios:
         print(f" {r.name:<16} {r.value:12.6g}  {'PASS' if r.passed else 'FAIL'}")
     verdict = "yes" if report.all_pass else "no, stretch the pulse"

@@ -14,17 +14,14 @@ import math
 import numpy as np
 
 from dipolariton import (
-    FieldPair,
     Grid1D,
-    LinearRunConfig,
     MediumParams,
     derive_eit,
     diffusion_coefficient,
     eliminate_difference,
-    from_sum_difference,
     gaussian_profile,
     simulate_linear_1d,
-    to_sum_difference,
+    sum_difference,
 )
 
 
@@ -39,12 +36,11 @@ def main():
     sigma = 2.0e-5
     fwd = gaussian_profile(grid, sigma)
     bwd = 0.5 * gaussian_profile(grid, sigma)
-    pair = FieldPair(fwd, bwd, grid)
-    modes = to_sum_difference(pair)
-    back = from_sum_difference(modes)
-    err = max(np.max(np.abs(back.e_plus - fwd)), np.max(np.abs(back.e_minus - bwd)))
+    e_sum, e_diff = sum_difference(fwd, bwd, grid)
+    back_fwd, back_bwd = sum_difference(e_sum, e_diff, grid)
+    err = max(np.max(np.abs(back_fwd - fwd)), np.max(np.abs(back_bwd - bwd)))
     power_in = np.sum(np.abs(fwd) ** 2 + np.abs(bwd) ** 2)
-    power_out = np.sum(np.abs(modes.e_sum) ** 2 + np.abs(modes.e_diff) ** 2)
+    power_out = np.sum(np.abs(e_sum) ** 2 + np.abs(e_diff) ** 2)
     print(f" roundtrip error {err:.2e}, power ratio {power_out / power_in:.15f}")
     print(" the basis change is unitary, so nothing is gained or lost")
 
@@ -52,8 +48,8 @@ def main():
     print("=== 2. the pinned difference mode ===")
     medium = medium_with_detuning(0.0)
     d = derive_eit(medium)
-    e_diff = eliminate_difference(modes.e_sum, grid, d)
-    ratio = np.max(np.abs(e_diff)) / np.max(np.abs(modes.e_sum))
+    e_diff = eliminate_difference(e_sum, grid, d)
+    ratio = np.max(np.abs(e_diff)) / np.max(np.abs(e_sum))
     print(f" |difference| / |sum| at the peak: {ratio:.3e}")
     print(f" (the medium slaves it to l_abs d/dz of the sum; l_abs ="
           f" {d.l_abs:.3e} m against a {sigma:.0e} m pulse)")
@@ -77,10 +73,8 @@ def main():
     initial = gaussian_profile(run_grid, sigma0)
     t_final = 3.0 * sigma0**2 / (2.0 * coeff.real)
     n_steps = 1600
-    cfg = LinearRunConfig(grid=run_grid, initial=initial, diffusion=coeff,
-                          dt=t_final / n_steps, n_steps=n_steps,
-                          snapshot_stride=400)
-    result = simulate_linear_1d(cfg)
+    result = simulate_linear_1d(run_grid, initial, coeff, t_final / n_steps, n_steps,
+                                snapshot_stride=400)
     print(f" D = {coeff.real:.4e} m^2/s (real at zero detuning),"
           f" sigma0 = {sigma0:.3e} m")
     print(" t [s]          variance measured   sigma0^2 + 2 D t    rel dev")

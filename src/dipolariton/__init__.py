@@ -27,7 +27,6 @@ from .eit import (
     DerivedQuantities,
     MarginReport,
     MediumParams,
-    PulseSpec,
     UnitScales,
     adiabaticity_margins,
     derive_eit,
@@ -48,16 +47,12 @@ from .errors import (
     UnitError,
 )
 from .fields import (
-    FieldPair,
-    LinearRunConfig,
     LinearRunResult,
-    ModePair,
     diffusion_coefficient,
     eliminate_difference,
-    from_sum_difference,
     gaussian_profile,
     simulate_linear_1d,
-    to_sum_difference,
+    sum_difference,
 )
 from .config import SimConfig, parse_config
 from .gpe import (

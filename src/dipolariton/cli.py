@@ -45,19 +45,13 @@ from .eit import (
     C_LIGHT,
     DerivedQuantities,
     MediumParams,
-    PulseSpec,
     UnitScales,
     adiabaticity_margins,
     derive_eit,
     phase_mismatch,
 )
 from .errors import ConfigError, DipolaritonError, check_vector
-from .fields import (
-    LinearRunConfig,
-    eliminate_difference,
-    gaussian_profile,
-    simulate_linear_1d,
-)
+from .fields import eliminate_difference, gaussian_profile, simulate_linear_1d
 from .fileio import (
     _g,
     provenance_lines,
@@ -373,10 +367,9 @@ def _cmd_validate(run: _Run) -> int:
     cfg = run.cfg
     medium = run.cfg.require_medium(run.command)
     derived = derive_eit(medium)
-    pulse = PulseSpec(T=run.require("run.pulse_t"),
-                      l_pulse=run.require("run.pulse_length"),
-                      delta_rr_avg=cfg.get("run.delta_rr_avg"))
-    report = adiabaticity_margins(medium, derived, pulse, margin=cfg.get("run.margin"))
+    report = adiabaticity_margins(medium, derived, run.require("run.pulse_t"),
+                                  run.require("run.pulse_length"), cfg.get("run.delta_rr_avg"),
+                                  margin=cfg.get("run.margin"))
 
     k = medium.k
     k_plus = cfg.get("run.k_plus", (0.0, 0.0, k))
@@ -487,9 +480,7 @@ def _check_free_spreading(workers: int = 1) -> tuple[str, float, bool]:
 def _check_linear_diffusion() -> tuple[str, float, bool]:
     grid = Grid1D(n=256, dz=0.05)
     profile = gaussian_profile(grid, sigma=0.8)
-    cfg = LinearRunConfig(grid=grid, initial=profile, diffusion=0.3,
-                          dt=0.002, n_steps=200)
-    run = simulate_linear_1d(cfg)
+    run = simulate_linear_1d(grid, profile, diffusion=0.3, dt=0.002, n_steps=200)
     err = abs(run.variance_rate - 0.6) / 0.6
     return "linear_diffusion_spreading", err, err <= 1e-2
 
@@ -500,9 +491,7 @@ def _check_longitudinal_elimination() -> tuple[str, float, bool]:
     dz = derived.l_abs / 4.0
     # 8 sigma to the wrap point keeps the periodic-tail mismatch ~ e^-32
     grid = Grid1D(n=512, dz=dz)
-    z = grid.z()
-    sigma = 32.0 * dz
-    e_sum = np.exp(-((z - z[256]) ** 2) / (2.0 * sigma**2)).astype(complex)
+    e_sum = gaussian_profile(grid, 32.0 * dz)
     spectral = eliminate_difference(e_sum, grid, derived)
     factor = -derived.l_abs * complex(1.0, derived.detuning_ratio)
     reference = factor * _fd8_dz(e_sum, dz)

@@ -5,7 +5,8 @@ pair of probe fields as stationary light. The dark-state polariton that forms
 acquires an effective transverse mass from diffraction and a complex effective
 longitudinal mass from the EIT absorption profile. This module computes those
 quantities from raw medium parameters, checks the validity margins of the
-adiabatic treatment, evaluates four-wave phase matching, and gives the
+adiabatic treatment for a stored pulse given by its duration, length and
+sampled dipolar shift, evaluates four-wave phase matching, and gives the
 characteristic scales of the polariton problem.
 
 All inputs and outputs are SI, with hbar and c the CODATA values HBAR and
@@ -24,9 +25,9 @@ from .errors import ParameterDomainError, check_positive, check_real, check_vect
 __all__ = [
     "HBAR",
     "C_LIGHT",
+    "REAL_MASS_RATIO",
     "MediumParams",
     "DerivedQuantities",
-    "PulseSpec",
     "MarginRatio",
     "MarginReport",
     "UnitScales",
@@ -143,28 +144,6 @@ def phase_mismatch(k_plus, k_minus, k_c_plus, k_c_minus) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PulseSpec:
-    """Temporal and spatial extent of the stored pulse.
-
-    T             storage/interaction time [s]
-    l_pulse       pulse length in the medium [m]
-    delta_rr_avg  mean dipolar level shift sampled by the pulse [rad/s], >= 0
-    """
-
-    T: float
-    l_pulse: float
-    delta_rr_avg: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "T", check_positive(self.T, "T"))
-        object.__setattr__(self, "l_pulse", check_positive(self.l_pulse, "l_pulse"))
-        shift = check_real(self.delta_rr_avg, "delta_rr_avg")
-        if shift < 0:
-            raise ParameterDomainError(f"delta_rr_avg must be non-negative, got {shift}")
-        object.__setattr__(self, "delta_rr_avg", shift)
-
-
-@dataclass(frozen=True)
 class MarginRatio:
     name: str
     value: float
@@ -184,13 +163,17 @@ class MarginReport:
 def adiabaticity_margins(
     params: MediumParams,
     derived: DerivedQuantities,
-    pulse: PulseSpec,
+    T: float,
+    l_pulse: float,
+    delta_rr_avg: float = 0.0,
     margin: float = 10.0,
 ) -> MarginReport:
     """Check the four validity ratios of the adiabatic polariton treatment.
 
-    Each ratio must exceed `margin` (default 10) for the effective mean-field
-    description to hold:
+    The stored pulse lasts T [s], > 0, and is l_pulse [m] long in the
+    medium, > 0; delta_rr_avg >= 0 is the mean dipolar level shift it
+    samples [rad/s]. Each ratio must exceed `margin` (default 10) for the
+    effective mean-field description to hold:
 
     linewidth_time        |gamma + i delta| * T
     pulse_length          l_pulse / sqrt(|i delta/gamma + 1| * l_abs / k)
@@ -200,14 +183,19 @@ def adiabaticity_margins(
     The last ratio is +inf (trivially passing) when the sampled dipolar shift
     is zero.
     """
+    T = check_positive(T, "T")
+    l_pulse = check_positive(l_pulse, "l_pulse")
+    delta_rr_avg = check_real(delta_rr_avg, "delta_rr_avg")
+    if delta_rr_avg < 0:
+        raise ParameterDomainError(f"delta_rr_avg must be non-negative, got {delta_rr_avg}")
     margin = check_positive(margin, "margin")
     abs_gamma = abs(derived.gamma_complex)
-    r1 = abs_gamma * pulse.T
+    r1 = abs_gamma * T
     diffusion_scale = math.sqrt((abs_gamma / params.gamma) * derived.l_abs / params.k)
-    r2 = pulse.l_pulse / diffusion_scale
-    drive = (params.omega**2 / params.gamma) * math.sqrt(derived.l_abs / pulse.l_pulse)
-    r3 = drive * pulse.T
-    r4 = math.inf if pulse.delta_rr_avg == 0 else drive / pulse.delta_rr_avg
+    r2 = l_pulse / diffusion_scale
+    drive = (params.omega**2 / params.gamma) * math.sqrt(derived.l_abs / l_pulse)
+    r3 = drive * T
+    r4 = math.inf if delta_rr_avg == 0 else drive / delta_rr_avg
     ratios = (
         MarginRatio("linewidth_time", r1, r1 >= margin),
         MarginRatio("pulse_length", r2, r2 >= margin),

@@ -3,11 +3,12 @@
 The two counterpropagating probe envelopes E_plus, E_minus combine into sum
 and difference modes
 
-    sqrt(2) E_S = E_plus + E_minus,    sqrt(2) E_D = E_plus - E_minus.
+    sqrt(2) E_S = E_plus + E_minus,    sqrt(2) E_D = E_plus - E_minus,
 
-Adiabatic elimination ties the difference mode to the gradient of the sum
-mode. simulate_linear_1d solves the z-only linear equation of the sum
-mode,
+a unitary change of basis that is its own inverse, so one function,
+sum_difference, goes both ways. Adiabatic elimination ties the difference
+mode to the gradient of the sum mode. simulate_linear_1d solves the
+z-only linear equation of the sum mode,
 
     d/dt E_S = c L_abs (1 + i delta/gamma) cos^2(theta) d^2/dz^2 E_S,
 
@@ -16,9 +17,10 @@ Fourier mode, at all snapshot times in one array expression; it doubles as
 a validator for the derived masses (the real part of the diffusion
 coefficient encodes the EIT absorption of the stationary component).
 
-Fields are plain complex arrays along z, paired with a Grid1D; any other
-grid is refused with ParameterDomainError. The transforms go through
-numpy.fft on the calling thread.
+Fields are plain complex arrays along z, passed with a Grid1D; any other
+grid is refused with ParameterDomainError, and a field off its grid with
+GridMismatchError. The transforms go through numpy.fft on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -35,13 +37,9 @@ from .errors import (GridCoarseWarning, ParameterDomainError, check_complex, che
 from .grid import Grid1D
 
 __all__ = [
-    "FieldPair",
-    "ModePair",
-    "to_sum_difference",
-    "from_sum_difference",
+    "sum_difference",
     "eliminate_difference",
     "diffusion_coefficient",
-    "LinearRunConfig",
     "LinearRunResult",
     "simulate_linear_1d",
     "gaussian_profile",
@@ -57,53 +55,18 @@ def _check_grid(grid: Grid1D) -> tuple[int]:
     return (grid.n,)
 
 
-def _check_fields(pair, *names: str) -> None:
-    """Store the fields names of pair as arrays; GridMismatchError unless each lies on its grid."""
-    shape = _check_grid(pair.grid)
-    for name in names:
-        object.__setattr__(pair, name, check_shape(getattr(pair, name), shape, name))
+def sum_difference(a: np.ndarray, b: np.ndarray, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """((a + b) / sqrt(2), (a - b) / sqrt(2)) of two fields on grid.
 
-
-@dataclass(frozen=True)
-class FieldPair:
-    """Counterpropagating probe envelopes on one grid."""
-
-    e_plus: np.ndarray
-    e_minus: np.ndarray
-    grid: Grid1D
-
-    def __post_init__(self):
-        _check_fields(self, "e_plus", "e_minus")
-
-
-@dataclass(frozen=True)
-class ModePair:
-    """Sum and difference modes on one grid."""
-
-    e_sum: np.ndarray
-    e_diff: np.ndarray
-    grid: Grid1D
-
-    def __post_init__(self):
-        _check_fields(self, "e_sum", "e_diff")
-
-
-def to_sum_difference(pair: FieldPair) -> ModePair:
-    """Unitary change to sum/difference modes: sqrt(2) E_S = E+ + E-."""
-    return ModePair(
-        e_sum=(pair.e_plus + pair.e_minus) / _SQRT2,
-        e_diff=(pair.e_plus - pair.e_minus) / _SQRT2,
-        grid=pair.grid,
-    )
-
-
-def from_sum_difference(modes: ModePair) -> FieldPair:
-    """Inverse of to_sum_difference."""
-    return FieldPair(
-        e_plus=(modes.e_sum + modes.e_diff) / _SQRT2,
-        e_minus=(modes.e_sum - modes.e_diff) / _SQRT2,
-        grid=modes.grid,
-    )
+    The change between the probe envelopes and the sum and difference modes
+    is unitary and its own inverse: sum_difference(E_plus, E_minus, grid)
+    gives (E_S, E_D), and sum_difference(E_S, E_D, grid) gives them back.
+    ParameterDomainError unless grid is a Grid1D, GridMismatchError for a
+    field off it.
+    """
+    shape = _check_grid(grid)
+    a, b = check_shape(a, shape, "a"), check_shape(b, shape, "b")
+    return (a + b) / _SQRT2, (a - b) / _SQRT2
 
 
 def _warn_if_nyquist_heavy(d_spec: np.ndarray):
@@ -143,28 +106,6 @@ def diffusion_coefficient(derived: DerivedQuantities) -> complex:
 
 
 @dataclass(frozen=True)
-class LinearRunConfig:
-    """Inputs of the 1D linear validator run."""
-
-    grid: Grid1D
-    initial: np.ndarray
-    diffusion: complex
-    dt: float
-    n_steps: int
-    snapshot_stride: int = 10
-
-    def __post_init__(self):
-        check_shape(self.initial, _check_grid(self.grid), "initial")
-        object.__setattr__(self, "dt", check_positive(self.dt, "dt"))
-        for name in ("n_steps", "snapshot_stride"):
-            object.__setattr__(self, name, check_count(getattr(self, name), name))
-        d = check_complex(self.diffusion, "diffusion")
-        if d.real < 0:
-            raise ParameterDomainError(f"diffusion must have Re >= 0, got {d}")
-        object.__setattr__(self, "diffusion", d)
-
-
-@dataclass(frozen=True)
 class LinearRunResult:
     times: np.ndarray
     snapshots: np.ndarray
@@ -173,22 +114,33 @@ class LinearRunResult:
     variance_rate: float
 
 
-def simulate_linear_1d(cfg: LinearRunConfig) -> LinearRunResult:
+def simulate_linear_1d(grid: Grid1D, initial: np.ndarray, diffusion: complex, dt: float,
+                       n_steps: int, snapshot_stride: int = 10) -> LinearRunResult:
     """Solve the z-only sum-mode diffusion equation and track its spread.
 
-    The snapshots are the exact solution ifft(fft(E0) exp(-D q^2 t)) at
-    t = 0, every snapshot_stride steps of dt and t = n_steps dt, all in one
-    broadcast; snapshot 0 is the initial profile as given. Returns them,
-    the variance of the amplitude |E| (NaN for an all-zero snapshot), the
-    norm sum(|E|^2) dz, and the linear-fit growth rate of the variance. For
-    a Gaussian profile of variance s0^2 the analytic law is
+    initial is the profile E0 on grid, diffusion the coefficient D, with
+    Re D >= 0, and dt > 0; n_steps and snapshot_stride are integers >= 1.
+    They are checked in that order: ParameterDomainError, or
+    GridMismatchError for an initial profile off the grid. The snapshots
+    are the exact solution ifft(fft(E0) exp(-D q^2 t)) at t = 0, every
+    snapshot_stride steps of dt and t = n_steps dt, all in one broadcast;
+    snapshot 0 is the initial profile as given. Returns them, the variance
+    of the amplitude |E| (NaN for an all-zero snapshot), the norm
+    sum(|E|^2) dz, and the linear-fit growth rate of the variance. For a
+    Gaussian profile of variance s0^2 the analytic law is
     s^2(t) = s0^2 + 2 Re(D) t at zero detuning.
     """
-    grid = cfg.grid
-    psi = np.array(cfg.initial, dtype=complex)
-    steps = np.append(np.arange(0, cfg.n_steps, cfg.snapshot_stride), cfg.n_steps)
-    times = steps * cfg.dt
-    decay = np.exp(np.multiply.outer(times, -cfg.diffusion * grid.wavenumbers() ** 2))
+    check_shape(initial, _check_grid(grid), "initial")
+    dt = check_positive(dt, "dt")
+    n_steps = check_count(n_steps, "n_steps")
+    snapshot_stride = check_count(snapshot_stride, "snapshot_stride")
+    diffusion = check_complex(diffusion, "diffusion")
+    if diffusion.real < 0:
+        raise ParameterDomainError(f"diffusion must have Re >= 0, got {diffusion}")
+    psi = np.array(initial, dtype=complex)
+    steps = np.append(np.arange(0, n_steps, snapshot_stride), n_steps)
+    times = steps * dt
+    decay = np.exp(np.multiply.outer(times, -diffusion * grid.wavenumbers() ** 2))
     snapshots = np.fft.ifft(decay * np.fft.fft(psi))
     snapshots[0] = psi
     # the amplitude |E_S| weighs the spread: for the diffusion law the field

@@ -77,16 +77,17 @@ state.t + i dt.
 linear_response_experiment seeds a weak density wave on the uniform state,
 tracks its Fourier amplitude and reads nu off it in closed form (Prony's
 method). The amplitude comes off the run's own convolutions: the forward
-transform of each holds the spectrum of |phi|^2, and run's mode has it
-write the entry at q (kernel.convolve_density's mode), so the run records
-no Observables and its half-steps fuse. The
-stepped linear mode obeys s[n+1] + s[n-1] = 2 c s[n], with c = cos(nu dt)
-for an oscillation and cosh(g dt) for growth, so one linear fit serves
-both laws without a model, initial guess or iteration. The
-prediction it is compared against calibrates the dipolar coupling from the
-same Fourier table the stepping uses, closing the loop with the bogoliubov
-module. When physical (infinite box) numbers are wanted instead, the box
-edge should exceed roughly four times the longest instability wavelength
+transform of each holds the spectrum of |phi|^2, and run, given q's
+lattice index as its mode, reads the entry there off each
+(kernel.convolve_density's mode) and returns the n + 1 amplitudes, so the
+run records no Observables and its half-steps fuse. The stepped linear
+mode obeys s[n+1] + s[n-1] = 2 c s[n], with c = cos(nu dt) for an
+oscillation and cosh(g dt) for growth, so one linear fit serves both laws
+without a model, initial guess or iteration. The prediction it is
+compared against calibrates the dipolar coupling from the same Fourier
+table the stepping uses, closing the loop with the bogoliubov module.
+When physical (infinite box) numbers are wanted instead, the box edge
+should exceed roughly four times the longest instability wavelength
 probed, so the truncated kernel has converged at the probe wavevector.
 """
 
@@ -112,7 +113,7 @@ from .errors import (
     check_vector,
 )
 from .grid import GridSpec
-from .kernel import FourierTable, convolve_density
+from .kernel import FourierTable, _half_spectrum_index, convolve_density
 
 __all__ = [
     "GpeParams",
@@ -407,20 +408,19 @@ class SplitStep:
                                 f"the accuracy guard {MAX_POTENTIAL_PHASE:.3f} rad; reduce dt")
 
     def run(self, state: CondensateState, n_steps: int, every: int | None = None, *,
-            mode: tuple[tuple[int, int, int], np.ndarray] | None = None,
-            consume: bool = False) -> EvolveResult:
-        """Take n_steps from state; returns the final state and the Observables recorded.
+            mode: tuple[int, int, int] | None = None, consume: bool = False) -> EvolveResult:
+        """Take n_steps from state; returns the final state, the Observables recorded
+        and the density mode read.
 
         The stepping loop of the module: pass i = 0 ... n_steps convolves (the
         start state, then the field after step i) and checks the convolution
         (_check). With a stride every, an integer >= 1, it records
         observables of the field at state.t + i dt at step 0, every every-th
         step and the last, from the convolution it holds; without one it
-        records none. mode, a pair (idx, out) of a lattice index and a
-        complex array of n_steps + 1 entries, has convolution i write
-        fftn(|phi|^2)[idx] into out[i] (kernel.convolve_density's mode); any
-        other out is refused with ParameterDomainError before the first
-        convolution.
+        records none. With mode, a lattice index 0 <= idx < dims, convolution
+        i reads fftn(|phi|^2)[idx] off its forward transform
+        (kernel.convolve_density's mode), and the n_steps + 1 amplitudes are
+        the result's modes; without one, modes is None.
 
         The field stepped is a copy of state.phi, and state is left as it
         was. With consume=True a state.phi that is C-contiguous and
@@ -433,10 +433,7 @@ class SplitStep:
         every = None if every is None else check_count(every, "every")
         if state.params is not self.params:
             raise ParameterDomainError("state and propagator were built from different params")
-        out = None if mode is None else mode[1]
-        if mode is not None and (np.shape(out) != (n_steps + 1,) or getattr(out, "dtype", None) != complex):
-            raise ParameterDomainError(f"mode output must be a complex array of n_steps + 1 = {n_steps + 1} "
-                                       f"entries, got shape {np.shape(out)}, dtype {getattr(out, 'dtype', None)}")
+        modes = None if mode is None else np.empty(n_steps + 1, dtype=complex)
         phi = state.phi
         if not (consume and phi.flags.c_contiguous and phi.flags.writeable):
             phi = phi.copy()
@@ -447,7 +444,7 @@ class SplitStep:
                 self._advance(phi, turns)
             convolve_density(self.params.table, self._conv, self.workers, buffer=self._buf,
                              scratch=self._scratch, peaks=self._peaks,
-                             mode=None if mode is None else (mode[0], out[i : i + 1]))
+                             mode=None if mode is None else (mode, modes[i : i + 1]))
             self._check(i, state.t)
             turns = 2.0
             if i == 0 or i == n_steps or (every is not None and i % every == 0):
@@ -459,7 +456,8 @@ class SplitStep:
                 if every is not None:
                     records.append(observables(_Observed(phi, state.t + i * self.dt, self.params,
                                                          self._conv, self._scratch, self.workers)))
-        return EvolveResult(CondensateState(phi, state.t + n_steps * self.dt, self.params), tuple(records))
+        return EvolveResult(CondensateState(phi, state.t + n_steps * self.dt, self.params), tuple(records),
+                            modes)
 
 
 @dataclass(frozen=True)
@@ -570,10 +568,13 @@ def observables(state: CondensateState) -> Observables:
 
 @dataclass(frozen=True)
 class EvolveResult:
-    """The final state of a run and the Observables it recorded, in step order."""
+    """The final state of a run, the Observables it recorded, in step order, and
+    the density mode fftn(|phi|^2)[idx] of each of its n_steps + 1
+    convolutions (None for a run without a mode)."""
 
     final: CondensateState
     observables: tuple[Observables, ...]
+    modes: np.ndarray | None = None
 
 
 def _whole_steps(span: float, dt: float, what: str) -> int:
@@ -628,9 +629,7 @@ def effective_dipolar_coupling(params: GpeParams, q, n0: float) -> float:
     """
     n0 = check_positive(n0, "n0")
     idx, qv = _lattice_index(q, params.grid)
-    if idx[2] > params.grid.dims[2] // 2:  # the half table holds T(-q) = T(q)
-        idx = tuple((-i) % n for i, n in zip(idx, params.grid.dims))
-    t_q = float(params.table.coeffs[idx])
+    t_q = float(params.table.coeffs[_half_spectrum_index(idx, params.grid.dims)[0]])
     e_int = 2.0 * n0 * params.hbar * params.sin2_theta * t_q
     q2 = float(qv @ qv)
     if q2 == 0.0:
@@ -723,11 +722,13 @@ def linear_response_experiment(
     so a complex m_par is refused with ParameterDomainError before stepping,
     and so is a given dt that is not positive and finite.
     The returned prediction uses the table-calibrated coupling at the same
-    q. The mode amplitude fftn(|phi|^2)[q] dV is read off each of the run's
-    n + 1 density convolutions, between their forward transform and the
-    product with the table (SplitStep.run's mode), so the run records no
-    Observables, fuses its half-steps and costs what a bare run of as many
-    steps costs; workers is the FFT worker count of the stepping.
+    q. The mode amplitude fftn(|phi|^2)[q] dV is the run's own readout:
+    given q's lattice index as its mode, SplitStep.run returns
+    fftn(|phi|^2)[q] of each of its n + 1 density convolutions, read
+    between their forward transform and the product with the table, and
+    they are scaled by dV in place. So the run records no Observables,
+    fuses its half-steps and costs what a bare run of as many steps costs;
+    workers is the FFT worker count of the stepping.
 
     Without duration the run lasts one period (0.875 / g for a growing mode).
     A given duration is met exactly: with dt it must be a whole number of at
@@ -775,9 +776,7 @@ def linear_response_experiment(
             )
     start = init_state("perturbed_plane_wave", params, n0=n0, delta=delta, q=q)
     times = np.arange(n_steps + 1) * dt
-    amps = np.empty(n_steps + 1, dtype=complex)
-    # every convolution of the run writes its density's mode at idx into amps
-    SplitStep(params, dt, workers).run(start, n_steps, mode=(idx, amps), consume=True)
+    amps = SplitStep(params, dt, workers).run(start, n_steps, mode=idx, consume=True).modes
     amps *= grid.cell_volume
     if amps[0] == 0.0:
         raise FitFailureError("seeded mode has zero initial amplitude")

@@ -52,6 +52,7 @@ from .errors import (ParameterDomainError, check_count, check_positive, check_re
 from .grid import GridSpec
 
 __all__ = [
+    "FULL_SPACE_PREFACTOR",
     "KernelSpec",
     "FourierTable",
     "kernel_value",
@@ -265,6 +266,18 @@ def kernel_table_fourier(
     return FourierTable(grid=grid, spec=spec, coeffs=coeffs, method=method)
 
 
+def _half_spectrum_index(idx: tuple[int, int, int], dims: tuple[int, int, int]
+                         ) -> tuple[tuple[int, int, int], bool]:
+    """The index of lattice index idx in the half spectrum and whether it is mirrored.
+
+    An idx above the half spectrum, idx[2] > nz // 2, is replaced by -idx
+    modulo dims: T(-q) = T(q) for an even table, and the entry of a real
+    field's spectrum there is the conjugate of the one at idx.
+    """
+    mirrored = idx[2] > dims[2] // 2
+    return (tuple((-i) % n for i, n in zip(idx, dims)) if mirrored else idx), mirrored
+
+
 def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
                      buffer: np.ndarray | None = None,
                      scratch: np.ndarray | None = None,
@@ -304,9 +317,8 @@ def convolve_density(table: FourierTable, rho: np.ndarray, workers: int = 1, *,
             raise ParameterDomainError(f"mode index {idx} is not in [0, {rho.shape})")
         if check_shape(out, (1,), "mode output").dtype != complex:
             raise ParameterDomainError(f"mode output must be complex, got {out.dtype}")
-        mirrored = idx[2] > rho.shape[2] // 2
-        if mirrored:  # rho is real, so fftn(rho)[idx] = conj(fftn(rho)[-idx])
-            idx = tuple((-i) % n for i, n in zip(idx, rho.shape))
+        # rho is real, so fftn(rho)[idx] = conj(fftn(rho)[-idx])
+        idx, mirrored = _half_spectrum_index(idx, rho.shape)
     _fft.rfft_planes(rho, buffer, workers)
 
     # a non-finite density gives inf * 0 at the table's zeros; the NaNs that

@@ -18,7 +18,6 @@ from dipolariton import (
     Grid1D,
     GridSpec,
     KernelSpec,
-    LinearRunConfig,
     MediumParams,
     SplitStep,
     convolve_density,
@@ -186,9 +185,8 @@ def test_criterion_7_resonant_diffusive_spreading():
     sigma0 = 32.0 * dz
     t_final = 3.0 * sigma0**2 / (2.0 * d.real)
     n_steps = 1600
-    cfg = LinearRunConfig(grid=grid, initial=gaussian_profile(grid, sigma0),
-                          diffusion=d.real, dt=t_final / n_steps, n_steps=n_steps)
-    run = simulate_linear_1d(cfg)
+    run = simulate_linear_1d(grid, gaussian_profile(grid, sigma0), diffusion=d.real,
+                             dt=t_final / n_steps, n_steps=n_steps)
     expected = sigma0**2 + 2.0 * d.real * t_final
     dev = abs(run.variances[-1] - expected) / expected
     rate_dev = abs(run.variance_rate - 2.0 * d.real) / (2.0 * d.real)

@@ -23,7 +23,6 @@ from dipolariton import (
     kernel_value,
     KernelSpec,
     GridSpec,
-    PulseSpec,
 )
 import dipolariton
 from dipolariton import cli, errors, gpe
@@ -654,8 +653,7 @@ def test_validate_reports_margins_and_matching(tmp_path, capsys):
 
     medium = medium_params()
     derived = derive_eit(medium)
-    report = adiabaticity_margins(medium, derived,
-                                  PulseSpec(T=1e-5, l_pulse=1e-3), margin=10.0)
+    report = adiabaticity_margins(medium, derived, T=1e-5, l_pulse=1e-3, margin=10.0)
     for ratio in report.ratios:
         value, status = table[ratio.name]
         if math.isfinite(ratio.value):

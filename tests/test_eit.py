@@ -12,7 +12,6 @@ from dipolariton import (
     HBAR,
     MediumParams,
     ParameterDomainError,
-    PulseSpec,
     UnitScales,
     adiabaticity_margins,
     derive_eit,
@@ -145,8 +144,7 @@ def test_margins_all_pass_scenario():
     m = MediumParams(g=g, n_atoms=n_atoms, v_t=1e-9, gamma=gamma,
                      delta=1e9, omega=2e7, k=50.0 / l_abs)
     derived = derive_eit(m)
-    pulse = PulseSpec(T=1e-5, l_pulse=1e-3, delta_rr_avg=0.0)
-    report = adiabaticity_margins(m, derived, pulse)
+    report = adiabaticity_margins(m, derived, T=1e-5, l_pulse=1e-3, delta_rr_avg=0.0)
     ratios = {r.name: r for r in report.ratios}
     assert report.all_pass
     assert ratios["drive_vs_shift"].value == math.inf
@@ -167,7 +165,7 @@ def test_margin_pulse_length_unit_ratio_fails():
                      delta=0.0, omega=2e7, k=50.0 / l_abs)
     derived = derive_eit(m)
     l_pulse = math.sqrt(1.0 * derived.l_abs / m.k)
-    report = adiabaticity_margins(m, derived, PulseSpec(T=1e-4, l_pulse=l_pulse))
+    report = adiabaticity_margins(m, derived, T=1e-4, l_pulse=l_pulse)
     (ratio,) = (r for r in report.ratios if r.name == "pulse_length")
     assert ratio.value == 1.0
     assert not ratio.passed
@@ -178,16 +176,18 @@ def test_margin_threshold_must_be_positive():
     m = medium_kl50_ratio100()
     derived = derive_eit(m)
     with pytest.raises(ParameterDomainError):
-        adiabaticity_margins(m, derived, PulseSpec(T=1e-5, l_pulse=1e-3), margin=0.0)
+        adiabaticity_margins(m, derived, T=1e-5, l_pulse=1e-3, margin=0.0)
 
 
 def test_pulse_spec_validation():
+    m = medium_kl50_ratio100()
+    derived = derive_eit(m)
     with pytest.raises(ParameterDomainError):
-        PulseSpec(T=0.0, l_pulse=1e-3)
+        adiabaticity_margins(m, derived, T=0.0, l_pulse=1e-3)
     with pytest.raises(ParameterDomainError):
-        PulseSpec(T=1e-5, l_pulse=-1.0)
+        adiabaticity_margins(m, derived, T=1e-5, l_pulse=-1.0)
     with pytest.raises(ParameterDomainError):
-        PulseSpec(T=1e-5, l_pulse=1e-3, delta_rr_avg=-1.0)
+        adiabaticity_margins(m, derived, T=1e-5, l_pulse=1e-3, delta_rr_avg=-1.0)
 
 
 # ----------------------------------------------------------- phase matching

@@ -22,7 +22,6 @@ from dipolariton import (
     Grid1D,
     GridSpec,
     KernelSpec,
-    LinearRunConfig,
     NonFiniteStateError,
     OffLatticeError,
     ParameterDomainError,
@@ -36,6 +35,7 @@ from dipolariton import (
     observables,
     dispersion,
     predicted_mode_frequency,
+    simulate_linear_1d,
     spherical_directions,
 )
 from conftest import lattice_q, make_params, random_complex
@@ -251,23 +251,6 @@ def test_momentum_conservation_with_interaction():
     # total momentum is conserved to the tail level, not to round-off;
     # measured drift is 2.5e-7 relative over this run
     assert np.max(np.abs(p1 - p0)) <= 5e-6 * np.linalg.norm(p0)
-
-
-def test_strang_splitting_is_second_order():
-    # local error of one Strang step is O(dt^3); slope fitted against a
-    # 64-substep reference over a 16x span of dt
-    p = make_params(grid16(), 0.5)
-    g0 = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
-    st = CondensateState(g0.phi * 20.0, 0.0, p)
-    dts = [0.3, 0.15, 0.075, 0.0375, 0.01875]
-    errs = []
-    for dt in dts:
-        one = gpe.SplitStep(p, dt).run(st, 1).final
-        ref = gpe.SplitStep(p, dt / 64.0).run(st, 64).final
-        errs.append(np.sqrt(np.sum(np.abs(one.phi - ref.phi) ** 2)
-                            / np.sum(np.abs(ref.phi) ** 2)))
-    slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-    assert 2.8 <= slope <= 3.2
 
 
 def test_potential_phase_guard():
@@ -486,6 +469,23 @@ def test_run_costs_n_plus_one_convolutions(monkeypatch, every):
     assert [o.t for o in recorded] == pytest.approx([0.01 * i for i in steps])
 
 
+@pytest.mark.parametrize("idx", [(1, 2, 3), (15, 1, 12)], ids=["half", "mirrored"])
+def test_run_returns_the_density_mode_of_each_convolution(idx):
+    # n_steps + 1 amplitudes fftn(|phi|^2)[idx], the first of the start
+    # state and the last of the final one, with or without records; none
+    # without a mode
+    p = make_params(grid16(), 0.5)
+    st = init_state("gaussian", p, widths=(1.0, 1.2, 0.9))
+    prop = gpe.SplitStep(p, 0.05)
+    assert prop.run(st, 3).modes is None
+    for every in (None, 1):
+        run = prop.run(st, 3, every, mode=idx)
+        assert run.modes.shape == (4,) and run.modes.dtype == complex
+        for phi, amp in ((st.phi, run.modes[0]), (run.final.phi, run.modes[-1])):
+            spectrum = np.fft.fftn(np.abs(phi) ** 2)
+            assert abs(amp - spectrum[idx]) <= 1e-12 * np.max(np.abs(spectrum))
+
+
 @pytest.mark.parametrize("n_steps, every", [(-3, 1), (0, 1), (2.5, 1), (3, 0)])
 def test_run_refuses_step_counts_it_cannot_honour(monkeypatch, n_steps, every):
     # refused before the first convolution, with or without a mode readout,
@@ -494,24 +494,9 @@ def test_run_refuses_step_counts_it_cannot_honour(monkeypatch, n_steps, every):
     st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
     calls = _counting_convolve(monkeypatch)
     name, value = ("every", every) if n_steps == 3 else ("n_steps", n_steps)
-    for mode in (None, ((0, 0, 1), np.empty(4, dtype=complex))):
+    for mode in (None, (0, 0, 1)):
         with pytest.raises(ParameterDomainError, match=rf"^{name} must be an integer >= 1, got {value}$"):
             gpe.SplitStep(p, 0.01).run(st, n_steps, every, mode=mode)
-    assert calls == []
-
-
-@pytest.mark.parametrize("out", [np.empty(5, dtype=complex), np.empty(3, dtype=complex),
-                                 np.empty((4, 1), dtype=complex), np.empty(4), [0j] * 4],
-                         ids=["long", "short", "column", "real", "list"])
-def test_run_refuses_a_mode_output_it_cannot_fill(monkeypatch, out):
-    # one complex entry per convolution, n_steps + 1 of them, or refused
-    # before the first convolution
-    p = make_params(grid16(), 0.5)
-    st = init_state("gaussian", p, widths=(1.0, 1.0, 1.0))
-    calls = _counting_convolve(monkeypatch)
-    with pytest.raises(ParameterDomainError, match=r"^mode output must be a complex array of "
-                                                   r"n_steps \+ 1 = 4 entries, got shape"):
-        gpe.SplitStep(p, 0.01).run(st, 3, mode=((0, 0, 1), out))
     assert calls == []
 
 
@@ -1129,8 +1114,8 @@ def test_counts_that_are_not_integers_are_refused_by_name(entry, value):
         "n": lambda: Grid1D(n=value, dz=0.1),
         "n_polar": lambda: spherical_directions(value, 3),
         "n_azimuth": lambda: spherical_directions(2, value),
-        "n_steps": lambda: LinearRunConfig(**{**run, "n_steps": value}),
-        "snapshot_stride": lambda: LinearRunConfig(**run, snapshot_stride=value),
+        "n_steps": lambda: simulate_linear_1d(**{**run, "n_steps": value}),
+        "snapshot_stride": lambda: simulate_linear_1d(**run, snapshot_stride=value),
         "observer_stride": lambda: evolve(st, 0.01, 0.05, observer_stride=value),
         "every": lambda: gpe.SplitStep(p, 0.01).run(st, 4, every=value),
     }[entry]

@@ -23,10 +23,8 @@ from dipolariton import (
     Grid1D,
     GridSpec,
     KernelSpec,
-    LinearRunConfig,
     MediumParams,
     ParameterDomainError,
-    PulseSpec,
     SplitStep,
     UnitScales,
     adiabaticity_margins,
@@ -41,6 +39,7 @@ from dipolariton import (
     kernel_value,
     linear_response_experiment,
     phase_mismatch,
+    simulate_linear_1d,
     stability_map,
 )
 from dipolariton.bogoliubov import CondensateParams, critical_wavenumber
@@ -65,13 +64,10 @@ Q = lattice_q(GRID, 0, 0, 1)
 Z1 = Grid1D(n=16, dz=0.5)
 
 
-def _pulse(**kw):
-    return PulseSpec(**{"T": 1e-5, "l_pulse": 1e-4, "delta_rr_avg": 0.0, **kw})
-
-
-def _margins(margin):
+def _margins(**kw):
     medium = MediumParams(**MEDIUM)
-    return adiabaticity_margins(medium, derive_eit(medium), _pulse(), margin=margin)
+    return adiabaticity_margins(medium, derive_eit(medium),
+                                **{"T": 1e-5, "l_pulse": 1e-4, "delta_rr_avg": 0.0, **kw})
 
 
 def _kernel(**kw):
@@ -79,8 +75,8 @@ def _kernel(**kw):
 
 
 def _linear_run(**kw):
-    return LinearRunConfig(**{"grid": Z1, "initial": np.ones(16, complex), "diffusion": 0.3,
-                              "dt": 0.01, "n_steps": 2, **kw})
+    return simulate_linear_1d(**{"grid": Z1, "initial": np.ones(16, complex), "diffusion": 0.3,
+                                 "dt": 0.01, "n_steps": 2, **kw})
 
 
 def _state(kind, **kw):
@@ -100,10 +96,11 @@ CASES = [
     *((f"MediumParams.{k}", lambda v, k=k: MediumParams(**{**MEDIUM, k: v}), k, POSITIVE)
       for k in ("g", "n_atoms", "v_t", "gamma", "omega", "k")),
     ("MediumParams.delta", lambda v: MediumParams(**{**MEDIUM, "delta": v}), "delta", NOT_REAL),
-    ("PulseSpec.T", lambda v: _pulse(T=v), "T", POSITIVE),
-    ("PulseSpec.l_pulse", lambda v: _pulse(l_pulse=v), "l_pulse", POSITIVE),
-    ("PulseSpec.delta_rr_avg", lambda v: _pulse(delta_rr_avg=v), "delta_rr_avg", NON_NEGATIVE),
-    ("adiabaticity_margins.margin", _margins, "margin", POSITIVE),
+    ("adiabaticity_margins.T", lambda v: _margins(T=v), "T", POSITIVE),
+    ("adiabaticity_margins.l_pulse", lambda v: _margins(l_pulse=v), "l_pulse", POSITIVE),
+    ("adiabaticity_margins.delta_rr_avg", lambda v: _margins(delta_rr_avg=v), "delta_rr_avg",
+     NON_NEGATIVE),
+    ("adiabaticity_margins.margin", lambda v: _margins(margin=v), "margin", POSITIVE),
     ("UnitScales.length", lambda v: UnitScales(length=v, time=1.0), "length", POSITIVE),
     ("UnitScales.time", lambda v: UnitScales(length=1.0, time=v), "time", POSITIVE),
     ("KernelSpec.strength", lambda v: _kernel(strength=v), "strength", NOT_REAL),
@@ -138,8 +135,8 @@ CASES = [
     ("linear_response_experiment.dt", lambda v: _response(dt=v), "dt", POSITIVE),
     ("linear_response_experiment.duration", lambda v: _response(duration=v), "duration", POSITIVE),
     ("linear_response_experiment.delta", lambda v: _response(delta=v), "delta", AMPLITUDE),
-    ("LinearRunConfig.dt", lambda v: _linear_run(dt=v), "dt", POSITIVE),
-    ("LinearRunConfig.diffusion", lambda v: _linear_run(diffusion=v), "diffusion",
+    ("simulate_linear_1d.dt", lambda v: _linear_run(dt=v), "dt", POSITIVE),
+    ("simulate_linear_1d.diffusion", lambda v: _linear_run(diffusion=v), "diffusion",
      NOT_COMPLEX + (-1,)),
     ("gaussian_profile.sigma", lambda v: gaussian_profile(Z1, v), "sigma", POSITIVE),
 ]
@@ -161,7 +158,7 @@ def test_signed_and_boundary_values_still_pass():
     for delta in (-2e8, 0):
         MediumParams(**{**MEDIUM, "delta": delta})
     _kernel(strength=-1, cutoff_radius=0)
-    _pulse(delta_rr_avg=0)
+    _margins(delta_rr_avg=0)
     GpeParams(**{**GPE, "sin2_theta": 0, "m_par": 1 - 0.5j})
     CondensateParams(**{**CONDENSATE, "c_dd": -0.5, "m_par": -1})
     assert SplitStep(GpeParams(**GPE), -0.25).dt == -0.25
